@@ -193,37 +193,37 @@ def make_algebra(structure_constants,
                  tol: float | None = None) -> Algebra:
     """Validate structure constants and wrap them as an Algebra.
 
-    Associativity is checked to tolerance on the full basis; the unit law is
-    required to hold exactly on the tensor entries.
+    Entries must be finite.  Associativity is checked to tolerance on the
+    full basis; the unit law is required to hold exactly on the tensor
+    entries.
     """
     c = np.asarray(structure_constants, dtype=float)
-    if c.ndim != 3 or len(set(c.shape)) != 1:
-        raise DimensionMismatchError(f"structure tensor must be cubic, got shape {c.shape}")
-    n = c.shape[0]
+    if labels is None:
+        size = c.shape[0] if c.ndim else 0  # a scalar fails the shape check below
+        labels = ["1" if i == unit_index else f"b{i}" for i in range(size)]
+    algebra = Algebra(c, unit_index, tuple(labels), signature)
+    n = algebra.dimension
     if n < 1:
         raise DimensionMismatchError("dimension must be at least 1")
     if n > MAX_DIMENSION:
         raise TooLargeError(f"dimension {n} exceeds the limit of {MAX_DIMENSION}")
     if not 0 <= unit_index < n:
         raise BadUnitError(f"unit index {unit_index} out of range")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("structure constants must be finite")
 
     eye = np.eye(n)
     if not (np.array_equal(c[unit_index], eye) and np.array_equal(c[:, unit_index], eye)):
         raise BadUnitError("designated unit fails the unit law")
 
-    # (e_i e_j) e_k versus e_i (e_j e_k) over the whole basis.
-    lhs = np.einsum("ijm,mkl->ijkl", c, c)
-    rhs = np.einsum("jkm,iml->ijkl", c, c)
-    violation = float(np.max(np.abs(lhs - rhs)))
+    violation = associativity_residual(algebra)
     if violation > resolve_tol(tol):
         raise NonAssociativeError(f"max associativity violation {violation:.3e}")
-
-    if labels is None:
-        labels = ["1" if i == unit_index else f"b{i}" for i in range(n)]
-    return Algebra(c, unit_index, tuple(labels), signature)
+    return algebra
 
 
 def associativity_residual(algebra: Algebra) -> float:
+    """Largest entry of (e_i e_j) e_k - e_i (e_j e_k) over the whole basis."""
     c = algebra.structure_constants
     lhs = np.einsum("ijm,mkl->ijkl", c, c)
     rhs = np.einsum("jkm,iml->ijkl", c, c)

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Element, OperatorMatrix, inverse, is_zerodivisor
-from .config import RANK_RELTOL, resolve_tol
+from .config import resolve_tol
 from .errors import DimensionMismatchError, NotFoundError
+from .numerics import affine_square_root, null_space
 from .roots import RootOfMinusOne, is_root, root_residual
 from .zerovariety import ComplexElement, WitnessSearch, zero_variety_witness
 
@@ -98,10 +99,7 @@ def antisymmetric_subspace(algebra: Algebra, G: InnerProduct,
     for j in range(n):
         left = algebra.left_matrix_vec(np.eye(n)[j])
         cols[:, j] = (left + ginv @ left.T @ gram).ravel()
-    _, sv, vt = np.linalg.svd(cols)
-    cutoff = RANK_RELTOL * (sv[0] if sv.size and sv[0] > 0 else 1.0)
-    rank = int(np.sum(sv > cutoff))
-    return [algebra.element(row) for row in vt[rank:]]
+    return [algebra.element(col) for col in null_space(cols).T]
 
 
 def sample_S0(algebra: Algebra, G: InnerProduct,
@@ -115,32 +113,13 @@ def sample_S0(algebra: Algebra, G: InnerProduct,
     if not basis:
         raise NotFoundError("antisymmetric subspace is trivial")
     span = np.stack([b.coeffs for b in basis], axis=1)  # (N, m)
-    unit = algebra.unit().coeffs
     for _ in range(tries):
         t = rng.standard_normal(span.shape[1])
-        s_vec = span @ t
-        nrm = np.linalg.norm(s_vec)
+        nrm = np.linalg.norm(span @ t)
         if nrm < 1e-9:
             continue
-        s_vec /= nrm
-        g = algebra.multiply_vec(s_vec, s_vec) + unit
-        gn = np.linalg.norm(g)
-        for _ in range(60):
-            if gn <= 1e-13:
-                break
-            jac = (algebra.left_matrix_vec(s_vec)
-                   + algebra.right_matrix_vec(s_vec)) @ span
-            step = np.linalg.lstsq(jac, -g, rcond=None)[0]
-            damp = 1.0
-            while True:
-                t_new = t + damp * step
-                s_new = span @ t_new
-                g2 = algebra.multiply_vec(s_new, s_new) + unit
-                gn2 = np.linalg.norm(g2)
-                if gn2 < gn or damp <= 1.0 / 1024.0:
-                    break
-                damp *= 0.5
-            t, s_vec, g, gn = t_new, s_new, g2, gn2
+        s_vec, _ = affine_square_root(algebra, np.zeros(algebra.dimension), span,
+                                      t / nrm, 60, 1e-13)
         cand = algebra.element(s_vec)
         if is_root(cand, tol) and is_in_S0(cand, G, tol):
             return RootOfMinusOne(cand, root_residual(cand))

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Element, inverse, is_zerodivisor
-from .config import RANK_RELTOL, resolve_tol
+from .config import resolve_tol
 from .errors import NonIntegerTraceError, NotFoundError, NotTangentError, ZeroDivisorError
+from .numerics import affine_square_root, column_space, null_space
 
 
 @dataclass(frozen=True)
@@ -55,30 +56,6 @@ def sigma_involution(z: complex, s: RootOfMinusOne) -> tuple[complex, RootOfMinu
 # -- seed search -------------------------------------------------------------
 
 
-def _newton_square_root(algebra: Algebra, start: np.ndarray,
-                        iterations: int = 100, target: float = 1e-12):
-    """Damped Gauss-Newton on g(a) = a*a + 1 from one start vector."""
-    unit = algebra.unit().coeffs
-    x = np.array(start, dtype=float)
-    g = algebra.multiply_vec(x, x) + unit
-    gn = np.linalg.norm(g)
-    for _ in range(iterations):
-        if gn <= target:
-            return x
-        jac = algebra.left_matrix_vec(x) + algebra.right_matrix_vec(x)
-        step = np.linalg.lstsq(jac, -g, rcond=None)[0]
-        t = 1.0
-        while True:
-            xn = x + t * step
-            g2 = algebra.multiply_vec(xn, xn) + unit
-            gn2 = np.linalg.norm(g2)
-            if gn2 < gn or t <= 1.0 / 1024.0:
-                break
-            t *= 0.5
-        x, g, gn = xn, g2, gn2
-    return x if gn <= target else None
-
-
 def find_seed_root(algebra: Algebra,
                    rng: np.random.Generator | None = None,
                    tol: float | None = None,
@@ -102,8 +79,9 @@ def find_seed_root(algebra: Algebra,
     if rng is None:
         rng = np.random.default_rng(0)
     for _ in range(starts):
-        x = _newton_square_root(algebra, rng.standard_normal(n))
-        if x is not None:
+        x, gn = affine_square_root(algebra, np.zeros(n), np.eye(n),
+                                   rng.standard_normal(n), 100, 1e-12)
+        if gn <= 1e-12:
             cand = Element(algebra, x)
             if is_root(cand, tol):
                 return RootOfMinusOne(cand, root_residual(cand))
@@ -180,10 +158,7 @@ def tangent_frame(s: RootOfMinusOne) -> TangentFrame:
     """Kernel of F_s = L_s + R_s by singular value decomposition."""
     alg = s.algebra
     f = alg.left_matrix_vec(s.element.coeffs) + alg.right_matrix_vec(s.element.coeffs)
-    _, sv, vt = np.linalg.svd(f)
-    cutoff = RANK_RELTOL * (sv[0] if sv.size and sv[0] > 0 else 1.0)
-    rank = int(np.sum(sv > cutoff))
-    return TangentFrame(s, np.ascontiguousarray(vt[rank:].T))
+    return TangentFrame(s, null_space(f))
 
 
 def component_invariant(s: RootOfMinusOne) -> int:
@@ -253,10 +228,7 @@ def minus_i_eigenspace(s: RootOfMinusOne) -> ComplexSubspace:
     alg = s.algebra
     left = alg.left_matrix_vec(s.element.coeffs)
     cols = np.eye(alg.dimension) + 1j * left
-    u, sv, _ = np.linalg.svd(cols)
-    cutoff = RANK_RELTOL * (sv[0] if sv.size and sv[0] > 0 else 1.0)
-    rank = int(np.sum(sv > cutoff))
-    return ComplexSubspace(alg, np.ascontiguousarray(u[:, :rank]))
+    return ComplexSubspace(alg, column_space(cols))
 
 
 # -- trace report ------------------------------------------------------------

@@ -100,20 +100,13 @@ def stem_from_slice_poly(a_k: list[Element]) -> StemPolynomial:
     return StemPolynomial(a_k[0].algebra, mat)
 
 
-# 2 radii x 16 angles: enough samples to pin any stem of moderate degree.
-_SAMPLE_RADII = (0.7, 1.3)
-_SAMPLE_ANGLES = 16
-
-
 def intrinsic_defect(F: StemPolynomial) -> float:
-    """max ||F(conj z) - conj F(z)|| over the deterministic sample ring."""
-    worst = 0.0
-    for r in _SAMPLE_RADII:
-        for k in range(_SAMPLE_ANGLES):
-            z = r * np.exp(2j * np.pi * (k + 0.5) / _SAMPLE_ANGLES)
-            gap = F.evaluate_vector(np.conj(z)) - np.conj(F.evaluate_vector(z))
-            worst = max(worst, float(np.linalg.norm(gap)))
-    return worst
+    """Coefficient norm 2 ||Im C|| of F(conj z) - conj F(z).
+
+    That difference is the polynomial sum_k conj(z)^k 2i Im c_k, so F is
+    intrinsic exactly when every coefficient is real.
+    """
+    return 2.0 * float(np.linalg.norm(F.coeff_matrix.imag))
 
 
 def is_intrinsic(F: StemPolynomial, tol: float | None = None) -> bool:

@@ -17,13 +17,14 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import Algebra, Element, inverse, is_zerodivisor
-from .config import RANK_RELTOL, resolve_tol
+from .config import resolve_tol
 from .errors import (
     BadSectionError,
     BasePointAtInfinityError,
     DegenerateImageError,
     FrameNotFoundError,
 )
+from .numerics import column_space, null_space
 from .roots import ComplexSubspace, RootOfMinusOne, is_root, root_residual
 from .slicefunctions import StemPolynomial, require_intrinsic
 from .zerovariety import ComplexElement
@@ -208,10 +209,7 @@ def fiber_real_basis(u: RootOfMinusOne, s: RootOfMinusOne) -> np.ndarray:
     """Columns spanning {c : u c = c s}, the (-1)-eigenspace of R_s L_u."""
     alg = u.algebra
     op = alg.right_matrix_vec(s.element.coeffs) @ alg.left_matrix_vec(u.element.coeffs)
-    _, sv, vt = np.linalg.svd(op + np.eye(alg.dimension))
-    cutoff = RANK_RELTOL * (sv[0] if sv.size and sv[0] > 0 else 1.0)
-    rank = int(np.sum(sv > cutoff))
-    return np.ascontiguousarray(vt[rank:].T)
+    return null_space(op + np.eye(alg.dimension))
 
 
 def stereographic_fiber(u: RootOfMinusOne, s: RootOfMinusOne) -> ComplexSubspace:
@@ -225,10 +223,7 @@ def stereographic_fiber(u: RootOfMinusOne, s: RootOfMinusOne) -> ComplexSubspace
     if basis.shape[1] == 0:
         return ComplexSubspace(alg, np.zeros((alg.dimension, 0), dtype=complex))
     cols = np.stack([fiber_embed(u, alg.element(col)) for col in basis.T], axis=1)
-    q, sv, _ = np.linalg.svd(cols)
-    cutoff = RANK_RELTOL * (sv[0] if sv.size and sv[0] > 0 else 1.0)
-    rank = int(np.sum(sv > cutoff))
-    return ComplexSubspace(alg, np.ascontiguousarray(q[:, :rank]))
+    return ComplexSubspace(alg, column_space(cols))
 
 
 def standard_section(u: RootOfMinusOne):

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Element, inverse, is_zerodivisor
-from .config import RANK_RELTOL, resolve_tol
+from .config import resolve_tol
 from .errors import PreconditionFailedError
+from .numerics import affine_square_root, gauss_newton, svd_rank
 from .roots import (
     RootOfMinusOne,
     find_seed_root,
@@ -171,14 +172,11 @@ def zero_variety_witness(w: ComplexElement,
 
     # b is a zerodivisor: solve the linear part, then search the affine set.
     rb = alg.right_matrix_vec(b.coeffs)
-    s_part, _, _, sv = np.linalg.lstsq(rb, -a.coeffs, rcond=None)
+    u, sv, vt, rank = svd_rank(rb)
+    s_part = vt[:rank].T @ ((u[:, :rank].T @ -a.coeffs) / sv[:rank])
     if np.linalg.norm(rb @ s_part + a.coeffs) > 1e-8 * scale:
         return WitnessSearch("absent")
-    cutoff = RANK_RELTOL * (sv[0] if sv.size and sv[0] > 0 else 1.0)
-    rank = int(np.sum(sv > cutoff))
-    _, _, vt = np.linalg.svd(rb)
     kernel = vt[rank:].T  # (N, m)
-    unit = alg.unit().coeffs
 
     if kernel.shape[1] == 0:
         cand = alg.element(s_part)
@@ -191,24 +189,7 @@ def zero_variety_witness(w: ComplexElement,
     for attempt in range(starts):
         t = np.zeros(kernel.shape[1]) if attempt == 0 \
             else rng.standard_normal(kernel.shape[1])
-        s_vec = s_part + kernel @ t
-        g = alg.multiply_vec(s_vec, s_vec) + unit
-        gn = np.linalg.norm(g)
-        for _ in range(60):
-            if gn <= 1e-12:
-                break
-            jac = (alg.left_matrix_vec(s_vec) + alg.right_matrix_vec(s_vec)) @ kernel
-            step = np.linalg.lstsq(jac, -g, rcond=None)[0]
-            damp = 1.0
-            while True:
-                t_new = t + damp * step
-                s_new = s_part + kernel @ t_new
-                g2 = alg.multiply_vec(s_new, s_new) + unit
-                gn2 = np.linalg.norm(g2)
-                if gn2 < gn or damp <= 1.0 / 1024.0:
-                    break
-                damp *= 0.5
-            t, s_vec, g, gn = t_new, s_new, g2, gn2
+        s_vec, _ = affine_square_root(alg, s_part, kernel, t, 60, 1e-12)
         cand = alg.element(s_vec)
         if is_root(cand, tol):
             return WitnessSearch("found", _witness(w, cand))
@@ -289,45 +270,31 @@ def _polish_zero(stem, z0: complex, s0: np.ndarray, target: np.ndarray,
     alg = stem.algebra
     unit = alg.unit().coeffs
     deriv = stem.derivative()
-    x, y = z0.real, z0.imag
-    s = np.array(s0, dtype=float)
-
-    def residual(x, y, s):
-        fz = stem.evaluate_vector(complex(x, y))
-        val = fz.real + alg.left_matrix_vec(s) @ fz.imag - target
-        con = alg.multiply_vec(s, s) + unit
-        return np.concatenate([val, con]), fz
-
-    r, _ = residual(x, y, s)
-    rn = np.linalg.norm(r)
     n = alg.dimension
-    for _ in range(iterations):
-        if rn <= 1e-13:
-            break
-        z = complex(x, y)
-        dfz = deriv.evaluate_vector(z)
+    fz = None  # F(z) at the latest residual point, reused by the Jacobian
+
+    def residual(v):
+        nonlocal fz
+        s = v[2:]
+        fz = stem.evaluate_vector(complex(v[0], v[1]))
+        val = fz.real + alg.left_matrix_vec(s) @ fz.imag - target
+        return np.concatenate([val, alg.multiply_vec(s, s) + unit])
+
+    def jacobian(v):
+        s = v[2:]
+        dfz = deriv.evaluate_vector(complex(v[0], v[1]))
         ls = alg.left_matrix_vec(s)
-        dx = dfz.real + ls @ dfz.imag
         ify = 1j * dfz
-        dy = ify.real + ls @ ify.imag
-        fz = stem.evaluate_vector(z)
         dmat = np.zeros((2 * n, 2 + n))
-        dmat[:n, 0] = dx
-        dmat[:n, 1] = dy
+        dmat[:n, 0] = dfz.real + ls @ dfz.imag
+        dmat[:n, 1] = ify.real + ls @ ify.imag
         dmat[:n, 2:] = alg.right_matrix_vec(fz.imag)
-        dmat[n:, 2:] = alg.left_matrix_vec(s) + alg.right_matrix_vec(s)
-        step = np.linalg.lstsq(dmat, -r, rcond=None)[0]
-        damp = 1.0
-        while True:
-            xn, yn = x + damp * step[0], y + damp * step[1]
-            sn = s + damp * step[2:]
-            r2, _ = residual(xn, yn, sn)
-            rn2 = np.linalg.norm(r2)
-            if rn2 < rn or damp <= 1.0 / 1024.0:
-                break
-            damp *= 0.5
-        x, y, s, r, rn = xn, yn, sn, r2, rn2
-    return complex(x, y), s, rn
+        dmat[n:, 2:] = ls + alg.right_matrix_vec(s)
+        return dmat
+
+    v0 = np.concatenate([[z0.real, z0.imag], s0])
+    v, rn = gauss_newton(residual, jacobian, v0, iterations, 1e-13)
+    return complex(v[0], v[1]), v[2:], rn
 
 
 def discrete_zero_scan(stem, region, target: Element | None = None,

@@ -34,10 +34,26 @@ def test_make_algebra_validates_shape_and_unit():
 
     with pytest.raises(DimensionMismatchError):
         make_algebra(np.zeros((2, 3, 2)))
+    with pytest.raises(DimensionMismatchError):
+        make_algebra(1.0)
     with pytest.raises(BadUnitError):
         make_algebra(good, unit_index=1)
     with pytest.raises(BadUnitError):
         make_algebra(np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_make_algebra_rejects_non_finite(bad):
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = 1.0
+    c[1, 1, 0] = -1.0
+    c[1, 1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        make_algebra(c)
+    data = {"dimension": 2, "unit_index": 0, "labels": ["1", "i"],
+            "structure_constants": c.tolist()}
+    with pytest.raises(ValueError, match="finite"):
+        algebra_from_dict(data)
 
 
 def test_make_algebra_rejects_nonassociative():

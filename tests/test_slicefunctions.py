@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracle_quaternion as oq
 from slicealgebra import (
@@ -62,6 +65,58 @@ def test_seam_stem_is_not_intrinsic(quaternions):
         alpha_beta(bad, 0.3 + 0.4j)
     with pytest.raises(NotIntrinsicError):
         eval_generalized(bad, TwistMap.identity(), 0.3 + 0.4j, i)
+
+
+def test_high_degree_seam_is_not_intrinsic(quaternions):
+    """A degree-32 stem whose seam vanishes on any 32 sample points.
+
+    c_k = 1 + i P_k e1 with P(w) = (w^16 + 0.7^16)(w^16 + 1.3^16), the real
+    polynomial whose roots are the conjugates of the 16 points at each of
+    the radii 0.7 and 1.3 where a sampled test would look.
+    """
+    p = np.zeros(33)
+    p[0], p[16], p[32] = 0.7 ** 16 * 1.3 ** 16, 0.7 ** 16 + 1.3 ** 16, 1.0
+    mat = np.zeros((33, 4), dtype=complex)
+    mat[:, 0] = 1.0
+    mat[:, 1] = 1j * p
+    stem = StemPolynomial(quaternions, mat)
+    z = 0.4 + 0.9j
+    gap = np.linalg.norm(stem.evaluate_vector(np.conj(z))
+                         - np.conj(stem.evaluate_vector(z)))
+    assert gap > 100.0
+    assert not is_intrinsic(stem)
+    assert intrinsic_defect(stem) == pytest.approx(2.0 * np.linalg.norm(p))
+    with pytest.raises(NotIntrinsicError):
+        eval_slice(stem, z, _root(quaternions, oq.I))
+
+
+_nonzero_part = st.one_of(st.just(0.0), st.floats(0.5, 10.0), st.floats(-10.0, -0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(real=st.integers(0, 40).flatmap(
+           lambda d: hnp.arrays(float, (d + 1, 4), elements=st.floats(-10.0, 10.0))),
+       data=st.data())
+def test_is_intrinsic_iff_real_coefficients(quaternions, real, data):
+    imag = data.draw(hnp.arrays(float, real.shape, elements=_nonzero_part))
+    stem = StemPolynomial(quaternions, real + 1j * imag)
+    assert is_intrinsic(stem) == (not np.any(imag))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.integers(0, 40).flatmap(
+           lambda d: hnp.arrays(float, (d + 1, 4), elements=st.floats(-1.0, 1.0))),
+       x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_eval_slice_matches_oracle_to_degree_40(quaternions, coeffs, x, y, seed):
+    stem = StemPolynomial(quaternions, coeffs.astype(complex))
+    assert is_intrinsic(stem)
+    s = oq.random_root(np.random.default_rng(seed))
+    q = x * oq.ONE + y * s
+    want = oq.slice_poly_eval(list(coeffs), q)
+    got = eval_slice(stem, complex(x, y), _root(quaternions, s))
+    scale = sum(np.hypot(x, y) ** k for k in range(len(coeffs)))
+    assert np.allclose(got.coeffs, want, atol=1e-12 * (1.0 + scale))
 
 
 def test_evaluate_horner(quaternions, rng):
