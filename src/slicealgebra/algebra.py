@@ -4,11 +4,21 @@ An algebra of dimension N is the tensor c with
 
     basis_i * basis_j = sum_k c[i, j, k] * basis_k
 
-plus a distinguished unit basis index.  Everything downstream (multiplication
-operators, inverses, zerodivisor tests) is plain dense linear algebra over
-this tensor.  Clifford algebras R_{p,q} are built from signed blade products
-over subsets of generators, graded-lexicographically ordered so that the
-unit is index 0 and the pseudoscalar is the last basis element.
+plus a distinguished unit basis index.  Everything downstream (inverses,
+zerodivisor tests, kernels, Newton searches) is built on three kernels: the
+product x*y and the operator matrices L_a (x -> a*x) and R_a (x -> x*a).
+
+The kernel is chosen once, from the tensor.  When each basis product is a
+nonzero multiple of a single basis element and multiplying by a basis
+element on either side permutes the basis (Clifford algebras, twisted group
+algebras), L_a and R_a are signed permutation matrices scaled by the
+entries of a, gathered from two N x N tables; associativity is then
+a comparison of the tables.  Every other tensor is multiplied through one
+contiguous (N, N^2) matrix per side.
+
+Clifford algebras R_{p,q} are built from signed blade products over subsets
+of generators, graded-lexicographically ordered so that the unit is index 0
+and the pseudoscalar is the last basis element.
 """
 
 from __future__ import annotations
@@ -54,6 +64,24 @@ class Algebra:
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != c.shape[0]:
             raise DimensionMismatchError("label count must match dimension")
+        n = c.shape[0]
+        self._product_table = _product_table(c)
+        if self._product_table is None:
+            # contiguous copies: L_a[k, j] = a @ c[:, j, k], R_a[k, i] = a @ c[i, :, k]
+            self._left_flat = c.transpose(0, 2, 1).reshape(n, n * n)
+            self._right_flat = c.transpose(1, 2, 0).reshape(n, n * n)
+            return
+        idx, val = self._product_table
+        rows, cols = np.arange(n)[:, None], np.arange(n)[None, :]
+        # L_a[idx[i, j], j] = a_i val[i, j] and R_a[idx[i, j], i] = a_j val[i, j]
+        self._left_index = np.empty((n, n), dtype=np.intp)
+        self._left_value = np.empty((n, n))
+        self._left_index[idx, cols] = rows
+        self._left_value[idx, cols] = val
+        self._right_index = np.empty((n, n), dtype=np.intp)
+        self._right_value = np.empty((n, n))
+        self._right_index[idx, rows] = cols
+        self._right_value[idx, rows] = val
 
     @property
     def dimension(self) -> int:
@@ -91,15 +119,25 @@ class Algebra:
     # -- raw vector kernels --------------------------------------------------
 
     def multiply_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", x, y, self.structure_constants)
+        """Coefficients of x*y, computed as L_x @ y."""
+        if self._product_table is not None:
+            return (x[self._left_index] * self._left_value) @ y
+        n = self.dimension
+        return (x @ self._left_flat).reshape(n, n) @ y
 
     def left_matrix_vec(self, a: np.ndarray) -> np.ndarray:
         """Matrix of x -> a*x; column j is a*basis_j."""
-        return np.einsum("i,ijk->kj", a, self.structure_constants)
+        if self._product_table is not None:
+            return a[self._left_index] * self._left_value
+        n = self.dimension
+        return (a @ self._left_flat).reshape(n, n)
 
     def right_matrix_vec(self, a: np.ndarray) -> np.ndarray:
         """Matrix of x -> x*a; column i is basis_i*a."""
-        return np.einsum("j,ijk->ki", a, self.structure_constants)
+        if self._product_table is not None:
+            return a[self._right_index] * self._right_value
+        n = self.dimension
+        return (a @ self._right_flat).reshape(n, n)
 
     def compatible(self, other: "Algebra") -> bool:
         if self is other:
@@ -223,11 +261,51 @@ def make_algebra(structure_constants,
 
 
 def associativity_residual(algebra: Algebra) -> float:
-    """Largest entry of (e_i e_j) e_k - e_i (e_j e_k) over the whole basis."""
+    """Largest entry of (e_i e_j) e_k - e_i (e_j e_k) over the whole basis.
+
+    With a product table both sides are single scaled basis elements, found
+    by two table lookups each.  Otherwise one row i at a time is formed by
+    two matrix products, so memory stays O(N^3).
+    """
+    if algebra._product_table is not None:
+        idx, val = algebra._product_table
+        n = algebra.dimension
+        i, k = np.arange(n)[:, None, None], np.arange(n)[None, None, :]
+        ij, jk = idx[:, :, None], idx[None, :, :]
+        left_at, left = idx[ij, k], val[:, :, None] * val[ij, k]
+        right_at, right = idx[i, jk], val[None, :, :] * val[i, jk]
+        gap = np.where(left_at == right_at, np.abs(left - right),
+                       np.maximum(np.abs(left), np.abs(right)))
+        return float(gap.max())
     c = algebra.structure_constants
-    lhs = np.einsum("ijm,mkl->ijkl", c, c)
-    rhs = np.einsum("jkm,iml->ijkl", c, c)
-    return float(np.max(np.abs(lhs - rhs)))
+    n = algebra.dimension
+    by_m = c.reshape(n, n * n)   # [m, (k, l)]
+    by_jk = c.reshape(n * n, n)  # [(j, k), m]
+    worst = 0.0
+    for row in c:  # row[j, m] = c[i, j, m]
+        lhs = row @ by_m   # sum_m c[i, j, m] c[m, k, l]
+        rhs = by_jk @ row  # sum_m c[j, k, m] c[i, m, l]
+        worst = max(worst, float(np.max(np.abs(lhs.ravel() - rhs.ravel()))))
+    return worst
+
+
+def _product_table(c: np.ndarray):
+    """(idx, val) with e_i e_j = val[i, j] e_{idx[i, j]}, or None.
+
+    A table exists when every slice c[i, j, :] has exactly one nonzero entry
+    and both i -> idx[i, j] and j -> idx[i, j] are bijections, so that L and
+    R of a basis element are scaled permutations.
+    """
+    n = c.shape[0]
+    nonzero = c != 0
+    if n == 0 or not np.all(np.count_nonzero(nonzero, axis=2) == 1):
+        return None
+    idx = np.argmax(nonzero, axis=2)
+    basis = np.arange(n)
+    if not (np.all(np.sort(idx, axis=0) == basis[:, None])
+            and np.all(np.sort(idx, axis=1) == basis)):
+        return None
+    return idx, np.take_along_axis(c, idx[:, :, None], axis=2)[:, :, 0]
 
 
 # -- Clifford construction ---------------------------------------------------
@@ -321,24 +399,25 @@ def operator_matrix(a: Element, kind: str) -> OperatorMatrix:
     return OperatorMatrix(a, kind, m)
 
 
+def _singular(m: np.ndarray, tol_rel: float) -> bool:
+    """Smallest singular value below tol_rel times the largest (or m = 0)."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return bool(sv[0] == 0.0 or sv[-1] < tol_rel * sv[0])
+
+
 def inverse(a: Element, tol_rel: float = ZERODIVISOR_RELTOL) -> Element:
-    """Two-sided inverse, via the left multiplication operator."""
+    """Two-sided inverse: the solution of a*x = 1, by LU on L_a once the
+    singular values have shown L_a to be well conditioned."""
     left = a.algebra.left_matrix_vec(a.coeffs)
-    u, sv, vt = np.linalg.svd(left)
-    if sv[0] == 0.0 or sv[-1] < tol_rel * sv[0]:
+    if _singular(left, tol_rel):
         raise ZeroDivisorError(f"element {a!r} is numerically singular")
-    unit = a.algebra.unit().coeffs
-    x = vt.T @ ((u.T @ unit) / sv)
-    return Element(a.algebra, x)
+    return Element(a.algebra, np.linalg.solve(left, a.algebra.unit().coeffs))
 
 
 def is_zerodivisor(a: Element, tol_rel: float = ZERODIVISOR_RELTOL) -> bool:
     """True when the left or right multiplication operator is singular."""
-    for m in (a.algebra.left_matrix_vec(a.coeffs), a.algebra.right_matrix_vec(a.coeffs)):
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] < tol_rel * sv[0]:
-            return True
-    return False
+    return (_singular(a.algebra.left_matrix_vec(a.coeffs), tol_rel)
+            or _singular(a.algebra.right_matrix_vec(a.coeffs), tol_rel))
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -4,7 +4,8 @@ and polynomial zero scans with JSON/CSV reports.
 Reports are emitted as canonical JSON (sorted keys, no whitespace) so that
 identical seeds give byte-identical output; wall time is kept out of the
 serialized report for the same reason.  Exit codes: 0 all checks pass, 1 a
-check failed, 2 usage errors or a suite that does not apply to the algebra.
+check failed, 2 usage errors or a suite that does not apply to the algebra,
+3 an internal numerical failure (LAPACK raised LinAlgError).
 """
 
 from __future__ import annotations
@@ -199,14 +200,12 @@ def _suite_absorption(alg, trials, rng, tol):
         scale = 1.0 + right.w.norm()
         ok = right.residual <= 1e-8 * scale
         left = left_absorption(base.witness, wp, rng=rng)
-        if left.status == "found":
-            lscale = 1.0 + left.witness.w.norm()
-            ok = ok and left.witness.residual <= 1e-6 * lscale
-            residual = max(right.residual, left.witness.residual)
-        else:
-            ok = False
-            residual = right.residual
-        yield ok, residual, f"trial {t}"
+        if left.status != "found":
+            yield False, float("inf"), f"trial {t}: left witness {left.status}"
+            continue
+        lscale = 1.0 + left.witness.w.norm()
+        ok = ok and left.witness.residual <= 1e-6 * lscale
+        yield ok, max(right.residual, left.witness.residual), f"trial {t}"
 
 
 def _suite_cone(alg, trials, rng, tol):
@@ -474,6 +473,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not a usage error
+        print(f"internal numerical failure: {exc}", file=sys.stderr)
+        return 3
     except SuiteNotApplicableError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,12 @@ DEFAULT_TOL = 1e-9
 RANK_RELTOL = 1e-8
 ZERODIVISOR_RELTOL = 1e-8
 
+# Backward error bound of the zero-variety verdict when s*b = -a has a
+# unique solution s: w = (a, b) is a member when ||a + s*b|| <=
+# WITNESS_RTOL * (1 + ||w||), i.e. w lies that close to (-s*b, b), and s is
+# a root up to the rounding of s*s, ||s*s + 1|| <= tol * (1 + ||s||)^2.
+WITNESS_RTOL = 1e-8
+
 # Dense structure-constant tensors only; everything stays small.
 MAX_DIMENSION = 64
 MAX_CLIFFORD_GENERATORS = 6

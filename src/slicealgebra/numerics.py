@@ -12,21 +12,26 @@ import numpy as np
 from .config import RANK_RELTOL
 
 
-def svd_rank(m: np.ndarray):
+def svd_rank(m: np.ndarray, scale: float = 0.0):
     """Thin SVD (u, sv, vt) of m and its numerical rank.
 
-    Singular values at or below RANK_RELTOL times the largest count as zero.
-    Callers pass square or tall matrices, so vt is square and its trailing
-    rows span the whole kernel.
+    Singular values at or below RANK_RELTOL times the largest, or times
+    `scale` when that is larger, count as zero.  A caller passes `scale`
+    when every m that is nonzero in exact arithmetic has a singular value
+    at least that large, so that an m which is zero up to rounding gets
+    rank 0 rather than full rank.  Callers pass square or tall matrices, so
+    vt is square and its trailing rows span the whole kernel.
     """
     u, sv, vt = np.linalg.svd(m, full_matrices=False)
-    cutoff = RANK_RELTOL * (sv[0] if sv.size and sv[0] > 0 else 1.0)
+    reference = max(sv[0] if sv.size else 0.0, scale)
+    cutoff = RANK_RELTOL * (reference if reference > 0 else 1.0)
     return u, sv, vt, int(np.sum(sv > cutoff))
 
 
-def null_space(m: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the kernel of a square or tall m."""
-    _, _, vt, rank = svd_rank(m)
+def null_space(m: np.ndarray, scale: float = 0.0) -> np.ndarray:
+    """Orthonormal columns spanning the kernel of a square or tall m
+    (`scale` as in svd_rank)."""
+    _, _, vt, rank = svd_rank(m, scale)
     return np.ascontiguousarray(vt[rank:].T)
 
 
@@ -41,9 +46,10 @@ def gauss_newton(residual, jacobian, x0, iterations: int, target: float):
 
     Each step is the least-squares solution of jacobian(x) dx = -residual(x),
     halved until the residual norm drops, and taken anyway after ten
-    halvings.  Stops once the norm is at most target or after `iterations`
-    steps, and returns (x, norm).  jacobian is only ever called at the point
-    of the latest residual call, so it may reuse values computed there.
+    halvings.  Stops once the norm is at most target, after `iterations`
+    steps, or when LAPACK fails to compute a step, and returns (x, norm).
+    jacobian is only ever called at the point of the latest residual call,
+    so it may reuse values computed there.
     """
     x = np.array(x0, dtype=float)
     r = residual(x)
@@ -51,7 +57,10 @@ def gauss_newton(residual, jacobian, x0, iterations: int, target: float):
     for _ in range(iterations):
         if rn <= target:
             break
-        step = np.linalg.lstsq(jacobian(x), -r, rcond=None)[0]
+        try:
+            step = np.linalg.lstsq(jacobian(x), -r, rcond=None)[0]
+        except np.linalg.LinAlgError:  # its SVD did not converge
+            break
         damp = 1.0
         while True:
             xn = x + damp * step

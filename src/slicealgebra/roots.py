@@ -115,17 +115,26 @@ def sample_root(seed: RootOfMinusOne, rng: np.random.Generator,
             out = y * seed.element * inverse(y)
             if out.norm() > max_norm:
                 continue
-            for _ in range(2):
-                # the defect s^2 + 1 commutes with s, so the correction
-                # -(s^2 + 1)(2s)^-1 is the exact Newton step
-                defect = out * out + algebra.unit()
-                out = out - defect * inverse(2.0 * out)
+            out = polish_root(out)
         except ZeroDivisorError:
             continue
         cand = RootOfMinusOne(out, root_residual(out))
         if cand.residual <= resolve_tol(tol):
             return cand
     raise NotFoundError("conjugation sampling failed repeatedly")
+
+
+def polish_root(s: Element) -> Element:
+    """Two Newton steps for s*s = -1 from s.
+
+    The defect s^2 + 1 commutes with s, so the correction -(s^2 + 1)(2s)^-1
+    is the exact Newton step.  Raises ZeroDivisorError when 2s is singular,
+    which no point of S is.
+    """
+    unit = s.algebra.unit()
+    for _ in range(2):
+        s = s - (s * s + unit) * inverse(2.0 * s)
+    return s
 
 
 # -- tangent structure -------------------------------------------------------

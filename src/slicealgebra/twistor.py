@@ -209,7 +209,8 @@ def fiber_real_basis(u: RootOfMinusOne, s: RootOfMinusOne) -> np.ndarray:
     """Columns spanning {c : u c = c s}, the (-1)-eigenspace of R_s L_u."""
     alg = u.algebra
     op = alg.right_matrix_vec(s.element.coeffs) @ alg.left_matrix_vec(u.element.coeffs)
-    return null_space(op + np.eye(alg.dimension))
+    # op is an involution, so op + 1 is 0 (u = s central) or has eigenvalue 2
+    return null_space(op + np.eye(alg.dimension), scale=2.0)
 
 
 def stereographic_fiber(u: RootOfMinusOne, s: RootOfMinusOne) -> ComplexSubspace:

@@ -3,8 +3,9 @@
 A complexified element w = 1(x)a + i(x)b is stored as the pair (a, b).  The
 evaluation pi(w, s) = a + s*b ties w to each square root s of -1; the zero
 variety collects the w annihilated by some s.  Witness search is exact when
-b is invertible (s = -a*b^{-1}) and a constrained Newton otherwise, with an
-explicit "inconclusive" verdict when the search is not a proof of absence.
+b is invertible (s = -a*b^{-1}, accepted on a backward error bound) and a
+constrained Newton otherwise, with an explicit "inconclusive" verdict when
+the search is not a proof of absence.
 """
 
 from __future__ import annotations
@@ -14,18 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Element, inverse, is_zerodivisor
-from .config import resolve_tol
-from .errors import PreconditionFailedError
+from .config import WITNESS_RTOL, resolve_tol
+from .errors import NotFoundError, PreconditionFailedError, ZeroDivisorError
 from .numerics import affine_square_root, gauss_newton, svd_rank
 from .roots import (
     RootOfMinusOne,
     find_seed_root,
     is_root,
     negate_root,
+    polish_root,
     root_residual,
     sample_root,
 )
-from .errors import NotFoundError
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,37 @@ def _witness(w: ComplexElement, s: Element) -> ZeroWitness:
     return ZeroWitness(w, root, pi_tensor_eval(w, root).norm())
 
 
+def _unique_solution_verdict(w: ComplexElement, cand: Element,
+                             tol: float) -> WitnessSearch:
+    """Verdict when s*b = -a has the single solution cand.
+
+    s is a witness when its defect is at the rounding level of s*s,
+    ||s*s + 1|| <= tol * (1 + ||s||)^2, and ||a + s*b|| <= WITNESS_RTOL *
+    (1 + ||w||).  cand carries the rounding error of solving with b,
+    amplified by the condition of R_b, so a cand that is not a root at tol
+    but within WITNESS_RTOL of S relative to its size is polished toward S,
+    and the polished value is judged before cand itself: for large s the
+    exact step amplifies the rounding of s*s by about ||s||^2 and can move
+    s away from the solution.  A w whose solution is O(1) away from S is
+    "absent" without a polish.
+    """
+    defect = root_residual(cand)
+    tries = [(cand, defect)]
+    if tol < defect <= WITNESS_RTOL * (1.0 + cand.norm()) ** 2:
+        try:
+            polished = polish_root(cand)
+            tries.insert(0, (polished, root_residual(polished)))
+        except ZeroDivisorError:
+            pass  # 2*cand is singular to working precision
+    for s, defect in tries:
+        root = RootOfMinusOne(s, defect)
+        residual = pi_tensor_eval(w, root).norm()
+        if (defect <= tol * (1.0 + s.norm()) ** 2
+                and residual <= WITNESS_RTOL * (1.0 + w.norm())):
+            return WitnessSearch("found", ZeroWitness(w, root, residual))
+    return WitnessSearch("absent")
+
+
 def zero_variety_witness(w: ComplexElement,
                          tol: float | None = None,
                          rng: np.random.Generator | None = None,
@@ -145,9 +177,9 @@ def zero_variety_witness(w: ComplexElement,
     """Search for s in S with pi(w, s) = 0.
 
     With b = w.im invertible the answer s = -a*b^{-1} is unique, so the
-    verdict is exact.  Otherwise the affine solution set of s*b = -a is
-    parametrized through the kernel of R_b and a damped Newton for s*s = -1
-    runs inside it.
+    verdict is exact up to the backward error WITNESS_RTOL.  Otherwise the
+    affine solution set of s*b = -a is parametrized through the kernel of
+    R_b and a damped Newton for s*s = -1 runs inside it.
     """
     tol = resolve_tol(tol)
     alg = w.algebra
@@ -164,14 +196,12 @@ def zero_variety_witness(w: ComplexElement,
             return WitnessSearch("absent")
         return WitnessSearch("found", _witness(w, seed.element))
 
+    rb = alg.right_matrix_vec(b.coeffs)
     if not is_zerodivisor(b):
-        cand = -(a * inverse(b))
-        if is_root(cand, tol):
-            return WitnessSearch("found", _witness(w, cand))
-        return WitnessSearch("absent")
+        # s = -a*b^{-1}, by LU on R_b: backward stable, unlike a*inverse(b)
+        return _unique_solution_verdict(w, alg.element(np.linalg.solve(rb, -a.coeffs)), tol)
 
     # b is a zerodivisor: solve the linear part, then search the affine set.
-    rb = alg.right_matrix_vec(b.coeffs)
     u, sv, vt, rank = svd_rank(rb)
     s_part = vt[:rank].T @ ((u[:, :rank].T @ -a.coeffs) / sv[:rank])
     if np.linalg.norm(rb @ s_part + a.coeffs) > 1e-8 * scale:
@@ -179,10 +209,7 @@ def zero_variety_witness(w: ComplexElement,
     kernel = vt[rank:].T  # (N, m)
 
     if kernel.shape[1] == 0:
-        cand = alg.element(s_part)
-        if is_root(cand, tol):
-            return WitnessSearch("found", _witness(w, cand))
-        return WitnessSearch("absent")
+        return _unique_solution_verdict(w, alg.element(s_part), tol)
 
     if rng is None:
         rng = np.random.default_rng(0)

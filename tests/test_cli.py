@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from slicealgebra import dump_algebra
+from slicealgebra import cli, dump_algebra
 from slicealgebra.cli import main, resolve_algebra, run_suite
+from slicealgebra.zerovariety import WitnessSearch
 
 
 def _write_poly(path, rows):
@@ -84,6 +85,39 @@ def test_verify_usage_errors(capsys):
     assert main(["verify", "no-such-suite"]) == 2
     assert main(["verify"]) == 2
     assert main([]) == 2
+    capsys.readouterr()
+
+
+def test_numerical_crash_exits_3(monkeypatch, capsys):
+    def crash(alg, trials, rng, tol):
+        raise np.linalg.LinAlgError("SVD did not converge")
+        yield
+
+    monkeypatch.setitem(cli._SUITE_FUNCS, "traces", crash)
+    assert main(["verify", "traces", "--trials", "5"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "internal numerical failure: SVD did not converge")
+
+
+def test_clifford_3_3_dims_completes(capsys):
+    """Trial 35 at seed 0 draws an inverse whose 64x64 L_a (condition 13.6)
+    made LAPACK's SVD with singular vectors abort; inverse now uses LU."""
+    assert main(["verify", "dims", "--algebra", "clifford 3 3",
+                 "--trials", "36"]) == 0
+    capsys.readouterr()
+
+
+def test_absorption_failure_names_the_left_search(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "left_absorption",
+                        lambda witness, wp, rng=None: WitnessSearch("absent"))
+    out = tmp_path / "r.json"
+    assert main(["verify", "absorption", "--trials", "3", "--json", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["pass_count"] == 0
+    assert report["failures"] == [
+        {"input": f"trial {t}: left witness absent", "residual": float("inf")}
+        for t in range(3)]
+    assert "Infinity" in out.read_text()
     capsys.readouterr()
 
 

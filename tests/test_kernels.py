@@ -1,0 +1,134 @@
+"""The structure-tensor kernels against the dense einsum definitions: the
+gather tables of signed-permutation algebras and the dense (N, N^2) path."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import einsum_reference as ref
+import oracle_quaternion as oq
+from slicealgebra import (
+    Algebra,
+    NonAssociativeError,
+    associativity_residual,
+    clifford_algebra,
+    make_algebra,
+    multiply,
+)
+
+SIGNATURES = [(p, q) for n in range(6) for p in range(n + 1) for q in (n - p,)]
+
+
+def _labels(n):
+    return tuple(f"b{i}" for i in range(n))
+
+
+CLIFFORD = {sig: clifford_algebra(*sig) for sig in SIGNATURES + [(3, 3)]}
+DENSE = make_algebra(ref.rotated(CLIFFORD[2, 3].structure_constants,
+                                 ref.rotation(32, np.random.default_rng(11))))
+KERNEL_CASES = [CLIFFORD[sig] for sig in SIGNATURES + [(3, 3)]] + [DENSE]
+
+
+def _vectors(n, count):
+    return hnp.arrays(float, (count, n), elements=st.floats(-100.0, 100.0))
+
+
+@pytest.mark.parametrize("alg", KERNEL_CASES, ids=repr)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_kernels_match_einsum(alg, data):
+    c = alg.structure_constants
+    x, y = data.draw(_vectors(alg.dimension, 2))
+    scale = 1e-12 * (1.0 + np.linalg.norm(x)) * (1.0 + np.linalg.norm(y))
+    assert np.allclose(alg.multiply_vec(x, y), ref.multiply(c, x, y),
+                       rtol=1e-12, atol=scale)
+    left, right = alg.left_matrix_vec(x), alg.right_matrix_vec(x)
+    if alg._product_table is not None:
+        # one product per entry: the gather is the einsum, bit for bit
+        assert np.array_equal(left, ref.left_matrix(c, x))
+        assert np.array_equal(right, ref.right_matrix(c, x))
+    else:
+        atol = 1e-12 * (1.0 + np.linalg.norm(x))
+        assert np.allclose(left, ref.left_matrix(c, x), rtol=1e-12, atol=atol)
+        assert np.allclose(right, ref.right_matrix(c, x), rtol=1e-12, atol=atol)
+
+
+def test_kernel_choice_follows_the_tensor():
+    assert all(CLIFFORD[sig]._product_table is not None for sig in CLIFFORD)
+    assert DENSE._product_table is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(pq=_vectors(4, 2))
+def test_quaternion_multiply_matches_oracle(quaternions, pq):
+    p, q = pq
+    got = multiply(quaternions.element(p), quaternions.element(q)).coeffs
+    assert np.allclose(got, oq.qmul(p, q), rtol=1e-12,
+                       atol=1e-12 * (1.0 + np.linalg.norm(p)) * (1.0 + np.linalg.norm(q)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sig=st.sampled_from(SIGNATURES), data=st.data())
+def test_associativity_residual_is_the_einsum_on_tables(sig, data):
+    """Rescaled bases and flipped signs keep one product per slice, so the
+    table comparison must return the einsum value exactly."""
+    c = CLIFFORD[sig].structure_constants
+    n = c.shape[0]
+    lam = data.draw(hnp.arrays(float, n, elements=st.floats(0.25, 4.0)))
+    c = c * lam[:, None, None] * lam[None, :, None] / lam[None, None, :]
+    flips = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=3))
+    for i, j in flips:
+        c[i, j] = -c[i, j]
+    alg = Algebra(c, 0, _labels(n))
+    assert alg._product_table is not None
+    assert associativity_residual(alg) == ref.associativity_residual(c)
+
+
+def test_flipped_sign_is_rejected():
+    c = CLIFFORD[0, 3].structure_constants.copy()
+    c[3, 3] = -c[3, 3]  # e3 e3 = +1 breaks e1 e2 e3 relations
+    residual = associativity_residual(Algebra(c, 0, _labels(8)))
+    assert residual == ref.associativity_residual(c) > 0.0
+    with pytest.raises(NonAssociativeError):
+        make_algebra(c)
+
+
+@pytest.mark.parametrize("alg", [CLIFFORD[sig] for sig in SIGNATURES], ids=repr)
+def test_clifford_tables_are_associative(alg):
+    assert associativity_residual(alg) == 0.0
+
+
+def test_dense_associativity_matches_einsum(rng):
+    assert associativity_residual(DENSE) == pytest.approx(
+        ref.associativity_residual(DENSE.structure_constants), abs=1e-14)
+    c = DENSE.structure_constants + 1e-3 * rng.standard_normal(DENSE.structure_constants.shape)
+    got = associativity_residual(Algebra(c, 0, DENSE.labels))
+    assert got == pytest.approx(ref.associativity_residual(c), abs=1e-13)
+
+
+def _dual_numbers():
+    c = np.zeros((2, 2, 2))  # 1, eps with eps*eps = 0
+    c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = 1.0
+    return c
+
+
+def _split_idempotent():
+    c = np.zeros((2, 2, 2))  # 1, e with e*e = e: one product per slice, not a permutation
+    c[0, 0, 0] = c[0, 1, 1] = c[1, 0, 1] = c[1, 1, 1] = 1.0
+    return c
+
+
+@pytest.mark.parametrize("c", [_dual_numbers(), _split_idempotent()],
+                         ids=["dual-numbers", "idempotent"])
+def test_degenerate_products_take_the_dense_path(c, rng):
+    alg = make_algebra(c)
+    assert alg._product_table is None
+    assert associativity_residual(alg) == ref.associativity_residual(c) == 0.0
+    for _ in range(10):
+        x, y = rng.standard_normal((2, 2))
+        assert np.allclose(alg.multiply_vec(x, y), ref.multiply(c, x, y), atol=1e-14)
+        assert np.allclose(alg.left_matrix_vec(x), ref.left_matrix(c, x), atol=1e-14)
+        assert np.allclose(alg.right_matrix_vec(x), ref.right_matrix(c, x), atol=1e-14)

@@ -52,6 +52,20 @@ def test_gauss_newton_keeps_a_start_that_meets_the_target():
     assert rn == 1e-14
 
 
+def test_gauss_newton_stops_when_lapack_fails(monkeypatch):
+    """A least-squares step whose SVD does not converge ends the search at
+    the current point; callers see an unconverged norm, not a crash."""
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    x0 = np.array([3.0])
+    x, rn = gauss_newton(lambda x: x ** 2 - 2.0, lambda x: np.array([[2.0 * x[0]]]),
+                         x0, 50, 1e-12)
+    assert np.array_equal(x, x0)
+    assert rn == pytest.approx(7.0)
+
+
 def test_gauss_newton_jacobian_sees_latest_residual_point():
     seen = []
 

@@ -4,6 +4,7 @@ stereographic bundle."""
 import numpy as np
 import pytest
 
+import einsum_reference
 import oracle_quaternion as oq
 from slicealgebra import (
     BadSectionError,
@@ -13,13 +14,16 @@ from slicealgebra import (
     ProjectivePoint,
     QuaternionFrame,
     RootOfMinusOne,
+    clifford_algebra,
     delta1,
     eval_slice,
     fiber_embed,
+    fiber_real_basis,
     find_seed_root,
     gamma,
     generalized_twistor,
     inverse,
+    make_algebra,
     pi_eval,
     conjugate_root,
     rho,
@@ -215,6 +219,19 @@ def test_fiber_complex_and_cl03(complex_algebra, cl03, rng):
     for _ in range(10):
         s = sample_root(u, rng)
         assert stereographic_fiber(u, s).rank == 2
+
+
+def test_fiber_over_a_central_root_in_a_dense_basis():
+    """The pseudoscalar u of Cl(2,3) is a central root, so u c = c u for
+    every c.  In a rotated basis R_u L_u + 1 vanishes only up to rounding,
+    and it must still count as zero rather than as full rank."""
+    basis = einsum_reference.rotation(32, np.random.default_rng(5))
+    alg = make_algebra(einsum_reference.rotated(
+        clifford_algebra(2, 3).structure_constants, basis))
+    u = RootOfMinusOne.from_element(alg.element(basis[-1]))
+    assert fiber_real_basis(u, u).shape[1] == 32
+    assert stereographic_fiber(u, u).rank == 16
+    assert stereographic_fiber(u, RootOfMinusOne.from_element(-u.element)).rank == 0
 
 
 def test_fiber_embed_is_complex_linear(quaternions, rng):
