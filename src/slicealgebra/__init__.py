@@ -111,8 +111,18 @@ from .twistor import (
     stereographic_fiber,
     twistor_lift,
 )
-from .cli import SuiteReport, main, run_suite
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + [
+    "SuiteReport", "main", "run_suite"]
+
+
+def __getattr__(name: str):
+    """The command line names, loaded on first use so that
+    `python -m slicealgebra.cli` does not find the module already imported."""
+    if name in ("SuiteReport", "main", "run_suite"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

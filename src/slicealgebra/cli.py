@@ -76,7 +76,7 @@ _ALIASES = {
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def resolve_algebra(text: str) -> tuple[str, Algebra]:
@@ -320,7 +320,8 @@ def run_suite(suite: str, algebra: Algebra, algebra_id: str,
         if ok:
             pass_count += 1
         else:
-            failures.append({"input": desc, "residual": float(residual)})
+            failures.append({"input": desc,
+                             "residual": float(residual) if np.isfinite(residual) else None})
     wall = time.perf_counter() - started
     return SuiteReport(suite, algebra_id, trials, max_residual,
                        pass_count, tuple(failures), wall, seed)
@@ -381,14 +382,11 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _parse_region(text: str) -> tuple[float, float, float, float]:
+def _finite_floats(text: str, count: int, what: str) -> list[float]:
     parts = [float(v) for v in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError("region must be x0,x1,y0,y1")
-    x0, x1, y0, y1 = parts
-    if not (x1 > x0):
-        raise ValueError("region must satisfy x1 > x0")
-    return x0, x1, y0, y1
+    if len(parts) != count or not np.all(np.isfinite(parts)):
+        raise ValueError(f"{what} must be {count} finite comma-separated numbers")
+    return parts
 
 
 def _load_poly(path: str, alg: Algebra):
@@ -403,10 +401,10 @@ def _load_poly(path: str, alg: Algebra):
 def cmd_roots(args) -> int:
     algebra_id, alg = resolve_algebra(args.algebra)
     stem = _load_poly(args.poly, alg)
-    region = _parse_region(args.region)
+    region = _finite_floats(args.region, 4, "region x0,x1,y0,y1")
     target = None
     if args.target:
-        target = alg.element(np.asarray([float(v) for v in args.target.split(",")]))
+        target = alg.element(np.asarray(_finite_floats(args.target, alg.dimension, "target")))
     rng = np.random.default_rng(args.seed)
     hits = discrete_zero_scan(stem, region, target=target, rng=rng)
     report = {"algebra": algebra_id,
@@ -469,6 +467,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not (np.isfinite(args.tol) and args.tol > 0):
+            parser.error("--tol must be finite and > 0")
+        if getattr(args, "trials", 1) < 1:
+            parser.error("--trials must be at least 1")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -31,6 +31,8 @@ class StemPolynomial:
         mat = np.array(self.coeff_matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[1] != self.algebra.dimension:
             raise ValueError("coefficient matrix must be (degree+1, N)")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("stem coefficients must be finite")
         if mat.shape[0] == 0:
             mat = np.zeros((1, self.algebra.dimension), dtype=complex)
         mat.setflags(write=False)

@@ -3,7 +3,7 @@ the discrete zero scan."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -12,10 +12,12 @@ from slicealgebra import (
     ComplexElement,
     PreconditionFailedError,
     RootOfMinusOne,
+    SliceAlgebraError,
     ZeroWitness,
     clifford_algebra,
     discrete_zero_scan,
     find_seed_root,
+    inverse,
     is_root,
     leaf_membership,
     left_absorption,
@@ -290,6 +292,116 @@ def test_discrete_scan_with_target(quaternions):
     hits = discrete_zero_scan(stem, (-2, 2, -2, 2), target=quaternions.unit())
     assert sorted(round(h.z.real) for h in hits) == [-1, 1]
     assert all(h.classification == "real" for h in hits)
+
+
+def _symmetrization(coeffs):
+    """Real coefficients of f * f^c for f(x) = sum x^k c_k over H."""
+    sym = np.zeros(2 * len(coeffs) - 1)
+    for j, cj in enumerate(coeffs):
+        for k, ck in enumerate(coeffs):
+            sym[j + k] += oq.qmul(cj, oq.qconj(ck))[0]
+    return sym
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.integers(1, 5).flatmap(lambda d: hnp.arrays(
+    float, (d + 1, 4), elements=st.floats(-3.0, 3.0))))
+def test_scan_finds_the_symmetrization_roots(quaternions, coeffs):
+    """Every zero of a quaternion polynomial lies over a root of f * f^c and
+    every such root carries a zero, so the hit z-values are those roots.  A
+    real zero or a sphere makes a double root, so the simple roots compared
+    here carry isolated zeros.  Coefficients far below the others sit
+    under the WITNESS_RTOL backward error, which may then call an isolated
+    zero a sphere, so each is zero or of size at least 1e-3."""
+    if np.linalg.norm(coeffs[-1]) < 0.5:
+        coeffs[-1] = coeffs[-1] + oq.ONE
+    norms = np.linalg.norm(coeffs, axis=1)
+    assume(np.all((norms == 0) | (norms >= 1e-3)))
+    roots = np.roots(_symmetrization(coeffs)[::-1])
+    # keep the comparison away from the region edge and from near-double roots
+    edge = np.minimum(2.0 - np.abs(roots.real), 2.0 - np.abs(roots.imag))
+    gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(len(roots))
+    assume(np.all(np.abs(edge) > 1e-3) and np.all(gaps > 1e-3))
+    stem = stem_from_slice_poly([quaternions.element(c) for c in coeffs])
+    hits = discrete_zero_scan(stem, (-2, 2, -2, 2))
+    inside = roots[edge > 0]
+    assert len(hits) == len(inside)
+    for h in hits:
+        assert np.min(np.abs(inside - h.z)) <= 1e-8
+        assert h.classification == "isolated"
+
+
+def test_scan_finds_both_isolated_zeros_of_a_split_linear_stem():
+    """x - q in Cl(2,2) with q = 1/4 + 3/4 y e3 y^-1 vanishes at 1/4 +- 3i/4
+    only; the grid scan missed both."""
+    cl22 = clifford_algebra(2, 2)
+    y = cl22.element(cl22.unit().coeffs
+                     + 0.3 * np.random.default_rng(0).standard_normal(16))
+    s = y * cl22.basis_element(cl22.labels.index("e3")) * inverse(y)
+    q = 0.25 * cl22.unit() + 0.75 * s
+    hits = discrete_zero_scan(stem_from_slice_poly([-1.0 * q, cl22.unit()]),
+                              (-2, 2, -2, 2))
+    assert [h.classification for h in hits] == ["isolated", "isolated"]
+    assert abs(hits[0].z - (0.25 - 0.75j)) <= 1e-10
+    assert abs(hits[1].z - (0.25 + 0.75j)) <= 1e-10
+
+
+def test_scan_sphere_residual_is_at_rounding_level():
+    alg = clifford_algebra(2, 1)
+    hits = discrete_zero_scan(
+        stem_from_slice_poly([alg.unit(), alg.zero(), alg.unit()]), (-2, 2, -2, 2))
+    assert [(h.z, h.classification) for h in hits] == [(-1j, "sphere"), (1j, "sphere")]
+    assert all(h.residual <= 1e-12 for h in hits)
+
+
+def test_scan_splits_off_a_constant_kernel(cl03):
+    """((1 + e123)/2)(x^2 + 1): right multiplication by the idempotent has a
+    kernel at every z; the spheres at +-i remain."""
+    e = 0.5 * (cl03.unit() + cl03.basis_element(cl03.labels.index("e123")))
+    hits = discrete_zero_scan(stem_from_slice_poly([e, cl03.zero(), e]),
+                              (-2, 2, -2, 2))
+    assert [h.classification for h in hits] == ["sphere", "sphere"]
+    assert np.allclose([h.z for h in hits], [-1j, 1j], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("real_coeffs, zeros", [
+    ([0, 0, 0, 1], [(0.0, "real")]),
+    ([-1, 3, -3, 1], [(1.0, "real")]),
+    ([1, 0, 3, 0, 3, 0, 1], [(-1j, "sphere"), (1j, "sphere")]),
+    ([0, 0, 0, 0, 0, 1], [(0.0, "real")]),
+    ([0, 0, 0, 0, -1, 0, 1], [(-1.0, "real"), (0.0, "real"), (1.0, "real")]),
+])
+def test_scan_reports_a_multiple_zero_once(quaternions, real_coeffs, zeros):
+    """x^3, (x-1)^3, (x^2+1)^3, x^5, x^4 (x^2-1): a zero of multiplicity m
+    spreads its eigenvalues by about eps^(1/m), and the spread is one zero."""
+    stem = stem_from_slice_poly([c * quaternions.unit() for c in real_coeffs])
+    hits = discrete_zero_scan(stem, (-2, 2, -2, 2))
+    assert [h.classification for h in hits] == [kind for _, kind in zeros]
+    assert np.allclose([h.z for h in hits], [z for z, _ in zeros], rtol=0, atol=1e-12)
+
+
+def test_scan_of_a_singular_pencil_without_zeros(cl11):
+    """On Cl(1,1) = M_2(R), F(x) = E11 + x E12 has rank one at every z with a
+    real column space, so it has no zero although R(z) is singular
+    everywhere.  F(x) = E11 + x E21 vanishes at every z off the axis."""
+    e1, e2, e12 = (cl11.basis_element(cl11.labels.index(l)) for l in ("e1", "e2", "e12"))
+    e11 = 0.5 * (cl11.unit() + e1)
+    assert discrete_zero_scan(stem_from_slice_poly([e11, 0.5 * (e2 + e12)]),
+                              (-2, 2, -2, 2)) == []
+    with pytest.raises(SliceAlgebraError, match="not discrete"):
+        discrete_zero_scan(stem_from_slice_poly([e11, 0.5 * (e12 - e2)]), (-2, 2, -2, 2))
+
+
+@pytest.mark.parametrize("coeffs, target", [("0", None), ("00", None), ("1", "1"),
+                                            ("10", "1")])
+def test_scan_rejects_a_zero_set_that_is_not_discrete(quaternions, coeffs, target):
+    def element(digit):
+        return quaternions.unit() if digit == "1" else quaternions.zero()
+
+    stem = stem_from_slice_poly([element(d) for d in coeffs])
+    with pytest.raises(SliceAlgebraError, match="not discrete"):
+        discrete_zero_scan(stem, (-2, 2, -2, 2),
+                           target=None if target is None else element(target))
 
 
 def test_scan_rejects_nonintrinsic(quaternions):
