@@ -16,16 +16,20 @@ entries of a, gathered from two N x N tables; associativity is then
 a comparison of the tables.  Every other tensor is multiplied through one
 contiguous (N, N^2) matrix per side.
 
-Clifford algebras R_{p,q} are built from signed blade products over subsets
-of generators, graded-lexicographically ordered so that the unit is index 0
+Clifford algebras R_{p,q} are built from bitmask blades, one bit per
+generator, by the rule e_A e_B = +-e_{A xor B} (Dorst, Fontijne and Mann,
+Geometric Algebra for Computer Science, ch. 19), for all pairs at once.
+Blades are graded-lexicographically ordered, so that the unit is index 0
 and the pseudoscalar is the last basis element.
+
+Invertibility is decided on L_a alone: a is a zerodivisor exactly when
+inverse(a) raises ZeroDivisorError.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -311,66 +315,33 @@ def _product_table(c: np.ndarray):
 # -- Clifford construction ---------------------------------------------------
 
 
-def _blade_product(left: tuple[int, ...], right: tuple[int, ...], p: int):
-    """Product of two basis blades; returns (sign, sorted generator tuple).
-
-    Generators are numbered 1..n; the first p square to +1, the rest to -1.
-    """
-    gens = list(left) + list(right)
-    sign = 1
-    # Bubble sort counting transpositions of distinct generators.
-    swapped = True
-    while swapped:
-        swapped = False
-        for t in range(len(gens) - 1):
-            if gens[t] > gens[t + 1]:
-                gens[t], gens[t + 1] = gens[t + 1], gens[t]
-                sign = -sign
-                swapped = True
-    # Cancel adjacent equal pairs against the generator squares.
-    out: list[int] = []
-    t = 0
-    while t < len(gens):
-        if t + 1 < len(gens) and gens[t] == gens[t + 1]:
-            if gens[t] > p:
-                sign = -sign
-            t += 2
-        else:
-            out.append(gens[t])
-            t += 1
-    return sign, tuple(out)
-
-
-def _blade_label(subset: tuple[int, ...]) -> str:
-    if not subset:
-        return "1"
-    return "e" + "".join(str(g) for g in subset)
-
-
 def clifford_algebra(p: int, q: int) -> Algebra:
     """The Clifford algebra R_{p,q} on n = p+q anticommuting generators.
 
     Basis blades e_I are indexed by subsets of {1..n}, ordered by cardinality
     and then lexicographically, so index 0 is the unit and the last index is
-    the pseudoscalar e_1...e_n.
+    the pseudoscalar e_1...e_n.  As bitmasks (bit g-1 for generator g),
+    e_A e_B = sign * e_{A xor B}: sorting the generators of B past those of
+    A takes one swap per pair a > b, and each shared generator beyond the
+    first p squares to -1.
     """
     if p < 0 or q < 0:
         raise ValueError("signature parts must be nonnegative")
     n = p + q
     if n > MAX_CLIFFORD_GENERATORS:
         raise TooLargeError(f"{n} generators exceed the limit of {MAX_CLIFFORD_GENERATORS}")
-    subsets: list[tuple[int, ...]] = []
-    for size in range(n + 1):
-        subsets.extend(combinations(range(1, n + 1), size))
-    index = {s: i for i, s in enumerate(subsets)}
-    dim = len(subsets)
-
+    dim = 1 << n
+    gens = [[g for g in range(n) if mask >> g & 1] for mask in range(dim)]
+    blades = np.array(sorted(range(dim), key=lambda mask: (len(gens[mask]), gens[mask])))
+    odd = np.array([len(g) % 2 for g in gens])
+    a, b = blades[:, None], blades[None, :]
+    flips = sum(odd[(a >> k) & b] for k in range(1, n)) + odd[a & b & ~((1 << p) - 1)]
+    position = np.empty(dim, dtype=np.intp)
+    position[blades] = np.arange(dim)
     c = np.zeros((dim, dim, dim))
-    for i, left in enumerate(subsets):
-        for j, right in enumerate(subsets):
-            sign, prod = _blade_product(left, right, p)
-            c[i, j, index[prod]] = sign
-    labels = tuple(_blade_label(s) for s in subsets)
+    c[np.arange(dim)[:, None], np.arange(dim), position[a ^ b]] = 1 - 2 * (flips % 2)
+    labels = tuple("e" + "".join(str(g + 1) for g in gens[mask]) if mask else "1"
+                   for mask in blades)
     return make_algebra(c, unit_index=0, labels=labels, signature=(p, q))
 
 
@@ -399,25 +370,28 @@ def operator_matrix(a: Element, kind: str) -> OperatorMatrix:
     return OperatorMatrix(a, kind, m)
 
 
-def _singular(m: np.ndarray, tol_rel: float) -> bool:
-    """Smallest singular value below tol_rel times the largest (or m = 0)."""
+def _singular(m: np.ndarray) -> bool:
+    """Smallest singular value below ZERODIVISOR_RELTOL times the largest
+    (or m = 0)."""
     sv = np.linalg.svd(m, compute_uv=False)
-    return bool(sv[0] == 0.0 or sv[-1] < tol_rel * sv[0])
+    return bool(sv[0] == 0.0 or sv[-1] < ZERODIVISOR_RELTOL * sv[0])
 
 
-def inverse(a: Element, tol_rel: float = ZERODIVISOR_RELTOL) -> Element:
+def inverse(a: Element) -> Element:
     """Two-sided inverse: the solution of a*x = 1, by LU on L_a once the
-    singular values have shown L_a to be well conditioned."""
+    singular values have shown L_a to be well conditioned.  Raises
+    ZeroDivisorError exactly when is_zerodivisor(a)."""
     left = a.algebra.left_matrix_vec(a.coeffs)
-    if _singular(left, tol_rel):
+    if _singular(left):
         raise ZeroDivisorError(f"element {a!r} is numerically singular")
     return Element(a.algebra, np.linalg.solve(left, a.algebra.unit().coeffs))
 
 
-def is_zerodivisor(a: Element, tol_rel: float = ZERODIVISOR_RELTOL) -> bool:
-    """True when the left or right multiplication operator is singular."""
-    return (_singular(a.algebra.left_matrix_vec(a.coeffs), tol_rel)
-            or _singular(a.algebra.right_matrix_vec(a.coeffs), tol_rel))
+def is_zerodivisor(a: Element) -> bool:
+    """True when L_a is singular.  In a finite-dimensional associative unital
+    algebra a*x = 1 forces x*a = 1, so L_a is singular exactly when R_a is,
+    and one operator decides."""
+    return _singular(a.algebra.left_matrix_vec(a.coeffs))
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -79,8 +79,9 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def resolve_algebra(text: str) -> tuple[str, Algebra]:
-    """Built-in name ("clifford P Q", quaternions, ...) or a JSON file path."""
+def resolve_algebra(text: str, tol: float | None = None) -> tuple[str, Algebra]:
+    """Built-in name ("clifford P Q", quaternions, ...) or a JSON file path,
+    whose associativity is checked to tol."""
     tokens = text.replace(",", " ").split()
     if tokens and tokens[0].lower() == "clifford" and len(tokens) == 3:
         p, q = int(tokens[1]), int(tokens[2])
@@ -88,7 +89,7 @@ def resolve_algebra(text: str) -> tuple[str, Algebra]:
     if len(tokens) == 1 and tokens[0].lower() in _ALIASES:
         p, q = _ALIASES[tokens[0].lower()]
         return f"clifford({p},{q})", clifford_algebra(p, q)
-    return text, load_algebra(text)
+    return text, load_algebra(text, tol=tol)
 
 
 # -- verification suites -----------------------------------------------------
@@ -353,7 +354,7 @@ def _probe_zerodivisors(alg: Algebra, rng) -> dict:
 
 
 def cmd_algebra_info(args) -> int:
-    algebra_id, alg = resolve_algebra(args.algebra)
+    algebra_id, alg = resolve_algebra(args.algebra, args.tol)
     rng = np.random.default_rng(args.seed)
     report = {
         "algebra": algebra_id,
@@ -370,7 +371,7 @@ def cmd_algebra_info(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    algebra_id, alg = resolve_algebra(args.algebra)
+    algebra_id, alg = resolve_algebra(args.algebra, args.tol)
     report = run_suite(args.suite, alg, algebra_id, args.trials,
                        args.seed, args.tol)
     _emit(canonical_json(report.to_json()) + "\n", args.json)
@@ -393,13 +394,20 @@ def _load_poly(path: str, alg: Algebra):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict):
-        data = data["coefficients"]
-    coeffs = [alg.element(np.asarray(row, dtype=float)) for row in data]
+        data = data.get("coefficients")
+    malformed = ValueError(f"{path}: expected a list of coefficient rows, or an "
+                           f"object with a \"coefficients\" list")
+    if not isinstance(data, list):
+        raise malformed
+    try:
+        coeffs = [alg.element(np.asarray(row, dtype=float)) for row in data]
+    except TypeError:  # a row holds an object
+        raise malformed from None
     return stem_from_slice_poly(coeffs)
 
 
 def cmd_roots(args) -> int:
-    algebra_id, alg = resolve_algebra(args.algebra)
+    algebra_id, alg = resolve_algebra(args.algebra, args.tol)
     stem = _load_poly(args.poly, alg)
     region = _finite_floats(args.region, 4, "region x0,x1,y0,y1")
     target = None

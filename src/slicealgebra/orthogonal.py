@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import Algebra, Element, OperatorMatrix, inverse, is_zerodivisor
 from .config import resolve_tol
-from .errors import DimensionMismatchError, NotFoundError
+from .errors import DimensionMismatchError, NotFoundError, ZeroDivisorError
 from .numerics import affine_square_root, null_space
 from .roots import RootOfMinusOne, is_root, root_residual
 from .zerovariety import ComplexElement, WitnessSearch, zero_variety_witness
@@ -88,8 +88,7 @@ def is_in_S0(s: Element, G: InnerProduct, tol: float | None = None) -> bool:
     return sum(checks) >= 2
 
 
-def antisymmetric_subspace(algebra: Algebra, G: InnerProduct,
-                           tol: float | None = None) -> list[Element]:
+def antisymmetric_subspace(algebra: Algebra, G: InnerProduct) -> list[Element]:
     """Basis of A0 = {a : L_a + L_a^t = 0}, the ambient space of S0."""
     gram = _gram_for(G, algebra)
     n = algebra.dimension
@@ -104,16 +103,16 @@ def antisymmetric_subspace(algebra: Algebra, G: InnerProduct,
 
 def sample_S0(algebra: Algebra, G: InnerProduct,
               rng: np.random.Generator | None = None,
-              tol: float | None = None, tries: int = 50) -> RootOfMinusOne:
-    """Draw a root of -1 inside A0; antisymmetry plus s*s = -1 gives
-    orthogonality for free."""
+              tol: float | None = None) -> RootOfMinusOne:
+    """Draw a root of -1 inside A0, by Newton from up to 50 random unit
+    starts; antisymmetry plus s*s = -1 gives orthogonality for free."""
     if rng is None:
         rng = np.random.default_rng(0)
-    basis = antisymmetric_subspace(algebra, G, tol)
+    basis = antisymmetric_subspace(algebra, G)
     if not basis:
         raise NotFoundError("antisymmetric subspace is trivial")
     span = np.stack([b.coeffs for b in basis], axis=1)  # (N, m)
-    for _ in range(tries):
+    for _ in range(50):
         t = rng.standard_normal(span.shape[1])
         nrm = np.linalg.norm(span @ t)
         if nrm < 1e-9:
@@ -271,7 +270,7 @@ def _s0_witness_status(w: ComplexElement, G: InnerProduct,
         if is_in_S0(search.witness.root.element, G, tol):
             return "found"
         # unique witness (invertible im part) outside S0 settles restriction
-        if w.im.norm() > 0 and not is_zerodivisor(w.im):
+        if not is_zerodivisor(w.im):
             return "absent"
         return "inconclusive"
     return search.status
@@ -295,9 +294,11 @@ def z0_equivalence_check(w: ComplexElement, G: InnerProduct,
 
     replay = None
     a, b = w.re, w.im
-    if a.norm() > 0 and b.norm() > 0 and \
-            not is_zerodivisor(a) and not is_zerodivisor(b):
+    try:
         u = b * inverse(a)
+    except ZeroDivisorError:  # a zerodivisor a has no u to replay through
+        u = None
+    if u is not None and not is_zerodivisor(b):
         lu = alg.left_matrix_vec(u.coeffs)
         adj = adjoint(lu, G)
         la = alg.left_matrix_vec(a.coeffs)

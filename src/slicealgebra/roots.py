@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Element, inverse, is_zerodivisor
+from .algebra import Algebra, Element, inverse
 from .config import resolve_tol
 from .errors import NonIntegerTraceError, NotFoundError, NotTangentError, ZeroDivisorError
 from .numerics import affine_square_root, column_space, null_space
@@ -58,27 +58,25 @@ def sigma_involution(z: complex, s: RootOfMinusOne) -> tuple[complex, RootOfMinu
 
 def find_seed_root(algebra: Algebra,
                    rng: np.random.Generator | None = None,
-                   tol: float | None = None,
-                   starts: int = 50) -> RootOfMinusOne:
+                   tol: float | None = None) -> RootOfMinusOne:
     """Find some s in S, or raise NotFoundError.
 
-    Basis elements and products of two basis elements are tried first; for
-    Clifford algebras this already covers every blade.  A bounded damped
-    Newton search on a*a + 1 = 0 is the fallback for general algebras.
+    The first basis element whose square c[i, i, :] is -1 within tol is
+    returned; for Clifford algebras every product of basis elements is a
+    signed basis element, so this already covers every blade.  Up to 50
+    damped Newton searches on a*a + 1 = 0 from random starts are the
+    fallback for general algebras.
     """
     n = algebra.dimension
-    for i in range(n):
-        cand = algebra.basis_element(i)
-        if is_root(cand, tol):
-            return RootOfMinusOne(cand, root_residual(cand))
-    for i in range(n):
-        for j in range(n):
-            cand = algebra.basis_element(i) * algebra.basis_element(j)
-            if is_root(cand, tol):
-                return RootOfMinusOne(cand, root_residual(cand))
+    squares = algebra.structure_constants[np.arange(n), np.arange(n)]
+    defects = np.linalg.norm(squares + algebra.unit().coeffs, axis=1)
+    hits = np.flatnonzero(defects <= resolve_tol(tol))
+    if hits.size:
+        cand = algebra.basis_element(int(hits[0]))
+        return RootOfMinusOne(cand, root_residual(cand))
     if rng is None:
         rng = np.random.default_rng(0)
-    for _ in range(starts):
+    for _ in range(50):
         x, gn = affine_square_root(algebra, np.zeros(n), np.eye(n),
                                    rng.standard_normal(n), 100, 1e-12)
         if gn <= 1e-12:
@@ -95,28 +93,25 @@ def conjugate_root(y: Element, s: RootOfMinusOne) -> RootOfMinusOne:
 
 
 def sample_root(seed: RootOfMinusOne, rng: np.random.Generator,
-                tol: float | None = None,
-                max_norm: float = 32.0) -> RootOfMinusOne:
+                tol: float | None = None) -> RootOfMinusOne:
     """Conjugate the seed by a random invertible element.
 
     Rejection-samples standard normal vectors until invertible and until the
-    conjugate passes the membership test.  Conjugates with norm above
-    max_norm are rejected outright: on noncompact components the orbit is
-    unbounded and ill-conditioned y would otherwise dominate the draw.  The
-    survivor is polished with two Newton steps so the residual sits at the
-    rounding floor rather than just under the membership tolerance.
+    conjugate passes the membership test.  Conjugates with norm above 32
+    are rejected outright: on noncompact components the orbit is unbounded
+    and ill-conditioned y would otherwise dominate the draw.  The survivor
+    is polished with two Newton steps so the residual sits at the rounding
+    floor rather than just under the membership tolerance.
     """
     algebra = seed.algebra
     for _ in range(200):
         y = algebra.random_element(rng)
-        if is_zerodivisor(y):
-            continue
         try:
             out = y * seed.element * inverse(y)
-            if out.norm() > max_norm:
+            if out.norm() > 32.0:
                 continue
             out = polish_root(out)
-        except ZeroDivisorError:
+        except ZeroDivisorError:  # y, or 2*out in the polish, is singular
             continue
         cand = RootOfMinusOne(out, root_residual(out))
         if cand.residual <= resolve_tol(tol):

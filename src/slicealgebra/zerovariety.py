@@ -175,14 +175,14 @@ def _unique_solution_verdict(w: ComplexElement, cand: Element,
 
 def zero_variety_witness(w: ComplexElement,
                          tol: float | None = None,
-                         rng: np.random.Generator | None = None,
-                         starts: int = 20) -> WitnessSearch:
+                         rng: np.random.Generator | None = None) -> WitnessSearch:
     """Search for s in S with pi(w, s) = 0.
 
     With b = w.im invertible the answer s = -a*b^{-1} is unique, so the
     verdict is exact up to the backward error WITNESS_RTOL.  Otherwise the
     affine solution set of s*b = -a is parametrized through the kernel of
-    R_b and a damped Newton for s*s = -1 runs inside it.
+    R_b and a damped Newton for s*s = -1 runs inside it, from the particular
+    solution and then from up to 19 random points of the kernel.
     """
     tol = resolve_tol(tol)
     alg = w.algebra
@@ -216,7 +216,7 @@ def zero_variety_witness(w: ComplexElement,
 
     if rng is None:
         rng = np.random.default_rng(0)
-    for attempt in range(starts):
+    for attempt in range(20):
         t = np.zeros(kernel.shape[1]) if attempt == 0 \
             else rng.standard_normal(kernel.shape[1])
         s_vec, _ = affine_square_root(alg, s_part, kernel, t, 60, 1e-12)
@@ -267,13 +267,14 @@ def left_absorption(witness: ZeroWitness, wp: ComplexElement,
     a = witness.root.element
     sp, t = wp.re, wp.im
     product = wp * witness.w
-    d = sp - t * a
-    if not is_zerodivisor(d):
-        b = (sp * a + t) * inverse(d)
-        if is_root(b, tol):
-            cand = _witness(product, b)
-            if cand.residual <= resolve_tol(tol) * (1.0 + product.norm()) * 1e2:
-                return WitnessSearch("found", cand)
+    try:
+        b = (sp * a + t) * inverse(sp - t * a)
+    except ZeroDivisorError:  # s' - ta is singular: no closed form
+        b = None
+    if b is not None and is_root(b, tol):
+        cand = _witness(product, b)
+        if cand.residual <= resolve_tol(tol) * (1.0 + product.norm()) * 1e2:
+            return WitnessSearch("found", cand)
     return zero_variety_witness(product, tol=tol, rng=rng)
 
 

@@ -2,9 +2,13 @@
 operators, inverses and JSON interchange."""
 
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracle_quaternion as oq
 from slicealgebra import (
@@ -101,6 +105,29 @@ def test_clifford_generator_squares():
     assert (e1 * e2 + e2 * e1).norm() == 0.0
 
 
+@pytest.mark.parametrize("p, q", [(p, n - p) for n in range(7) for p in range(n + 1)])
+def test_clifford_defining_relations(p, q):
+    """Generators square to +1 (the first p) or -1 and anticommute, each
+    blade is the ordered product of its generators, and blades come in
+    graded-lexicographic order."""
+    n = p + q
+    alg = clifford_algebra(p, q)
+    assert list(alg.labels) == ["1"] + ["e" + "".join(map(str, gens))
+                                        for size in range(1, n + 1)
+                                        for gens in combinations(range(1, n + 1), size)]
+    gen = {g: alg.basis_element(alg.labels.index(f"e{g}")) for g in range(1, n + 1)}
+    for g, e in gen.items():
+        square = 1.0 if g <= p else -1.0
+        assert np.array_equal((e * e).coeffs, square * alg.unit().coeffs)
+        for h in range(g + 1, n + 1):
+            assert np.array_equal((e * gen[h]).coeffs, -(gen[h] * e).coeffs)
+    for k, label in enumerate(alg.labels[1:], start=1):
+        blade = alg.unit()
+        for digit in label[1:]:
+            blade = blade * gen[int(digit)]
+        assert np.array_equal(blade.coeffs, alg.basis_element(k).coeffs), label
+
+
 def test_quaternion_table_matches_oracle(quaternions, rng):
     """clifford(0,2) multiplication equals the hand-written Hamilton product."""
     for _ in range(100):
@@ -169,3 +196,43 @@ def test_element_arithmetic(quaternions):
     assert (j * i).approx_eq(-k)
     assert ((i + j) * 0.5).approx_eq(0.5 * i + j / 2)
     assert (i - i).norm() == 0.0
+
+
+SPLIT = {"cl11": clifford_algebra(1, 1), "cl22": clifford_algebra(2, 2)}
+
+
+def _inverse_raises(a) -> bool:
+    try:
+        inverse(a)
+    except ZeroDivisorError:
+        return True
+    return False
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(SPLIT)), built=st.booleans(), data=st.data())
+def test_zerodivisor_exactly_when_inverse_raises(name, built, data):
+    """(1 + e1) x is a zerodivisor, since (1 - e1)(1 + e1) = 1 - e1^2 = 0."""
+    alg = SPLIT[name]
+    x = alg.element(data.draw(hnp.arrays(float, alg.dimension,
+                                         elements=st.floats(-10.0, 10.0))))
+    a = (alg.unit() + alg.basis_element(1)) * x if built else x
+    assert is_zerodivisor(a) == _inverse_raises(a)
+    if built:
+        assert is_zerodivisor(a)
+    elif not is_zerodivisor(a):
+        atol = 1e-10 * np.linalg.cond(operator_matrix(a, "L").entries)
+        assert (a * inverse(a)).approx_eq(alg.unit(), atol)
+        assert (inverse(a) * a).approx_eq(alg.unit(), atol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=hnp.arrays(float, 4, elements=st.one_of(  # |p|^2 must not underflow
+    st.just(0.0), st.floats(1e-6, 100.0), st.floats(-100.0, -1e-6))))
+def test_quaternion_inverse_matches_oracle(quaternions, p):
+    """Every nonzero quaternion is invertible, with inverse conj(p)/|p|^2."""
+    a = quaternions.element(p)
+    assert is_zerodivisor(a) == _inverse_raises(a) == (not np.any(p))
+    if np.any(p):
+        assert np.allclose(inverse(a).coeffs, oq.qinv(p), rtol=1e-12,
+                           atol=1e-12 * np.linalg.norm(oq.qinv(p)))

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from slicealgebra import cli, dump_algebra
+from slicealgebra import algebra_to_dict, cli, dump_algebra
 from slicealgebra.cli import main, resolve_algebra, run_suite
 from slicealgebra.zerovariety import WitnessSearch
 
@@ -198,6 +198,29 @@ def test_roots_usage_errors(tmp_path, capsys):
     garbage.write_text("[[1, 2]")
     assert main(["roots", str(garbage)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("content", ["5", '{"coeffs": [[1, 0, 0, 0]]}'])
+def test_malformed_coefficient_files_are_usage_errors(tmp_path, capsys, content):
+    poly = tmp_path / "p.json"
+    poly.write_text(content)
+    assert main(["roots", str(poly)]) == 2
+    assert "expected a list of coefficient rows" in capsys.readouterr().err
+
+
+def test_tol_reaches_json_algebra_loading(tmp_path, quaternions, capsys):
+    data = algebra_to_dict(quaternions)
+    c = np.array(data["structure_constants"], dtype=float)
+    c[1, 2, 3] += 1e-12  # e1 e2 = e12 (1 + 1e-12): associative only to ~1e-12
+    data["structure_constants"] = c.tolist()
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(data))
+    poly = _write_poly(tmp_path / "p.json", [[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]])
+    for argv in (["info"], ["verify", "dims", "--trials", "2"], ["roots", poly]):
+        assert main(argv + ["--algebra", str(path)]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--algebra", str(path), "--tol", "1e-15"]) == 2
+        assert "associativity" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

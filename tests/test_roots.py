@@ -49,6 +49,34 @@ def test_seed_roots_exist_per_signature():
         assert seed.residual <= 1e-9, (p, q)
 
 
+@pytest.mark.parametrize("p, q", [(p, n - p) for n in range(1, 7) for p in range(n + 1)
+                                  if (p, n - p) != (1, 0)])
+def test_seed_is_the_first_basis_root(p, q):
+    alg = clifford_algebra(p, q)
+    c = alg.structure_constants
+    first = next(i for i in range(alg.dimension)
+                 if np.array_equal(c[i, i], -alg.unit().coeffs))
+    assert np.array_equal(find_seed_root(alg).element.coeffs,
+                          alg.basis_element(first).coeffs)
+
+
+def test_seed_rule_in_rescaled_bases(quaternions):
+    """H on (1, 2i, j, k): j is the first basis root.  On (1, 2i, 2j, 2k)
+    every basis square is -4 and the Newton fallback finds a root."""
+    c = quaternions.structure_constants
+
+    def rescaled(lam):
+        lam = np.asarray(lam, dtype=float)
+        return make_algebra(c * lam[:, None, None] * lam[None, :, None]
+                            / lam[None, None, :])
+
+    assert np.array_equal(find_seed_root(rescaled([1, 2, 1, 1])).element.coeffs,
+                          [0.0, 0.0, 1.0, 0.0])
+    seed = find_seed_root(rescaled([1, 2, 2, 2]))
+    assert seed.residual <= 1e-9
+    assert np.count_nonzero(seed.element.coeffs) > 1
+
+
 def test_no_root_in_reals_and_split_line():
     with pytest.raises(NotFoundError):
         find_seed_root(clifford_algebra(0, 0))
