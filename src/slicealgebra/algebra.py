@@ -37,7 +37,7 @@ import numpy as np
 from .config import (
     MAX_CLIFFORD_GENERATORS,
     MAX_DIMENSION,
-    ZERODIVISOR_RELTOL,
+    RANK_RELTOL,
     resolve_tol,
 )
 from .errors import (
@@ -371,10 +371,11 @@ def operator_matrix(a: Element, kind: str) -> OperatorMatrix:
 
 
 def _singular(m: np.ndarray) -> bool:
-    """Smallest singular value below ZERODIVISOR_RELTOL times the largest
-    (or m = 0)."""
+    """Smallest singular value below RANK_RELTOL times the largest, or below
+    the smallest normal float: there the relative cutoff underflows and the
+    inverse overflows."""
     sv = np.linalg.svd(m, compute_uv=False)
-    return bool(sv[0] == 0.0 or sv[-1] < ZERODIVISOR_RELTOL * sv[0])
+    return bool(sv[-1] < max(RANK_RELTOL * sv[0], np.finfo(float).tiny))
 
 
 def inverse(a: Element) -> Element:

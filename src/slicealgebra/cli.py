@@ -36,7 +36,7 @@ from .errors import (
     SliceAlgebraError,
     SuiteNotApplicableError,
 )
-from .orthogonal import InnerProduct, cone_decompose, sample_S0, z0_residual
+from .orthogonal import InnerProduct, antisymmetric_subspace, cone_decompose, sample_S0, z0_residual
 from .roots import (
     find_seed_root,
     nijenhuis,
@@ -211,13 +211,13 @@ def _suite_absorption(alg, trials, rng, tol):
 
 def _suite_cone(alg, trials, rng, tol):
     G = InnerProduct.standard(alg)
-    try:
-        sample_S0(alg, G, rng)
-    except NotFoundError as exc:
-        raise SuiteNotApplicableError("no orthogonal roots for this algebra") from exc
+    basis = antisymmetric_subspace(alg, G)
     for t in range(trials):
         if t % 2 == 0:
-            s = sample_S0(alg, G, rng)
+            try:
+                s = sample_S0(alg, G, rng, basis=basis)
+            except NotFoundError as exc:  # A0 is trivial or holds no root
+                raise SuiteNotApplicableError("no orthogonal roots for this algebra") from exc
             beta, gam = rng.standard_normal(), abs(rng.standard_normal()) + 0.1
             x = beta * alg.unit() + gam * s.element
             dec = cone_decompose(x, G)

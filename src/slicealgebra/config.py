@@ -6,11 +6,10 @@ import os
 # globally, through the SLICE_ALGEBRA_TOL environment variable.
 DEFAULT_TOL = 1e-9
 
-# Relative singular-value cutoffs.  Rank decisions (kernels, eigenspaces) and
-# the zerodivisor test are exact-rank statements, so both thresholds are
-# relative to the largest singular value.
+# The one relative singular-value cutoff.  Rank decisions (kernels,
+# eigenspaces, Newton steps) and the zerodivisor test are exact-rank
+# statements, so the threshold is relative to the largest singular value.
 RANK_RELTOL = 1e-8
-ZERODIVISOR_RELTOL = 1e-8
 
 # Backward error bound of the zero-variety verdict when s*b = -a has a
 # unique solution s: w = (a, b) is a member when ||a + s*b|| <=

@@ -1,8 +1,9 @@
-"""The shared numerical steps: rank decisions by singular values and damped
-Gauss-Newton, including its use for s*s = -1 on an affine set.
+"""The shared numerical steps: rank decisions by singular values and the
+damped Newton for s*s = -1 on an affine set.
 
 Every kernel, eigenspace and fiber in the package is decided by
-`svd_rank`, and every Newton search runs through `gauss_newton`.
+`svd_rank`, and every Newton search for a root of -1 (seed, orthogonal
+root, zero-variety witness) runs through `affine_square_root`.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RANK_RELTOL
+
+# Step cap of every Newton search; the other stops usually come first.
+NEWTON_ITERATIONS = 100
 
 
 def svd_rank(m: np.ndarray, scale: float = 0.0):
@@ -41,57 +45,54 @@ def column_space(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(u[:, :rank])
 
 
-def gauss_newton(residual, jacobian, x0, iterations: int, target: float):
-    """Damped Gauss-Newton for residual(x) = 0, starting at x0.
-
-    Each step is the least-squares solution of jacobian(x) dx = -residual(x),
-    halved until the residual norm drops, and taken anyway after ten
-    halvings.  Stops once the norm is at most target, after `iterations`
-    steps, or when LAPACK fails to compute a step, and returns (x, norm).
-    jacobian is only ever called at the point of the latest residual call,
-    so it may reuse values computed there.
-    """
-    x = np.array(x0, dtype=float)
-    r = residual(x)
-    rn = np.linalg.norm(r)
-    for _ in range(iterations):
-        if rn <= target:
-            break
-        try:
-            step = np.linalg.lstsq(jacobian(x), -r, rcond=None)[0]
-        except np.linalg.LinAlgError:  # its SVD did not converge
-            break
-        damp = 1.0
-        while True:
-            xn = x + damp * step
-            r2 = residual(xn)
-            rn2 = np.linalg.norm(r2)
-            if rn2 < rn or damp <= 1.0 / 1024.0:
-                break
-            damp *= 0.5
-        x, r, rn = xn, r2, rn2
-    return x, rn
-
-
 def affine_square_root(algebra, base: np.ndarray, span: np.ndarray,
-                       t0: np.ndarray, iterations: int, target: float):
-    """Gauss-Newton for s*s + 1 = 0 over s = base + span @ t, from t0.
+                       t0: np.ndarray):
+    """Damped Newton for s*s + 1 = 0 over s = base + span @ t, from t0.
+
+    Each step solves J dt = -(s*s + 1), J = (L_s + R_s) @ span, through the
+    pseudo-inverse of J truncated at svd_rank's cutoff: J is rank-deficient
+    at every root, since the tangent directions of S lie in its kernel, and
+    rounding-level singular values would turn the step into noise.  A step
+    is first cut to length 1 + ||s||, then halved, down to 1/1024, until
+    the residual drops.  The search stops at the first of: the residual is
+    at the rounding floor eps * N * (1 + ||s||)^2 of s*s, a bound that the
+    rounding error can lie well below, after one last whole step, kept if
+    it lowers the residual; no tried step lowers the residual (that step
+    is not taken); LAPACK fails; NEWTON_ITERATIONS steps.
 
     Returns (s, ||s*s + 1||); s lies in base + span whether or not the
     search converged.
     """
     unit = algebra.unit().coeffs
-
-    def point(t):
-        return base + span @ t
+    floor = np.finfo(float).eps * algebra.dimension
 
     def residual(t):
-        s = point(t)
-        return algebra.multiply_vec(s, s) + unit
+        s = base + span @ t
+        r = algebra.multiply_vec(s, s) + unit
+        return s, r, np.linalg.norm(r)
 
-    def jacobian(t):
-        s = point(t)
-        return (algebra.left_matrix_vec(s) + algebra.right_matrix_vec(s)) @ span
-
-    t, rn = gauss_newton(residual, jacobian, t0, iterations, target)
-    return point(t), rn
+    t = np.array(t0, dtype=float)
+    s, r, rn = residual(t)
+    for _ in range(NEWTON_ITERATIONS):
+        jac = (algebra.left_matrix_vec(s) + algebra.right_matrix_vec(s)) @ span
+        try:
+            u, sv, vt, rank = svd_rank(jac)
+        except np.linalg.LinAlgError:  # the SVD did not converge
+            break
+        step = vt[:rank].T @ ((u[:, :rank].T @ -r) / sv[:rank])
+        scale = 1.0 + np.linalg.norm(s)
+        # at the rounding floor halving is moot: one last whole step
+        at_floor = rn <= floor * scale ** 2
+        # near a singular J (s near 0) the step is ~1/||s|| long
+        damp = scale / max(np.linalg.norm(span @ step), scale)
+        for _ in range(1 if at_floor else 11):
+            s2, r2, rn2 = residual(t + damp * step)
+            if rn2 < rn:
+                break
+            damp *= 0.5
+        else:
+            return s, rn  # stalled: no tried step lowers the residual
+        t, s, r, rn = t + damp * step, s2, r2, rn2
+        if at_floor:
+            break
+    return s, rn

@@ -103,22 +103,22 @@ def antisymmetric_subspace(algebra: Algebra, G: InnerProduct) -> list[Element]:
 
 def sample_S0(algebra: Algebra, G: InnerProduct,
               rng: np.random.Generator | None = None,
-              tol: float | None = None) -> RootOfMinusOne:
-    """Draw a root of -1 inside A0, by Newton from up to 50 random unit
-    starts; antisymmetry plus s*s = -1 gives orthogonality for free."""
+              tol: float | None = None,
+              basis: list[Element] | None = None) -> RootOfMinusOne:
+    """Draw a root of -1 inside A0 (`basis`, antisymmetric_subspace(algebra,
+    G) unless a caller drawing many roots passes it), by Newton from up to
+    50 random unit starts; antisymmetry plus s*s = -1 gives orthogonality."""
     if rng is None:
         rng = np.random.default_rng(0)
-    basis = antisymmetric_subspace(algebra, G)
+    if basis is None:
+        basis = antisymmetric_subspace(algebra, G)
     if not basis:
         raise NotFoundError("antisymmetric subspace is trivial")
-    span = np.stack([b.coeffs for b in basis], axis=1)  # (N, m)
+    span = np.stack([b.coeffs for b in basis], axis=1)  # (N, m), orthonormal
     for _ in range(50):
         t = rng.standard_normal(span.shape[1])
-        nrm = np.linalg.norm(span @ t)
-        if nrm < 1e-9:
-            continue
         s_vec, _ = affine_square_root(algebra, np.zeros(algebra.dimension), span,
-                                      t / nrm, 60, 1e-13)
+                                      t / np.linalg.norm(t))
         cand = algebra.element(s_vec)
         if is_root(cand, tol) and is_in_S0(cand, G, tol):
             return RootOfMinusOne(cand, root_residual(cand))

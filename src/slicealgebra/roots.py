@@ -77,12 +77,11 @@ def find_seed_root(algebra: Algebra,
     if rng is None:
         rng = np.random.default_rng(0)
     for _ in range(50):
-        x, gn = affine_square_root(algebra, np.zeros(n), np.eye(n),
-                                   rng.standard_normal(n), 100, 1e-12)
-        if gn <= 1e-12:
-            cand = Element(algebra, x)
-            if is_root(cand, tol):
-                return RootOfMinusOne(cand, root_residual(cand))
+        x, _ = affine_square_root(algebra, np.zeros(n), np.eye(n),
+                                  rng.standard_normal(n))
+        cand = Element(algebra, x)
+        if is_root(cand, tol):
+            return RootOfMinusOne(cand, root_residual(cand))
     raise NotFoundError("no square root of -1 found; the locus may be empty")
 
 
@@ -209,17 +208,15 @@ class ComplexSubspace:
     """A complex subspace of the complexification, as a column basis."""
 
     algebra: Algebra
-    matrix: np.ndarray  # complex (N, k), full column rank
+    matrix: np.ndarray  # complex (N, k), orthonormal columns
 
     @property
     def rank(self) -> int:
         return self.matrix.shape[1]
 
     def contains(self, vector: np.ndarray, tol: float | None = None) -> bool:
-        if self.rank == 0:
-            return bool(np.linalg.norm(vector) <= resolve_tol(tol))
-        coeffs = np.linalg.lstsq(self.matrix, vector, rcond=None)[0]
-        defect = np.linalg.norm(self.matrix @ coeffs - vector)
+        # the columns are orthonormal (column_space), so this is the projection
+        defect = np.linalg.norm(vector - self.matrix @ (self.matrix.conj().T @ vector))
         return bool(defect <= resolve_tol(tol) * (1.0 + np.linalg.norm(vector)))
 
 

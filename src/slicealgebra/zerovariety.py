@@ -219,7 +219,7 @@ def zero_variety_witness(w: ComplexElement,
     for attempt in range(20):
         t = np.zeros(kernel.shape[1]) if attempt == 0 \
             else rng.standard_normal(kernel.shape[1])
-        s_vec, _ = affine_square_root(alg, s_part, kernel, t, 60, 1e-12)
+        s_vec, _ = affine_square_root(alg, s_part, kernel, t)
         cand = alg.element(s_vec)
         if is_root(cand, tol):
             return WitnessSearch("found", _witness(w, cand))

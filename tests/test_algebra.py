@@ -226,6 +226,20 @@ def test_zerodivisor_exactly_when_inverse_raises(name, built, data):
         assert (inverse(a) * a).approx_eq(alg.unit(), atol)
 
 
+def test_subnormal_singular_values_count_as_zero(cl11):
+    """Below the smallest normal float the relative cutoff underflows and
+    1/sigma overflows, so such a singular value counts as zero: for a
+    subnormal multiple of the zerodivisor (1 + e1)(1 + e1 + e2 + e12) and
+    for subnormal multiples of invertible elements alike."""
+    e1 = cl11.basis_element(1)
+    built = (cl11.unit() + e1) * cl11.element(np.full(4, 5e-324))
+    for a in (built, 1.1125369292536007e-308 * e1, 5e-324 * cl11.unit()):
+        assert np.any(a.coeffs)
+        assert is_zerodivisor(a) and _inverse_raises(a)
+    small = 1e-300 * e1  # e1^2 = 1
+    assert (small * inverse(small)).approx_eq(cl11.unit(), 1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(p=hnp.arrays(float, 4, elements=st.one_of(  # |p|^2 must not underflow
     st.just(0.0), st.floats(1e-6, 100.0), st.floats(-100.0, -1e-6))))

@@ -129,6 +129,20 @@ def test_sample_S0(quaternions, cl03, rng):
         sample_S0(reals, _std(reals), rng)
 
 
+@pytest.mark.parametrize("p, q", [(0, 6), (3, 3)])
+def test_sample_S0_reaches_the_rounding_floor(p, q, rng):
+    """Orthogonal roots at N = 64 come back with ||s*s + 1|| within 4 times
+    the rounding floor eps * N * (1 + ||s||)^2 of s*s."""
+    alg = clifford_algebra(p, q)
+    G = _std(alg)
+    basis = antisymmetric_subspace(alg, G)
+    for _ in range(10):
+        s = sample_S0(alg, G, rng, basis=basis)
+        floor = np.finfo(float).eps * alg.dimension * (1.0 + s.element.norm()) ** 2
+        assert s.residual <= 4.0 * floor
+        assert is_in_S0(s.element, G)
+
+
 def test_characterization_report(quaternions, rng):
     G = _std(quaternions)
     s = sample_S0(quaternions, G, rng)
