@@ -62,7 +62,9 @@ def test_affine_square_root_stops_when_lapack_fails(quaternions, monkeypatch):
     assert rn == pytest.approx(10.0)
 
 
-def test_affine_square_root_stays_on_the_affine_set(cl03, rng):
+@pytest.mark.parametrize("seed", [2, 60])
+def test_affine_square_root_stays_on_the_affine_set(cl03, seed):
+    rng = np.random.default_rng(seed)
     n = cl03.dimension
     base = rng.standard_normal(n)
     span = rng.standard_normal((n, 3))
