@@ -28,7 +28,7 @@ from .algebra import (
     is_zerodivisor,
     load_algebra,
 )
-from .config import default_tol
+from .config import RANK_RELTOL, default_tol, within_tol
 from .errors import (
     FrameNotFoundError,
     NotFoundError,
@@ -36,8 +36,9 @@ from .errors import (
     SliceAlgebraError,
     SuiteNotApplicableError,
 )
-from .orthogonal import InnerProduct, antisymmetric_subspace, cone_decompose, sample_S0, z0_residual
+from .orthogonal import InnerProduct, antisymmetric_subspace, cone_decompose, sample_S0
 from .roots import (
+    RootOfMinusOne,
     find_seed_root,
     nijenhuis,
     component_invariant,
@@ -146,8 +147,8 @@ def _suite_nijenhuis(alg, trials, rng, tol):
         x = frame.random_tangent(rng)
         y = frame.random_tangent(rng)
         residual = nijenhuis(s, x, y).norm()
-        bound = tol * (1.0 + x.norm()) * (1.0 + y.norm())
-        yield residual <= bound, residual, f"trial {t}"
+        size = 4.0 * s.element.norm() * x.norm() * y.norm()  # four products cancel
+        yield within_tol(residual, size, tol), residual, f"trial {t}"
 
 
 def _suite_dims(alg, trials, rng, tol):
@@ -166,24 +167,18 @@ def _suite_zero_variety(alg, trials, rng, tol):
             # constructed member: a = -(s b) so the search must succeed
             s = sample_root(seed, rng)
             b = alg.random_element(rng)
-            w = ComplexElement(-(s.element * b), b)
-            search = zero_variety_witness(w, rng=rng)
-            scale = 1.0 + w.norm()
-            if search.status != "found":
+            search = zero_variety_witness(ComplexElement(-(s.element * b), b), tol, rng)
+            if not search.found:
                 yield False, float("inf"), f"trial {t}: no witness for member"
                 continue
-            residual = search.witness.residual
-            yield residual <= 1e-8 * scale, residual, f"trial {t}"
         else:
             w = ComplexElement(alg.random_element(rng), alg.random_element(rng))
-            search = zero_variety_witness(w, rng=rng)
-            scale = 1.0 + w.norm()
-            if search.status == "found":
-                residual = search.witness.residual
-                yield residual <= 1e-8 * scale, residual, f"trial {t}"
-            else:
+            search = zero_variety_witness(w, tol, rng)
+            if not search.found:
                 # exact verdicts only; inconclusive is recorded, not failed
                 yield True, 0.0, f"trial {t}: {search.status}"
+                continue
+        yield search.witness.holds(tol), search.witness.residual, f"trial {t}"
 
 
 def _suite_absorption(alg, trials, rng, tol):
@@ -191,22 +186,18 @@ def _suite_absorption(alg, trials, rng, tol):
     for t in range(trials):
         s = sample_root(seed, rng)
         b = alg.random_element(rng)
-        w = ComplexElement(-(s.element * b), b)
-        base = zero_variety_witness(w, rng=rng)
-        if base.status != "found":
+        base = zero_variety_witness(ComplexElement(-(s.element * b), b), tol, rng)
+        if not base.found:
             yield False, float("inf"), f"trial {t}: base witness missing"
             continue
         wp = ComplexElement(alg.random_element(rng), alg.random_element(rng))
-        right = right_absorption(base.witness, wp)
-        scale = 1.0 + right.w.norm()
-        ok = right.residual <= 1e-8 * scale
-        left = left_absorption(base.witness, wp, rng=rng)
-        if left.status != "found":
+        right = right_absorption(base.witness, wp, tol)
+        left = left_absorption(base.witness, wp, tol=tol, rng=rng)
+        if not left.found:
             yield False, float("inf"), f"trial {t}: left witness {left.status}"
             continue
-        lscale = 1.0 + left.witness.w.norm()
-        ok = ok and left.witness.residual <= 1e-6 * lscale
-        yield ok, max(right.residual, left.witness.residual), f"trial {t}"
+        yield (right.holds(tol) and left.witness.holds(tol),
+               max(right.residual, left.witness.residual), f"trial {t}")
 
 
 def _suite_cone(alg, trials, rng, tol):
@@ -220,24 +211,26 @@ def _suite_cone(alg, trials, rng, tol):
                 raise SuiteNotApplicableError("no orthogonal roots for this algebra") from exc
             beta, gam = rng.standard_normal(), abs(rng.standard_normal()) + 0.1
             x = beta * alg.unit() + gam * s.element
-            dec = cone_decompose(x, G)
+            dec = cone_decompose(x, G, tol)
             if dec is None or dec.root is None:
                 yield False, float("inf"), f"trial {t}: member not decomposed"
                 continue
             residual = max(abs(dec.beta - beta),
                            abs(dec.alpha - float(np.hypot(beta, gam))),
                            (dec.root.element * dec.gamma - gam * s.element).norm())
-            yield residual <= 1e-7 * (1.0 + x.norm()), residual, f"trial {t}"
+            # each difference pairs two parts of x = beta + gamma*s
+            size = 2.0 * (abs(beta) + gam * s.element.norm())
+            yield within_tol(residual, size, tol), residual, f"trial {t}"
         else:
             x = alg.random_element(rng)
-            dec = cone_decompose(x, G)
+            dec = cone_decompose(x, G, tol)
             if dec is None:
                 yield True, 0.0, f"trial {t}: outside cone"
                 continue
             rebuilt = dec.beta * alg.unit() + (dec.gamma * dec.root.element
                                                if dec.root else alg.zero())
             residual = (x - rebuilt).norm()
-            yield residual <= 1e-7 * (1.0 + x.norm()), residual, f"trial {t}"
+            yield within_tol(residual, x.norm() + rebuilt.norm(), tol), residual, f"trial {t}"
 
 
 def _suite_twistor(alg, trials, rng, tol):
@@ -252,23 +245,20 @@ def _suite_twistor(alg, trials, rng, tol):
         z = complex(rng.standard_normal(), rng.standard_normal())
         u = ProjectivePoint(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         g = gamma(u.coords[0], u.coords[1], frame)
-        s_u = inverse(g) * frame.i * g
-        lhs = eval_slice(stem, z, _root_of(s_u))
+        s_u = RootOfMinusOne.from_element(inverse(g) * frame.i * g)
+        lhs = eval_slice(stem, z, s_u)
         rhs = rho1(twistor_lift(stem, z, u, frame), frame)
         residual = (lhs - rhs).norm()
-        scale = 1.0 + lhs.norm()
+        # both sides sum the terms of F(z) = a + ib in a + s*b
+        size = (1.0 + s_u.element.norm()) * stem.term_size(z)
         lifted = np.stack([twistor_lift(stem, z, ProjectivePoint(
             rng.standard_normal(2) + 1j * rng.standard_normal(2)), frame).coords
             for _ in range(6)])
         sv = np.linalg.svd(lifted, compute_uv=False)
         rank_res = float(sv[2] / sv[0]) if sv[0] > 0 else 0.0
-        ok = residual <= 1e-8 * scale and rank_res <= 1e-8
+        # the lifts of one sphere span a line: rank 2, a rank decision
+        ok = within_tol(residual, size, tol) and rank_res <= RANK_RELTOL
         yield ok, max(residual, rank_res), f"trial {t}"
-
-
-def _root_of(element):
-    from .roots import RootOfMinusOne, root_residual
-    return RootOfMinusOne(element, root_residual(element))
 
 
 def _suite_stereographic(alg, trials, rng, tol):
@@ -276,6 +266,7 @@ def _suite_stereographic(alg, trials, rng, tol):
     expected = alg.dimension // 4 if alg.signature is not None else None
     stem = stem_from_slice_poly([alg.unit(), alg.zero(), alg.unit()])
     section = standard_section(u)
+    z = 0.3 + 0.7j
     for t in range(trials):
         s = sample_root(u, rng)
         fiber = stereographic_fiber(u, s)
@@ -285,10 +276,10 @@ def _suite_stereographic(alg, trials, rng, tol):
             dim_ok = fiber.rank >= 1
         residual = 0.0
         try:
-            point = generalized_twistor(stem, section, 0.3 + 0.7j, s, u)
-            residual = (rho1_general(point, u)
-                        - eval_slice(stem, 0.3 + 0.7j, s)).norm()
-            cons_ok = residual <= 1e-8
+            point = generalized_twistor(stem, section, z, s, u)
+            residual = (rho1_general(point, u) - eval_slice(stem, z, s)).norm()
+            size = (1.0 + s.element.norm()) * stem.term_size(z)
+            cons_ok = within_tol(residual, size, tol)
         except SliceAlgebraError:
             cons_ok = True  # section chart misses s; dimension check stands
         yield dim_ok and cons_ok, residual, f"trial {t}"
@@ -414,7 +405,7 @@ def cmd_roots(args) -> int:
     if args.target:
         target = alg.element(np.asarray(_finite_floats(args.target, alg.dimension, "target")))
     rng = np.random.default_rng(args.seed)
-    hits = discrete_zero_scan(stem, region, target=target, rng=rng)
+    hits = discrete_zero_scan(stem, region, target=target, rng=rng, tol=args.tol)
     report = {"algebra": algebra_id,
               "region": list(region),
               "degree": stem.degree,

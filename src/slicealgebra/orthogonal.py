@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Element, OperatorMatrix, inverse, is_zerodivisor
-from .config import resolve_tol
+from .config import within_tol
 from .errors import DimensionMismatchError, NotFoundError, ZeroDivisorError
 from .numerics import affine_square_root, null_space
-from .roots import RootOfMinusOne, is_root, root_residual
-from .zerovariety import ComplexElement, WitnessSearch, zero_variety_witness
+from .roots import RootOfMinusOne, is_root
+from .zerovariety import ComplexElement, zero_variety_witness
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class InnerProduct:
         g = np.array(self.gram, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("gram matrix must be square")
-        if not np.allclose(g, g.T, atol=1e-12 * (1.0 + np.abs(g).max())):
+        if not within_tol(np.linalg.norm(g - g.T), 2.0 * np.linalg.norm(g)):
             raise ValueError("gram matrix must be symmetric")
         eigs = np.linalg.eigvalsh(g)
         if eigs[0] <= 0:
@@ -74,17 +74,17 @@ def adjoint(L: OperatorMatrix | np.ndarray, G: InnerProduct) -> np.ndarray:
 
 
 def is_in_S0(s: Element, G: InnerProduct, tol: float | None = None) -> bool:
-    """Two of {s*s = -1, L_s L_s^t = I, L_s + L_s^t = 0} hold (hence all)."""
-    tol = resolve_tol(tol)
+    """Two of {s*s = -1, L_s^t L_s = I, L_s + L_s^t = 0} hold (hence all),
+    each by the tolerance rule, the matrix terms sized by Frobenius norms."""
     alg = s.algebra
     _gram_for(G, alg)
     left = alg.left_matrix_vec(s.coeffs)
     adj = adjoint(left, G)
     eye = np.eye(alg.dimension)
-    scale = 1.0 + s.norm()
-    checks = (root_residual(s) <= tol * scale,
-              np.linalg.norm(adj @ left - eye) <= tol * scale * scale,
-              np.linalg.norm(left + adj) <= tol * scale)
+    nl, na = np.linalg.norm(left), np.linalg.norm(adj)
+    checks = (is_root(s, tol),
+              within_tol(np.linalg.norm(adj @ left - eye), na * nl + np.sqrt(alg.dimension), tol),
+              within_tol(np.linalg.norm(left + adj), nl + na, tol))
     return sum(checks) >= 2
 
 
@@ -119,9 +119,9 @@ def sample_S0(algebra: Algebra, G: InnerProduct,
         t = rng.standard_normal(span.shape[1])
         s_vec, _ = affine_square_root(algebra, np.zeros(algebra.dimension), span,
                                       t / np.linalg.norm(t))
-        cand = algebra.element(s_vec)
-        if is_root(cand, tol) and is_in_S0(cand, G, tol):
-            return RootOfMinusOne(cand, root_residual(cand))
+        cand = RootOfMinusOne.measured(algebra.element(s_vec))
+        if cand.holds(tol) and is_in_S0(cand.element, G, tol):
+            return cand
     raise NotFoundError("no orthogonal root found in the antisymmetric subspace")
 
 
@@ -142,7 +142,6 @@ def orthogonality_characterization(s: RootOfMinusOne, G: InnerProduct,
                                    tol: float | None = None) -> CharacterizationReport:
     """<sa, sa> = <a, a> and <sa, a> = 0 on every basis vector and 32 random
     a; passes exactly when s is an orthogonal complex structure."""
-    tol = resolve_tol(tol)
     alg = s.algebra
     _gram_for(G, alg)
     if rng is None:
@@ -152,14 +151,14 @@ def orthogonality_characterization(s: RootOfMinusOne, G: InnerProduct,
     rows = []
     for idx, a in enumerate(probes):
         sa = s.element * a
-        bound = tol * (1.0 + a.norm()) ** 2
         iso = abs(G.pairing(sa, sa) - G.pairing(a, a))
         perp = abs(G.pairing(sa, a))
+        size = G.norm(sa) ** 2 + G.norm(a) ** 2  # bounds <sa,a> too
         label = f"e_{idx}" if idx < alg.dimension else f"random_{idx - alg.dimension}"
         rows.append({"probe": label, "identity": "<sa,sa> = <a,a>",
-                     "residual": float(iso), "pass": bool(iso <= bound)})
+                     "residual": float(iso), "pass": bool(within_tol(iso, size, tol))})
         rows.append({"probe": label, "identity": "<sa,a> = 0",
-                     "residual": float(perp), "pass": bool(perp <= bound)})
+                     "residual": float(perp), "pass": bool(within_tol(perp, size, tol))})
     return CharacterizationReport(tuple(rows))
 
 
@@ -169,7 +168,7 @@ def orthogonality_characterization(s: RootOfMinusOne, G: InnerProduct,
 @dataclass(frozen=True)
 class ConeDecomposition:
     """x = beta*1 + gamma*s with gamma = sqrt(alpha^2 - beta^2); root is None
-    for real x (gamma below tolerance)."""
+    for real x (gamma^2 within tolerance of 0)."""
 
     beta: float
     alpha: float
@@ -181,11 +180,15 @@ class ConeDecomposition:
 
 
 def cone_decompose(x: Element, G: InnerProduct,
-                   tol: float = 1e-8) -> ConeDecomposition | None:
+                   tol: float | None = None) -> ConeDecomposition | None:
     """Split x = beta + gamma*s when L_x + L_x^t and L_x^t L_x are scalar.
 
-    beta and alpha^2 come from traces; membership is the residual of the two
-    scalar-matrix identities.  None signals x outside the cone.
+    beta and alpha^2 come from traces; membership is the tolerance rule on
+    the two scalar-matrix identities, their terms sized by Frobenius norms.
+    gamma^2 = alpha^2 - beta^2 cancels alpha^2 against beta^2, so x is real
+    when gamma^2 is within tolerance of 0 against alpha^2 + beta^2 (gamma is
+    then below about sqrt(tol) |x|, which the traces cannot resolve).  None
+    signals x outside the cone.
     """
     alg = x.algebra
     _gram_for(G, alg)
@@ -193,28 +196,37 @@ def cone_decompose(x: Element, G: InnerProduct,
     left = alg.left_matrix_vec(x.coeffs)
     adj = adjoint(left, G)
     eye = np.eye(n)
-    scale = 1.0 + x.norm()
+    nl, na = np.linalg.norm(left), np.linalg.norm(adj)
 
     beta = float(np.trace(left + adj)) / (2.0 * n)
-    r_sym = np.linalg.norm(left + adj - 2.0 * beta * eye)
-    if r_sym > tol * np.sqrt(n) * scale:
+    if not within_tol(np.linalg.norm(left + adj - 2.0 * beta * eye),
+                      nl + na + 2.0 * abs(beta) * np.sqrt(n), tol):
         return None
     alpha_sq = float(np.trace(adj @ left)) / n
-    r_norm = np.linalg.norm(adj @ left - alpha_sq * eye)
-    if r_norm > tol * np.sqrt(n) * scale * scale:
+    if not within_tol(np.linalg.norm(adj @ left - alpha_sq * eye),
+                      na * nl + abs(alpha_sq) * np.sqrt(n), tol):
         return None
-    if alpha_sq < beta ** 2 - tol * scale * scale:
-        return None
+    gamma_sq = alpha_sq - beta ** 2
     alpha = float(np.sqrt(max(alpha_sq, 0.0)))
-    gamma_sq = max(alpha_sq - beta ** 2, 0.0)
-    if gamma_sq <= (tol * scale) ** 2:
+    if within_tol(abs(gamma_sq), abs(alpha_sq) + beta ** 2, tol):
         return ConeDecomposition(beta, alpha, None)
+    if gamma_sq < 0.0:
+        return None
     gamma = float(np.sqrt(gamma_sq))
     s = (x - beta * alg.unit()) / gamma
-    return ConeDecomposition(beta, alpha, RootOfMinusOne(s, root_residual(s)))
+    return ConeDecomposition(beta, alpha, RootOfMinusOne.measured(s))
 
 
 # -- the quadratic equations for the distinguished variety -------------------
+
+
+def _z0_terms(w: ComplexElement, G: InnerProduct) -> tuple[np.ndarray, np.ndarray]:
+    """(G^{-1} L_w^T G, L_w) for L_w = L_a + i L_b."""
+    alg = w.algebra
+    _gram_for(G, alg)
+    lw = (alg.left_matrix_vec(w.re.coeffs)
+          + 1j * alg.left_matrix_vec(w.im.coeffs))
+    return adjoint(lw, G), lw
 
 
 def z0_residual(w: ComplexElement, G: InnerProduct) -> float:
@@ -224,12 +236,8 @@ def z0_residual(w: ComplexElement, G: InnerProduct) -> float:
     so the real and imaginary parts encode the two quadratic systems
     L_a^t L_a = L_b^t L_b and L_a^t L_b + L_b^t L_a = 0.
     """
-    alg = w.algebra
-    gram = _gram_for(G, alg)
-    lw = (alg.left_matrix_vec(w.re.coeffs)
-          + 1j * alg.left_matrix_vec(w.im.coeffs))
-    m = np.linalg.solve(gram, lw.T @ gram) @ lw
-    return float(np.linalg.norm(m))
+    adj, lw = _z0_terms(w, G)
+    return float(np.linalg.norm(adj @ lw))
 
 
 @dataclass(frozen=True)
@@ -262,35 +270,26 @@ class Z0Verdict:
                 "replay": self.replay}
 
 
-def _s0_witness_status(w: ComplexElement, G: InnerProduct,
-                       tol: float | None,
-                       rng: np.random.Generator | None) -> str:
-    search: WitnessSearch = zero_variety_witness(w, tol=tol, rng=rng)
-    if search.status == "found":
-        if is_in_S0(search.witness.root.element, G, tol):
-            return "found"
-        # unique witness (invertible im part) outside S0 settles restriction
-        if not is_zerodivisor(w.im):
-            return "absent"
-        return "inconclusive"
-    return search.status
-
-
 def z0_equivalence_check(w: ComplexElement, G: InnerProduct,
-                         tol: float = 1e-8,
+                         tol: float | None = None,
                          rng: np.random.Generator | None = None) -> Z0Verdict:
     """Compare quadratic-equation membership against a root witness in S0.
 
     For w with invertible parts the containment proof is replayed through
     u = b a^{-1}: orthogonality and antisymmetry of L_u plus the factoring
-    L_b = L_u L_a.  Disagreements are recorded, not resolved.
+    L_b = L_u L_a.  Quadratic-equation membership is the tolerance rule on
+    z0_residual against ||G^{-1} L_w^T G|| ||L_w||.  Disagreements are
+    recorded, not resolved.
     """
     alg = w.algebra
-    _gram_for(G, alg)
-    scale = 1.0 + w.norm()
-    residual = z0_residual(w, G)
-    residual_member = residual <= tol * scale * scale
-    status = _s0_witness_status(w, G, None, rng)
+    adj, lw = _z0_terms(w, G)
+    residual = float(np.linalg.norm(adj @ lw))
+    residual_member = bool(within_tol(residual, np.linalg.norm(adj) * np.linalg.norm(lw), tol))
+    search = zero_variety_witness(w, tol, rng)
+    status = search.status
+    if search.found and not is_in_S0(search.witness.root.element, G, tol):
+        # a unique witness (invertible im part) outside S0 settles restriction
+        status = "inconclusive" if is_zerodivisor(w.im) else "absent"
 
     replay = None
     a, b = w.re, w.im

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Algebra, Element, inverse
-from .config import resolve_tol
+from .config import within_tol
 from .errors import NonIntegerTraceError, NotFoundError, NotTangentError, ZeroDivisorError
 from .numerics import affine_square_root, column_space, null_space
 
@@ -25,15 +25,24 @@ class RootOfMinusOne:
     residual: float
 
     @classmethod
+    def measured(cls, element: Element) -> "RootOfMinusOne":
+        """element with its defect, whether or not it is a root."""
+        return cls(element, root_residual(element))
+
+    @classmethod
     def from_element(cls, element: Element, tol: float | None = None) -> "RootOfMinusOne":
-        r = root_residual(element)
-        if r > resolve_tol(tol):
-            raise ValueError(f"not a square root of -1, residual {r:.3e}")
-        return cls(element, r)
+        root = cls.measured(element)
+        if not root.holds(tol):
+            raise ValueError(f"not a square root of -1, residual {root.residual:.3e}")
+        return root
 
     @property
     def algebra(self) -> Algebra:
         return self.element.algebra
+
+    def holds(self, tol: float | None = None) -> bool:
+        """residual <= tol * (1 + ||s||)^2, the size of the terms s*s and 1."""
+        return bool(within_tol(self.residual, (1.0 + self.element.norm()) ** 2, tol))
 
 
 def root_residual(a: Element) -> float:
@@ -41,7 +50,7 @@ def root_residual(a: Element) -> float:
 
 
 def is_root(a: Element, tol: float | None = None) -> bool:
-    return root_residual(a) <= resolve_tol(tol)
+    return RootOfMinusOne.measured(a).holds(tol)
 
 
 def negate_root(s: RootOfMinusOne) -> RootOfMinusOne:
@@ -61,34 +70,34 @@ def find_seed_root(algebra: Algebra,
                    tol: float | None = None) -> RootOfMinusOne:
     """Find some s in S, or raise NotFoundError.
 
-    The first basis element whose square c[i, i, :] is -1 within tol is
-    returned; for Clifford algebras every product of basis elements is a
-    signed basis element, so this already covers every blade.  Up to 50
-    damped Newton searches on a*a + 1 = 0 from random starts are the
-    fallback for general algebras.
+    The first basis element e_i that is a root at tol (||c[i, i, :] + 1||
+    against the size (1 + ||e_i||)^2 = 4) is returned; for Clifford
+    algebras every product of basis elements is a signed basis element, so
+    this already covers every blade.  Up to 50 damped Newton searches on
+    a*a + 1 = 0 from random starts are the fallback for general algebras.
     """
     n = algebra.dimension
     squares = algebra.structure_constants[np.arange(n), np.arange(n)]
     defects = np.linalg.norm(squares + algebra.unit().coeffs, axis=1)
-    hits = np.flatnonzero(defects <= resolve_tol(tol))
+    hits = np.flatnonzero(within_tol(defects, 4.0, tol))
     if hits.size:
         cand = algebra.basis_element(int(hits[0]))
-        return RootOfMinusOne(cand, root_residual(cand))
+        return RootOfMinusOne.measured(cand)
     if rng is None:
         rng = np.random.default_rng(0)
     for _ in range(50):
         x, _ = affine_square_root(algebra, np.zeros(n), np.eye(n),
                                   rng.standard_normal(n))
-        cand = Element(algebra, x)
-        if is_root(cand, tol):
-            return RootOfMinusOne(cand, root_residual(cand))
+        cand = RootOfMinusOne.measured(Element(algebra, x))
+        if cand.holds(tol):
+            return cand
     raise NotFoundError("no square root of -1 found; the locus may be empty")
 
 
 def conjugate_root(y: Element, s: RootOfMinusOne) -> RootOfMinusOne:
     """Move s along its connected component: y*s*y^{-1}."""
     out = y * s.element * inverse(y)
-    return RootOfMinusOne(out, root_residual(out))
+    return RootOfMinusOne.measured(out)
 
 
 def sample_root(seed: RootOfMinusOne, rng: np.random.Generator,
@@ -107,13 +116,13 @@ def sample_root(seed: RootOfMinusOne, rng: np.random.Generator,
         y = algebra.random_element(rng)
         try:
             out = y * seed.element * inverse(y)
-            if out.norm() > 32.0:
+            if out.norm() > 32.0:  # a cap on the draw, not a tolerance
                 continue
             out = polish_root(out)
         except ZeroDivisorError:  # y, or 2*out in the polish, is singular
             continue
-        cand = RootOfMinusOne(out, root_residual(out))
-        if cand.residual <= resolve_tol(tol):
+        cand = RootOfMinusOne.measured(out)
+        if cand.holds(tol):
             return cand
     raise NotFoundError("conjugation sampling failed repeatedly")
 
@@ -170,6 +179,8 @@ def component_invariant(s: RootOfMinusOne) -> int:
     t = alg.left_matrix_vec(s.element.coeffs) @ alg.right_matrix_vec(s.element.coeffs)
     tr = float(np.trace(t))
     snapped = round(tr)
+    # rounding moves the trace by about N * eps * ||s||^2, far below 0.01;
+    # a non-integer trace means s is no root at all
     if abs(tr - snapped) > 0.01:
         raise NonIntegerTraceError(f"trace {tr} is not close to an integer")
     return int(snapped)
@@ -177,7 +188,7 @@ def component_invariant(s: RootOfMinusOne) -> int:
 
 def _require_tangent(s: RootOfMinusOne, h: Element, tol: float | None) -> None:
     defect = (s.element * h + h * s.element).norm()
-    if defect > resolve_tol(tol) * (1.0 + h.norm()):
+    if not within_tol(defect, 2.0 * s.element.norm() * h.norm(), tol):
         raise NotTangentError(f"anticommutator defect {defect:.3e}")
 
 
@@ -216,8 +227,9 @@ class ComplexSubspace:
 
     def contains(self, vector: np.ndarray, tol: float | None = None) -> bool:
         # the columns are orthonormal (column_space), so this is the projection
-        defect = np.linalg.norm(vector - self.matrix @ (self.matrix.conj().T @ vector))
-        return bool(defect <= resolve_tol(tol) * (1.0 + np.linalg.norm(vector)))
+        proj = self.matrix @ (self.matrix.conj().T @ vector)
+        return bool(within_tol(np.linalg.norm(vector - proj),
+                               np.linalg.norm(vector) + np.linalg.norm(proj), tol))
 
 
 def minus_i_eigenspace(s: RootOfMinusOne) -> ComplexSubspace:
@@ -264,25 +276,27 @@ def _signature_trace_formula(signature: tuple[int, int], s0: float, s_top: float
 def verify_trace_identities(s: RootOfMinusOne, tol: float | None = None) -> TraceReport:
     """Check the vanishing traces of L_s, R_s, F_s and, for Clifford
     algebras, the unit-coefficient constraint and the signature formula
-    for tr(T_s)."""
+    for tr(T_s).  A trace of an N x N operator sums N terms of its size:
+    ||s|| for L_s and R_s, ||s||^2 for T_s; s_0 = tr(L_s) / N has size ||s||.
+    """
     alg = s.algebra
-    tol = resolve_tol(tol)
+    n, ns = alg.dimension, s.element.norm()
     left = alg.left_matrix_vec(s.element.coeffs)
     right = alg.right_matrix_vec(s.element.coeffs)
     rows = []
 
-    def add(name: str, residual: float, bound: float) -> None:
+    def add(name: str, residual: float, size: float) -> None:
         rows.append({"identity": name, "residual": float(residual),
-                     "pass": bool(residual <= bound)})
+                     "pass": bool(within_tol(residual, size, tol))})
 
-    add("trace L_s = 0", abs(np.trace(left)), tol)
-    add("trace R_s = 0", abs(np.trace(right)), tol)
-    add("trace F_s = 0", abs(np.trace(left + right)), tol)
+    add("trace L_s = 0", abs(np.trace(left)), n * ns)
+    add("trace R_s = 0", abs(np.trace(right)), n * ns)
+    add("trace F_s = 0", abs(np.trace(left + right)), 2 * n * ns)
     if alg.signature is not None:
         s0 = float(s.element.coeffs[0])
         s_top = float(s.element.coeffs[-1])
-        add("unit coefficient s_0 = 0", abs(s0), 1e-7)
+        add("unit coefficient s_0 = 0", abs(s0), ns)
         expected = _signature_trace_formula(alg.signature, s0, s_top)
         add("trace T_s signature formula",
-            abs(float(np.trace(left @ right)) - expected), 1e-6)
+            abs(float(np.trace(left @ right)) - expected), n * ns ** 2 + abs(expected))
     return TraceReport(tuple(rows))

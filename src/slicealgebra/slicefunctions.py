@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Algebra, Element, inverse
-from .config import resolve_tol
+from .config import within_tol
 from .errors import InvalidTwistError, NotIntrinsicError
-from .roots import RootOfMinusOne, is_root, root_residual
+from .roots import RootOfMinusOne
 from .zerovariety import ComplexElement, pi_tensor_eval
 
 
@@ -61,6 +61,11 @@ class StemPolynomial:
         for k in range(self.coeff_matrix.shape[0] - 2, -1, -1):
             acc = z * acc + self.coeff_matrix[k]
         return acc
+
+    def term_size(self, z: complex) -> float:
+        """sum_k |z|^k ||c_k||, the summed size of the terms of F(z)."""
+        return float(abs(z) ** np.arange(self.degree + 1)
+                     @ np.linalg.norm(self.coeff_matrix, axis=1))
 
     def evaluate(self, z: complex) -> ComplexElement:
         return ComplexElement.from_vector(self.algebra, self.evaluate_vector(z))
@@ -112,8 +117,8 @@ def intrinsic_defect(F: StemPolynomial) -> float:
 
 
 def is_intrinsic(F: StemPolynomial, tol: float | None = None) -> bool:
-    return intrinsic_defect(F) <= resolve_tol(tol) * (
-        1.0 + float(np.linalg.norm(F.coeff_matrix)))
+    """The defect against 2 ||C||, the size of C and conj C."""
+    return bool(within_tol(intrinsic_defect(F), 2.0 * np.linalg.norm(F.coeff_matrix), tol))
 
 
 def require_intrinsic(F: StemPolynomial, tol: float | None = None) -> None:
@@ -154,7 +159,8 @@ def cauchy_riemann_residual(F: StemPolynomial, z: complex, s: RootOfMinusOne,
                             check_intrinsic: bool = True,
                             tol: float | None = None) -> float:
     """Central-difference norm of (d/dx + L_s d/dy) f(x + sy), O(h^2) when
-    the stem is intrinsic."""
+    the stem is intrinsic.  The default step h = 1e-5 balances that
+    truncation error against the rounding eps / h of the differences."""
     if check_intrinsic:
         require_intrinsic(F, tol)
     if not h > 0:
@@ -199,10 +205,10 @@ class TwistMap:
                 out = out.element
         else:
             raise ValueError(f"unknown twist kind {self.kind!r}")
-        if not is_root(out, tol):
-            raise InvalidTwistError(
-                f"twist output has residual {root_residual(out):.3e}")
-        return RootOfMinusOne(out, root_residual(out))
+        root = RootOfMinusOne.measured(out)
+        if not root.holds(tol):
+            raise InvalidTwistError(f"twist output has residual {root.residual:.3e}")
+        return root
 
 
 def eval_generalized(F: StemPolynomial, twist: TwistMap, z: complex,

@@ -17,15 +17,15 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import Algebra, Element, inverse, is_zerodivisor
-from .config import resolve_tol
+from .config import within_tol
 from .errors import (
     BadSectionError,
     BasePointAtInfinityError,
     DegenerateImageError,
     FrameNotFoundError,
 )
-from .numerics import column_space, null_space
-from .roots import ComplexSubspace, RootOfMinusOne, is_root, root_residual
+from .numerics import column_space, null_space, svd_rank
+from .roots import ComplexSubspace, RootOfMinusOne, is_root
 from .slicefunctions import StemPolynomial, require_intrinsic
 from .zerovariety import ComplexElement
 
@@ -41,6 +41,8 @@ class ProjectivePoint:
         peak = np.abs(vec).max() if vec.size else 0.0
         if peak == 0.0:
             raise ValueError("projective point needs a nonzero coordinate")
+        # a coordinate 1e-12 of the largest is taken for a rounded zero, so
+        # that the scaling does not divide by it; it is no residual test
         lead = np.flatnonzero(np.abs(vec) > 1e-12 * peak)[0]
         vec = vec / vec[lead]
         vec.setflags(write=False)
@@ -60,9 +62,10 @@ class ProjectivePoint:
             b = b * (np.conj(overlap) / abs(overlap))
         return float(np.linalg.norm(a - b))
 
-    def approx_eq(self, other: "ProjectivePoint", tol: float = 1e-9) -> bool:
+    def approx_eq(self, other: "ProjectivePoint", tol: float | None = None) -> bool:
+        """Chordal distance of the unit representatives a - b, of size 2."""
         return self.coords.shape == other.coords.shape and \
-            self.chordal_distance(other) <= tol
+            bool(within_tol(self.chordal_distance(other), 2.0, tol))
 
     def to_json(self) -> list[list[float]]:
         return [[float(c.real), float(c.imag)] for c in self.coords]
@@ -83,15 +86,14 @@ class QuaternionFrame:
     def __post_init__(self) -> None:
         if self.algebra.dimension != 4:
             raise FrameNotFoundError("frame requires a 4-dimensional algebra")
-        tol = 1e-9
-        anti = self.i * self.j + self.j * self.i
-        if root_residual(self.i) > tol or root_residual(self.j) > tol \
-                or anti.norm() > tol:
+        anti = (self.i * self.j + self.j * self.i).norm()
+        if not (is_root(self.i) and is_root(self.j)
+                and within_tol(anti, 2.0 * self.i.norm() * self.j.norm())):
             raise FrameNotFoundError("candidate pair is not a quaternion frame")
         k = self.i * self.j
         mat = np.stack([self.algebra.unit().coeffs, self.i.coeffs,
                         self.j.coeffs, k.coeffs], axis=1)
-        if abs(np.linalg.det(mat)) < 1e-9:
+        if svd_rank(mat)[3] < 4:
             raise FrameNotFoundError("frame vectors are linearly dependent")
         object.__setattr__(self, "_matrix", mat)
 
@@ -103,13 +105,11 @@ class QuaternionFrame:
                 f"dimension {algebra.dimension} algebra has no quaternion frame")
         candidates = [algebra.basis_element(k) for k in range(4)]
         candidates += [a * b for a, b in combinations(candidates, 2)]
-        roots = [c for c in candidates if root_residual(c) <= 1e-9]
-        for a, b in combinations(roots, 2):
-            if (a * b + b * a).norm() <= 1e-9:
-                try:
-                    return cls(algebra, a, b)
-                except FrameNotFoundError:
-                    continue
+        for a, b in combinations(candidates, 2):
+            try:
+                return cls(algebra, a, b)
+            except FrameNotFoundError:
+                continue
         raise FrameNotFoundError("no quaternion frame in this basis")
 
     @property
@@ -118,7 +118,7 @@ class QuaternionFrame:
 
     @property
     def i_root(self) -> RootOfMinusOne:
-        return RootOfMinusOne(self.i, root_residual(self.i))
+        return RootOfMinusOne.measured(self.i)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -165,7 +165,7 @@ def delta1(p: ProjectivePoint) -> ProjectivePoint:
                     w[2] + 1j * w[4] - w[7] + 1j * w[9],
                     w[3] - 1j * w[5] + w[6] + 1j * w[8]])
     peak = np.abs(w).max()
-    if np.abs(out).max() <= 1e-12 * peak:
+    if np.abs(out).max() <= 1e-12 * peak:  # rounded zero, as in ProjectivePoint
         raise DegenerateImageError("delta1 image is the zero vector")
     return ProjectivePoint(out)
 
@@ -176,7 +176,7 @@ def rho1(p: ProjectivePoint, frame: QuaternionFrame) -> Element:
         raise ValueError("rho1 expects a CP^3 point")
     w = p.coords
     base_scale = np.abs(w[:2]).max()
-    if base_scale <= 1e-12 * np.abs(w).max():
+    if base_scale <= 1e-12 * np.abs(w).max():  # rounded zero, as in ProjectivePoint
         raise BasePointAtInfinityError("base point (w0, w1) = (0, 0)")
     return inverse(gamma(w[0], w[1], frame)) * gamma(w[2], w[3], frame)
 
@@ -237,16 +237,6 @@ def standard_section(u: RootOfMinusOne):
     return section
 
 
-def _check_section_value(u: RootOfMinusOne, s: RootOfMinusOne,
-                         c: Element, tol: float) -> None:
-    defect = (u.element * c - c * s.element).norm()
-    if defect > tol * (1.0 + c.norm()):
-        raise BadSectionError(
-            f"section value misses the fiber (defect {defect:.3e})")
-    if c.norm() == 0.0 or is_zerodivisor(c):
-        raise BadSectionError("section value is a zerodivisor")
-
-
 def generalized_twistor(F: StemPolynomial, sigma, z: complex,
                         s: RootOfMinusOne, frame,
                         tol: float | None = None) -> ProjectivePoint:
@@ -260,11 +250,14 @@ def generalized_twistor(F: StemPolynomial, sigma, z: complex,
     u = frame.i_root if isinstance(frame, QuaternionFrame) else frame
     if not isinstance(u, RootOfMinusOne):
         raise TypeError("frame must be a QuaternionFrame or a RootOfMinusOne")
-    tol_v = resolve_tol(tol)
     if not is_root(u.element, tol):
         raise BadSectionError("bundle base point u is not a root of -1")
     c = sigma(s)
-    _check_section_value(u, s, c, max(tol_v, 1e-8))
+    defect = (u.element * c - c * s.element).norm()
+    if not within_tol(defect, c.norm() * (u.element.norm() + s.element.norm()), tol):
+        raise BadSectionError(f"section value misses the fiber (defect {defect:.3e})")
+    if c.norm() == 0.0 or is_zerodivisor(c):
+        raise BadSectionError("section value is a zerodivisor")
     w = F.evaluate(z)
     image = c * w.re + u.element * (c * w.im)
     return ProjectivePoint(np.concatenate([fiber_embed(u, c),

@@ -3,9 +3,9 @@
 A complexified element w = 1(x)a + i(x)b is stored as the pair (a, b).  The
 evaluation pi(w, s) = a + s*b ties w to each square root s of -1; the zero
 variety collects the w annihilated by some s.  Witness search is exact when
-b is invertible (s = -a*b^{-1}, accepted on a backward error bound) and a
-constrained Newton otherwise, with an explicit "inconclusive" verdict when
-the search is not a proof of absence.
+b is invertible (s = -a*b^{-1}) and a constrained Newton otherwise, with an
+explicit "inconclusive" verdict when the search is not a proof of absence.
+Every path accepts a root by one test, `ZeroWitness.holds`.
 
 `discrete_zero_scan` finds the zeros of a slice function exactly, as
 eigenvalues of the real matrix polynomial z -> R_{F(z)}.
@@ -19,17 +19,15 @@ from math import comb
 import numpy as np
 
 from .algebra import Algebra, Element, inverse, is_zerodivisor
-from .config import WITNESS_RTOL, resolve_tol
+from .config import RANK_RELTOL, resolve_tol, within_tol
 from .errors import (NotFoundError, PreconditionFailedError, SliceAlgebraError,
                      ZeroDivisorError)
 from .numerics import affine_square_root, svd_rank
 from .roots import (
     RootOfMinusOne,
     find_seed_root,
-    is_root,
     negate_root,
     polish_root,
-    root_residual,
     sample_root,  # noqa: F401 - unused; bench/tests checks the tracer rebinds it here
 )
 
@@ -119,6 +117,12 @@ class ZeroWitness:
     root: RootOfMinusOne
     residual: float
 
+    def holds(self, tol: float | None = None) -> bool:
+        """Both identities pass the tolerance rule: s*s + 1 against
+        (1 + ||s||)^2 and a + s*b against ||a|| + ||s|| ||b||."""
+        size = self.w.re.norm() + self.root.element.norm() * self.w.im.norm()
+        return self.root.holds(tol) and bool(within_tol(self.residual, size, tol))
+
 
 @dataclass(frozen=True)
 class WitnessSearch:
@@ -138,39 +142,20 @@ class WitnessSearch:
 
 
 def _witness(w: ComplexElement, s: Element) -> ZeroWitness:
-    root = RootOfMinusOne(s, root_residual(s))
+    root = RootOfMinusOne.measured(s)
     return ZeroWitness(w, root, pi_tensor_eval(w, root).norm())
 
 
-def _unique_solution_verdict(w: ComplexElement, cand: Element,
-                             tol: float) -> WitnessSearch:
-    """Verdict when s*b = -a has the single solution cand.
-
-    s is a witness when its defect is at the rounding level of s*s,
-    ||s*s + 1|| <= tol * (1 + ||s||)^2, and ||a + s*b|| <= WITNESS_RTOL *
-    (1 + ||w||).  cand carries the rounding error of solving with b,
-    amplified by the condition of R_b, so a cand that is not a root at tol
-    but within WITNESS_RTOL of S relative to its size is polished toward S,
-    and the polished value is judged before cand itself: for large s the
-    exact step amplifies the rounding of s*s by about ||s||^2 and can move
-    s away from the solution.  A w whose solution is O(1) away from S is
-    "absent" without a polish.
-    """
-    defect = root_residual(cand)
-    tries = [(cand, defect)]
-    if tol < defect <= WITNESS_RTOL * (1.0 + cand.norm()) ** 2:
-        try:
-            polished = polish_root(cand)
-            tries.insert(0, (polished, root_residual(polished)))
-        except ZeroDivisorError:
-            pass  # 2*cand is singular to working precision
-    for s, defect in tries:
-        root = RootOfMinusOne(s, defect)
-        residual = pi_tensor_eval(w, root).norm()
-        if (defect <= tol * (1.0 + s.norm()) ** 2
-                and residual <= WITNESS_RTOL * (1.0 + w.norm())):
-            return WitnessSearch("found", ZeroWitness(w, root, residual))
-    return WitnessSearch("absent")
+def _verdict(w: ComplexElement, candidates, tol: float | None,
+             otherwise: str = "absent") -> WitnessSearch:
+    """A "found" search with the first candidate s whose witness holds at
+    tol, else `otherwise`; candidates may be lazy, so later ones are not
+    computed."""
+    for s in candidates:
+        witness = _witness(w, s)
+        if witness.holds(tol):
+            return WitnessSearch("found", witness)
+    return WitnessSearch(otherwise)
 
 
 def zero_variety_witness(w: ComplexElement,
@@ -179,51 +164,56 @@ def zero_variety_witness(w: ComplexElement,
     """Search for s in S with pi(w, s) = 0.
 
     With b = w.im invertible the answer s = -a*b^{-1} is unique, so the
-    verdict is exact up to the backward error WITNESS_RTOL.  Otherwise the
-    affine solution set of s*b = -a is parametrized through the kernel of
-    R_b and a damped Newton for s*s = -1 runs inside it, from the particular
-    solution and then from up to 19 random points of the kernel.
+    verdict is exact up to the tolerance rule.  Otherwise the affine
+    solution set of s*b = -a is parametrized through the kernel of R_b
+    (solvability is a rank decision, at RANK_RELTOL) and a damped Newton
+    for s*s = -1 runs inside it, from the particular solution and then
+    from up to 19 random points of the kernel.
+
+    A unique solution carries the rounding of solving with b, amplified by
+    the condition of R_b, so one that is a root at sqrt(tol) but not at tol
+    is polished by two exact Newton steps (each squares the relative
+    defect), and the polished value is judged first: for large s the step
+    amplifies the rounding of s*s by about ||s||^2 and can move s off the
+    solution.
     """
-    tol = resolve_tol(tol)
     alg = w.algebra
     a, b = w.re, w.im
-    scale = 1.0 + w.norm()
 
-    if b.norm() == 0.0:
-        if a.norm() > tol * scale:
-            return WitnessSearch("absent")
-        # w = 0: every root is a witness; absence only if S itself is empty.
+    if b.norm() == 0.0:  # pi(w, s) = a: w = 0 is a member through every root
         try:
-            seed = find_seed_root(alg, rng=rng, tol=tol)
-        except NotFoundError:
+            return _verdict(w, [find_seed_root(alg, rng=rng, tol=tol).element], tol)
+        except NotFoundError:  # S is empty
             return WitnessSearch("absent")
-        return WitnessSearch("found", _witness(w, seed.element))
 
     rb = alg.right_matrix_vec(b.coeffs)
-    if not is_zerodivisor(b):
-        # s = -a*b^{-1}, by LU on R_b: backward stable, unlike a*inverse(b)
-        return _unique_solution_verdict(w, alg.element(np.linalg.solve(rb, -a.coeffs)), tol)
+    if is_zerodivisor(b):  # solve the linear part, then search the affine set
+        u, sv, vt, rank = svd_rank(rb)
+        s_part = vt[:rank].T @ ((u[:, :rank].T @ -a.coeffs) / sv[:rank])
+        if np.linalg.norm(rb @ s_part + a.coeffs) > RANK_RELTOL * (
+                a.norm() + sv[0] * np.linalg.norm(s_part)):
+            return WitnessSearch("absent")  # a lies outside the range of R_b
+        kernel = vt[rank:].T  # (N, m)
+        if kernel.shape[1]:
+            rng = np.random.default_rng(0) if rng is None else rng
 
-    # b is a zerodivisor: solve the linear part, then search the affine set.
-    u, sv, vt, rank = svd_rank(rb)
-    s_part = vt[:rank].T @ ((u[:, :rank].T @ -a.coeffs) / sv[:rank])
-    if np.linalg.norm(rb @ s_part + a.coeffs) > 1e-8 * scale:
-        return WitnessSearch("absent")
-    kernel = vt[rank:].T  # (N, m)
+            def newton(attempt: int) -> Element:
+                t = np.zeros(kernel.shape[1]) if attempt == 0 \
+                    else rng.standard_normal(kernel.shape[1])
+                return alg.element(affine_square_root(alg, s_part, kernel, t)[0])
 
-    if kernel.shape[1] == 0:
-        return _unique_solution_verdict(w, alg.element(s_part), tol)
-
-    if rng is None:
-        rng = np.random.default_rng(0)
-    for attempt in range(20):
-        t = np.zeros(kernel.shape[1]) if attempt == 0 \
-            else rng.standard_normal(kernel.shape[1])
-        s_vec, _ = affine_square_root(alg, s_part, kernel, t)
-        cand = alg.element(s_vec)
-        if is_root(cand, tol):
-            return WitnessSearch("found", _witness(w, cand))
-    return WitnessSearch("inconclusive")
+            return _verdict(w, map(newton, range(20)), tol, "inconclusive")
+        cand = alg.element(s_part)
+    else:  # s = -a*b^{-1}, by LU on R_b: backward stable, unlike a*inverse(b)
+        cand = alg.element(np.linalg.solve(rb, -a.coeffs))
+    tries = [cand]
+    root = RootOfMinusOne.measured(cand)
+    if not root.holds(tol) and root.holds(np.sqrt(resolve_tol(tol))):
+        try:
+            tries.insert(0, polish_root(cand))
+        except ZeroDivisorError:
+            pass  # 2*cand is singular to working precision
+    return _verdict(w, tries, tol)
 
 
 def leaf_membership(w: ComplexElement, a: Element,
@@ -238,8 +228,7 @@ def leaf_membership(w: ComplexElement, a: Element,
 
 
 def _require_witness(witness: ZeroWitness, tol: float | None) -> None:
-    bound = resolve_tol(tol) * (1.0 + witness.w.norm())
-    if witness.residual > 1e3 * bound or witness.root.residual > 1e3 * bound:
+    if not witness.holds(tol):
         raise PreconditionFailedError(
             f"claimed witness has residual {witness.residual:.3e}")
 
@@ -248,9 +237,7 @@ def right_absorption(witness: ZeroWitness, wp: ComplexElement,
                      tol: float | None = None) -> ZeroWitness:
     """The product w*wp stays in the zero variety with the same witness root."""
     _require_witness(witness, tol)
-    product = witness.w * wp
-    root = witness.root
-    return ZeroWitness(product, root, pi_tensor_eval(product, root).norm())
+    return _witness(witness.w * wp, witness.root.element)
 
 
 def left_absorption(witness: ZeroWitness, wp: ComplexElement,
@@ -260,22 +247,20 @@ def left_absorption(witness: ZeroWitness, wp: ComplexElement,
 
     Writing wp = (s', t) and a for the witness root of w, the product is
     annihilated by b = (s'a + t)(s' - ta)^{-1}, a conjugate of a, whenever
-    s' - ta is invertible; otherwise a bounded witness search runs on the
-    product and may come back inconclusive.
+    s' - ta is invertible; otherwise, or when that b does not hold at tol,
+    a bounded witness search runs on the product and may come back
+    inconclusive.
     """
     _require_witness(witness, tol)
     a = witness.root.element
     sp, t = wp.re, wp.im
     product = wp * witness.w
     try:
-        b = (sp * a + t) * inverse(sp - t * a)
+        closed_form = [(sp * a + t) * inverse(sp - t * a)]
     except ZeroDivisorError:  # s' - ta is singular: no closed form
-        b = None
-    if b is not None and is_root(b, tol):
-        cand = _witness(product, b)
-        if cand.residual <= resolve_tol(tol) * (1.0 + product.norm()) * 1e2:
-            return WitnessSearch("found", cand)
-    return zero_variety_witness(product, tol=tol, rng=rng)
+        closed_form = []
+    found = _verdict(product, closed_form, tol)
+    return found if found.found else zero_variety_witness(product, tol=tol, rng=rng)
 
 
 # -- zero scan ---------------------------------------------------------------
@@ -332,16 +317,17 @@ def _eigenvalues(mats: np.ndarray, scale: float) -> tuple[np.ndarray, int]:
 
 
 def _cluster_means(zs: np.ndarray, mats: np.ndarray, rank: int,
-                   radii: np.ndarray) -> np.ndarray:
-    """One mean per zero: a group grows around each eigenvalue through radii
-    while R stays flat on it (the r-th singular value of R(z) at the mean and
+                   radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One mean per zero, and the largest distance from it to a member of
+    its group: a group grows around each eigenvalue through radii while R
+    stays flat on it (the r-th singular value of R(z) at the mean and
     halfway to each member at most 10 times the members').  R is flat around
     a multiple zero, whose eigenvalues spread; between distinct zeros not."""
     def gap(points: np.ndarray) -> np.ndarray:
         r_at = np.tensordot(points[:, None] ** np.arange(len(mats)), mats, axes=1)
         return np.linalg.svd(r_at, compute_uv=False)[:, rank - 1]
 
-    means = []
+    means, spreads = [], []
     while zs.size:
         dist = np.abs(zs - zs[0])
         group = dist <= radii[0]
@@ -353,26 +339,31 @@ def _cluster_means(zs: np.ndarray, mats: np.ndarray, rank: int,
                     break
                 group = near
         means.append(zs[group].mean())
+        spreads.append(np.abs(zs[group] - means[-1]).max())
         zs = zs[~group]
-    return np.array([m.real if abs(m.imag) <= radii[0] else m for m in means], dtype=complex)
+    means = np.array([m.real if abs(m.imag) <= radii[0] else m for m in means], dtype=complex)
+    return means, np.array(spreads)
 
 
 def discrete_zero_scan(stem, region, target: Element | None = None,
-                       rng: np.random.Generator | None = None) -> list[ZeroScanHit]:
+                       rng: np.random.Generator | None = None,
+                       tol: float | None = None) -> list[ZeroScanHit]:
     """Solutions of pi(F(z), s) = target over a conjugation-symmetric rectangle.
 
     If a + s*b = 0 with s*s = -1, then (i + s)(a + i b) = 0 in A(x)C, so every
     solution lies over an eigenvalue of R(z) = sum_k z^k R_{c_k}, with c_0
     shifted by target.  The eigenvalues of each zero merge to their mean z,
-    classified exactly: "real" (on the axis) or "sphere" (every root solves)
-    when F(z) = target within the WITNESS_RTOL backward error, else
-    "isolated" when zero_variety_witness finds the root, else dropped.
+    known to within the spread r of its group, and z is classified exactly:
+    "real" (on the axis) or "sphere" (every root solves) when F(z) - target
+    passes the tolerance rule against the size ||target|| +
+    sum_k (|z| + r)^k ||c_k|| of its terms, else "isolated" when
+    zero_variety_witness finds the root at tol, else dropped.
     Off-axis hits come at z and conj z.  Raises SliceAlgebraError "zero set
     is not discrete" when F equals target, or when R(z) is singular at every
     z and F(_PROBE) = target has a solution."""
     from .slicefunctions import require_intrinsic
 
-    require_intrinsic(stem)
+    require_intrinsic(stem, tol)
     alg = stem.algebra
     x0, x1, y0, y1 = (float(v) for v in region)
     if not (x1 > x0):
@@ -382,13 +373,12 @@ def discrete_zero_scan(stem, region, target: Element | None = None,
     tgt = alg.zero().coeffs if target is None else target.coeffs
     coeffs = stem.coeff_matrix.real.copy()
     coeffs[0] -= tgt
-    coeff_norms = np.linalg.norm(coeffs, axis=1)
 
-    def solution(z: complex):  # (class, residual) of the solution over z, or None
+    def solution(z: complex, spread: float = 0.0):  # (class, residual) or None
         w = ComplexElement.from_vector(alg, stem.evaluate_vector(z) - tgt)
-        if w.norm() <= WITNESS_RTOL * (1.0 + abs(z) ** np.arange(len(coeffs)) @ coeff_norms):
+        if within_tol(w.norm(), np.linalg.norm(tgt) + stem.term_size(abs(z) + spread), tol):
             return ("real" if z.imag == 0.0 else "sphere"), w.norm()
-        if z.imag != 0.0 and (search := zero_variety_witness(w, rng=rng)).found:
+        if z.imag != 0.0 and (search := zero_variety_witness(w, tol, rng)).found:
             return "isolated", float(np.hypot(search.witness.residual,
                                               search.witness.root.residual))
         return None
@@ -404,11 +394,12 @@ def discrete_zero_scan(stem, region, target: Element | None = None,
              * np.finfo(float).eps ** (1.0 / np.arange(1, 2 * max(1, len(mats) - 1) + 1)))
     zs = zs[(np.abs(zs.imag) <= ymax + radii[-1])
             & (zs.real >= x0 - radii[-1]) & (zs.real <= x1 + radii[-1])]
-    zs = _cluster_means(zs, mats, rank, radii)
+    zs, spreads = _cluster_means(zs, mats, rank, radii)
+    inside = ((zs.imag >= 0) & (zs.imag <= ymax + radii[1])
+              & (zs.real >= x0 - radii[1]) & (zs.real <= x1 + radii[1]))
     out = []
-    for z in zs[(zs.imag >= 0) & (zs.imag <= ymax + radii[1])
-                & (zs.real >= x0 - radii[1]) & (zs.real <= x1 + radii[1])]:
-        if (found := solution(complex(z))) is not None:
+    for z, spread in zip(zs[inside], spreads[inside]):
+        if (found := solution(complex(z), spread)) is not None:
             out.append(ZeroScanHit(complex(z), found[0], 0, found[1]))
             if z.imag != 0.0:
                 out.append(ZeroScanHit(complex(z).conjugate(), found[0], 0, found[1]))

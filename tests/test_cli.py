@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from slicealgebra import algebra_to_dict, cli, dump_algebra
-from slicealgebra.cli import main, resolve_algebra, run_suite
+from slicealgebra.cli import SUITES, main, resolve_algebra, run_suite
 from slicealgebra.zerovariety import WitnessSearch
 
 
@@ -72,6 +72,13 @@ def test_verify_exit_codes(capsys):
     err = capsys.readouterr().err
     assert err.startswith("FAIL")
 
+    # every suite with a tolerance judges its trials at --tol ("dims"
+    # compares integers): at 1e-30 rounding fails every residual test
+    for suite in SUITES:
+        if suite != "dims":
+            assert main(["verify", suite, "--trials", "10", "--tol", "1e-30"]) == 1, suite
+            assert capsys.readouterr().err.startswith(f"FAIL suite={suite}")
+
 
 def test_verify_not_applicable(capsys):
     assert main(["verify", "traces", "--algebra", "reals"]) == 2
@@ -109,7 +116,7 @@ def test_clifford_3_3_dims_completes(capsys):
 
 def test_absorption_failure_names_the_left_search(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli, "left_absorption",
-                        lambda witness, wp, rng=None: WitnessSearch("absent"))
+                        lambda witness, wp, tol=None, rng=None: WitnessSearch("absent"))
     out = tmp_path / "r.json"
     assert main(["verify", "absorption", "--trials", "3", "--json", str(out)]) == 1
     report = json.loads(out.read_text())
@@ -189,6 +196,21 @@ def test_roots_with_target_and_dict_poly(tmp_path):
     assert all(z["class"] == "real" for z in zeros)
 
 
+def test_roots_tol_reaches_the_scan(tmp_path):
+    """x^2 + x + 1 on H has spheres at (-1 +- i sqrt3)/2, where F(z) is
+    zero only up to rounding; at --tol 1e-30 neither they nor an isolated
+    root over them pass, so the report has no zeros."""
+    poly = _write_poly(tmp_path / "p.json", [[1, 0, 0, 0]] * 3)
+    reports = []
+    for extra in ([], ["--tol", "1e-30"]):
+        out = tmp_path / "o.json"
+        assert main(["roots", poly, "--json", str(out)] + extra) == 0
+        reports.append(json.loads(out.read_text())["zeros"])
+    assert [z["class"] for z in reports[0]] == ["sphere", "sphere"]
+    assert all(z["residual"] > 0 for z in reports[0])
+    assert reports[1] == []
+
+
 def test_roots_usage_errors(tmp_path, capsys):
     poly = _write_poly(tmp_path / "p.json", [[1, 0, 0, 0], [1, 0, 0, 0]])
     assert main(["roots", poly, "--region=bad"]) == 2
@@ -242,19 +264,6 @@ def test_bad_numbers_are_usage_errors(tmp_path, capfd, argv):
     out, err = capfd.readouterr()
     assert out == ""
     assert "finite" in err or "at least 1" in err
-
-
-def test_env_tolerance_is_honored(monkeypatch, capsys):
-    from slicealgebra.config import default_tol
-
-    # a global tolerance below float noise means no root can be certified,
-    # so the suite reports not-applicable rather than pass or fail
-    monkeypatch.setenv("SLICE_ALGEBRA_TOL", "1e-30")
-    assert default_tol() == 1e-30
-    assert main(["verify", "nijenhuis", "--trials", "5"]) == 2
-    monkeypatch.setenv("SLICE_ALGEBRA_TOL", "1e-9")
-    assert main(["verify", "nijenhuis", "--trials", "5"]) == 0
-    capsys.readouterr()
 
 
 def test_module_entry_point(tmp_path):

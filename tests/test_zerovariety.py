@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import einsum_reference as ref
 import oracle_quaternion as oq
 from slicealgebra import (
     ComplexElement,
@@ -102,27 +103,60 @@ def test_witness_constructed_members(quaternions, rng):
 _quaternion = hnp.arrays(float, 4, elements=st.floats(-10.0, 10.0))
 
 
+def _oracle_witness_holds(a, b, s) -> bool:
+    """The tolerance rule on s*s + 1 and a + s*b, in oracle arithmetic."""
+    ns = np.linalg.norm(s)
+    return (np.linalg.norm(oq.qmul(s, s) + oq.ONE) <= 1e-9 * (1.0 + ns) ** 2
+            and np.linalg.norm(oq.pi_pair(a, b, s))
+            <= 1e-9 * (np.linalg.norm(a) + ns * np.linalg.norm(b)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(a=_quaternion, b=_quaternion, member=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_exact_verdict_against_oracle(quaternions, a, b, member, seed):
+       seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-6.0, 6.0))
+def test_exact_verdict_against_oracle(quaternions, a, b, member, seed, exponent):
     """Invertible b: no "absent" input has a root, every "found" root
-    squares to -1 and annihilates w, and every member is found."""
+    squares to -1 and annihilates w, and every member is found.  The
+    verdict on lam*w, lam in [1e-6, 1e6], is the verdict on w."""
     if np.linalg.norm(b) < 0.1:
         b = b + oq.ONE
     if member:
         a = -oq.qmul(oq.random_root(np.random.default_rng(seed)), b)
-    w = ComplexElement(quaternions.element(a), quaternions.element(b))
-    res = zero_variety_witness(w)
-    scale = 1.0 + w.norm()
-    if res.status == "found":
-        s = res.witness.root.element.coeffs
-        assert np.linalg.norm(oq.qmul(s, s) + oq.ONE) <= 1e-9 * (1.0 + np.linalg.norm(s)) ** 2
-        assert np.linalg.norm(oq.pi_pair(a, b, s)) <= 1e-8 * scale
-    else:
-        assert not member and res.status == "absent"
+    lam = 10.0 ** exponent
+    verdicts = []
+    for pa, pb in ((a, b), (lam * a, lam * b)):
+        res = zero_variety_witness(ComplexElement(quaternions.element(pa),
+                                                  quaternions.element(pb)))
+        verdicts.append(res.status)
+        if res.status == "found":
+            assert _oracle_witness_holds(pa, pb, res.witness.root.element.coeffs)
+    assert verdicts[0] == verdicts[1]
+    if verdicts[0] != "found":
+        assert not member and verdicts[0] == "absent"
         cand = -oq.qmul(a, oq.qinv(b))  # the only s with a + s b = 0
         assert np.linalg.norm(oq.qmul(cand, cand) + oq.ONE) > 1e-6
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_member_with_a_large_root_is_found(seed):
+    """s = e3 + 1e4 (e1 + e4) on clifford(2,2) squares to -1 (e1 + e4 is
+    nilpotent and anticommutes with e3) and has norm 1.4e4.  With the
+    zerodivisor b = (1 + e1) r, the Newton path reaches roots of that norm
+    at ||s*s + 1|| of 1e-8 to 1e-7, the rounding level of s*s, which passes
+    only against the size (1 + ||s||)^2 of its terms."""
+    alg = clifford_algebra(2, 2)
+    e = {label: alg.basis_element(i) for i, label in enumerate(alg.labels)}
+    s = e["e3"] + 1e4 * (e["e1"] + e["e4"])
+    b = (alg.unit() + e["e1"]) * alg.random_element(np.random.default_rng(seed))
+    w = ComplexElement(-(s * b), b)
+    res = zero_variety_witness(w)
+    assert res.status == "found"
+    root = res.witness.root.element.coeffs
+    c = alg.structure_constants
+    square = ref.multiply(c, root, root) + alg.unit().coeffs
+    assert np.linalg.norm(square) <= 1e-9 * (1.0 + np.linalg.norm(root)) ** 2
+    pi = w.re.coeffs + ref.multiply(c, root, w.im.coeffs)
+    assert np.linalg.norm(pi) <= 1e-9 * (w.re.norm() + np.linalg.norm(root) * w.im.norm())
 
 
 def test_ill_conditioned_absorption_products_are_found():
@@ -285,6 +319,18 @@ def test_discrete_scan_quadratic_oracle(quaternions):
         assert np.linalg.norm(oq.slice_poly_eval(coeffs, point)) <= 1e-12
 
 
+def test_discrete_scan_tiny_low_coefficients_give_isolated_zeros(quaternions):
+    """c_0 .. c_3 = 1e-9 (1, 1, 1, 1) and c_4 of size 1: the eight zeros at
+    |z| ~ 6e-3 have ||F(z)|| ~ 1e-9, the size of the terms of F(z) there,
+    so they are isolated, not spheres."""
+    small = quaternions.element(1e-9 * np.ones(4))
+    stem = stem_from_slice_poly([small] * 4 + [quaternions.element([1.0, 0.2, -0.3, 0.1])])
+    hits = discrete_zero_scan(stem, (-2, 2, -2, 2))
+    assert len(hits) == 8
+    assert all(h.classification == "isolated" for h in hits)
+    assert all(5e-3 <= abs(h.z) <= 7e-3 for h in hits)
+
+
 def test_discrete_scan_with_target(quaternions):
     # solve x^2 = 1 + 0i via target: zeros of x^2 at value 1
     stem = stem_from_slice_poly([quaternions.zero(), quaternions.zero(),
@@ -310,13 +356,11 @@ def test_scan_finds_the_symmetrization_roots(quaternions, coeffs):
     """Every zero of a quaternion polynomial lies over a root of f * f^c and
     every such root carries a zero, so the hit z-values are those roots.  A
     real zero or a sphere makes a double root, so the simple roots compared
-    here carry isolated zeros.  Coefficients far below the others sit
-    under the WITNESS_RTOL backward error, which may then call an isolated
-    zero a sphere, so each is zero or of size at least 1e-3."""
+    here carry isolated zeros.  Coefficients far below the others are kept:
+    F(z) is judged against the size of its terms, with no absolute floor
+    under which an isolated zero would pass for a sphere."""
     if np.linalg.norm(coeffs[-1]) < 0.5:
         coeffs[-1] = coeffs[-1] + oq.ONE
-    norms = np.linalg.norm(coeffs, axis=1)
-    assume(np.all((norms == 0) | (norms >= 1e-3)))
     roots = np.roots(_symmetrization(coeffs)[::-1])
     # keep the comparison away from the region edge and from near-double roots
     edge = np.minimum(2.0 - np.abs(roots.real), 2.0 - np.abs(roots.imag))
