@@ -28,7 +28,7 @@ from .algebra import (
     is_zerodivisor,
     load_algebra,
 )
-from .config import RANK_RELTOL, default_tol, within_tol
+from .config import default_tol, within_tol
 from .errors import (
     FrameNotFoundError,
     NotFoundError,
@@ -36,6 +36,7 @@ from .errors import (
     SliceAlgebraError,
     SuiteNotApplicableError,
 )
+from .numerics import svd_rank
 from .orthogonal import InnerProduct, antisymmetric_subspace, cone_decompose, sample_S0
 from .roots import (
     RootOfMinusOne,
@@ -254,26 +255,23 @@ def _suite_twistor(alg, trials, rng, tol):
         lifted = np.stack([twistor_lift(stem, z, ProjectivePoint(
             rng.standard_normal(2) + 1j * rng.standard_normal(2)), frame).coords
             for _ in range(6)])
-        sv = np.linalg.svd(lifted, compute_uv=False)
+        _, sv, _, rank = svd_rank(lifted)
         rank_res = float(sv[2] / sv[0]) if sv[0] > 0 else 0.0
         # the lifts of one sphere span a line: rank 2, a rank decision
-        ok = within_tol(residual, size, tol) and rank_res <= RANK_RELTOL
+        ok = within_tol(residual, size, tol) and rank <= 2
         yield ok, max(residual, rank_res), f"trial {t}"
 
 
 def _suite_stereographic(alg, trials, rng, tol):
     u = _seed_or_not_applicable(alg, rng, "stereographic")
-    expected = alg.dimension // 4 if alg.signature is not None else None
+    # the fiber over a conjugate of u is a translate of the centralizer of u
+    expected = (alg.dimension - component_invariant(u)) // 4
     stem = stem_from_slice_poly([alg.unit(), alg.zero(), alg.unit()])
     section = standard_section(u)
     z = 0.3 + 0.7j
     for t in range(trials):
         s = sample_root(u, rng)
-        fiber = stereographic_fiber(u, s)
-        if expected is not None:
-            dim_ok = fiber.rank == expected
-        else:
-            dim_ok = fiber.rank >= 1
+        dim_ok = stereographic_fiber(u, s).rank == expected
         residual = 0.0
         try:
             point = generalized_twistor(stem, section, z, s, u)

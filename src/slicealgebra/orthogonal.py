@@ -285,19 +285,20 @@ def z0_equivalence_check(w: ComplexElement, G: InnerProduct,
     adj, lw = _z0_terms(w, G)
     residual = float(np.linalg.norm(adj @ lw))
     residual_member = bool(within_tol(residual, np.linalg.norm(adj) * np.linalg.norm(lw), tol))
+    a, b = w.re, w.im
+    b_singular = is_zerodivisor(b)
     search = zero_variety_witness(w, tol, rng)
     status = search.status
     if search.found and not is_in_S0(search.witness.root.element, G, tol):
         # a unique witness (invertible im part) outside S0 settles restriction
-        status = "inconclusive" if is_zerodivisor(w.im) else "absent"
+        status = "inconclusive" if b_singular else "absent"
 
     replay = None
-    a, b = w.re, w.im
     try:
         u = b * inverse(a)
     except ZeroDivisorError:  # a zerodivisor a has no u to replay through
         u = None
-    if u is not None and not is_zerodivisor(b):
+    if u is not None and not b_singular:
         lu = alg.left_matrix_vec(u.coeffs)
         adj = adjoint(lu, G)
         la = alg.left_matrix_vec(a.coeffs)

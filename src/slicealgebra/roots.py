@@ -104,39 +104,39 @@ def sample_root(seed: RootOfMinusOne, rng: np.random.Generator,
                 tol: float | None = None) -> RootOfMinusOne:
     """Conjugate the seed by a random invertible element.
 
-    Rejection-samples standard normal vectors until invertible and until the
-    conjugate passes the membership test.  Conjugates with norm above 32
-    are rejected outright: on noncompact components the orbit is unbounded
-    and ill-conditioned y would otherwise dominate the draw.  The survivor
-    is polished with two Newton steps so the residual sits at the rounding
-    floor rather than just under the membership tolerance.
+    Rejection-samples standard normal vectors y until y is invertible, the
+    conjugate y*seed*y^{-1} has norm at most 32, and the conjugate, polished
+    (polish_root) to the rounding floor, passes the membership test.  The
+    norm cap rejects outright: on noncompact components the orbit is
+    unbounded and ill-conditioned y would otherwise dominate the draw.
     """
     algebra = seed.algebra
     for _ in range(200):
         y = algebra.random_element(rng)
         try:
             out = y * seed.element * inverse(y)
-            if out.norm() > 32.0:  # a cap on the draw, not a tolerance
-                continue
-            out = polish_root(out)
-        except ZeroDivisorError:  # y, or 2*out in the polish, is singular
+        except ZeroDivisorError:  # y is singular
             continue
-        cand = RootOfMinusOne.measured(out)
+        if out.norm() > 32.0:  # a cap on the draw, not a tolerance
+            continue
+        cand = RootOfMinusOne.measured(polish_root(out))
         if cand.holds(tol):
             return cand
     raise NotFoundError("conjugation sampling failed repeatedly")
 
 
 def polish_root(s: Element) -> Element:
-    """Two Newton steps for s*s = -1 from s.
+    """Two Newton-Schulz steps s <- s*(s*s + 3)/2 for s*s = -1 from s.
 
-    The defect s^2 + 1 commutes with s, so the correction -(s^2 + 1)(2s)^-1
-    is the exact Newton step.  Raises ZeroDivisorError when 2s is singular,
-    which no point of S is.
+    On S the inverse is known, s^{-1} = -s, and putting it into the Newton
+    step s - (s*s + 1)(2s)^{-1} gives the Newton-Schulz iteration for the
+    matrix sign function (Higham, Functions of Matrices, 2008, ch. 5).  The
+    defect d = s*s + 1 commutes with s, so one step sends it to
+    d^2 (3 + d) / 4: quadratic convergence without an inverse.
     """
-    unit = s.algebra.unit()
+    three = 3.0 * s.algebra.unit()
     for _ in range(2):
-        s = s - (s * s + unit) * inverse(2.0 * s)
+        s = 0.5 * (s * (s * s + three))
     return s
 
 

@@ -128,9 +128,11 @@ class ZeroWitness:
 class WitnessSearch:
     """Outcome of a witness search: found, absent, or inconclusive.
 
-    "absent" is only reported when the decision was exact (invertible b, or
-    an unsatisfiable linear system); a failed bounded search on a solvable
-    system is "inconclusive", never a claim of absence.
+    "absent" is only reported when the decision was exact (a unique
+    solution of s*b = -a that is not a root even at sqrt(tol), or an
+    unsatisfiable linear system); a failed bounded search on a solvable
+    system, or a unique solution that is a root at sqrt(tol) but gives no
+    witness, polished or not, is "inconclusive", never a claim of absence.
     """
 
     status: str
@@ -171,11 +173,10 @@ def zero_variety_witness(w: ComplexElement,
     from up to 19 random points of the kernel.
 
     A unique solution carries the rounding of solving with b, amplified by
-    the condition of R_b, so one that is a root at sqrt(tol) but not at tol
-    is polished by two exact Newton steps (each squares the relative
-    defect), and the polished value is judged first: for large s the step
-    amplifies the rounding of s*s by about ||s||^2 and can move s off the
-    solution.
+    the condition of R_b.  One that is a root at sqrt(tol) but not at tol
+    is polished (polish_root) and the polished value is judged first; the
+    polish moves s towards S and can move it off a + s*b = 0, so when
+    neither value holds the verdict is "inconclusive", not "absent".
     """
     alg = w.algebra
     a, b = w.re, w.im
@@ -206,14 +207,10 @@ def zero_variety_witness(w: ComplexElement,
         cand = alg.element(s_part)
     else:  # s = -a*b^{-1}, by LU on R_b: backward stable, unlike a*inverse(b)
         cand = alg.element(np.linalg.solve(rb, -a.coeffs))
-    tries = [cand]
     root = RootOfMinusOne.measured(cand)
-    if not root.holds(tol) and root.holds(np.sqrt(resolve_tol(tol))):
-        try:
-            tries.insert(0, polish_root(cand))
-        except ZeroDivisorError:
-            pass  # 2*cand is singular to working precision
-    return _verdict(w, tries, tol)
+    if root.holds(tol) or not root.holds(np.sqrt(resolve_tol(tol))):
+        return _verdict(w, [cand], tol)
+    return _verdict(w, [polish_root(cand), cand], tol, "inconclusive")
 
 
 def leaf_membership(w: ComplexElement, a: Element,

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from slicealgebra import algebra_to_dict, cli, dump_algebra
+from slicealgebra import (SuiteNotApplicableError, algebra_to_dict, cli, clifford_algebra,
+                          dump_algebra)
 from slicealgebra.cli import SUITES, main, resolve_algebra, run_suite
 from slicealgebra.zerovariety import WitnessSearch
 
@@ -78,6 +79,29 @@ def test_verify_exit_codes(capsys):
         if suite != "dims":
             assert main(["verify", suite, "--trials", "10", "--tol", "1e-30"]) == 1, suite
             assert capsys.readouterr().err.startswith(f"FAIL suite={suite}")
+
+
+def test_stereographic_on_the_complex_numbers(capsys):
+    """The fiber over a conjugate of u has complex rank (N - tr T_u)/4, the
+    rank of the centralizer of u: on C, tr T_i = -2 gives 1, not N // 4 = 0."""
+    assert main(["verify", "stereographic", "--algebra", "complex",
+                 "--trials", "10"]) == 0
+    assert capsys.readouterr().err.startswith("PASS suite=stereographic")
+
+
+@pytest.mark.parametrize("p, q", [(p, n - p) for n in range(7) for p in range(n + 1)])
+def test_every_suite_on_every_signature(p, q):
+    """Every suite passes on every Cl(p, q) with p + q <= 6, or does not apply."""
+    alg = clifford_algebra(p, q)
+    failed = []
+    for suite in SUITES:
+        try:
+            report = run_suite(suite, alg, f"clifford({p},{q})", trials=3, seed=0, tol=1e-9)
+        except SuiteNotApplicableError:
+            continue
+        if not report.passed:
+            failed.append((suite, report.failures))
+    assert failed == []
 
 
 def test_verify_not_applicable(capsys):

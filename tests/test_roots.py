@@ -3,6 +3,9 @@ trace identities and the complexified eigenspace."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracle_quaternion as oq
 from slicealgebra import (
@@ -27,6 +30,7 @@ from slicealgebra import (
     tangent_frame,
     verify_trace_identities,
 )
+from slicealgebra.roots import polish_root
 
 SIGNATURES = [(0, 1), (0, 2), (2, 0), (1, 1), (0, 3), (3, 0), (1, 2), (2, 1), (0, 4)]
 
@@ -94,6 +98,38 @@ def test_conjugation_and_sampling_stay_in_locus(cl03, rng):
         conj = conjugate_root(y, s)
         assert root_residual(conj.element) <= 1e-8
         assert component_invariant(conj) == component_invariant(s)
+
+
+def test_polish_root_needs_no_lapack(monkeypatch):
+    """On S the inverse is -s, so the polish solves and factors nothing: it
+    still brings a perturbed Cl(0,6) root to the rounding floor."""
+    alg = clifford_algebra(0, 6)
+    rng = np.random.default_rng(0)
+    s = sample_root(find_seed_root(alg), rng).element
+    start = s + 1e-6 * alg.random_element(rng)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("polish_root called LAPACK")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    out = polish_root(start)
+    floor = 4.0 * np.finfo(float).eps * alg.dimension * (1.0 + out.norm()) ** 2
+    assert root_residual(start) > 1e3 * floor
+    assert root_residual(out) <= floor
+
+
+@settings(max_examples=100, deadline=None)
+@given(direction=hnp.arrays(float, 3, elements=st.floats(-1.0, 1.0)),
+       perturbation=hnp.arrays(float, 4, elements=st.floats(-5e-6, 5e-6)))
+def test_polish_root_reaches_the_floor_on_h(quaternions, direction, perturbation):
+    """From a unit pure quaternion moved by at most 1e-5, two Newton-Schulz
+    steps reach ||s*s + 1|| <= 4 eps N (1 + ||s||)^2, in oracle arithmetic."""
+    assume(np.linalg.norm(direction) > 0.1)
+    start = np.concatenate([[0.0], direction / np.linalg.norm(direction)]) + perturbation
+    s = polish_root(quaternions.element(start)).coeffs
+    floor = 4.0 * np.finfo(float).eps * 4 * (1.0 + np.linalg.norm(s)) ** 2
+    assert np.linalg.norm(oq.qmul(s, s) + oq.ONE) <= floor
 
 
 def test_sigma_involution_is_involutive(quaternions, rng):

@@ -169,6 +169,23 @@ def test_ill_conditioned_absorption_products_are_found():
     assert not failed & {"trial 45", "trial 88", "trial 90"}
 
 
+def test_ill_conditioned_members_are_never_absent():
+    """b = (1 + e1) r1 + 1e-7 r2 on clifford(2,2) has R_b of condition 2e7
+    to 2e9 (the zerodivisor test takes those above 1e8), so -a b^-1 misses
+    S by about cond * eps and the polish moves it off a + s*b = 0: neither
+    may be read as absence.  k = 1, 2, 3, 5, 9, 10 and 13 were once
+    reported "absent"."""
+    alg = clifford_algebra(2, 2)
+    zerodivisor = alg.unit() + alg.basis_element(1)  # e1 squares to +1
+    statuses = []
+    for k in range(20):
+        rng = np.random.default_rng(k)
+        s = sample_root(find_seed_root(alg), rng)
+        b = zerodivisor * alg.random_element(rng) + 1e-7 * alg.random_element(rng)
+        statuses.append(zero_variety_witness(ComplexElement(-(s.element * b), b)).status)
+    assert "absent" not in statuses, statuses
+
+
 def test_witness_zero_element(quaternions):
     res = zero_variety_witness(ComplexElement.zero(quaternions))
     assert res.status == "found"
