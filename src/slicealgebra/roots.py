@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Element, inverse
+from .algebra import Algebra, Element
 from .config import within_tol
 from .errors import NonIntegerTraceError, NotFoundError, NotTangentError, ZeroDivisorError
 from .numerics import affine_square_root, column_space, null_space
@@ -95,29 +95,32 @@ def find_seed_root(algebra: Algebra,
 
 
 def conjugate_root(y: Element, s: RootOfMinusOne) -> RootOfMinusOne:
-    """Move s along its connected component: y*s*y^{-1}."""
-    out = y * s.element * inverse(y)
-    return RootOfMinusOne.measured(out)
+    """y*s*y^{-1}: the x with x*y = y*s, by one LU solve on R_y, no inverse
+    and no SVD.  Raises ZeroDivisorError when LAPACK finds R_y singular."""
+    try:
+        x = np.linalg.solve(y.algebra.right_matrix_vec(y.coeffs), (y * s.element).coeffs)
+    except np.linalg.LinAlgError as exc:
+        raise ZeroDivisorError(f"element {y!r} is singular") from exc
+    return RootOfMinusOne.measured(Element(y.algebra, x))
 
 
 def sample_root(seed: RootOfMinusOne, rng: np.random.Generator,
                 tol: float | None = None) -> RootOfMinusOne:
-    """Conjugate the seed by a random invertible element.
+    """Conjugate the seed by random standard normal y (conjugate_root).
 
-    Rejection-samples standard normal vectors y until y is invertible, the
-    conjugate y*seed*y^{-1} has norm at most 32, and the conjugate, polished
-    (polish_root) to the rounding floor, passes the membership test.  The
-    norm cap rejects outright: on noncompact components the orbit is
-    unbounded and ill-conditioned y would otherwise dominate the draw.
+    A draw is rejected when R_y is singular, when the conjugate is not
+    finite or has norm above 32 (a cap, not a tolerance: on noncompact
+    components the orbit is unbounded), or when the conjugate, polished
+    (polish_root) to the rounding floor, fails the membership test.
     """
     algebra = seed.algebra
     for _ in range(200):
         y = algebra.random_element(rng)
         try:
-            out = y * seed.element * inverse(y)
-        except ZeroDivisorError:  # y is singular
+            out = conjugate_root(y, seed).element
+        except ZeroDivisorError:
             continue
-        if out.norm() > 32.0:  # a cap on the draw, not a tolerance
+        if not out.norm() <= 32.0:  # NaN fails it too
             continue
         cand = RootOfMinusOne.measured(polish_root(out))
         if cand.holds(tol):

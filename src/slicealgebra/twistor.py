@@ -216,15 +216,12 @@ def fiber_real_basis(u: RootOfMinusOne, s: RootOfMinusOne) -> np.ndarray:
 def stereographic_fiber(u: RootOfMinusOne, s: RootOfMinusOne) -> ComplexSubspace:
     """The fiber over s of the bundle carried by (A, L_u), embedded C-linearly.
 
-    The real solution space of u c = c s is L_u-closed, so its chart image
-    is a complex subspace of half the real dimension.
+    The real solution space B of u c = c s is L_u-closed, so its chart
+    image B - i (L_u B) is a complex subspace of half the real dimension.
     """
-    alg = u.algebra
     basis = fiber_real_basis(u, s)
-    if basis.shape[1] == 0:
-        return ComplexSubspace(alg, np.zeros((alg.dimension, 0), dtype=complex))
-    cols = np.stack([fiber_embed(u, alg.element(col)) for col in basis.T], axis=1)
-    return ComplexSubspace(alg, column_space(cols))
+    cols = basis - 1j * (u.algebra.left_matrix_vec(u.element.coeffs) @ basis)
+    return ComplexSubspace(u.algebra, column_space(cols))
 
 
 def standard_section(u: RootOfMinusOne):

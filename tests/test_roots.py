@@ -13,6 +13,7 @@ from slicealgebra import (
     NotFoundError,
     NotTangentError,
     RootOfMinusOne,
+    ZeroDivisorError,
     clifford_algebra,
     component_invariant,
     conjugate_root,
@@ -98,6 +99,72 @@ def test_conjugation_and_sampling_stay_in_locus(cl03, rng):
         conj = conjugate_root(y, s)
         assert root_residual(conj.element) <= 1e-8
         assert component_invariant(conj) == component_invariant(s)
+
+
+@pytest.mark.parametrize("p, q", [(0, 6), (3, 3)])
+def test_sampling_needs_no_svd(monkeypatch, p, q):
+    """A draw is judged by the norm cap and the membership test alone: with
+    the SVD made to raise, sampling and conjugation still give roots."""
+    alg = clifford_algebra(p, q)
+    seed = find_seed_root(alg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampling called the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        s = sample_root(seed, rng)
+        assert s.holds() and component_invariant(s) == component_invariant(seed)
+        assert conjugate_root(alg.random_element(rng), s).holds()
+
+
+class _QueuedNormals:
+    """A generator stub whose standard_normal hands out queued vectors."""
+
+    def __init__(self, vectors):
+        self.vectors = list(vectors)
+
+    def standard_normal(self, size):
+        out = np.asarray(self.vectors.pop(0), dtype=float)
+        assert out.shape == (size,)
+        return out
+
+
+def test_sampling_rejects_exact_zerodivisors(cl11):
+    """y = 1 + e1 and (1 + e1) r are zerodivisors of Cl(1,1): LU on R_y
+    finds the first singular, the norm cap or LU rejects the second, and
+    the draw is the polished conjugate by the third, invertible y."""
+    seed = find_seed_root(cl11)
+    zd = cl11.unit() + cl11.basis_element(1)
+    normals = np.random.default_rng(3)
+    r, good = cl11.random_element(normals), cl11.random_element(normals)
+    s = sample_root(seed, _QueuedNormals([zd.coeffs, (zd * r).coeffs, good.coeffs]))
+    assert s.holds() and component_invariant(s) == component_invariant(seed)
+    want = conjugate_root(good, seed).element
+    assert (s.element - want).norm() <= 1e-9 * (1.0 + want.norm())
+
+
+def test_conjugating_by_a_zerodivisor_raises(cl11):
+    seed = find_seed_root(cl11)
+    with pytest.raises(ZeroDivisorError):
+        conjugate_root(cl11.unit() + cl11.basis_element(1), seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(y=hnp.arrays(float, 4, elements=st.floats(-1.0, 1.0)),
+       log_scale=st.floats(-3.0, 3.0),
+       direction=hnp.arrays(float, 3, elements=st.floats(-1.0, 1.0)))
+def test_conjugate_root_matches_the_oracle_on_h(quaternions, y, log_scale, direction):
+    """y*s*y^{-1} by LU on R_y against Hamilton products, for 1e-3 <= ||y||
+    <= 1e3 and s a unit pure quaternion, at tol * (1 + ||s||)^2."""
+    assume(np.linalg.norm(y) > 0.1 and np.linalg.norm(direction) > 0.1)
+    y = 10.0 ** log_scale * y / np.linalg.norm(y)
+    s = np.concatenate([[0.0], direction / np.linalg.norm(direction)])
+    got = conjugate_root(quaternions.element(y),
+                         RootOfMinusOne.measured(quaternions.element(s))).element.coeffs
+    want = oq.qmul(oq.qmul(y, s), oq.qinv(y))
+    assert np.linalg.norm(got - want) <= 1e-9 * (1.0 + np.linalg.norm(s)) ** 2
 
 
 def test_polish_root_needs_no_lapack(monkeypatch):

@@ -221,6 +221,32 @@ def test_fiber_complex_and_cl03(complex_algebra, cl03, rng):
         assert stereographic_fiber(u, s).rank == 2
 
 
+def _projector(cols: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto the span of cols, rank by its own SVD."""
+    if cols.shape[1] == 0:
+        return np.zeros((cols.shape[0], cols.shape[0]))
+    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
+    q = u[:, sv > 1e-8 * sv[0]]
+    return q @ q.conj().T
+
+
+@pytest.mark.parametrize("p, q", [(0, 6), (3, 3), (2, 1), (0, 1)])
+def test_fiber_chart_is_fiber_embed_on_the_real_basis(p, q):
+    """stereographic_fiber charts the real basis in one product; its span is
+    that of fiber_embed applied column by column, the chart's definition."""
+    alg = clifford_algebra(p, q)
+    u = find_seed_root(alg)
+    rng = np.random.default_rng(p + 7 * q)
+    targets = [u, RootOfMinusOne(-u.element, u.residual)]
+    targets += [sample_root(u, rng) for _ in range(3)]
+    for s in targets:
+        basis = fiber_real_basis(u, s)
+        want = np.stack([fiber_embed(u, alg.element(col)) for col in basis.T], axis=1) \
+            if basis.shape[1] else np.zeros((alg.dimension, 0), dtype=complex)
+        got = stereographic_fiber(u, s).matrix
+        assert np.linalg.norm(_projector(got) - _projector(want)) <= 1e-9
+
+
 def test_fiber_over_a_central_root_in_a_dense_basis():
     """The pseudoscalar u of Cl(2,3) is a central root, so u c = c u for
     every c.  In a rotated basis R_u L_u + 1 vanishes only up to rounding,
