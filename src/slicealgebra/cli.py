@@ -131,19 +131,21 @@ def _seed_or_not_applicable(alg: Algebra, rng, suite: str):
             f"suite {suite!r} needs a root of -1 in the algebra") from exc
 
 
-def _suite_traces(alg, trials, rng, tol):
-    seed = _seed_or_not_applicable(alg, rng, "traces")
+def _sampled_roots(alg: Algebra, trials: int, rng, suite: str):
+    seed = _seed_or_not_applicable(alg, rng, suite)
     for t in range(trials):
-        s = sample_root(seed, rng)
+        yield t, sample_root(seed, rng)
+
+
+def _suite_traces(alg, trials, rng, tol):
+    for t, s in _sampled_roots(alg, trials, rng, "traces"):
         report = verify_trace_identities(s, tol)
         residual = max(row["residual"] for row in report.rows)
         yield report.passed, residual, f"trial {t}"
 
 
 def _suite_nijenhuis(alg, trials, rng, tol):
-    seed = _seed_or_not_applicable(alg, rng, "nijenhuis")
-    for t in range(trials):
-        s = sample_root(seed, rng)
+    for t, s in _sampled_roots(alg, trials, rng, "nijenhuis"):
         frame = tangent_frame(s)
         x = frame.random_tangent(rng)
         y = frame.random_tangent(rng)
@@ -153,9 +155,7 @@ def _suite_nijenhuis(alg, trials, rng, tol):
 
 
 def _suite_dims(alg, trials, rng, tol):
-    seed = _seed_or_not_applicable(alg, rng, "dims")
-    for t in range(trials):
-        s = sample_root(seed, rng)
+    for t, s in _sampled_roots(alg, trials, rng, "dims"):
         expected, rem = divmod(alg.dimension + component_invariant(s), 2)
         gap = abs(tangent_frame(s).dimension - expected) + rem
         yield gap == 0, float(gap), f"trial {t}"
@@ -183,9 +183,7 @@ def _suite_zero_variety(alg, trials, rng, tol):
 
 
 def _suite_absorption(alg, trials, rng, tol):
-    seed = _seed_or_not_applicable(alg, rng, "absorption")
-    for t in range(trials):
-        s = sample_root(seed, rng)
+    for t, s in _sampled_roots(alg, trials, rng, "absorption"):
         b = alg.random_element(rng)
         base = zero_variety_witness(ComplexElement(-(s.element * b), b), tol, rng)
         if not base.found:

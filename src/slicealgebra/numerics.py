@@ -1,9 +1,10 @@
 """The shared numerical steps: rank decisions by singular values and the
-damped Newton for s*s = -1 on an affine set.
+damped Newton for s*s = -1 on an affine set, with optional linear rows.
 
 Every kernel, eigenspace and fiber in the package is decided by
 `svd_rank`, and every Newton search for a root of -1 (seed, orthogonal
-root, zero-variety witness) runs through `affine_square_root`.
+root, zero-variety witness, alone or with a + s*b) runs through
+`affine_square_root`.
 """
 
 from __future__ import annotations
@@ -46,22 +47,20 @@ def column_space(m: np.ndarray) -> np.ndarray:
 
 
 def affine_square_root(algebra, base: np.ndarray, span: np.ndarray,
-                       t0: np.ndarray):
-    """Damped Newton for s*s + 1 = 0 over s = base + span @ t, from t0.
+                       t0: np.ndarray, rows: np.ndarray | None = None):
+    """Damped Gauss-Newton for s*s + 1 = 0 over s = base + span @ t, from
+    t0, and for M s + c = 0 with it when rows = [M | c] is given, weighted
+    by the caller onto the scale (1 + ||s||)^2 of s*s + 1.
 
-    Each step solves J dt = -(s*s + 1), J = (L_s + R_s) @ span, through the
-    pseudo-inverse of J truncated at svd_rank's cutoff: J is rank-deficient
-    at every root, since the tangent directions of S lie in its kernel, and
-    rounding-level singular values would turn the step into noise.  A step
-    is first cut to length 1 + ||s||, then halved, down to 1/1024, until
-    the residual drops.  The search stops at the first of: the residual is
-    at the rounding floor eps * N * (1 + ||s||)^2 of s*s, a bound that the
-    rounding error can lie well below, after one last whole step, kept if
-    it lowers the residual; no tried step lowers the residual (that step
-    is not taken); LAPACK fails; NEWTON_ITERATIONS steps.
-
-    Returns (s, ||s*s + 1||); s lies in base + span whether or not the
-    search converged.
+    A step solves J dt = -r for the stacked residual r, J = [L_s + R_s; M]
+    @ span, by the pseudo-inverse of J truncated at svd_rank's cutoff: the
+    tangent directions of S lie in the kernel of L_s + R_s at every root,
+    and rounding-level singular values would make the step noise.  It is
+    cut to length 1 + ||s||, then halved down to 1/1024 until ||r|| drops.
+    The search stops at the first of: ||r|| at the rounding floor
+    eps * N * (1 + ||s||)^2 of s*s, after one last whole step kept if it
+    lowers ||r||; no tried step lowers ||r||; LAPACK fails;
+    NEWTON_ITERATIONS steps.  Returns (s, ||r||), s in base + span.
     """
     unit = algebra.unit().coeffs
     floor = np.finfo(float).eps * algebra.dimension
@@ -69,12 +68,14 @@ def affine_square_root(algebra, base: np.ndarray, span: np.ndarray,
     def residual(t):
         s = base + span @ t
         r = algebra.multiply_vec(s, s) + unit
+        r = r if rows is None else np.concatenate([r, rows[:, :-1] @ s + rows[:, -1]])
         return s, r, np.linalg.norm(r)
 
     t = np.array(t0, dtype=float)
     s, r, rn = residual(t)
     for _ in range(NEWTON_ITERATIONS):
-        jac = (algebra.left_matrix_vec(s) + algebra.right_matrix_vec(s)) @ span
+        jac = algebra.left_matrix_vec(s) + algebra.right_matrix_vec(s)
+        jac = (jac if rows is None else np.vstack([jac, rows[:, :-1]])) @ span
         try:
             u, sv, vt, rank = svd_rank(jac)
         except np.linalg.LinAlgError:  # the SVD did not converge

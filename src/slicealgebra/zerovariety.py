@@ -2,10 +2,10 @@
 
 A complexified element w = 1(x)a + i(x)b is stored as the pair (a, b).  The
 evaluation pi(w, s) = a + s*b ties w to each square root s of -1; the zero
-variety collects the w annihilated by some s.  Witness search is exact when
-b is invertible (s = -a*b^{-1}) and a constrained Newton otherwise, with an
-explicit "inconclusive" verdict when the search is not a proof of absence.
-Every path accepts a root by one test, `ZeroWitness.holds`.
+variety collects the w annihilated by some s.  Witness search solves
+s*b = -a and decides by one band rule, exact outside it, with an explicit
+"inconclusive" verdict when the search is not a proof of absence.  Every
+path accepts a root by one test, `ZeroWitness.holds`.
 
 `discrete_zero_scan` finds the zeros of a slice function exactly, as
 eigenvalues of the real matrix polynomial z -> R_{F(z)}.
@@ -27,7 +27,6 @@ from .roots import (
     RootOfMinusOne,
     find_seed_root,
     negate_root,
-    polish_root,
     sample_root,  # noqa: F401 - unused; bench/tests checks the tracer rebinds it here
 )
 
@@ -126,14 +125,8 @@ class ZeroWitness:
 
 @dataclass(frozen=True)
 class WitnessSearch:
-    """Outcome of a witness search: found, absent, or inconclusive.
-
-    "absent" is only reported when the decision was exact (a unique
-    solution of s*b = -a that is not a root even at sqrt(tol), or an
-    unsatisfiable linear system); a failed bounded search on a solvable
-    system, or a unique solution that is a root at sqrt(tol) but gives no
-    witness, polished or not, is "inconclusive", never a claim of absence.
-    """
+    """Outcome of a witness search: found, absent (only when the decision
+    was exact, see zero_variety_witness) or inconclusive."""
 
     status: str
     witness: ZeroWitness | None = None
@@ -151,13 +144,30 @@ def _witness(w: ComplexElement, s: Element) -> ZeroWitness:
 def _verdict(w: ComplexElement, candidates, tol: float | None,
              otherwise: str = "absent") -> WitnessSearch:
     """A "found" search with the first candidate s whose witness holds at
-    tol, else `otherwise`; candidates may be lazy, so later ones are not
-    computed."""
+    tol.  In the band (it holds at sqrt(tol) only) every witness lies within
+    r = (||a + s*b|| + tol size) / sigma_min(R_b) of s, where the defect of
+    s falls by at most ||L_s + R_s|| r, to first order: "absent" if it stays
+    above tol, else the joint Newton, rows [R_b | a] weighted onto
+    (1 + ||s||)^2, or "inconclusive".  No candidate in the band:
+    `otherwise`.  Candidates may be lazy, so later ones are not computed."""
+    alg, a, b, tol = w.algebra, w.re, w.im, resolve_tol(tol)
+    status = otherwise
     for s in candidates:
         witness = _witness(w, s)
+        if not witness.holds(tol) and witness.holds(np.sqrt(tol)):
+            status, rb, ns = "inconclusive", alg.right_matrix_vec(b.coeffs), s.norm()
+            size = a.norm() + ns * b.norm()
+            r = (witness.residual + tol * size) / np.linalg.svd(rb, compute_uv=False)[-1]
+            lip = np.linalg.norm(alg.left_matrix_vec(s.coeffs) + alg.right_matrix_vec(s.coeffs), 2)
+            if witness.root.residual - lip * r > tol * (1.0 + ns + r) ** 2:
+                return WitnessSearch("absent")
+            rows = np.column_stack([rb, a.coeffs]) * ((1.0 + ns) ** 2 / size)
+            joint, _ = affine_square_root(alg, s.coeffs, np.eye(alg.dimension),
+                                          np.zeros(alg.dimension), rows)
+            witness = _witness(w, alg.element(joint))
         if witness.holds(tol):
             return WitnessSearch("found", witness)
-    return WitnessSearch(otherwise)
+    return WitnessSearch(status)
 
 
 def zero_variety_witness(w: ComplexElement,
@@ -165,21 +175,17 @@ def zero_variety_witness(w: ComplexElement,
                          rng: np.random.Generator | None = None) -> WitnessSearch:
     """Search for s in S with pi(w, s) = 0.
 
-    With b = w.im invertible the answer s = -a*b^{-1} is unique, so the
-    verdict is exact up to the tolerance rule.  Otherwise the affine
-    solution set of s*b = -a is parametrized through the kernel of R_b
-    (solvability is a rank decision, at RANK_RELTOL) and a damped Newton
-    for s*s = -1 runs inside it, from the particular solution and then
-    from up to 19 random points of the kernel.
-
-    A unique solution carries the rounding of solving with b, amplified by
-    the condition of R_b.  One that is a root at sqrt(tol) but not at tol
-    is polished (polish_root) and the polished value is judged first; the
-    polish moves s towards S and can move it off a + s*b = 0, so when
-    neither value holds the verdict is "inconclusive", not "absent".
+    The candidates: with b = w.im invertible, the unique s = -a*b^{-1} by
+    LU on R_b; else a damped Newton for s*s = -1 on the solution set of
+    s*b = -a, through the kernel of R_b, from the particular solution and up
+    to 19 random points.  One band rule decides (_verdict).  Outside the
+    band, "absent" is exact: the unique solution is not a root even at
+    sqrt(tol), or a misses the range of R_b by more than sqrt(RANK_RELTOL)
+    relative.  Inside it a candidate carries the rounding of solving with b:
+    "absent" when sigma_min(R_b) keeps every witness too close to it, else
+    one joint Newton on s*s + 1 and a + s*b finds it or not.
     """
-    alg = w.algebra
-    a, b = w.re, w.im
+    alg, a, b = w.algebra, w.re, w.im
 
     if b.norm() == 0.0:  # pi(w, s) = a: w = 0 is a member through every root
         try:
@@ -188,29 +194,24 @@ def zero_variety_witness(w: ComplexElement,
             return WitnessSearch("absent")
 
     rb = alg.right_matrix_vec(b.coeffs)
-    if is_zerodivisor(b):  # solve the linear part, then search the affine set
-        u, sv, vt, rank = svd_rank(rb)
-        s_part = vt[:rank].T @ ((u[:, :rank].T @ -a.coeffs) / sv[:rank])
-        if np.linalg.norm(rb @ s_part + a.coeffs) > RANK_RELTOL * (
-                a.norm() + sv[0] * np.linalg.norm(s_part)):
-            return WitnessSearch("absent")  # a lies outside the range of R_b
-        kernel = vt[rank:].T  # (N, m)
-        if kernel.shape[1]:
-            rng = np.random.default_rng(0) if rng is None else rng
+    if not is_zerodivisor(b):  # s = -a*b^{-1}, by LU on R_b: backward stable
+        return _verdict(w, [alg.element(np.linalg.solve(rb, -a.coeffs))], tol)
+    u, sv, vt, rank = svd_rank(rb)
+    s_part = vt[:rank].T @ ((u[:, :rank].T @ -a.coeffs) / sv[:rank])
+    if np.linalg.norm(rb @ s_part + a.coeffs) > np.sqrt(RANK_RELTOL) * (
+            a.norm() + sv[0] * np.linalg.norm(s_part)):
+        return WitnessSearch("absent")  # a lies outside the range of R_b
+    kernel = vt[rank:].T  # (N, m)
+    if not kernel.shape[1]:
+        return _verdict(w, [alg.element(s_part)], tol)
+    rng = np.random.default_rng(0) if rng is None else rng
 
-            def newton(attempt: int) -> Element:
-                t = np.zeros(kernel.shape[1]) if attempt == 0 \
-                    else rng.standard_normal(kernel.shape[1])
-                return alg.element(affine_square_root(alg, s_part, kernel, t)[0])
+    def newton(attempt: int) -> Element:
+        t = np.zeros(kernel.shape[1]) if attempt == 0 \
+            else rng.standard_normal(kernel.shape[1])
+        return alg.element(affine_square_root(alg, s_part, kernel, t)[0])
 
-            return _verdict(w, map(newton, range(20)), tol, "inconclusive")
-        cand = alg.element(s_part)
-    else:  # s = -a*b^{-1}, by LU on R_b: backward stable, unlike a*inverse(b)
-        cand = alg.element(np.linalg.solve(rb, -a.coeffs))
-    root = RootOfMinusOne.measured(cand)
-    if root.holds(tol) or not root.holds(np.sqrt(resolve_tol(tol))):
-        return _verdict(w, [cand], tol)
-    return _verdict(w, [polish_root(cand), cand], tol, "inconclusive")
+    return _verdict(w, map(newton, range(20)), tol, "inconclusive")
 
 
 def leaf_membership(w: ComplexElement, a: Element,

@@ -81,6 +81,21 @@ def test_affine_square_root_finds_quaternion_root(quaternions, seed):
     assert np.allclose(oq.qmul(s, s), -oq.ONE, atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_affine_square_root_with_linear_rows_solves_both(quaternions, seed):
+    """Rows [R_b | a] with a = -j b add a + s*b = 0, whose only solution on
+    H is j: the joint search reaches it from a start off both sets."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(4)
+    a = -oq.qmul(oq.J, b)
+    rb = np.column_stack([oq.qmul(e, b) for e in np.eye(4)])  # x -> x b
+    start = oq.J + 0.3 * rng.standard_normal(4)
+    s, rn = affine_square_root(quaternions, np.zeros(4), np.eye(4), start,
+                               np.column_stack([rb, a]))
+    assert rn <= 1e-12 * (1.0 + np.linalg.norm(a))
+    assert np.allclose(s, oq.J, atol=1e-12)
+
+
 @settings(max_examples=200, deadline=None)
 @given(start=hnp.arrays(float, 4, elements=st.floats(-10.0, 10.0)))
 def test_affine_square_root_on_quaternions_reaches_the_root_of_its_plane(
