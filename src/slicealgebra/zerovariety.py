@@ -141,26 +141,38 @@ def _witness(w: ComplexElement, s: Element) -> ZeroWitness:
     return ZeroWitness(w, root, pi_tensor_eval(w, root).norm())
 
 
-def _verdict(w: ComplexElement, candidates, tol: float | None,
-             otherwise: str = "absent") -> WitnessSearch:
+def _excluded(witness: ZeroWitness, rb: np.ndarray, tol: float) -> bool:
+    """No witness at tol lies near s: each s' = s + d has ||d|| <= r, where
+    (sigma_min(R_b) - tol ||b||) r = ||a + s*b|| + tol (||a|| + ||s|| ||b||),
+    and ||s'*s' + 1|| >= ||s*s + 1|| - ||L_s + R_s|| r - mu r^2, as ||x*y|| <=
+    mu ||x|| ||y|| for mu the Frobenius norm of the structure constants."""
+    w, s, ns = witness.w, witness.root.element, witness.root.element.norm()
+    mu = np.linalg.norm(s.algebra.structure_constants)
+    gap = np.linalg.svd(rb, compute_uv=False)[-1] - tol * w.im.norm()
+    if gap <= 0.0:  # R_b bounds no distance
+        return False
+    r = (witness.residual + tol * (w.re.norm() + ns * w.im.norm())) / gap
+    lip = np.linalg.norm(s.algebra.left_matrix_vec(s.coeffs)
+                         + s.algebra.right_matrix_vec(s.coeffs), 2)
+    return bool(witness.root.residual - lip * r - mu * r * r > tol * (1.0 + ns + r) ** 2)
+
+
+def _verdict(w: ComplexElement, candidates, tol: float | None, otherwise: str = "absent",
+             rb: np.ndarray | None = None, invertible: bool = False) -> WitnessSearch:
     """A "found" search with the first candidate s whose witness holds at
-    tol.  In the band (it holds at sqrt(tol) only) every witness lies within
-    r = (||a + s*b|| + tol size) / sigma_min(R_b) of s, where the defect of
-    s falls by at most ||L_s + R_s|| r, to first order: "absent" if it stays
-    above tol, else the joint Newton, rows [R_b | a] weighted onto
-    (1 + ||s||)^2, or "inconclusive".  No candidate in the band:
-    `otherwise`.  Candidates may be lazy, so later ones are not computed."""
+    tol.  In the band (it holds at sqrt(tol) only): "absent" if b is
+    `invertible` and _excluded(s), else a joint Newton from s on rows
+    [R_b | a] weighted onto (1 + ||s||)^2 (rb: R_b, if the caller has it).
+    No candidate in the band: `otherwise`.  Candidates may be lazy."""
     alg, a, b, tol = w.algebra, w.re, w.im, resolve_tol(tol)
     status = otherwise
     for s in candidates:
         witness = _witness(w, s)
         if not witness.holds(tol) and witness.holds(np.sqrt(tol)):
-            status, rb, ns = "inconclusive", alg.right_matrix_vec(b.coeffs), s.norm()
-            size = a.norm() + ns * b.norm()
-            r = (witness.residual + tol * size) / np.linalg.svd(rb, compute_uv=False)[-1]
-            lip = np.linalg.norm(alg.left_matrix_vec(s.coeffs) + alg.right_matrix_vec(s.coeffs), 2)
-            if witness.root.residual - lip * r > tol * (1.0 + ns + r) ** 2:
+            rb = alg.right_matrix_vec(b.coeffs) if rb is None else rb
+            if invertible and _excluded(witness, rb, tol):
                 return WitnessSearch("absent")
+            status, ns, size = "inconclusive", s.norm(), a.norm() + s.norm() * b.norm()
             rows = np.column_stack([rb, a.coeffs]) * ((1.0 + ns) ** 2 / size)
             joint, _ = affine_square_root(alg, s.coeffs, np.eye(alg.dimension),
                                           np.zeros(alg.dimension), rows)
@@ -175,15 +187,12 @@ def zero_variety_witness(w: ComplexElement,
                          rng: np.random.Generator | None = None) -> WitnessSearch:
     """Search for s in S with pi(w, s) = 0.
 
-    The candidates: with b = w.im invertible, the unique s = -a*b^{-1} by
-    LU on R_b; else a damped Newton for s*s = -1 on the solution set of
-    s*b = -a, through the kernel of R_b, from the particular solution and up
-    to 19 random points.  One band rule decides (_verdict).  Outside the
-    band, "absent" is exact: the unique solution is not a root even at
-    sqrt(tol), or a misses the range of R_b by more than sqrt(RANK_RELTOL)
-    relative.  Inside it a candidate carries the rounding of solving with b:
-    "absent" when sigma_min(R_b) keeps every witness too close to it, else
-    one joint Newton on s*s + 1 and a + s*b finds it or not.
+    The candidates: for an invertible b = w.im the unique s = -a*b^{-1}, by
+    LU on R_b; else Newton for s*s = -1 on the solutions of s*b = -a, from
+    the particular one and up to 19 random points.  One band rule decides
+    (_verdict).  "absent" is exact: the unique solution is not a root even
+    at sqrt(tol), a misses the range of R_b by more than sqrt(RANK_RELTOL)
+    relative, or in the band sigma_min(R_b) keeps every witness from it.
     """
     alg, a, b = w.algebra, w.re, w.im
 
@@ -195,7 +204,8 @@ def zero_variety_witness(w: ComplexElement,
 
     rb = alg.right_matrix_vec(b.coeffs)
     if not is_zerodivisor(b):  # s = -a*b^{-1}, by LU on R_b: backward stable
-        return _verdict(w, [alg.element(np.linalg.solve(rb, -a.coeffs))], tol)
+        return _verdict(w, [alg.element(np.linalg.solve(rb, -a.coeffs))], tol,
+                        rb=rb, invertible=True)
     u, sv, vt, rank = svd_rank(rb)
     s_part = vt[:rank].T @ ((u[:, :rank].T @ -a.coeffs) / sv[:rank])
     if np.linalg.norm(rb @ s_part + a.coeffs) > np.sqrt(RANK_RELTOL) * (
@@ -203,7 +213,7 @@ def zero_variety_witness(w: ComplexElement,
         return WitnessSearch("absent")  # a lies outside the range of R_b
     kernel = vt[rank:].T  # (N, m)
     if not kernel.shape[1]:
-        return _verdict(w, [alg.element(s_part)], tol)
+        return _verdict(w, [alg.element(s_part)], tol, rb=rb)
     rng = np.random.default_rng(0) if rng is None else rng
 
     def newton(attempt: int) -> Element:
@@ -211,7 +221,7 @@ def zero_variety_witness(w: ComplexElement,
             else rng.standard_normal(kernel.shape[1])
         return alg.element(affine_square_root(alg, s_part, kernel, t)[0])
 
-    return _verdict(w, map(newton, range(20)), tol, "inconclusive")
+    return _verdict(w, map(newton, range(20)), tol, "inconclusive", rb)
 
 
 def leaf_membership(w: ComplexElement, a: Element,

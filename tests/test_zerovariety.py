@@ -115,10 +115,9 @@ def _oracle_witness_holds(a, b, s) -> bool:
 @given(a=_quaternion, b=_quaternion, member=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1), exponent=st.floats(-6.0, 6.0))
 def test_exact_verdict_against_oracle(quaternions, a, b, member, seed, exponent):
-    """Invertible b: no "absent" input has a root (the only solution of
-    a + s*b = 0 is not a root at tol), every "found" root squares to -1 and
-    annihilates w, and every member is found.  The verdict on lam*w, lam
-    in [1e-6, 1e6], is the verdict on w."""
+    """Invertible b: no "absent" input has a witness at tol, every "found"
+    root squares to -1 and annihilates w, and every member is found.  The
+    verdict on lam*w, lam in [1e-6, 1e6], is the verdict on w."""
     if np.linalg.norm(b) < 0.1:
         b = b + oq.ONE
     if member:
@@ -136,7 +135,13 @@ def test_exact_verdict_against_oracle(quaternions, a, b, member, seed, exponent)
         assert not member and verdicts[0] == "absent"
         cand = -oq.qmul(a, oq.qinv(b))  # the only s with a + s b = 0
         ncand = np.linalg.norm(cand)
-        assert np.linalg.norm(oq.qmul(cand, cand) + oq.ONE) > 1e-9 * (1.0 + ncand) ** 2
+        defect = np.linalg.norm(oq.qmul(cand, cand) + oq.ONE)
+        # outside the band [tol, sqrt(tol)] the margin is wide
+        assert defect > 1e-6 or defect <= np.sqrt(1e-9) * (1.0 + ncand) ** 2
+        # every witness at tol lies within r of cand (||x y|| = ||x|| ||y||),
+        # where s*s + 1 moves by at most 2 ||cand|| r + r^2
+        r = 1e-9 * (np.linalg.norm(a) / np.linalg.norm(b) + ncand) / (1.0 - 1e-9)
+        assert defect - 2.0 * ncand * r - r * r > 1e-9 * (1.0 + ncand + r) ** 2
 
 
 def _witness_holds_in_einsum(w, root, tol=1e-9):
@@ -229,6 +234,22 @@ def test_a_near_miss_with_a_well_conditioned_b_is_decided(quaternions, gap):
     member = np.linalg.norm(oq.qmul(s, s) + oq.ONE) <= 1e-9 * (1.0 + np.linalg.norm(s)) ** 2
     res = zero_variety_witness(ComplexElement(quaternions.element(a), quaternions.unit()))
     assert res.status == ("found" if member else "absent")
+
+
+def test_absence_in_the_band_keeps_the_second_order_term(cl11):
+    """b = 1 + (1 - 1e-4) e1 has sigma_min(R_b) = 1e-4, so a witness at tol
+    may lie r = 2.8e-5 from the solution s = lam e2 of a + s*b = 0.  The
+    defect lam^2 - 1 of s clears the first-order bound ||L_s + R_s|| r +
+    tol (1 + ||s|| + r)^2 (||L_s + R_s|| = 2 lam) by less than mu r^2,
+    mu = sqrt(2) the largest ||x*y|| / (||x|| ||y||) on clifford(1,1): no
+    witness is ruled out, so the verdict may not be "absent"."""
+    lam, delta = 1.0000282869, 1e-4
+    b = cl11.unit() + (1.0 - delta) * cl11.basis_element(1)
+    s = lam * cl11.basis_element(2)  # e2 squares to -1
+    r = 1e-9 * 2.0 * lam * b.norm() / (delta - 1e-9 * b.norm())
+    margin = lam ** 2 - 1.0 - 2.0 * lam * r - 1e-9 * (1.0 + lam + r) ** 2
+    assert 0.0 < margin < np.sqrt(2.0) * r * r
+    assert zero_variety_witness(ComplexElement(-(s * b), b)).status != "absent"
 
 
 def test_witness_zero_element(quaternions):
