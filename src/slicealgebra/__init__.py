@@ -12,10 +12,12 @@ from .algebra import (
     dump_algebra,
     inverse,
     is_zerodivisor,
+    left_divide,
     load_algebra,
     make_algebra,
     multiply,
     operator_matrix,
+    right_divide,
 )
 from .errors import (
     BadSectionError,

@@ -23,7 +23,8 @@ Blades are graded-lexicographically ordered, so that the unit is index 0
 and the pseudoscalar is the last basis element.
 
 Invertibility is decided on L_a alone: a is a zerodivisor exactly when
-inverse(a) raises ZeroDivisorError.
+inverse(a) raises ZeroDivisorError.  Quotients need no inverse:
+left_divide and right_divide are one LU solve each.
 """
 
 from __future__ import annotations
@@ -378,6 +379,13 @@ def _singular(m: np.ndarray) -> bool:
     return bool(sv[-1] < max(RANK_RELTOL * sv[0], np.finfo(float).tiny))
 
 
+def _solve(op: np.ndarray, d: Element, c: Element) -> Element:
+    try:
+        return Element(d.algebra, np.linalg.solve(op, d.coeffs))
+    except np.linalg.LinAlgError as exc:
+        raise ZeroDivisorError(f"element {c!r} is singular") from exc
+
+
 def inverse(a: Element) -> Element:
     """Two-sided inverse: the solution of a*x = 1, by LU on L_a once the
     singular values have shown L_a to be well conditioned.  Raises
@@ -385,7 +393,18 @@ def inverse(a: Element) -> Element:
     left = a.algebra.left_matrix_vec(a.coeffs)
     if _singular(left):
         raise ZeroDivisorError(f"element {a!r} is numerically singular")
-    return Element(a.algebra, np.linalg.solve(left, a.algebra.unit().coeffs))
+    return _solve(left, a.algebra.unit(), a)
+
+
+def left_divide(c: Element, d: Element) -> Element:
+    """c^{-1}*d, the x with c*x = d, by one LU solve on L_c and no SVD.  Raises
+    ZeroDivisorError only when LAPACK finds L_c exactly singular."""
+    return _solve(c.algebra.left_matrix_vec(c.coeffs), d, c)
+
+
+def right_divide(d: Element, c: Element) -> Element:
+    """d*c^{-1}: the x with x*c = d, by one LU solve on R_c (as left_divide)."""
+    return _solve(c.algebra.right_matrix_vec(c.coeffs), d, c)
 
 
 def is_zerodivisor(a: Element) -> bool:

@@ -1,13 +1,16 @@
-"""The shared numerical steps: rank decisions by singular values and the
-damped Newton for s*s = -1 on an affine set, with optional linear rows.
+"""The shared numerical steps: rank decisions by singular values, ranges of
+projectors of known rank, and the damped Newton for s*s = -1 on an affine
+set, with optional linear rows.
 
-Every kernel, eigenspace and fiber in the package is decided by
-`svd_rank`, and every Newton search for a root of -1 (seed, orthogonal
-root, zero-variety witness, alone or with a + s*b) runs through
+Every rank that is a verdict is decided by `svd_rank`; a fiber or an
+eigenspace whose rank is an integer trace comes from `projector_range`, with
+no SVD.  Every Newton search for a root of -1 runs through
 `affine_square_root`.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,17 +36,27 @@ def svd_rank(m: np.ndarray, scale: float = 0.0):
     return u, sv, vt, int(np.sum(sv > cutoff))
 
 
-def null_space(m: np.ndarray, scale: float = 0.0) -> np.ndarray:
-    """Orthonormal columns spanning the kernel of a square or tall m
-    (`scale` as in svd_rank)."""
-    _, _, vt, rank = svd_rank(m, scale)
+def null_space(m: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the kernel of a square or tall m."""
+    _, _, vt, rank = svd_rank(m)
     return np.ascontiguousarray(vt[rank:].T)
 
 
-def column_space(m: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the range of a square or tall m."""
-    u, _, _, rank = svd_rank(m)
-    return np.ascontiguousarray(u[:, :rank])
+@lru_cache(maxsize=None)
+def _sketch(n: int, k: int) -> np.ndarray:
+    """The fixed Gaussian test matrix of shape (n, k), seeded from the shape."""
+    omega = np.random.default_rng((n, k)).standard_normal((n, k))
+    omega.flags.writeable = False
+    return omega
+
+
+def projector_range(p: np.ndarray, rank: int) -> np.ndarray:
+    """Orthonormal columns spanning the range of a real or complex projector
+    p of known rank (Halko, Martinsson and Tropp, SIAM Review 53, 2011): QR
+    of p @ Omega for a fixed Gaussian Omega, then once more of p @ Q, which
+    pulls the rounding of the first QR back into the range."""
+    q = np.linalg.qr(p @ _sketch(p.shape[0], rank))[0]
+    return np.linalg.qr(p @ q)[0]
 
 
 def affine_square_root(algebra, base: np.ndarray, span: np.ndarray,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Element, OperatorMatrix, inverse, is_zerodivisor
+from .algebra import Algebra, Element, OperatorMatrix, is_zerodivisor, right_divide
 from .config import within_tol
 from .errors import DimensionMismatchError, NotFoundError, ZeroDivisorError
 from .numerics import affine_square_root, null_space
@@ -295,7 +295,7 @@ def z0_equivalence_check(w: ComplexElement, G: InnerProduct,
 
     replay = None
     try:
-        u = b * inverse(a)
+        u = right_divide(b, a)
     except ZeroDivisorError:  # a zerodivisor a has no u to replay through
         u = None
     if u is not None and not b_singular:

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, right_divide
 from .config import within_tol
 from .errors import NonIntegerTraceError, NotFoundError, NotTangentError, ZeroDivisorError
-from .numerics import affine_square_root, column_space, null_space
+from .numerics import affine_square_root, null_space, projector_range
 
 
 @dataclass(frozen=True)
@@ -95,18 +95,15 @@ def find_seed_root(algebra: Algebra,
 
 
 def conjugate_root(y: Element, s: RootOfMinusOne) -> RootOfMinusOne:
-    """y*s*y^{-1}: the x with x*y = y*s, by one LU solve on R_y, no inverse
-    and no SVD.  Raises ZeroDivisorError when LAPACK finds R_y singular."""
-    try:
-        x = np.linalg.solve(y.algebra.right_matrix_vec(y.coeffs), (y * s.element).coeffs)
-    except np.linalg.LinAlgError as exc:
-        raise ZeroDivisorError(f"element {y!r} is singular") from exc
-    return RootOfMinusOne.measured(Element(y.algebra, x))
+    """y*s*y^{-1} = right_divide(y*s, y), one LU solve on R_y and no SVD.
+    Raises ZeroDivisorError when LAPACK finds R_y singular."""
+    return RootOfMinusOne.measured(right_divide(y * s.element, y))
 
 
 def sample_root(seed: RootOfMinusOne, rng: np.random.Generator,
                 tol: float | None = None) -> RootOfMinusOne:
-    """Conjugate the seed by random standard normal y (conjugate_root).
+    """Conjugate the seed by random standard normal y, as conjugate_root
+    does but measuring only the polished conjugate.
 
     A draw is rejected when R_y is singular, when the conjugate is not
     finite or has norm above 32 (a cap, not a tolerance: on noncompact
@@ -117,7 +114,7 @@ def sample_root(seed: RootOfMinusOne, rng: np.random.Generator,
     for _ in range(200):
         y = algebra.random_element(rng)
         try:
-            out = conjugate_root(y, seed).element
+            out = right_divide(y * seed.element, y)
         except ZeroDivisorError:
             continue
         if not out.norm() <= 32.0:  # NaN fails it too
@@ -176,17 +173,22 @@ def tangent_frame(s: RootOfMinusOne) -> TangentFrame:
     return TangentFrame(s, null_space(f))
 
 
-def component_invariant(s: RootOfMinusOne) -> int:
-    """tr(T_s), an integer constant on connected components of S."""
-    alg = s.algebra
-    t = alg.left_matrix_vec(s.element.coeffs) @ alg.right_matrix_vec(s.element.coeffs)
-    tr = float(np.trace(t))
+def integer_trace(m: np.ndarray) -> int:
+    """The trace of an involution m (m @ m = 1), snapped to an integer."""
+    tr = float(np.trace(m))
     snapped = round(tr)
     # rounding moves the trace by about N * eps * ||s||^2, far below 0.01;
-    # a non-integer trace means s is no root at all
+    # a non-integer trace means the operator is built from no root at all
     if abs(tr - snapped) > 0.01:
         raise NonIntegerTraceError(f"trace {tr} is not close to an integer")
     return int(snapped)
+
+
+def component_invariant(s: RootOfMinusOne) -> int:
+    """tr(T_s), an integer constant on connected components of S."""
+    alg = s.algebra
+    return integer_trace(alg.left_matrix_vec(s.element.coeffs)
+                         @ alg.right_matrix_vec(s.element.coeffs))
 
 
 def _require_tangent(s: RootOfMinusOne, h: Element, tol: float | None) -> None:
@@ -229,7 +231,7 @@ class ComplexSubspace:
         return self.matrix.shape[1]
 
     def contains(self, vector: np.ndarray, tol: float | None = None) -> bool:
-        # the columns are orthonormal (column_space), so this is the projection
+        # the columns are orthonormal (projector_range), so this is the projection
         proj = self.matrix @ (self.matrix.conj().T @ vector)
         return bool(within_tol(np.linalg.norm(vector - proj),
                                np.linalg.norm(vector) + np.linalg.norm(proj), tol))
@@ -238,13 +240,13 @@ class ComplexSubspace:
 def minus_i_eigenspace(s: RootOfMinusOne) -> ComplexSubspace:
     """The (-i)-eigenspace of L_s on the complexification.
 
-    Spanned by the vectors v + i(s*v); each basis column w returned satisfies
-    L_s w = -i w, so its imaginary part is s times its real part.
+    The range of the projector (1 + i L_s)/2, of rank N/2, spanned by the
+    vectors v + i(s*v); each basis column w returned satisfies L_s w = -i w,
+    so its imaginary part is s times its real part.
     """
     alg = s.algebra
-    left = alg.left_matrix_vec(s.element.coeffs)
-    cols = np.eye(alg.dimension) + 1j * left
-    return ComplexSubspace(alg, column_space(cols))
+    proj = 0.5 * (np.eye(alg.dimension) + 1j * alg.left_matrix_vec(s.element.coeffs))
+    return ComplexSubspace(alg, projector_range(proj, alg.dimension // 2))
 
 
 # -- trace report ------------------------------------------------------------

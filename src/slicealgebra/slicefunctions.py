@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, Element, inverse
+from .algebra import Algebra, Element, left_divide
 from .config import within_tol
 from .errors import InvalidTwistError, NotIntrinsicError
 from .roots import RootOfMinusOne
@@ -198,7 +198,7 @@ class TwistMap:
         if self.kind == "identity":
             return s
         if self.kind == "fixed-automorphism":
-            out = inverse(self.y) * s.element * self.y
+            out = left_divide(self.y, s.element * self.y)
         elif self.kind == "per-z-automorphism":
             out = self.callback(z, s)
             if isinstance(out, RootOfMinusOne):

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import Algebra, Element, inverse, is_zerodivisor
+from .algebra import Algebra, Element, is_zerodivisor, left_divide
 from .config import within_tol
 from .errors import (
     BadSectionError,
@@ -24,8 +24,8 @@ from .errors import (
     DegenerateImageError,
     FrameNotFoundError,
 )
-from .numerics import column_space, null_space, svd_rank
-from .roots import ComplexSubspace, RootOfMinusOne, is_root
+from .numerics import projector_range, svd_rank
+from .roots import ComplexSubspace, RootOfMinusOne, integer_trace, is_root
 from .slicefunctions import StemPolynomial, require_intrinsic
 from .zerovariety import ComplexElement
 
@@ -178,7 +178,7 @@ def rho1(p: ProjectivePoint, frame: QuaternionFrame) -> Element:
     base_scale = np.abs(w[:2]).max()
     if base_scale <= 1e-12 * np.abs(w).max():  # rounded zero, as in ProjectivePoint
         raise BasePointAtInfinityError("base point (w0, w1) = (0, 0)")
-    return inverse(gamma(w[0], w[1], frame)) * gamma(w[2], w[3], frame)
+    return left_divide(gamma(w[0], w[1], frame), gamma(w[2], w[3], frame))
 
 
 def rho(z: complex, u: ProjectivePoint, frame: QuaternionFrame) -> Element:
@@ -205,23 +205,31 @@ def fiber_embed(u: RootOfMinusOne, a: Element) -> np.ndarray:
     return a.coeffs - 1j * (u.element * a).coeffs
 
 
-def fiber_real_basis(u: RootOfMinusOne, s: RootOfMinusOne) -> np.ndarray:
-    """Columns spanning {c : u c = c s}, the (-1)-eigenspace of R_s L_u."""
+def _fiber_projector(u: RootOfMinusOne, s: RootOfMinusOne):
+    """(1 - R_s L_u)/2, onto {c : u c = c s}, the (-1)-eigenspace of the
+    involution R_s L_u; its rank (N - tr R_s L_u)/2; and L_u."""
     alg = u.algebra
-    op = alg.right_matrix_vec(s.element.coeffs) @ alg.left_matrix_vec(u.element.coeffs)
-    # op is an involution, so op + 1 is 0 (u = s central) or has eigenvalue 2
-    return null_space(op + np.eye(alg.dimension), scale=2.0)
+    left = alg.left_matrix_vec(u.element.coeffs)
+    op = alg.right_matrix_vec(s.element.coeffs) @ left
+    return 0.5 * (np.eye(alg.dimension) - op), (alg.dimension - integer_trace(op)) // 2, left
+
+
+def fiber_real_basis(u: RootOfMinusOne, s: RootOfMinusOne) -> np.ndarray:
+    """Orthonormal columns spanning {c : u c = c s} (projector_range)."""
+    return projector_range(*_fiber_projector(u, s)[:2])
 
 
 def stereographic_fiber(u: RootOfMinusOne, s: RootOfMinusOne) -> ComplexSubspace:
     """The fiber over s of the bundle carried by (A, L_u), embedded C-linearly.
 
     The real solution space B of u c = c s is L_u-closed, so its chart
-    image B - i (L_u B) is a complex subspace of half the real dimension.
+    image B - i (L_u B) is a complex subspace of half the real dimension:
+    the range of (1 - i L_u)/2 (the +i-eigenspace of L_u, which commutes
+    with R_s L_u) times the fiber projector, found by one projector_range.
     """
-    basis = fiber_real_basis(u, s)
-    cols = basis - 1j * (u.algebra.left_matrix_vec(u.element.coeffs) @ basis)
-    return ComplexSubspace(u.algebra, column_space(cols))
+    proj, rank, left = _fiber_projector(u, s)
+    chart = 0.5 * (proj - 1j * (left @ proj))  # (1 - i L_u)/2 times proj
+    return ComplexSubspace(u.algebra, projector_range(chart, rank // 2))
 
 
 def standard_section(u: RootOfMinusOne):
@@ -272,4 +280,4 @@ def rho1_general(p: ProjectivePoint, u: RootOfMinusOne) -> Element:
         raise ValueError("point does not match the algebra dimension")
     c = u.algebra.element(p.coords[:n].real)
     d = u.algebra.element(p.coords[n:].real)
-    return inverse(c) * d
+    return left_divide(c, d)

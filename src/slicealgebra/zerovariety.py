@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .algebra import Algebra, Element, inverse, is_zerodivisor
+from .algebra import Algebra, Element, is_zerodivisor, right_divide
 from .config import RANK_RELTOL, resolve_tol, within_tol
 from .errors import (NotFoundError, PreconditionFailedError, SliceAlgebraError,
                      ZeroDivisorError)
@@ -264,7 +264,7 @@ def left_absorption(witness: ZeroWitness, wp: ComplexElement,
     sp, t = wp.re, wp.im
     product = wp * witness.w
     try:
-        closed_form = [(sp * a + t) * inverse(sp - t * a)]
+        closed_form = [right_divide(sp * a + t, sp - t * a)]
     except ZeroDivisorError:  # s' - ta is singular: no closed form
         closed_form = []
     found = _verdict(product, closed_form, tol)

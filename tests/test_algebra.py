@@ -1,5 +1,5 @@
 """Structure-constant validation, Clifford products, multiplication
-operators, inverses and JSON interchange."""
+operators, inverses, quotients and JSON interchange."""
 
 import json
 from itertools import combinations
@@ -23,9 +23,11 @@ from slicealgebra import (
     clifford_algebra,
     inverse,
     is_zerodivisor,
+    left_divide,
     make_algebra,
     multiply,
     operator_matrix,
+    right_divide,
 )
 
 
@@ -250,3 +252,26 @@ def test_quaternion_inverse_matches_oracle(quaternions, p):
     if np.any(p):
         assert np.allclose(inverse(a).coeffs, oq.qinv(p), rtol=1e-12,
                            atol=1e-12 * np.linalg.norm(oq.qinv(p)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=hnp.arrays(float, 4, elements=st.floats(-100.0, 100.0)).filter(
+    lambda c: np.linalg.norm(c) >= 1e-3),
+       d=hnp.arrays(float, 4, elements=st.floats(-100.0, 100.0)))
+def test_quaternion_divides_match_oracle(quaternions, c, d):
+    """c^{-1} d and d c^{-1} against conj(c)/|c|^2 multiplied out by hand;
+    L_c and R_c are |c| times orthogonal, so the quotients are exact to
+    rounding relative to |d|/|c|."""
+    ce, de = quaternions.element(c), quaternions.element(d)
+    atol = 1e-12 * (1.0 + np.linalg.norm(d)) / np.linalg.norm(c)
+    assert np.allclose(left_divide(ce, de).coeffs, oq.qmul(oq.qinv(c), d), rtol=0, atol=atol)
+    assert np.allclose(right_divide(de, ce).coeffs, oq.qmul(d, oq.qinv(c)), rtol=0, atol=atol)
+
+
+def test_divides_by_a_zerodivisor_raise(cl11):
+    """1 + e1 in clifford(1,1) has (1 - e1)(1 + e1) = 0: L and R are exactly
+    singular, and LAPACK's LU finds a zero pivot."""
+    zd = cl11.unit() + cl11.basis_element(1)
+    for divide in (lambda d: left_divide(zd, d), lambda d: right_divide(d, zd)):
+        with pytest.raises(ZeroDivisorError):
+            divide(cl11.unit())

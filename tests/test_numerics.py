@@ -1,4 +1,4 @@
-"""The shared rank decisions and the Newton for s*s = -1."""
+"""The shared rank decisions, projector ranges and the Newton for s*s = -1."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,9 @@ import oracle_quaternion as oq
 from slicealgebra.config import RANK_RELTOL
 from slicealgebra.numerics import (
     affine_square_root,
-    column_space,
     null_space,
+    projector_range,
+    svd_rank,
 )
 
 
@@ -39,9 +40,40 @@ def test_rank_cutoff_is_relative(rng):
     basis = np.linalg.qr(rng.standard_normal((6, 6)))[0]
     m = basis @ np.diag([5.0, 2.0, 1.0, 1e-3, 1e-9, 0.0]) @ basis.T
     assert null_space(m).shape == (6, 2)
-    assert column_space(m).shape == (6, 4)
+    assert svd_rank(m)[3] == 4
     assert null_space(np.zeros((3, 3))).shape == (3, 3)
-    assert column_space(np.zeros((3, 3))).shape == (3, 0)
+    assert svd_rank(np.zeros((3, 3)))[3] == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 64), data=st.data(), complex_=st.booleans(),
+       skew=st.floats(-2.0, 3.0), seed=st.integers(0, 2**32 - 1))
+def test_projector_range_spans_the_range_of_an_oblique_projector(
+        n, data, complex_, skew, seed):
+    """P = X (Y^H X)^{-1} Y^H with Y = X + 10^skew W, W orthogonal to X, so
+    that ||P|| grows with skew.  Q has orthonormal columns, P Q = Q up to the
+    rounding of P (its own idempotency defect ||P P - P|| included), and Q
+    spans the range found by an SVD of P."""
+    k = data.draw(st.integers(0, n))
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        x = rng.standard_normal((n, k))
+        return x + 1j * rng.standard_normal((n, k)) if complex_ else x
+
+    x, w = draw(), draw()
+    basis = np.linalg.qr(x)[0]
+    y = x + 10.0 ** skew * (w - basis @ (basis.conj().T @ w))
+    p = x @ np.linalg.solve(y.conj().T @ x, y.conj().T)
+    norm = np.linalg.norm(p, 2)
+    assume(norm <= 1e3)
+    q = projector_range(p, k)
+    rounding = n * np.finfo(float).eps * max(norm, 1.0)
+    reference = np.linalg.svd(p)[0][:, :k]
+    assert q.shape == (n, k)
+    assert np.linalg.norm(q.conj().T @ q - np.eye(k)) <= 10.0 * n * np.finfo(float).eps
+    assert np.linalg.norm(p @ q - q) <= 10.0 * (rounding + np.linalg.norm(p @ p - p))
+    assert np.linalg.norm(q @ q.conj().T - reference @ reference.conj().T) <= 100.0 * rounding
 
 
 def test_affine_square_root_keeps_a_start_that_is_a_root(quaternions):

@@ -15,6 +15,7 @@ from slicealgebra import (
     QuaternionFrame,
     RootOfMinusOne,
     clifford_algebra,
+    component_invariant,
     delta1,
     eval_slice,
     fiber_embed,
@@ -24,6 +25,7 @@ from slicealgebra import (
     generalized_twistor,
     inverse,
     make_algebra,
+    minus_i_eigenspace,
     pi_eval,
     conjugate_root,
     rho,
@@ -258,6 +260,32 @@ def test_fiber_over_a_central_root_in_a_dense_basis():
     assert fiber_real_basis(u, u).shape[1] == 32
     assert stereographic_fiber(u, u).rank == 16
     assert stereographic_fiber(u, RootOfMinusOne.from_element(-u.element)).rank == 0
+
+
+@pytest.mark.parametrize("p, q", [(0, 2), (2, 1), (0, 6)])
+def test_fiber_eigenspace_and_quotient_need_no_svd(monkeypatch, p, q):
+    """Each fiber and eigenspace is the range of a projector whose rank is a
+    trace, and the chart quotient is one LU solve: with the SVD made to
+    raise they still give the fiber, the eigenspace and f(x + sy)."""
+    alg = clifford_algebra(p, q)
+    u = find_seed_root(alg)
+    rng = np.random.default_rng(p + 7 * q)
+    stem = stem_from_slice_poly([alg.random_element(rng) for _ in range(3)])
+    roots = [sample_root(u, rng) for _ in range(3)]
+    points = [generalized_twistor(stem, standard_section(u), 0.3 + 0.7j, s, u)
+              for s in roots]  # the section test decides a rank by SVD
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    n, expected = alg.dimension, (alg.dimension - component_invariant(u)) // 4
+    for s, point in zip(roots, points):
+        assert fiber_real_basis(u, s).shape == (n, 2 * expected)
+        assert stereographic_fiber(u, s).rank == expected
+        assert minus_i_eigenspace(s).rank == n // 2
+        want = eval_slice(stem, 0.3 + 0.7j, s)
+        assert (rho1_general(point, u) - want).norm() <= 1e-9 * (1 + want.norm())
 
 
 def test_fiber_embed_is_complex_linear(quaternions, rng):
