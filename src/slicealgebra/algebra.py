@@ -387,13 +387,12 @@ def _solve(op: np.ndarray, d: Element, c: Element) -> Element:
 
 
 def inverse(a: Element) -> Element:
-    """Two-sided inverse: the solution of a*x = 1, by LU on L_a once the
-    singular values have shown L_a to be well conditioned.  Raises
-    ZeroDivisorError exactly when is_zerodivisor(a)."""
-    left = a.algebra.left_matrix_vec(a.coeffs)
-    if _singular(left):
+    """Two-sided inverse, left_divide(a, 1) once the singular values have shown
+    L_a to be well conditioned.  Raises ZeroDivisorError exactly when
+    is_zerodivisor(a)."""
+    if is_zerodivisor(a):
         raise ZeroDivisorError(f"element {a!r} is numerically singular")
-    return _solve(left, a.algebra.unit(), a)
+    return left_divide(a, a.algebra.unit())
 
 
 def left_divide(c: Element, d: Element) -> Element:

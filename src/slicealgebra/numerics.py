@@ -2,10 +2,9 @@
 projectors of known rank, and the damped Newton for s*s = -1 on an affine
 set, with optional linear rows.
 
-Every rank that is a verdict is decided by `svd_rank`; a fiber or an
-eigenspace whose rank is an integer trace comes from `projector_range`, with
-no SVD.  Every Newton search for a root of -1 runs through
-`affine_square_root`.
+Every rank that is a verdict is decided by `svd_rank`; a subspace whose rank
+is an integer trace comes from `projector_range`, with no SVD.  Every Newton
+search for a root of -1 runs through `affine_square_root`.
 """
 
 from __future__ import annotations

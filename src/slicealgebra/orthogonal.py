@@ -296,7 +296,7 @@ def z0_equivalence_check(w: ComplexElement, G: InnerProduct,
     replay = None
     try:
         u = right_divide(b, a)
-    except ZeroDivisorError:  # a zerodivisor a has no u to replay through
+    except ZeroDivisorError:  # LAPACK finds a singular: no u to replay through
         u = None
     if u is not None and not b_singular:
         lu = alg.left_matrix_vec(u.coeffs)
