@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,6 +49,7 @@ from .errors import (
     TooLargeError,
     ZeroDivisorError,
 )
+from .numerics import vector_norm
 
 
 @dataclass(eq=False)
@@ -107,8 +109,13 @@ class Algebra:
         v[i] = 1.0
         return Element(self, v)
 
+    @cached_property
+    def unit_vector(self) -> np.ndarray:
+        """The unit's coefficients: one read-only vector, built on first use."""
+        return self.basis_element(self.unit_index).coeffs
+
     def unit(self) -> "Element":
-        return self.basis_element(self.unit_index)
+        return Element(self, self.unit_vector)
 
     def zero(self) -> "Element":
         return Element(self, np.zeros(self.dimension))
@@ -205,11 +212,12 @@ class Element:
         return Element(self.algebra, self.coeffs / float(other))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        """np.linalg.norm(coeffs), bit for bit (numerics.vector_norm)."""
+        return vector_norm(self.coeffs)
 
     def approx_eq(self, other: "Element", tol: float | None = None) -> bool:
         self._require_same(other)
-        return float(np.linalg.norm(self.coeffs - other.coeffs)) <= resolve_tol(tol)
+        return vector_norm(self.coeffs - other.coeffs) <= resolve_tol(tol)
 
     def __repr__(self) -> str:
         return f"<{self.algebra.label_linear_combination(self.coeffs)}>"

@@ -1,6 +1,6 @@
-"""The shared numerical steps: rank decisions by singular values, ranges of
-projectors of known rank, and the damped Newton for s*s = -1 on an affine
-set, with optional linear rows.
+"""The shared numerical steps: the norm of a coefficient vector, rank
+decisions by singular values, ranges of projectors of known rank, and the
+damped Newton for s*s = -1 on an affine set, with optional linear rows.
 
 Every rank that is a verdict is decided by `svd_rank`; a subspace whose rank
 is an integer trace comes from `projector_range`, with no SVD.  Every Newton
@@ -9,6 +9,7 @@ search for a root of -1 runs through `affine_square_root`.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -17,6 +18,13 @@ from .config import RANK_RELTOL
 
 # Step cap of every Newton search; the other stops usually come first.
 NEWTON_ITERATIONS = 100
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) of a real vector, bit for bit, without its dispatch:
+    sqrt(v.dot(v)), a strided v copied first as there (it sums in another order)."""
+    v = np.ascontiguousarray(v)
+    return math.sqrt(v.dot(v))
 
 
 def svd_rank(m: np.ndarray, scale: float = 0.0):
@@ -74,14 +82,14 @@ def affine_square_root(algebra, base: np.ndarray, span: np.ndarray,
     lowers ||r||; no tried step lowers ||r||; LAPACK fails;
     NEWTON_ITERATIONS steps.  Returns (s, ||r||), s in base + span.
     """
-    unit = algebra.unit().coeffs
+    unit = algebra.unit_vector
     floor = np.finfo(float).eps * algebra.dimension
 
     def residual(t):
         s = base + span @ t
         r = algebra.multiply_vec(s, s) + unit
         r = r if rows is None else np.concatenate([r, rows[:, :-1] @ s + rows[:, -1]])
-        return s, r, np.linalg.norm(r)
+        return s, r, vector_norm(r)
 
     t = np.array(t0, dtype=float)
     s, r, rn = residual(t)
@@ -93,11 +101,11 @@ def affine_square_root(algebra, base: np.ndarray, span: np.ndarray,
         except np.linalg.LinAlgError:  # the SVD did not converge
             break
         step = vt[:rank].T @ ((u[:, :rank].T @ -r) / sv[:rank])
-        scale = 1.0 + np.linalg.norm(s)
+        scale = 1.0 + vector_norm(s)
         # at the rounding floor halving is moot: one last whole step
         at_floor = rn <= floor * scale ** 2
         # near a singular J (s near 0) the step is ~1/||s|| long
-        damp = scale / max(np.linalg.norm(span @ step), scale)
+        damp = scale / max(vector_norm(span @ step), scale)
         for _ in range(1 if at_floor else 11):
             s2, r2, rn2 = residual(t + damp * step)
             if rn2 < rn:

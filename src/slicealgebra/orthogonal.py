@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import Algebra, Element, OperatorMatrix, is_zerodivisor, right_divide
 from .config import within_tol
 from .errors import DimensionMismatchError, NotFoundError, ZeroDivisorError
-from .numerics import affine_square_root, null_space
+from .numerics import affine_square_root, null_space, vector_norm
 from .roots import RootOfMinusOne, is_root
 from .zerovariety import ComplexElement, zero_variety_witness
 
@@ -118,7 +118,7 @@ def sample_S0(algebra: Algebra, G: InnerProduct,
     for _ in range(50):
         t = rng.standard_normal(span.shape[1])
         s_vec, _ = affine_square_root(algebra, np.zeros(algebra.dimension), span,
-                                      t / np.linalg.norm(t))
+                                      t / vector_norm(t))
         cand = RootOfMinusOne.measured(algebra.element(s_vec))
         if cand.holds(tol) and is_in_S0(cand.element, G, tol):
             return cand

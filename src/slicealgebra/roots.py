@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Element, right_divide
+from .algebra import Algebra, Element
 from .config import within_tol
 from .errors import NonIntegerTraceError, NotFoundError, NotTangentError, ZeroDivisorError
-from .numerics import affine_square_root, null_space, projector_range
+from .numerics import affine_square_root, null_space, projector_range, vector_norm
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,11 @@ class RootOfMinusOne:
 
 
 def root_residual(a: Element) -> float:
-    return (a * a + a.algebra.unit()).norm()
+    return _defect(a.algebra, a.coeffs)
+
+
+def _defect(algebra: Algebra, s: np.ndarray) -> float:
+    return vector_norm(algebra.multiply_vec(s, s) + algebra.unit_vector)
 
 
 def is_root(a: Element, tol: float | None = None) -> bool:
@@ -78,7 +82,7 @@ def find_seed_root(algebra: Algebra,
     """
     n = algebra.dimension
     squares = algebra.structure_constants[np.arange(n), np.arange(n)]
-    defects = np.linalg.norm(squares + algebra.unit().coeffs, axis=1)
+    defects = np.linalg.norm(squares + algebra.unit_vector, axis=1)
     hits = np.flatnonzero(within_tol(defects, 4.0, tol))
     if hits.size:
         cand = algebra.basis_element(int(hits[0]))
@@ -94,34 +98,47 @@ def find_seed_root(algebra: Algebra,
     raise NotFoundError("no square root of -1 found; the locus may be empty")
 
 
+def _conjugate(algebra: Algebra, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """y*s*y^{-1}: the x with x*y = y*s, by one LU solve on R_y and no SVD.
+    Raises LAPACK's LinAlgError when it finds R_y singular."""
+    return np.linalg.solve(algebra.right_matrix_vec(y), algebra.multiply_vec(y, s))
+
+
 def conjugate_root(y: Element, s: RootOfMinusOne) -> RootOfMinusOne:
-    """y*s*y^{-1} = right_divide(y*s, y), one LU solve on R_y and no SVD.
-    Raises ZeroDivisorError when LAPACK finds R_y singular."""
-    return RootOfMinusOne.measured(right_divide(y * s.element, y))
+    """y*s*y^{-1}, measured, by one LU solve on R_y and no SVD.  Raises
+    ZeroDivisorError when LAPACK finds R_y singular."""
+    y._require_same(s.element)
+    try:
+        out = _conjugate(y.algebra, y.coeffs, s.element.coeffs)
+    except np.linalg.LinAlgError as exc:
+        raise ZeroDivisorError(f"element {y!r} is singular") from exc
+    return RootOfMinusOne.measured(Element(y.algebra, out))
 
 
 def sample_root(seed: RootOfMinusOne, rng: np.random.Generator,
                 tol: float | None = None) -> RootOfMinusOne:
     """Conjugate the seed by random standard normal y, as conjugate_root
-    does but measuring only the polished conjugate.
+    does, on coefficient arrays: only the accepted root is wrapped.
 
-    A draw is rejected when R_y is singular, when the conjugate is not
-    finite or has norm above 32 (a cap, not a tolerance: on noncompact
-    components the orbit is unbounded), or when the conjugate, polished
-    (polish_root) to the rounding floor, fails the membership test.
+    A draw is rejected when LU finds R_y singular (LAPACK's LinAlgError),
+    when the conjugate is not finite or has norm above 32 (a cap, not a
+    tolerance: on noncompact components the orbit is unbounded), or when
+    the conjugate, polished (polish_root) to the rounding floor, fails the
+    membership test.  Each draw is measured once, after the polish.
     """
-    algebra = seed.algebra
+    algebra, s = seed.algebra, seed.element.coeffs
     for _ in range(200):
-        y = algebra.random_element(rng)
+        y = rng.standard_normal(algebra.dimension)
         try:
-            out = right_divide(y * seed.element, y)
-        except ZeroDivisorError:
+            out = _conjugate(algebra, y, s)
+        except np.linalg.LinAlgError:
             continue
-        if not out.norm() <= 32.0:  # NaN fails it too
+        if not vector_norm(out) <= 32.0:  # NaN fails it too
             continue
-        cand = RootOfMinusOne.measured(polish_root(out))
-        if cand.holds(tol):
-            return cand
+        out = _newton_schulz(algebra, out)
+        residual = _defect(algebra, out)
+        if within_tol(residual, (1.0 + vector_norm(out)) ** 2, tol):  # as holds
+            return RootOfMinusOne(Element(algebra, out), residual)
     raise NotFoundError("conjugation sampling failed repeatedly")
 
 
@@ -134,9 +151,15 @@ def polish_root(s: Element) -> Element:
     defect d = s*s + 1 commutes with s, so one step sends it to
     d^2 (3 + d) / 4: quadratic convergence without an inverse.
     """
-    three = 3.0 * s.algebra.unit()
+    return Element(s.algebra, _newton_schulz(s.algebra, s.coeffs))
+
+
+def _newton_schulz(algebra: Algebra, s: np.ndarray) -> np.ndarray:
+    """polish_root on coefficients, L_s gathered once a step: L_s (L_s s + 3)/2."""
+    three = 3.0 * algebra.unit_vector
     for _ in range(2):
-        s = 0.5 * (s * (s * s + three))
+        left = algebra.left_matrix_vec(s)
+        s = 0.5 * (left @ (left @ s + three))
     return s
 
 
@@ -192,7 +215,9 @@ def component_invariant(s: RootOfMinusOne) -> int:
 
 
 def _require_tangent(s: RootOfMinusOne, h: Element, tol: float | None) -> None:
-    defect = (s.element * h + h * s.element).norm()
+    s.element._require_same(h)
+    mul, sc, hc = s.algebra.multiply_vec, s.element.coeffs, h.coeffs
+    defect = vector_norm(mul(sc, hc) + mul(hc, sc))
     if not within_tol(defect, 2.0 * s.element.norm() * h.norm(), tol):
         raise NotTangentError(f"anticommutator defect {defect:.3e}")
 
@@ -212,8 +237,11 @@ def nijenhuis(s: RootOfMinusOne, x: Element, y: Element,
     """
     _require_tangent(s, x, tol)
     _require_tangent(s, y, tol)
-    se = s.element
-    return se * (y * x) - se * (x * y) + (se * x) * y - (se * y) * x
+    alg, xc, yc = s.algebra, x.coeffs, y.coeffs
+    left, mul = alg.left_matrix_vec(s.element.coeffs), alg.multiply_vec
+    # left @ v is s*v; the terms are summed left to right, as written above
+    return Element(alg, left @ mul(yc, xc) - left @ mul(xc, yc)
+                   + mul(left @ xc, yc) - mul(left @ yc, xc))
 
 
 # -- complexified eigenspace -------------------------------------------------

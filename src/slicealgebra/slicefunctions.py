@@ -16,6 +16,7 @@ import numpy as np
 from .algebra import Algebra, Element, left_divide
 from .config import within_tol
 from .errors import InvalidTwistError, NotIntrinsicError
+from .numerics import vector_norm
 from .roots import RootOfMinusOne
 from .zerovariety import ComplexElement, pi_tensor_eval
 
@@ -169,7 +170,7 @@ def cauchy_riemann_residual(F: StemPolynomial, z: complex, s: RootOfMinusOne,
     fx = (_slice_value(F, z + h, s) - _slice_value(F, z - h, s)) / (2.0 * h)
     fy = (_slice_value(F, z + 1j * h, s) - _slice_value(F, z - 1j * h, s)) / (2.0 * h)
     alg = F.algebra
-    return float(np.linalg.norm(fx + alg.left_matrix_vec(s.element.coeffs) @ fy))
+    return vector_norm(fx + alg.left_matrix_vec(s.element.coeffs) @ fy)
 
 
 @dataclass(frozen=True)

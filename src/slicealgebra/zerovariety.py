@@ -22,7 +22,7 @@ from .algebra import Algebra, Element, is_zerodivisor, right_divide
 from .config import RANK_RELTOL, resolve_tol, within_tol
 from .errors import (NotFoundError, PreconditionFailedError, SliceAlgebraError,
                      ZeroDivisorError)
-from .numerics import affine_square_root, svd_rank
+from .numerics import affine_square_root, svd_rank, vector_norm
 from .roots import (
     RootOfMinusOne,
     find_seed_root,
@@ -208,8 +208,8 @@ def zero_variety_witness(w: ComplexElement,
                         rb=rb, invertible=True)
     u, sv, vt, rank = svd_rank(rb)
     s_part = vt[:rank].T @ ((u[:, :rank].T @ -a.coeffs) / sv[:rank])
-    if np.linalg.norm(rb @ s_part + a.coeffs) > np.sqrt(RANK_RELTOL) * (
-            a.norm() + sv[0] * np.linalg.norm(s_part)):
+    if vector_norm(rb @ s_part + a.coeffs) > np.sqrt(RANK_RELTOL) * (
+            a.norm() + sv[0] * vector_norm(s_part)):
         return WitnessSearch("absent")  # a lies outside the range of R_b
     kernel = vt[rank:].T  # (N, m)
     if not kernel.shape[1]:
@@ -384,7 +384,7 @@ def discrete_zero_scan(stem, region, target: Element | None = None,
 
     def solution(z: complex, spread: float = 0.0):  # (class, residual) or None
         w = ComplexElement.from_vector(alg, stem.evaluate_vector(z) - tgt)
-        if within_tol(w.norm(), np.linalg.norm(tgt) + stem.term_size(abs(z) + spread), tol):
+        if within_tol(w.norm(), vector_norm(tgt) + stem.term_size(abs(z) + spread), tol):
             return ("real" if z.imag == 0.0 else "sphere"), w.norm()
         if z.imag != 0.0 and (search := zero_variety_witness(w, tol, rng)).found:
             return "isolated", float(np.hypot(search.witness.residual,
@@ -392,7 +392,7 @@ def discrete_zero_scan(stem, region, target: Element | None = None,
         return None
 
     mats = np.array([alg.right_matrix_vec(c) for c in coeffs])
-    scale = float(np.linalg.norm(tgt))
+    scale = vector_norm(tgt)
     if svd_rank(np.concatenate(mats), scale)[3] == 0:
         raise SliceAlgebraError("zero set is not discrete: F(z) = target for every z")
     zs, rank = _eigenvalues(mats, scale)

@@ -29,6 +29,7 @@ from slicealgebra import (
     operator_matrix,
     right_divide,
 )
+from slicealgebra.algebra import Element
 
 
 def test_make_algebra_validates_shape_and_unit():
@@ -198,6 +199,28 @@ def test_element_arithmetic(quaternions):
     assert (j * i).approx_eq(-k)
     assert ((i + j) * 0.5).approx_eq(0.5 * i + j / 2)
     assert (i - i).norm() == 0.0
+
+
+CLIFFORD_0Q = [clifford_algebra(0, q) for q in range(7)]
+
+# moderate entries, whose sums round differently in another order; any
+# float (inf, NaN, subnormals); entries near 1e154 whose squares overflow
+# to inf; tiny entries whose squares underflow
+_NORM_ENTRIES = st.one_of(st.floats(-10.0, 10.0), st.floats(), st.floats(1e153, 1e155),
+                          st.floats(-1e155, -1e153), st.floats(-1e-300, 1e-300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.integers(0, 6), stride=st.integers(1, 3), data=st.data())
+def test_element_norm_is_numpy_norm_bit_for_bit(q, stride, data):
+    """Element.norm gives the bits of float(np.linalg.norm(c)), also for
+    coefficients held as a strided view, whose dot sums in another order.
+    Both take c.dot(c), which may warn of the overflow; the value is judged."""
+    alg = CLIFFORD_0Q[q]
+    c = data.draw(hnp.arrays(float, alg.dimension * stride, elements=_NORM_ENTRIES))[::stride]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = Element(alg, c).norm(), float(np.linalg.norm(c))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 SPLIT = {"cl11": clifford_algebra(1, 1), "cl22": clifford_algebra(2, 2)}

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import einsum_reference
 import oracle_quaternion as oq
 from slicealgebra import (
     NonIntegerTraceError,
@@ -25,12 +26,14 @@ from slicealgebra import (
     negate_root,
     nijenhuis,
     pi_tensor_eval,
+    right_divide,
     root_residual,
     sample_root,
     sigma_involution,
     tangent_frame,
     verify_trace_identities,
 )
+from slicealgebra.algebra import Element
 from slicealgebra.roots import polish_root
 
 SIGNATURES = [(0, 1), (0, 2), (2, 0), (1, 1), (0, 3), (3, 0), (1, 2), (2, 1), (0, 4)]
@@ -117,6 +120,90 @@ def test_sampling_needs_no_svd(monkeypatch, p, q):
         s = sample_root(seed, rng)
         assert s.holds() and component_invariant(s) == component_invariant(seed)
         assert conjugate_root(alg.random_element(rng), s).holds()
+
+
+def _dense_cl12():
+    """Cl(1,2) in a random orthonormal basis: dense structure constants."""
+    c = clifford_algebra(1, 2).structure_constants
+    return make_algebra(einsum_reference.rotated(
+        c, einsum_reference.rotation(c.shape[0], np.random.default_rng(2))))
+
+
+EXACT_ALGEBRAS = {"H": lambda: clifford_algebra(0, 2), "Cl(2,2)": lambda: clifford_algebra(2, 2),
+                  "Cl(0,6)": lambda: clifford_algebra(0, 6),
+                  "Cl(3,3)": lambda: clifford_algebra(3, 3), "dense Cl(1,2)": _dense_cl12}
+
+
+def _element_polish(s):
+    """The Newton-Schulz steps of polish_root, written in Element operators."""
+    three = 3.0 * s.algebra.unit()
+    for _ in range(2):
+        s = 0.5 * (s * (s * s + three))
+    return s
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_ALGEBRAS))
+def test_array_root_path_gives_the_element_bits(name):
+    """sample_root is exactly polish_root(conjugate_root(y, seed).element) for
+    the first y that a replayed rng accepts; that conjugate and polish are
+    exactly their Element expansions, and so is nijenhuis."""
+    alg = EXACT_ALGEBRAS[name]()
+    seed = find_seed_root(alg)
+    rng, replay, tangents = (np.random.default_rng(k) for k in (11, 11, 12))
+    for _ in range(10):
+        s = sample_root(seed, rng)
+        while True:
+            y = alg.random_element(replay)
+            try:
+                conj = conjugate_root(y, seed)
+            except ZeroDivisorError:
+                continue
+            if conj.element.norm() <= 32.0:
+                want = RootOfMinusOne.measured(polish_root(conj.element))
+                if want.holds():
+                    break
+        assert np.array_equal(s.element.coeffs, want.element.coeffs)
+        assert s.residual == want.residual == root_residual(want.element)
+        assert np.array_equal(conj.element.coeffs, right_divide(y * seed.element, y).coeffs)
+        assert np.array_equal(want.element.coeffs, _element_polish(conj.element).coeffs)
+        assert root_residual(s.element) == (s.element * s.element + alg.unit()).norm()
+
+        frame = tangent_frame(s)
+        x, y = frame.random_tangent(tangents), frame.random_tangent(tangents)
+        se = s.element
+        expansion = se * (y * x) - se * (x * y) + (se * x) * y - (se * y) * x
+        assert np.array_equal(nijenhuis(s, x, y).coeffs, expansion.coeffs)
+        assert np.array_equal(j_structure(s, x).coeffs, (se * x).coeffs)
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 2), (0, 6)])
+def test_a_draw_is_one_solve_and_a_root_one_element(monkeypatch, p, q):
+    """The draw runs on coefficient arrays: one LU solve on R_y per draw,
+    accepted or rejected, and one Element, for the accepted root.  The
+    first y is 0, whose R_y LU finds singular."""
+    alg = clifford_algebra(p, q)
+    seed = find_seed_root(alg)
+    counts = dict.fromkeys(("draws", "solves", "elements"), 0)
+    normals, first = np.random.default_rng(4), [np.zeros(alg.dimension)]
+
+    class CountedNormals:
+        def standard_normal(self, size):
+            counts["draws"] += 1
+            return first.pop() if first else normals.standard_normal(size)
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "solve", counted("solves", np.linalg.solve))
+    monkeypatch.setattr(Element, "__post_init__", counted("elements", Element.__post_init__))
+    roots = [sample_root(seed, CountedNormals()) for _ in range(20)]
+    assert all(s.holds() for s in roots)
+    assert counts["draws"] > len(roots)
+    assert counts["solves"] == counts["draws"]
+    assert counts["elements"] == len(roots)
 
 
 class _QueuedNormals:
