@@ -97,8 +97,8 @@ class Algebra:
     # -- element constructors ------------------------------------------------
 
     def element(self, coeffs: Iterable[float]) -> "Element":
-        v = np.asarray(list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs,
-                       dtype=float)
+        v = np.array(list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs,
+                     dtype=float)
         if v.shape != (self.dimension,):
             raise DimensionMismatchError(
                 f"expected {self.dimension} coefficients, got {v.shape}")
@@ -173,7 +173,7 @@ class Algebra:
 
 @dataclass(frozen=True, eq=False)
 class Element:
-    """One element of an Algebra, stored as its coefficient vector."""
+    """An Algebra element; it owns its coefficient array and makes it read-only."""
 
     algebra: Algebra
     coeffs: np.ndarray
@@ -414,11 +414,11 @@ def right_divide(d: Element, c: Element) -> Element:
     return _solve(c.algebra.right_matrix_vec(c.coeffs), d, c)
 
 
-def is_zerodivisor(a: Element) -> bool:
-    """True when L_a is singular.  In a finite-dimensional associative unital
-    algebra a*x = 1 forces x*a = 1, so L_a is singular exactly when R_a is,
-    and one operator decides."""
-    return _singular(a.algebra.left_matrix_vec(a.coeffs))
+def is_zerodivisor(a: Element, left: np.ndarray | None = None) -> bool:
+    """True when L_a (`left`, when the caller has gathered it) is singular.
+    In a finite-dimensional associative unital algebra a*x = 1 forces
+    x*a = 1, so L_a is singular exactly when R_a is, and one operator decides."""
+    return _singular(a.algebra.left_matrix_vec(a.coeffs) if left is None else left)
 
 
 # -- JSON interchange --------------------------------------------------------

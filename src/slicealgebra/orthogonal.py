@@ -19,14 +19,14 @@ import numpy as np
 from .algebra import Algebra, Element, OperatorMatrix, is_zerodivisor, right_divide
 from .config import within_tol
 from .errors import DimensionMismatchError, NotFoundError, ZeroDivisorError
-from .numerics import affine_square_root, null_space, vector_norm
+from .numerics import NEWTON_ITERATIONS, null_space, vector_norm
 from .roots import RootOfMinusOne, is_root
 from .zerovariety import ComplexElement, zero_variety_witness
 
 
 @dataclass(frozen=True)
 class InnerProduct:
-    """<a, b> = a^T G b with G symmetric positive definite."""
+    """<a, b> = a^T G b with G symmetric positive definite; inverse is G^{-1}."""
 
     gram: np.ndarray
 
@@ -41,6 +41,7 @@ class InnerProduct:
             raise ValueError("gram matrix must be positive definite")
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "inverse", np.linalg.inv(g))
 
     @classmethod
     def standard(cls, algebra: Algebra) -> "InnerProduct":
@@ -70,7 +71,7 @@ def adjoint(L: OperatorMatrix | np.ndarray, G: InnerProduct) -> np.ndarray:
     mat = L.entries if isinstance(L, OperatorMatrix) else np.asarray(L)
     if mat.shape != G.gram.shape:
         raise DimensionMismatchError("operator and gram shapes differ")
-    return np.linalg.solve(G.gram, mat.T @ G.gram)
+    return G.inverse @ mat.T @ G.gram
 
 
 def is_in_S0(s: Element, G: InnerProduct, tol: float | None = None) -> bool:
@@ -91,13 +92,8 @@ def is_in_S0(s: Element, G: InnerProduct, tol: float | None = None) -> bool:
 def antisymmetric_subspace(algebra: Algebra, G: InnerProduct) -> list[Element]:
     """Basis of A0 = {a : L_a + L_a^t = 0}, the ambient space of S0."""
     gram = _gram_for(G, algebra)
-    n = algebra.dimension
-    ginv = np.linalg.inv(gram)
-    # column j = vec(L_{e_j} + L_{e_j}^t)
-    cols = np.empty((n * n, n))
-    for j in range(n):
-        left = algebra.left_matrix_vec(np.eye(n)[j])
-        cols[:, j] = (left + ginv @ left.T @ gram).ravel()
+    c = algebra.structure_constants  # L_{e_j} = c[j]^T, so its adjoint is G^{-1} c[j] G
+    cols = (c.transpose(0, 2, 1) + G.inverse @ c @ gram).reshape(len(c), -1).T
     return [algebra.element(col) for col in null_space(cols).T]
 
 
@@ -105,9 +101,10 @@ def sample_S0(algebra: Algebra, G: InnerProduct,
               rng: np.random.Generator | None = None,
               tol: float | None = None,
               basis: list[Element] | None = None) -> RootOfMinusOne:
-    """Draw a root of -1 inside A0 (`basis`, antisymmetric_subspace(algebra,
-    G) unless a caller drawing many roots passes it), by Newton from up to
-    50 random unit starts; antisymmetry plus s*s = -1 gives orthogonality."""
+    """Draw a root of -1 in A0 (`basis`, antisymmetric_subspace(algebra, G)
+    unless passed) in up to 50 draws, as the polar factor of L_a for a
+    random a in A0: polish_root's step x <- x (3 + x*x)/2 from a / ||L_a||_F,
+    one step past ||x*x + 1|| <= eps N (1 + ||x||)^2 or until it stops falling."""
     if rng is None:
         rng = np.random.default_rng(0)
     if basis is None:
@@ -115,11 +112,22 @@ def sample_S0(algebra: Algebra, G: InnerProduct,
     if not basis:
         raise NotFoundError("antisymmetric subspace is trivial")
     span = np.stack([b.coeffs for b in basis], axis=1)  # (N, m), orthonormal
+    unit, floor = algebra.unit_vector, np.finfo(float).eps * algebra.dimension
     for _ in range(50):
-        t = rng.standard_normal(span.shape[1])
-        s_vec, _ = affine_square_root(algebra, np.zeros(algebra.dimension), span,
-                                      t / vector_norm(t))
-        cand = RootOfMinusOne.measured(algebra.element(s_vec))
+        x = span @ rng.standard_normal(span.shape[1])
+        x, defect, last = x / np.linalg.norm(algebra.left_matrix_vec(x)), np.inf, False
+        for _ in range(NEWTON_ITERATIONS):
+            left = algebra.left_matrix_vec(x)
+            square = left @ x
+            rn = vector_norm(square + unit)
+            if rn >= defect:  # stopped falling
+                break
+            best, defect = x, rn
+            if last:  # one step past the rounding floor
+                break
+            last = rn <= floor * (1.0 + vector_norm(x)) ** 2
+            x = 0.5 * (left @ (square + 3.0 * unit))
+        cand = RootOfMinusOne(Element(algebra, best), defect)
         if cand.holds(tol) and is_in_S0(cand.element, G, tol):
             return cand
     raise NotFoundError("no orthogonal root found in the antisymmetric subspace")

@@ -23,7 +23,7 @@ from .zerovariety import ComplexElement, pi_tensor_eval
 
 @dataclass(frozen=True)
 class StemPolynomial:
-    """F(z) = sum_k z^k c_k, coefficients stored as a (d+1, N) complex array."""
+    """F(z) = sum_k z^k c_k: a read-only (d+1, N) complex array, row_norms, intrinsic_defect."""
 
     algebra: Algebra
     coeff_matrix: np.ndarray = field(repr=False)
@@ -37,7 +37,11 @@ class StemPolynomial:
         if mat.shape[0] == 0:
             mat = np.zeros((1, self.algebra.dimension), dtype=complex)
         mat.setflags(write=False)
+        norms = np.linalg.norm(mat, axis=1)
+        norms.setflags(write=False)
         object.__setattr__(self, "coeff_matrix", mat)
+        object.__setattr__(self, "row_norms", norms)
+        object.__setattr__(self, "intrinsic_defect", 2.0 * float(np.linalg.norm(mat.imag)))
 
     @classmethod
     def from_coefficients(cls, coefficients: list[ComplexElement]) -> "StemPolynomial":
@@ -65,8 +69,7 @@ class StemPolynomial:
 
     def term_size(self, z: complex) -> float:
         """sum_k |z|^k ||c_k||, the summed size of the terms of F(z)."""
-        return float(abs(z) ** np.arange(self.degree + 1)
-                     @ np.linalg.norm(self.coeff_matrix, axis=1))
+        return float(abs(z) ** np.arange(self.degree + 1) @ self.row_norms)
 
     def evaluate(self, z: complex) -> ComplexElement:
         return ComplexElement.from_vector(self.algebra, self.evaluate_vector(z))
@@ -109,17 +112,17 @@ def stem_from_slice_poly(a_k: list[Element]) -> StemPolynomial:
 
 
 def intrinsic_defect(F: StemPolynomial) -> float:
-    """Coefficient norm 2 ||Im C|| of F(conj z) - conj F(z).
+    """Coefficient norm 2 ||Im C|| of F(conj z) - conj F(z), stored with F.
 
     That difference is the polynomial sum_k conj(z)^k 2i Im c_k, so F is
     intrinsic exactly when every coefficient is real.
     """
-    return 2.0 * float(np.linalg.norm(F.coeff_matrix.imag))
+    return F.intrinsic_defect
 
 
 def is_intrinsic(F: StemPolynomial, tol: float | None = None) -> bool:
-    """The defect against 2 ||C||, the size of C and conj C."""
-    return bool(within_tol(intrinsic_defect(F), 2.0 * np.linalg.norm(F.coeff_matrix), tol))
+    """The defect against 2 ||C||, the size of C and conj C (from F's row norms)."""
+    return bool(within_tol(intrinsic_defect(F), 2.0 * vector_norm(F.row_norms), tol))
 
 
 def require_intrinsic(F: StemPolynomial, tol: float | None = None) -> None:
@@ -132,7 +135,8 @@ def eval_slice(F: StemPolynomial, z: complex, s: RootOfMinusOne,
                tol: float | None = None) -> Element:
     """f(pi(z, s)) = pi(F(z), s) for the induced slice function."""
     require_intrinsic(F, tol)
-    return pi_tensor_eval(F.evaluate(z), s)
+    w = F.evaluate_vector(z)  # pi_tensor_eval on coefficients: a + s*b
+    return Element(F.algebra, w.real + s.algebra.multiply_vec(s.element.coeffs, w.imag.copy()))
 
 
 def alpha_beta(F: StemPolynomial, z: complex,

@@ -24,7 +24,7 @@ from .errors import (
     DegenerateImageError,
     FrameNotFoundError,
 )
-from .numerics import projector_range, svd_rank
+from .numerics import projector_range, svd_rank, vector_norm
 from .roots import ComplexSubspace, RootOfMinusOne, integer_trace, is_root
 from .slicefunctions import StemPolynomial, require_intrinsic
 from .zerovariety import ComplexElement
@@ -38,12 +38,13 @@ class ProjectivePoint:
 
     def __post_init__(self) -> None:
         vec = np.array(self.coords, dtype=complex).ravel()
-        peak = np.abs(vec).max() if vec.size else 0.0
+        size = np.abs(vec)
+        peak = size.max() if vec.size else 0.0
         if peak == 0.0:
             raise ValueError("projective point needs a nonzero coordinate")
         # a coordinate 1e-12 of the largest is taken for a rounded zero, so
         # that the scaling does not divide by it; it is no residual test
-        lead = np.flatnonzero(np.abs(vec) > 1e-12 * peak)[0]
+        lead = np.flatnonzero(size > 1e-12 * peak)[0]
         vec = vec / vec[lead]
         vec.setflags(write=False)
         object.__setattr__(self, "coords", vec)
@@ -202,7 +203,7 @@ def twistor_lift(F: StemPolynomial, z: complex, u: ProjectivePoint,
 
 def fiber_embed(u: RootOfMinusOne, a: Element) -> np.ndarray:
     """C-linear chart of E = (A, L_u) into C^N: a -> a - i(u a)."""
-    return a.coeffs - 1j * (u.element * a).coeffs
+    return a.coeffs - 1j * u.algebra.multiply_vec(u.element.coeffs, a.coeffs)
 
 
 def _fiber_projector(u: RootOfMinusOne, s: RootOfMinusOne):
@@ -234,10 +235,10 @@ def stereographic_fiber(u: RootOfMinusOne, s: RootOfMinusOne) -> ComplexSubspace
 
 def standard_section(u: RootOfMinusOne):
     """Section s -> 1 - u s of the stereographic bundle, valid away from -u."""
-    unit = u.algebra.unit()
+    alg, uv = u.algebra, u.element.coeffs
 
     def section(s: RootOfMinusOne) -> Element:
-        return unit - u.element * s.element
+        return Element(alg, alg.unit_vector - alg.multiply_vec(uv, s.element.coeffs))
 
     return section
 
@@ -255,18 +256,20 @@ def generalized_twistor(F: StemPolynomial, sigma, z: complex,
     u = frame.i_root if isinstance(frame, QuaternionFrame) else frame
     if not isinstance(u, RootOfMinusOne):
         raise TypeError("frame must be a QuaternionFrame or a RootOfMinusOne")
-    if not is_root(u.element, tol):
+    alg, uv, sv = u.algebra, u.element.coeffs, s.element.coeffs
+    left_u = alg.left_matrix_vec(uv)
+    if not RootOfMinusOne(u.element, vector_norm(left_u @ uv + alg.unit_vector)).holds(tol):
         raise BadSectionError("bundle base point u is not a root of -1")
     c = sigma(s)
-    defect = (u.element * c - c * s.element).norm()
+    left_c = alg.left_matrix_vec(c.coeffs)  # for u c - c s, the image and the verdict
+    defect = vector_norm(left_u @ c.coeffs - left_c @ sv)
     if not within_tol(defect, c.norm() * (u.element.norm() + s.element.norm()), tol):
         raise BadSectionError(f"section value misses the fiber (defect {defect:.3e})")
-    if c.norm() == 0.0 or is_zerodivisor(c):
+    if c.norm() == 0.0 or is_zerodivisor(c, left_c):
         raise BadSectionError("section value is a zerodivisor")
-    w = F.evaluate(z)
-    image = c * w.re + u.element * (c * w.im)
-    return ProjectivePoint(np.concatenate([fiber_embed(u, c),
-                                           fiber_embed(u, image)]))
+    w = F.evaluate_vector(z)
+    image = left_c @ w.real.copy() + left_u @ (left_c @ w.imag.copy())
+    return ProjectivePoint(np.concatenate([v - 1j * (left_u @ v) for v in (c.coeffs, image)]))
 
 
 def rho1_general(p: ProjectivePoint, u: RootOfMinusOne) -> Element:

@@ -201,6 +201,16 @@ def test_element_arithmetic(quaternions):
     assert (i - i).norm() == 0.0
 
 
+
+def test_element_copies_the_callers_array(quaternions):
+    """Algebra.element keeps the caller's buffer writeable and its own."""
+    v = np.array([1.0, 2.0, 3.0, 4.0])
+    e = quaternions.element(v)
+    assert v.flags.writeable and not e.coeffs.flags.writeable
+    v[0] = 2.0
+    assert e.coeffs[0] == 1.0
+
+
 CLIFFORD_0Q = [clifford_algebra(0, q) for q in range(7)]
 
 # moderate entries, whose sums round differently in another order; any

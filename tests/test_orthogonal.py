@@ -3,7 +3,10 @@ equations for the distinguished zero variety."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import einsum_reference
 import oracle_quaternion as oq
 from slicealgebra import (
     ComplexElement,
@@ -17,6 +20,7 @@ from slicealgebra import (
     cone_decompose,
     find_seed_root,
     is_in_S0,
+    make_algebra,
     operator_matrix,
     orthogonality_characterization,
     sample_S0,
@@ -25,6 +29,8 @@ from slicealgebra import (
     z0_equivalence_check,
     z0_residual,
 )
+from slicealgebra.config import within_tol
+from slicealgebra.numerics import null_space
 
 
 def _std(alg):
@@ -113,6 +119,81 @@ def test_quaternion_antisymmetric_subspace_is_imaginary(quaternions):
                      antisymmetric_subspace(quaternions, _std(quaternions))])
     assert np.linalg.norm(span[:, 0]) <= 1e-12
     assert np.linalg.matrix_rank(span[:, 1:]) == 3
+
+
+def _per_basis_subspace(alg, G):
+    """A0 from one column vec(L_{e_j} + G^{-1} L_{e_j}^T G) per basis element."""
+    n = alg.dimension
+    ginv = np.linalg.inv(G.gram)
+    cols = np.empty((n * n, n))
+    for j in range(n):
+        left = alg.left_matrix_vec(np.eye(n)[j])
+        cols[:, j] = (left + ginv @ left.T @ G.gram).ravel()
+    return null_space(cols)
+
+
+def _dense_cl12():
+    c = clifford_algebra(1, 2).structure_constants
+    return make_algebra(einsum_reference.rotated(
+        c, einsum_reference.rotation(c.shape[0], np.random.default_rng(2))))
+
+
+@pytest.mark.parametrize("make", [lambda: clifford_algebra(2, 2), lambda: clifford_algebra(0, 6),
+                                  _dense_cl12], ids=["Cl(2,2)", "Cl(0,6)", "dense Cl(1,2)"])
+def test_antisymmetric_subspace_is_the_per_basis_build(make):
+    """A0 from the structure tensor in one batched product: the per-basis
+    basis bit for bit under the standard G, and the same subspace under
+    G = R_b^T R_b, for which L_a (commuting with R_b) has the same A0."""
+    alg = make()
+    G = _std(alg)
+    got = np.stack([b.coeffs for b in antisymmetric_subspace(alg, G)], axis=1)
+    assert np.array_equal(got, _per_basis_subspace(alg, G))
+    right = alg.right_matrix_vec(alg.random_element(np.random.default_rng(4)).coeffs)
+    G = InnerProduct(right.T @ right)
+    moved = np.stack([b.coeffs for b in antisymmetric_subspace(alg, G)], axis=1)
+    for basis in (moved, _per_basis_subspace(alg, G)):
+        assert basis.shape == got.shape
+        assert np.linalg.norm(basis @ basis.T - got @ got.T) <= 1e-9
+
+
+@pytest.mark.parametrize("p, q", [(0, 2), (2, 2), (0, 6)])
+def test_sample_S0_needs_no_factorization(monkeypatch, p, q):
+    """A draw is the Newton-Schulz polar factor: with the SVD, lstsq and
+    solve made to raise, sample_S0 still returns roots in S0."""
+    alg = clifford_algebra(p, q)
+    G = _std(alg)
+    basis = antisymmetric_subspace(alg, G)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sample_S0 factored a matrix")
+
+    for name in ("svd", "lstsq", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rng = np.random.default_rng(1)
+    for _ in range(10):
+        s = sample_S0(alg, G, rng, basis=basis)
+        assert s.holds() and is_in_S0(s.element, G)
+
+
+_SMALL_SIGNATURES = [(p, n - p) for n in range(2, 6) for p in range(n + 1)] + [(0, 1)]
+_S0_BASES = {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(pq=st.sampled_from(_SMALL_SIGNATURES), seed=st.integers(0, 2**32 - 1))
+def test_S0_roots_are_orthogonal_and_antisymmetric(pq, seed):
+    """Every sample_S0 root on Cl(p,q), p + q <= 5, has L_s^T L_s = 1 and
+    L_s^T = -L_s, with L_s formed from the structure constants by einsum."""
+    if pq not in _S0_BASES:
+        alg = clifford_algebra(*pq)
+        _S0_BASES[pq] = alg, antisymmetric_subspace(alg, _std(alg))
+    alg, basis = _S0_BASES[pq]
+    s = sample_S0(alg, _std(alg), np.random.default_rng(seed), basis=basis)
+    left = einsum_reference.left_matrix(alg.structure_constants, s.element.coeffs)
+    size = np.linalg.norm(left)
+    assert within_tol(np.linalg.norm(left.T @ left - np.eye(alg.dimension)),
+                      size ** 2 + np.sqrt(alg.dimension))
+    assert within_tol(np.linalg.norm(left.T + left), 2.0 * size)
 
 
 def test_sample_S0(quaternions, cl03, rng):

@@ -3,6 +3,8 @@ stereographic bundle."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import einsum_reference
 import oracle_quaternion as oq
@@ -10,6 +12,7 @@ from slicealgebra import (
     BadSectionError,
     BasePointAtInfinityError,
     DegenerateImageError,
+    Element,
     FrameNotFoundError,
     ProjectivePoint,
     QuaternionFrame,
@@ -24,9 +27,11 @@ from slicealgebra import (
     gamma,
     generalized_twistor,
     inverse,
+    left_divide,
     make_algebra,
     minus_i_eigenspace,
     pi_eval,
+    pi_tensor_eval,
     conjugate_root,
     rho,
     rho1,
@@ -39,6 +44,7 @@ from slicealgebra import (
     stereographic_fiber,
     twistor_lift,
 )
+from slicealgebra.config import within_tol
 
 
 @pytest.fixture(scope="module")
@@ -355,3 +361,101 @@ def test_generalized_twistor_bad_sections(quaternions, frame):
     minus_u = RootOfMinusOne.from_element(-u.element)
     with pytest.raises(BadSectionError):
         generalized_twistor(stem, sigma, 0.1 + 0.1j, minus_u, frame)
+
+
+def _dense_cl12():
+    """Cl(1,2) in a random orthonormal basis: dense structure constants."""
+    c = clifford_algebra(1, 2).structure_constants
+    return make_algebra(einsum_reference.rotated(
+        c, einsum_reference.rotation(c.shape[0], np.random.default_rng(2))))
+
+
+BUNDLE_ALGEBRAS = {"H": (0, 2), "Cl(2,2)": (2, 2), "Cl(0,6)": (0, 6), "Cl(3,3)": (3, 3),
+                   "dense Cl(1,2)": None}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLE_ALGEBRAS))
+def test_bundle_array_path_gives_the_element_bits(name):
+    """generalized_twistor, fiber_embed, rho1_general and eval_slice are
+    exactly their expansions in Element operators."""
+    pq = BUNDLE_ALGEBRAS[name]
+    alg = _dense_cl12() if pq is None else clifford_algebra(*pq)
+    u = find_seed_root(alg)
+    ue, n = u.element, alg.dimension
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        s = sample_root(u, rng)
+        stem = stem_from_slice_poly([alg.random_element(rng) for _ in range(4)])
+        z = complex(*rng.standard_normal(2))
+        point = generalized_twistor(stem, standard_section(u), z, s, u)
+
+        c = alg.unit() - ue * s.element
+        w = stem.evaluate(z)
+        image = c * w.re + ue * (c * w.im)
+        chart = [v.coeffs - 1j * (ue * v).coeffs for v in (c, image)]
+        assert np.array_equal(fiber_embed(u, c), chart[0])
+        assert np.array_equal(point.coords, ProjectivePoint(np.concatenate(chart)).coords)
+        quotient = left_divide(alg.element(point.coords[:n].real),
+                               alg.element(point.coords[n:].real))
+        assert np.array_equal(rho1_general(point, u).coeffs, quotient.coeffs)
+        value = eval_slice(stem, z, s)
+        assert np.array_equal(value.coeffs, pi_tensor_eval(w, s).coeffs)
+        assert np.array_equal(value.coeffs, (w.re + s.element * w.im).coeffs)
+
+
+def test_a_twistor_point_gathers_L_u_once_and_wraps_only_the_section(monkeypatch):
+    """One generalized_twistor call gathers L_u once (and L_c once) and
+    builds one Element, the section value."""
+    alg = clifford_algebra(2, 2)
+    u = find_seed_root(alg)
+    rng = np.random.default_rng(3)
+    s = sample_root(u, rng)
+    stem = stem_from_slice_poly([alg.random_element(rng) for _ in range(3)])
+    section = standard_section(u)
+    gathers, elements = [], []
+    gather = alg.left_matrix_vec
+    post_init = Element.__post_init__
+
+    def counted_gather(a):
+        gathers.append(np.array(a))
+        return gather(a)
+
+    def counted_post_init(self):
+        elements.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(alg, "left_matrix_vec", counted_gather)
+    monkeypatch.setattr(Element, "__post_init__", counted_post_init)
+    point = generalized_twistor(stem, section, 0.3 + 0.7j, s, u)
+    c = elements[0]
+    assert len(elements) == 1
+    assert sum(np.array_equal(a, u.element.coeffs) for a in gathers) == 1
+    assert len(gathers) == 2 and np.array_equal(gathers[1], c.coeffs)
+    assert point.coords.shape == (2 * alg.dimension,)
+
+
+_unit_imaginary = st.tuples(*[st.floats(-1.0, 1.0) for _ in range(3)])
+_quaternion = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(direction=_unit_imaginary,
+       coefficients=st.lists(_quaternion, min_size=1, max_size=5),
+       x=st.floats(-2.0, 2.0), y=st.floats(-2.0, 2.0))
+def test_bundle_quotient_is_the_slice_function_on_H(quaternions, direction, coefficients, x, y):
+    """On H the chart quotient of the generalized twistor point is f(x + y s)
+    = sum (x + y s)^k a_k, computed by hand-written Hamilton products, within
+    the tolerance rule; s stays away from -u, where the section vanishes."""
+    v = np.array(direction)
+    assume(np.linalg.norm(v) >= 0.1)
+    s = RootOfMinusOne.measured(quaternions.element(np.concatenate([[0.0], v / np.linalg.norm(v)])))
+    u = find_seed_root(quaternions)
+    assume((u.element + s.element).norm() >= 0.1)
+    stem = stem_from_slice_poly([quaternions.element(a) for a in coefficients])
+    z = complex(x, y)
+    point = generalized_twistor(stem, standard_section(u), z, s, u)
+    got = rho1_general(point, u).coeffs
+    want = oq.slice_poly_eval([np.array(a) for a in coefficients],
+                              np.concatenate([[x], y * s.element.coeffs[1:]]))
+    size = (1.0 + s.element.norm()) * stem.term_size(z)
+    assert within_tol(np.linalg.norm(got - want), size)
