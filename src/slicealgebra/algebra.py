@@ -24,7 +24,8 @@ and the pseudoscalar is the last basis element.
 
 Invertibility is decided on L_a alone: a is a zerodivisor exactly when
 inverse(a) raises ZeroDivisorError.  Quotients need no inverse:
-left_divide and right_divide are one LU solve each.
+left_divide and right_divide are one LU solve each, and the one place where
+LAPACK's LinAlgError becomes ZeroDivisorError.
 """
 
 from __future__ import annotations
@@ -36,12 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import (
-    MAX_CLIFFORD_GENERATORS,
-    MAX_DIMENSION,
-    RANK_RELTOL,
-    resolve_tol,
-)
+from .config import MAX_CLIFFORD_GENERATORS, MAX_DIMENSION, resolve_tol
 from .errors import (
     BadUnitError,
     DimensionMismatchError,
@@ -49,7 +45,7 @@ from .errors import (
     TooLargeError,
     ZeroDivisorError,
 )
-from .numerics import vector_norm
+from .numerics import numerical_rank, vector_norm
 
 
 @dataclass(eq=False)
@@ -379,14 +375,6 @@ def operator_matrix(a: Element, kind: str) -> OperatorMatrix:
     return OperatorMatrix(a, kind, m)
 
 
-def _singular(m: np.ndarray) -> bool:
-    """Smallest singular value below RANK_RELTOL times the largest, or below
-    the smallest normal float: there the relative cutoff underflows and the
-    inverse overflows."""
-    sv = np.linalg.svd(m, compute_uv=False)
-    return bool(sv[-1] < max(RANK_RELTOL * sv[0], np.finfo(float).tiny))
-
-
 def _solve(op: np.ndarray, d: Element, c: Element) -> Element:
     try:
         return Element(d.algebra, np.linalg.solve(op, d.coeffs))
@@ -417,8 +405,10 @@ def right_divide(d: Element, c: Element) -> Element:
 def is_zerodivisor(a: Element, left: np.ndarray | None = None) -> bool:
     """True when L_a (`left`, when the caller has gathered it) is singular.
     In a finite-dimensional associative unital algebra a*x = 1 forces
-    x*a = 1, so L_a is singular exactly when R_a is, and one operator decides."""
-    return _singular(a.algebra.left_matrix_vec(a.coeffs) if left is None else left)
+    x*a = 1, so L_a is singular exactly when R_a is, and one operator decides.
+    Singular means below full numerical_rank, from the singular values alone."""
+    m = a.algebra.left_matrix_vec(a.coeffs) if left is None else left
+    return numerical_rank(np.linalg.svd(m, compute_uv=False)) < a.algebra.dimension
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -1,10 +1,14 @@
 """The shared numerical steps: the norm of a coefficient vector, rank
-decisions by singular values, ranges of projectors of known rank, and the
-damped Newton for s*s = -1 on an affine set, with optional linear rows.
+decisions by singular values, ranges of projectors of known rank, the
+Newton-Schulz polish of a near-root of -1, and the damped Newton for
+s*s = -1 on an affine set, with optional linear rows.
 
-Every rank that is a verdict is decided by `svd_rank`; a subspace whose rank
-is an integer trace comes from `projector_range`, with no SVD.  Every Newton
-search for a root of -1 runs through `affine_square_root`.
+Every rank that is a verdict is decided by the cutoff of `numerical_rank`,
+through `svd_rank` or, for the zerodivisor test, directly; a subspace whose
+rank is an integer trace comes from `projector_range`, with no SVD.  Every
+Newton-Schulz step toward s*s = -1 is taken by `newton_schulz`, and every
+Newton search for a root of -1 on an affine set runs through
+`affine_square_root`.
 """
 
 from __future__ import annotations
@@ -27,20 +31,26 @@ def vector_norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def svd_rank(m: np.ndarray, scale: float = 0.0):
-    """Thin SVD (u, sv, vt) of m and its numerical rank.
+def numerical_rank(sv: np.ndarray, scale: float = 0.0) -> int:
+    """The number of singular values sv (descending) that count as nonzero.
 
-    Singular values at or below RANK_RELTOL times the largest, or times
-    `scale` when that is larger, count as zero.  A caller passes `scale`
-    when every m that is nonzero in exact arithmetic has a singular value
-    at least that large, so that an m which is zero up to rounding gets
-    rank 0 rather than full rank.  Callers pass square or tall matrices, so
-    vt is square and its trailing rows span the whole kernel.
+    A singular value counts as zero at or below RANK_RELTOL times the
+    largest, or times `scale` when that is larger, and below the smallest
+    normal float, where the relative cutoff underflows and an inverse
+    overflows.  A caller passes `scale` when every matrix that is nonzero
+    in exact arithmetic has a singular value at least that large, so that
+    one which is zero up to rounding gets rank 0 rather than full rank.
     """
-    u, sv, vt = np.linalg.svd(m, full_matrices=False)
     reference = max(sv[0] if sv.size else 0.0, scale)
-    cutoff = RANK_RELTOL * (reference if reference > 0 else 1.0)
-    return u, sv, vt, int(np.sum(sv > cutoff))
+    return int(np.sum(sv > max(RANK_RELTOL * reference, np.finfo(float).tiny)))
+
+
+def svd_rank(m: np.ndarray, scale: float = 0.0):
+    """Thin SVD (u, sv, vt) of m and its numerical_rank (`scale` as there).
+    Callers pass square or tall matrices, so vt is square and its trailing
+    rows span the whole kernel."""
+    u, sv, vt = np.linalg.svd(m, full_matrices=False)
+    return u, sv, vt, numerical_rank(sv, scale)
 
 
 def null_space(m: np.ndarray) -> np.ndarray:
@@ -64,6 +74,34 @@ def projector_range(p: np.ndarray, rank: int) -> np.ndarray:
     pulls the rounding of the first QR back into the range."""
     q = np.linalg.qr(p @ _sketch(p.shape[0], rank))[0]
     return np.linalg.qr(p @ q)[0]
+
+
+def newton_schulz(algebra, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Newton-Schulz steps x <- x (x*x + 3)/2 toward x*x = -1 from x, L_x
+    gathered once a step; returns the x of least defect and ||x*x + 1||.
+
+    On S the inverse is known, x^{-1} = -x, and putting it into the Newton
+    step x - (x*x + 1)(2x)^{-1} gives the Newton-Schulz iteration for the
+    matrix sign function (Higham, Functions of Matrices, 2008, ch. 5 and 8).
+    The defect d = x*x + 1 commutes with x, so a step sends it to
+    d^2 (3 + d) / 4: quadratic convergence without an inverse.  The steps
+    stop one step past the rounding floor eps * N * (1 + ||x||)^2 of x*x,
+    when the defect stops falling, or after NEWTON_ITERATIONS steps.
+    """
+    unit, floor = algebra.unit_vector, np.finfo(float).eps * algebra.dimension
+    best, defect, last = x, np.inf, False
+    for _ in range(NEWTON_ITERATIONS):
+        left = algebra.left_matrix_vec(x)
+        square = left @ x
+        rn = vector_norm(square + unit)
+        if not rn < defect:  # stopped falling (NaN included)
+            break
+        best, defect = x, rn
+        if last:  # one step past the rounding floor
+            break
+        last = rn <= floor * (1.0 + vector_norm(x)) ** 2
+        x = 0.5 * (left @ (square + 3.0 * unit))
+    return best, defect
 
 
 def affine_square_root(algebra, base: np.ndarray, span: np.ndarray,

@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import Algebra, Element, OperatorMatrix, is_zerodivisor, right_divide
 from .config import within_tol
 from .errors import DimensionMismatchError, NotFoundError, ZeroDivisorError
-from .numerics import NEWTON_ITERATIONS, null_space, vector_norm
+from .numerics import newton_schulz, null_space
 from .roots import RootOfMinusOne, is_root
 from .zerovariety import ComplexElement, zero_variety_witness
 
@@ -90,11 +90,13 @@ def is_in_S0(s: Element, G: InnerProduct, tol: float | None = None) -> bool:
 
 
 def antisymmetric_subspace(algebra: Algebra, G: InnerProduct) -> list[Element]:
-    """Basis of A0 = {a : L_a + L_a^t = 0}, the ambient space of S0."""
+    """Basis of A0 = {a : L_a + L_a^t = 0}, the ambient space of S0: the
+    kernel of the N^2 x N system, taken from its N x N triangular factor R
+    (same kernel), so that the SVD that decides the rank is N x N."""
     gram = _gram_for(G, algebra)
     c = algebra.structure_constants  # L_{e_j} = c[j]^T, so its adjoint is G^{-1} c[j] G
     cols = (c.transpose(0, 2, 1) + G.inverse @ c @ gram).reshape(len(c), -1).T
-    return [algebra.element(col) for col in null_space(cols).T]
+    return [algebra.element(col) for col in null_space(np.linalg.qr(cols, mode="r")).T]
 
 
 def sample_S0(algebra: Algebra, G: InnerProduct,
@@ -103,8 +105,7 @@ def sample_S0(algebra: Algebra, G: InnerProduct,
               basis: list[Element] | None = None) -> RootOfMinusOne:
     """Draw a root of -1 in A0 (`basis`, antisymmetric_subspace(algebra, G)
     unless passed) in up to 50 draws, as the polar factor of L_a for a
-    random a in A0: polish_root's step x <- x (3 + x*x)/2 from a / ||L_a||_F,
-    one step past ||x*x + 1|| <= eps N (1 + ||x||)^2 or until it stops falling."""
+    random a in A0: numerics.newton_schulz from a / ||L_a||_F."""
     if rng is None:
         rng = np.random.default_rng(0)
     if basis is None:
@@ -112,22 +113,10 @@ def sample_S0(algebra: Algebra, G: InnerProduct,
     if not basis:
         raise NotFoundError("antisymmetric subspace is trivial")
     span = np.stack([b.coeffs for b in basis], axis=1)  # (N, m), orthonormal
-    unit, floor = algebra.unit_vector, np.finfo(float).eps * algebra.dimension
     for _ in range(50):
         x = span @ rng.standard_normal(span.shape[1])
-        x, defect, last = x / np.linalg.norm(algebra.left_matrix_vec(x)), np.inf, False
-        for _ in range(NEWTON_ITERATIONS):
-            left = algebra.left_matrix_vec(x)
-            square = left @ x
-            rn = vector_norm(square + unit)
-            if rn >= defect:  # stopped falling
-                break
-            best, defect = x, rn
-            if last:  # one step past the rounding floor
-                break
-            last = rn <= floor * (1.0 + vector_norm(x)) ** 2
-            x = 0.5 * (left @ (square + 3.0 * unit))
-        cand = RootOfMinusOne(Element(algebra, best), defect)
+        x, defect = newton_schulz(algebra, x / np.linalg.norm(algebra.left_matrix_vec(x)))
+        cand = RootOfMinusOne(Element(algebra, x), defect)
         if cand.holds(tol) and is_in_S0(cand.element, G, tol):
             return cand
     raise NotFoundError("no orthogonal root found in the antisymmetric subspace")

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, right_divide
 from .config import within_tol
-from .errors import NonIntegerTraceError, NotFoundError, NotTangentError, ZeroDivisorError
-from .numerics import affine_square_root, null_space, projector_range, vector_norm
+from .errors import NonIntegerTraceError, NotFoundError, NotTangentError
+from .numerics import (affine_square_root, newton_schulz, null_space, projector_range,
+                       vector_norm)
 
 
 @dataclass(frozen=True)
@@ -46,11 +47,7 @@ class RootOfMinusOne:
 
 
 def root_residual(a: Element) -> float:
-    return _defect(a.algebra, a.coeffs)
-
-
-def _defect(algebra: Algebra, s: np.ndarray) -> float:
-    return vector_norm(algebra.multiply_vec(s, s) + algebra.unit_vector)
+    return vector_norm(a.algebra.multiply_vec(a.coeffs, a.coeffs) + a.algebra.unit_vector)
 
 
 def is_root(a: Element, tol: float | None = None) -> bool:
@@ -98,21 +95,10 @@ def find_seed_root(algebra: Algebra,
     raise NotFoundError("no square root of -1 found; the locus may be empty")
 
 
-def _conjugate(algebra: Algebra, y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """y*s*y^{-1}: the x with x*y = y*s, by one LU solve on R_y and no SVD.
-    Raises LAPACK's LinAlgError when it finds R_y singular."""
-    return np.linalg.solve(algebra.right_matrix_vec(y), algebra.multiply_vec(y, s))
-
-
 def conjugate_root(y: Element, s: RootOfMinusOne) -> RootOfMinusOne:
-    """y*s*y^{-1}, measured, by one LU solve on R_y and no SVD.  Raises
-    ZeroDivisorError when LAPACK finds R_y singular."""
-    y._require_same(s.element)
-    try:
-        out = _conjugate(y.algebra, y.coeffs, s.element.coeffs)
-    except np.linalg.LinAlgError as exc:
-        raise ZeroDivisorError(f"element {y!r} is singular") from exc
-    return RootOfMinusOne.measured(Element(y.algebra, out))
+    """y*s*y^{-1}, measured: right_divide(y*s, y), one LU solve on R_y and
+    no SVD.  Raises ZeroDivisorError when LAPACK finds R_y singular."""
+    return RootOfMinusOne.measured(right_divide(y * s.element, y))
 
 
 def sample_root(seed: RootOfMinusOne, rng: np.random.Generator,
@@ -124,43 +110,27 @@ def sample_root(seed: RootOfMinusOne, rng: np.random.Generator,
     when the conjugate is not finite or has norm above 32 (a cap, not a
     tolerance: on noncompact components the orbit is unbounded), or when
     the conjugate, polished (polish_root) to the rounding floor, fails the
-    membership test.  Each draw is measured once, after the polish.
+    membership test at the defect the polish measured.
     """
     algebra, s = seed.algebra, seed.element.coeffs
     for _ in range(200):
         y = rng.standard_normal(algebra.dimension)
-        try:
-            out = _conjugate(algebra, y, s)
+        try:  # x*y = y*s
+            out = np.linalg.solve(algebra.right_matrix_vec(y), algebra.multiply_vec(y, s))
         except np.linalg.LinAlgError:
             continue
         if not vector_norm(out) <= 32.0:  # NaN fails it too
             continue
-        out = _newton_schulz(algebra, out)
-        residual = _defect(algebra, out)
+        out, residual = newton_schulz(algebra, out)
         if within_tol(residual, (1.0 + vector_norm(out)) ** 2, tol):  # as holds
             return RootOfMinusOne(Element(algebra, out), residual)
     raise NotFoundError("conjugation sampling failed repeatedly")
 
 
 def polish_root(s: Element) -> Element:
-    """Two Newton-Schulz steps s <- s*(s*s + 3)/2 for s*s = -1 from s.
-
-    On S the inverse is known, s^{-1} = -s, and putting it into the Newton
-    step s - (s*s + 1)(2s)^{-1} gives the Newton-Schulz iteration for the
-    matrix sign function (Higham, Functions of Matrices, 2008, ch. 5).  The
-    defect d = s*s + 1 commutes with s, so one step sends it to
-    d^2 (3 + d) / 4: quadratic convergence without an inverse.
-    """
-    return Element(s.algebra, _newton_schulz(s.algebra, s.coeffs))
-
-
-def _newton_schulz(algebra: Algebra, s: np.ndarray) -> np.ndarray:
-    """polish_root on coefficients, L_s gathered once a step: L_s (L_s s + 3)/2."""
-    three = 3.0 * algebra.unit_vector
-    for _ in range(2):
-        left = algebra.left_matrix_vec(s)
-        s = 0.5 * (left @ (left @ s + three))
-    return s
+    """s brought to the rounding floor of s*s = -1 by numerics.newton_schulz,
+    with no solve or factorization."""
+    return Element(s.algebra, newton_schulz(s.algebra, s.coeffs)[0])
 
 
 # -- tangent structure -------------------------------------------------------

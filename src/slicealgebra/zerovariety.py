@@ -14,6 +14,7 @@ eigenvalues of the real matrix polynomial z -> R_{F(z)}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 
 import numpy as np
@@ -188,11 +189,13 @@ def zero_variety_witness(w: ComplexElement,
     """Search for s in S with pi(w, s) = 0.
 
     The candidates: for an invertible b = w.im the unique s = -a*b^{-1}, by
-    LU on R_b; else Newton for s*s = -1 on the solutions of s*b = -a, from
-    the particular one and up to 19 random points.  One band rule decides
-    (_verdict).  "absent" is exact: the unique solution is not a root even
-    at sqrt(tol), a misses the range of R_b by more than sqrt(RANK_RELTOL)
-    relative, or in the band sigma_min(R_b) keeps every witness from it.
+    LU on R_b; else -a*b^{-1} first when LU still solves R_b (a b that the
+    cutoff calls singular may be merely ill-conditioned), then Newton for
+    s*s = -1 on the solutions of s*b = -a, from the particular one and up
+    to 19 random points.  One band rule decides (_verdict).  "absent" is
+    exact: the unique solution is not a root even at sqrt(tol), a misses
+    the range of R_b by more than sqrt(RANK_RELTOL) relative, or in the
+    band sigma_min(R_b) keeps every witness from it.
     """
     alg, a, b = w.algebra, w.re, w.im
 
@@ -211,9 +214,13 @@ def zero_variety_witness(w: ComplexElement,
     if vector_norm(rb @ s_part + a.coeffs) > np.sqrt(RANK_RELTOL) * (
             a.norm() + sv[0] * vector_norm(s_part)):
         return WitnessSearch("absent")  # a lies outside the range of R_b
+    try:
+        lu = [right_divide(-a, b)]
+    except ZeroDivisorError:  # LAPACK finds R_b exactly singular
+        lu = []
     kernel = vt[rank:].T  # (N, m)
     if not kernel.shape[1]:
-        return _verdict(w, [alg.element(s_part)], tol, rb=rb)
+        return _verdict(w, lu + [alg.element(s_part)], tol, rb=rb)
     rng = np.random.default_rng(0) if rng is None else rng
 
     def newton(attempt: int) -> Element:
@@ -221,7 +228,7 @@ def zero_variety_witness(w: ComplexElement,
             else rng.standard_normal(kernel.shape[1])
         return alg.element(affine_square_root(alg, s_part, kernel, t)[0])
 
-    return _verdict(w, map(newton, range(20)), tol, "inconclusive", rb)
+    return _verdict(w, chain(lu, map(newton, range(20))), tol, "inconclusive", rb)
 
 
 def leaf_membership(w: ComplexElement, a: Element,

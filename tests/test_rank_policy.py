@@ -1,10 +1,11 @@
 """The one rank cutoff is read in few places.
 
 RANK_RELTOL is defined in config.py and every kernel, eigenspace, Newton
-step and rank decision goes through numerics.svd_rank.  A mention of
-RANK_RELTOL anywhere else in src/ (code, docstring or comment) must sit in
-an allowlisted function, with its reason; a mention outside any function,
-such as the import, is allowed in a module that has an allowlisted one.
+step, rank decision and zerodivisor test reads numerics.numerical_rank.
+A mention of RANK_RELTOL anywhere else in src/ (code, docstring or
+comment) must sit in an allowlisted function, with its reason; a mention
+outside any function, such as the import, is allowed in a module that has
+an allowlisted one.
 """
 
 import ast
@@ -13,10 +14,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "slicealgebra"
 
 ALLOWED = {
-    ("numerics.py", "svd_rank"): "the cutoff itself, for every kernel, eigenspace, "
-                                 "Newton step and rank the package decides",
-    ("algebra.py", "_singular"): "the zerodivisor test needs only the singular "
-                                 "values of L_a, not svd_rank's factors",
+    ("numerics.py", "numerical_rank"): "the cutoff itself, for every kernel, eigenspace, "
+                                       "Newton step, rank and zerodivisor the package "
+                                       "decides",
     ("zerovariety.py", "zero_variety_witness"): "solvability of s*b = -a: the residual "
                                                 "of svd_rank's truncated solve is "
                                                 "judged at the same cutoff",
@@ -59,5 +59,5 @@ def test_rank_cutoff_only_where_allowed():
                 used.add((path.name, func))
             else:
                 offenders.append(f"{path.name}:{line} in {func or 'module scope'}")
-    assert offenders == [], "RANK_RELTOL read outside svd_rank's allowlist"
+    assert offenders == [], "RANK_RELTOL read outside numerical_rank's allowlist"
     assert used == set(ALLOWED), "stale allowlist entries"

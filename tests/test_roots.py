@@ -33,6 +33,7 @@ from slicealgebra import (
     tangent_frame,
     verify_trace_identities,
 )
+from slicealgebra import numerics, orthogonal, roots
 from slicealgebra.algebra import Element
 from slicealgebra.roots import polish_root
 
@@ -135,11 +136,23 @@ EXACT_ALGEBRAS = {"H": lambda: clifford_algebra(0, 2), "Cl(2,2)": lambda: cliffo
 
 
 def _element_polish(s):
-    """The Newton-Schulz steps of polish_root, written in Element operators."""
-    three = 3.0 * s.algebra.unit()
-    for _ in range(2):
-        s = 0.5 * (s * (s * s + three))
-    return s
+    """polish_root written in Element operators: steps s <- s*(s*s + 3)/2
+    while ||s*s + 1|| falls, up to one step past ||s*s + 1|| <= eps N
+    (1 + ||s||)^2 and at most 100 steps; the s of least defect."""
+    one, three = s.algebra.unit(), 3.0 * s.algebra.unit()
+    floor = np.finfo(float).eps * s.algebra.dimension
+    best, least, past_floor = s, np.inf, False
+    for _ in range(100):
+        square = s * s
+        defect = (square + one).norm()
+        if not defect < least:
+            break
+        best, least = s, defect
+        if past_floor:
+            break
+        past_floor = defect <= floor * (1.0 + s.norm()) ** 2
+        s = 0.5 * (s * (square + three))
+    return best
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_ALGEBRAS))
@@ -273,11 +286,32 @@ def test_polish_root_needs_no_lapack(monkeypatch):
     assert root_residual(out) <= floor
 
 
+def test_every_polish_is_the_one_newton_schulz(monkeypatch):
+    """polish_root, sample_root and sample_S0 each end in
+    numerics.newton_schulz."""
+    calls = []
+
+    def counted(algebra, x):
+        calls.append(x)
+        return numerics.newton_schulz(algebra, x)
+
+    for module in (roots, orthogonal):
+        assert module.newton_schulz is numerics.newton_schulz
+        monkeypatch.setattr(module, "newton_schulz", counted)
+    alg, rng = clifford_algebra(0, 3), np.random.default_rng(0)
+    seed = find_seed_root(alg)
+    for draw in (lambda: polish_root(seed.element), lambda: sample_root(seed, rng),
+                 lambda: orthogonal.sample_S0(alg, orthogonal.InnerProduct.standard(alg), rng)):
+        before = len(calls)
+        draw()
+        assert len(calls) > before
+
+
 @settings(max_examples=100, deadline=None)
 @given(direction=hnp.arrays(float, 3, elements=st.floats(-1.0, 1.0)),
        perturbation=hnp.arrays(float, 4, elements=st.floats(-5e-6, 5e-6)))
 def test_polish_root_reaches_the_floor_on_h(quaternions, direction, perturbation):
-    """From a unit pure quaternion moved by at most 1e-5, two Newton-Schulz
+    """From a unit pure quaternion moved by at most 1e-5, the Newton-Schulz
     steps reach ||s*s + 1|| <= 4 eps N (1 + ||s||)^2, in oracle arithmetic."""
     assume(np.linalg.norm(direction) > 0.1)
     start = np.concatenate([[0.0], direction / np.linalg.norm(direction)]) + perturbation
