@@ -110,6 +110,11 @@ class Algebra:
         """The unit's coefficients: one read-only vector, built on first use."""
         return self.basis_element(self.unit_index).coeffs
 
+    @cached_property
+    def structure_norm(self) -> float:
+        """mu, the Frobenius norm of the structure constants: ||x*y|| <= mu ||x|| ||y||."""
+        return np.linalg.norm(self.structure_constants)
+
     def unit(self) -> "Element":
         return Element(self, self.unit_vector)
 

@@ -36,7 +36,7 @@ from .errors import (
     SliceAlgebraError,
     SuiteNotApplicableError,
 )
-from .numerics import svd_rank
+from .numerics import numerical_rank, svd_rank
 from .orthogonal import InnerProduct, antisymmetric_subspace, cone_decompose, sample_S0
 from .roots import (
     RootOfMinusOne,
@@ -157,7 +157,9 @@ def _suite_nijenhuis(alg, trials, rng, tol):
 def _suite_dims(alg, trials, rng, tol):
     for t, s in _sampled_roots(alg, trials, rng, "dims"):
         expected, rem = divmod(alg.dimension + component_invariant(s), 2)
-        gap = abs(tangent_frame(s).dimension - expected) + rem
+        f = alg.left_matrix_vec(s.element.coeffs) + alg.right_matrix_vec(s.element.coeffs)
+        kernel = alg.dimension - numerical_rank(np.linalg.svd(f, compute_uv=False))
+        gap = abs(kernel - expected) + rem  # dim ker(L_s + R_s), counted, not built
         yield gap == 0, float(gap), f"trial {t}"
 
 

@@ -1,11 +1,11 @@
-"""The shared numerical steps: the norm of a coefficient vector, rank
-decisions by singular values, ranges of projectors of known rank, the
-Newton-Schulz polish of a near-root of -1, and the damped Newton for
-s*s = -1 on an affine set, with optional linear rows.
+"""The shared numerical steps: the norm of a coefficient vector (finite up
+to the largest float), rank decisions by singular values, ranges of
+projectors of known rank, the Newton-Schulz polish of a near-root of -1,
+and the damped Newton for s*s = -1 on an affine set, with optional linear rows.
 
 Every rank that is a verdict is decided by the cutoff of `numerical_rank`,
-through `svd_rank` or, for the zerodivisor test, directly; a subspace whose
-rank is an integer trace comes from `projector_range`, with no SVD.  Every
+through `svd_rank`, or directly for the zerodivisor test and the kernel
+count of `dims`; a subspace of integer-trace rank is a `projector_range`.  Every
 Newton-Schulz step toward s*s = -1 is taken by `newton_schulz`, and every
 Newton search for a root of -1 on an affine set runs through
 `affine_square_root`.
@@ -28,7 +28,10 @@ def vector_norm(v: np.ndarray) -> float:
     """np.linalg.norm(v) of a real vector, bit for bit, without its dispatch:
     sqrt(v.dot(v)), a strided v copied first as there (it sums in another order)."""
     v = np.ascontiguousarray(v)
-    return math.sqrt(v.dot(v))
+    square = np.vdot(v, v)  # v.dot(v)'s BLAS dot, with no overflow warning
+    if square == math.inf and (big := np.abs(v).max()) < math.inf:  # rescale: 1e200 -> 1e200
+        return float(big * vector_norm(v / big))
+    return math.sqrt(square)
 
 
 def numerical_rank(sv: np.ndarray, scale: float = 0.0) -> int:

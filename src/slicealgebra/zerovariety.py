@@ -148,7 +148,7 @@ def _excluded(witness: ZeroWitness, rb: np.ndarray, tol: float) -> bool:
     and ||s'*s' + 1|| >= ||s*s + 1|| - ||L_s + R_s|| r - mu r^2, as ||x*y|| <=
     mu ||x|| ||y|| for mu the Frobenius norm of the structure constants."""
     w, s, ns = witness.w, witness.root.element, witness.root.element.norm()
-    mu = np.linalg.norm(s.algebra.structure_constants)
+    mu = s.algebra.structure_norm
     gap = np.linalg.svd(rb, compute_uv=False)[-1] - tol * w.im.norm()
     if gap <= 0.0:  # R_b bounds no distance
         return False
@@ -164,11 +164,12 @@ def _verdict(w: ComplexElement, candidates, tol: float | None, otherwise: str = 
     tol.  In the band (it holds at sqrt(tol) only): "absent" if b is
     `invertible` and _excluded(s), else a joint Newton from s on rows
     [R_b | a] weighted onto (1 + ||s||)^2 (rb: R_b, if the caller has it).
-    No candidate in the band: `otherwise`.  Candidates may be lazy."""
+    No candidate in the band: `otherwise`.  Candidates may be lazy, or witnesses."""
     alg, a, b, tol = w.algebra, w.re, w.im, resolve_tol(tol)
     status = otherwise
-    for s in candidates:
-        witness = _witness(w, s)
+    for c in candidates:
+        witness = c if isinstance(c, ZeroWitness) else _witness(w, c)
+        s = witness.root.element
         if not witness.holds(tol) and witness.holds(np.sqrt(tol)):
             rb = alg.right_matrix_vec(b.coeffs) if rb is None else rb
             if invertible and _excluded(witness, rb, tol):
@@ -188,14 +189,14 @@ def zero_variety_witness(w: ComplexElement,
                          rng: np.random.Generator | None = None) -> WitnessSearch:
     """Search for s in S with pi(w, s) = 0.
 
-    The candidates: for an invertible b = w.im the unique s = -a*b^{-1}, by
-    LU on R_b; else -a*b^{-1} first when LU still solves R_b (a b that the
-    cutoff calls singular may be merely ill-conditioned), then Newton for
-    s*s = -1 on the solutions of s*b = -a, from the particular one and up
-    to 19 random points.  One band rule decides (_verdict).  "absent" is
-    exact: the unique solution is not a root even at sqrt(tol), a misses
-    the range of R_b by more than sqrt(RANK_RELTOL) relative, or in the
-    band sigma_min(R_b) keeps every witness from it.
+    The first candidate is s = -a*b^{-1}, by LU on R_b (b = w.im): found if
+    its witness holds at tol, else the unique one if is_zerodivisor calls b
+    invertible.  On an exact zero pivot, or a b the cutoff calls singular
+    (maybe only ill-conditioned: LU's s stays first), Newton for s*s = -1
+    runs on the solutions of s*b = -a (SVD of R_b), from the particular one
+    and up to 19 random points.  One band rule decides (_verdict).  "absent"
+    is exact: the unique s is no root at sqrt(tol), a misses range(R_b) by
+    sqrt(RANK_RELTOL) relative, or in the band sigma_min(R_b) bars witnesses.
     """
     alg, a, b = w.algebra, w.re, w.im
 
@@ -206,18 +207,17 @@ def zero_variety_witness(w: ComplexElement,
             return WitnessSearch("absent")
 
     rb = alg.right_matrix_vec(b.coeffs)
-    if not is_zerodivisor(b):  # s = -a*b^{-1}, by LU on R_b: backward stable
-        return _verdict(w, [alg.element(np.linalg.solve(rb, -a.coeffs))], tol,
-                        rb=rb, invertible=True)
+    try:  # s = -a*b^{-1}, by LU on R_b: backward stable
+        lu = [_witness(w, alg.element(np.linalg.solve(rb, -a.coeffs)))]
+    except np.linalg.LinAlgError:  # an exact zero pivot: R_b is singular
+        lu = []
+    if lu and (lu[0].holds(tol) or not is_zerodivisor(b)):  # a witness is its own proof
+        return _verdict(w, lu, tol, rb=rb, invertible=True)
     u, sv, vt, rank = svd_rank(rb)
     s_part = vt[:rank].T @ ((u[:, :rank].T @ -a.coeffs) / sv[:rank])
     if vector_norm(rb @ s_part + a.coeffs) > np.sqrt(RANK_RELTOL) * (
             a.norm() + sv[0] * vector_norm(s_part)):
         return WitnessSearch("absent")  # a lies outside the range of R_b
-    try:
-        lu = [right_divide(-a, b)]
-    except ZeroDivisorError:  # LAPACK finds R_b exactly singular
-        lu = []
     kernel = vt[rank:].T  # (N, m)
     if not kernel.shape[1]:
         return _verdict(w, lu + [alg.element(s_part)], tol, rb=rb)

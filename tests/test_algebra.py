@@ -225,12 +225,25 @@ _NORM_ENTRIES = st.one_of(st.floats(-10.0, 10.0), st.floats(), st.floats(1e153, 
 def test_element_norm_is_numpy_norm_bit_for_bit(q, stride, data):
     """Element.norm gives the bits of float(np.linalg.norm(c)), also for
     coefficients held as a strided view, whose dot sums in another order.
-    Both take c.dot(c), which may warn of the overflow; the value is judged."""
+    Where the square c.c overflows and c is finite, np.linalg.norm says inf
+    and Element.norm gives the bits of np.linalg.norm at the scale max|c|."""
     alg = CLIFFORD_0Q[q]
     c = data.draw(hnp.arrays(float, alg.dimension * stride, elements=_NORM_ENTRIES))[::stride]
     with np.errstate(over="ignore", invalid="ignore"):
         got, want = Element(alg, c).norm(), float(np.linalg.norm(c))
+        if want == np.inf and np.isfinite(c).all():
+            big = np.abs(c).max()
+            want = float(big * np.linalg.norm(c / big))
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("p, q", [(0, 2), (2, 2), (3, 3)])
+def test_structure_norm_is_the_frobenius_norm_once(p, q):
+    """mu = ||c||_F, with the bits of np.linalg.norm, is computed once per algebra."""
+    alg = clifford_algebra(p, q)
+    mu = alg.structure_norm
+    assert float(mu).hex() == float(np.linalg.norm(alg.structure_constants)).hex()
+    assert alg.structure_norm is mu
 
 
 SPLIT = {"cl11": clifford_algebra(1, 1), "cl22": clifford_algebra(2, 2)}

@@ -104,6 +104,23 @@ def test_every_suite_on_every_signature(p, q):
     assert failed == []
 
 
+@pytest.mark.parametrize("p, q", [(0, 2), (1, 1), (0, 3), (2, 2)])
+def test_dims_counts_the_kernel_and_fails_a_wrong_trace(monkeypatch, p, q):
+    """dims compares the kernel size of L_s + R_s, counted from singular
+    values without building a frame, with (N + tr T_s)/2: it passes every
+    trial, and fails every one when the trace is snapped 2 too high."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dims built a tangent frame")
+
+    monkeypatch.setattr(cli, "tangent_frame", refuse)
+    alg = clifford_algebra(p, q)
+    assert run_suite("dims", alg, "x", trials=6, seed=0, tol=1e-9).pass_count == 6
+    trace = cli.component_invariant
+    monkeypatch.setattr(cli, "component_invariant", lambda s: trace(s) + 2)
+    report = run_suite("dims", alg, "x", trials=6, seed=0, tol=1e-9)
+    assert report.pass_count == 0 and len(report.failures) == 6
+
+
 def test_verify_not_applicable(capsys):
     assert main(["verify", "traces", "--algebra", "reals"]) == 2
     assert main(["verify", "twistor", "--algebra", "clifford 0 3",

@@ -1,4 +1,7 @@
-"""The shared rank decisions, projector ranges and the Newton for s*s = -1."""
+"""The vector norm, the shared rank decisions, projector ranges and the
+Newton for s*s = -1."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from slicealgebra.numerics import (
     null_space,
     projector_range,
     svd_rank,
+    vector_norm,
 )
 
 
@@ -146,3 +150,22 @@ def test_affine_square_root_on_quaternions_reaches_the_root_of_its_plane(
     assert rn <= floor
     assert np.linalg.norm(oq.qmul(s, s) + oq.ONE) <= floor
     assert np.allclose(s, np.concatenate([[0.0], v / np.linalg.norm(v)]), atol=1e-7)
+
+
+@pytest.mark.parametrize("n", [1, 4, 64])
+@pytest.mark.parametrize("big", [1e200, -1e200, 1.7e308])
+def test_vector_norm_of_a_huge_entry_is_finite(n, big):
+    """A square that overflows is taken again at the scale max|v|: the norm
+    of one huge entry is that entry's size, with no overflow warning."""
+    v = np.zeros(n)
+    v[n // 2] = big
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert vector_norm(v) == abs(big)
+        assert vector_norm(v[::-1].copy()) == abs(big)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=st.integers(1, 64).flatmap(lambda n: hnp.arrays(float, n, elements=st.floats(-1e150, 1e150))))
+def test_vector_norm_is_numpy_norm_bit_for_bit(v):
+    assert vector_norm(v).hex() == float(np.linalg.norm(v)).hex()

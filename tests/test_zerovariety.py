@@ -30,6 +30,7 @@ from slicealgebra import (
     tau_involution,
     zero_variety_witness,
 )
+from slicealgebra import zerovariety
 from slicealgebra.cli import run_suite
 
 
@@ -227,6 +228,54 @@ def test_members_near_a_zerodivisor_are_found(pq, seed, exponent):
     res = zero_variety_witness(w)
     assert res.status == "found"
     assert _witness_holds_in_einsum(w, res.witness.root.element.coeffs)
+
+
+@pytest.mark.parametrize("p, q", [(0, 2), (0, 3), (2, 2), (3, 3)])
+def test_an_invertible_member_is_found_by_lu_alone(monkeypatch, p, q):
+    """For an invertible b, the LU candidate -a*b^{-1} of a member holds at
+    tol and is its own proof: the search decides no rank (no SVD, so no
+    zerodivisor test) and returns the witness of that candidate, bit for bit."""
+    alg = clifford_algebra(p, q)
+    rng = np.random.default_rng(p + 10 * q)
+    seed = find_seed_root(alg)
+    members = []
+    for _ in range(5):
+        s, b = sample_root(seed, rng), alg.random_element(rng)
+        w = ComplexElement(-(s.element * b), b)
+        members.append((w, np.linalg.solve(alg.right_matrix_vec(b.coeffs), -w.re.coeffs)))
+    svds = []
+
+    def counted(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for w, lu in members:
+        res = zero_variety_witness(w)
+        assert res.status == "found"
+        assert res.witness.root.element.coeffs.tobytes() == lu.tobytes()
+    assert svds == []
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3])
+def test_a_zero_pivot_member_needs_no_zerodivisor_test(monkeypatch, seed):
+    """b = (1 + e1) r on clifford(1,1): LU on R_b hits an exact zero pivot,
+    which already shows b singular, so the search goes to the rank path
+    without asking is_zerodivisor, and still finds the member (-s b, b)."""
+    alg = clifford_algebra(1, 1)
+    rng = np.random.default_rng(seed)
+    s = sample_root(find_seed_root(alg), rng)
+    b = (alg.unit() + alg.basis_element(1)) * alg.random_element(rng)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(alg.right_matrix_vec(b.coeffs), np.ones(alg.dimension))
+    asked = []
+    monkeypatch.setattr(zerovariety, "is_zerodivisor", lambda *args: asked.append(args))
+    w = ComplexElement(-(s.element * b), b)
+    res = zero_variety_witness(w, rng=rng)
+    assert res.status == "found"
+    assert _witness_holds_in_einsum(w, res.witness.root.element.coeffs)
+    assert asked == []
 
 
 @pytest.mark.parametrize("gap", [1e-11, 1e-9, 1e-8, 1e-6, 1e-5])
