@@ -29,7 +29,7 @@ def vector_norm(v: np.ndarray) -> float:
     sqrt(v.dot(v)), a strided v copied first as there (it sums in another order)."""
     v = np.ascontiguousarray(v)
     square = np.vdot(v, v)  # v.dot(v)'s BLAS dot, with no overflow warning
-    if square == math.inf and (big := np.abs(v).max()) < math.inf:  # rescale: 1e200 -> 1e200
+    if square == math.inf and (big := np.abs(v).max()) < math.inf:  # overflow: scale by max|v|
         return float(big * vector_norm(v / big))
     return math.sqrt(square)
 
