@@ -436,15 +436,18 @@ def algebra_to_dict(algebra: Algebra) -> dict:
 
 
 def algebra_from_dict(data: dict, tol: float | None = None) -> Algebra:
-    c = np.asarray(data["structure_constants"], dtype=float)
-    n = int(data["dimension"])
+    try:
+        c = np.asarray(data["structure_constants"], dtype=float)
+        n = int(data["dimension"])
+        unit_index = int(data["unit_index"])
+        labels = [str(s) for s in data["labels"]]
+    except (KeyError, TypeError, ValueError):  # not an object, a key missing or mistyped
+        raise ValueError("expected an object with \"structure_constants\" (N x N x N), "
+                         "\"dimension\", \"unit_index\" and \"labels\"") from None
     if c.shape != (n, n, n):
         raise DimensionMismatchError(
             f"declared dimension {n} does not match tensor shape {c.shape}")
-    return make_algebra(c,
-                        unit_index=int(data["unit_index"]),
-                        labels=[str(s) for s in data["labels"]],
-                        tol=tol)
+    return make_algebra(c, unit_index=unit_index, labels=labels, tol=tol)
 
 
 def dump_algebra(algebra: Algebra, path: str) -> None:

@@ -36,7 +36,7 @@ from .errors import (
     SliceAlgebraError,
     SuiteNotApplicableError,
 )
-from .numerics import numerical_rank, svd_rank
+from .numerics import numerical_rank
 from .orthogonal import InnerProduct, antisymmetric_subspace, cone_decompose, sample_S0
 from .roots import (
     RootOfMinusOne,
@@ -51,6 +51,7 @@ from .slicefunctions import eval_slice, stem_from_slice_poly
 from .twistor import (
     ProjectivePoint,
     QuaternionFrame,
+    fiber_embed,
     gamma,
     generalized_twistor,
     rho1,
@@ -239,6 +240,7 @@ def _suite_twistor(alg, trials, rng, tol):
         frame = QuaternionFrame.detect(alg)
     except FrameNotFoundError as exc:
         raise SuiteNotApplicableError(str(exc)) from exc
+    i_root = frame.i_root
     for t in range(trials):
         degree = int(rng.integers(1, 6))
         stem = stem_from_slice_poly([alg.random_element(rng)
@@ -247,19 +249,17 @@ def _suite_twistor(alg, trials, rng, tol):
         u = ProjectivePoint(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         g = gamma(u.coords[0], u.coords[1], frame)
         s_u = RootOfMinusOne.from_element(left_divide(g, frame.i * g))
-        lhs = eval_slice(stem, z, s_u)
-        rhs = rho1(twistor_lift(stem, z, u, frame), frame)
-        residual = (lhs - rhs).norm()
+        lift = twistor_lift(stem, z, u, frame)
+        residual = (eval_slice(stem, z, s_u) - rho1(lift, frame)).norm()
         # both sides sum the terms of F(z) = a + ib in a + s*b
         size = (1.0 + s_u.element.norm()) * stem.term_size(z)
-        lifted = np.stack([twistor_lift(stem, z, ProjectivePoint(
-            rng.standard_normal(2) + 1j * rng.standard_normal(2)), frame).coords
-            for _ in range(6)])
-        _, sv, _, rank = svd_rank(lifted)
-        rank_res = float(sv[2] / sv[0]) if sv[0] > 0 else 0.0
-        # the lifts of one sphere span a line: rank 2, a rank decision
-        ok = within_tol(residual, size, tol) and rank <= 2
-        yield ok, max(residual, rank_res), f"trial {t}"
+        # I g = g s_u, so g is a section value over s_u of the bundle at u = I,
+        # whose point is the chart of the lift [w0 : w1 : w2 : w3] half by half
+        chart = ProjectivePoint(np.concatenate([fiber_embed(i_root, gamma(*half, frame))
+                                                for half in np.split(lift.coords, 2)]))
+        distance = chart.chordal_distance(generalized_twistor(stem, lambda _: g, z, s_u, frame))
+        ok = within_tol(residual, size, tol) and within_tol(distance, 2.0, tol)
+        yield ok, max(residual, distance), f"trial {t}"
 
 
 def _suite_stereographic(alg, trials, rng, tol):

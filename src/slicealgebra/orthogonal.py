@@ -20,7 +20,7 @@ from .algebra import Algebra, Element, OperatorMatrix, is_zerodivisor, right_div
 from .config import within_tol
 from .errors import DimensionMismatchError, NotFoundError, ZeroDivisorError
 from .numerics import newton_schulz, null_space
-from .roots import RootOfMinusOne, is_root
+from .roots import RootOfMinusOne, TraceReport, is_root
 from .zerovariety import ComplexElement, zero_variety_witness
 
 
@@ -122,16 +122,7 @@ def sample_S0(algebra: Algebra, G: InnerProduct,
     raise NotFoundError("no orthogonal root found in the antisymmetric subspace")
 
 
-@dataclass(frozen=True)
-class CharacterizationReport:
-    rows: tuple[dict, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(row["pass"] for row in self.rows)
-
-    def to_json(self) -> list[dict]:
-        return [dict(row) for row in self.rows]
+CharacterizationReport = TraceReport  # the same rows, verdict and JSON
 
 
 def orthogonality_characterization(s: RootOfMinusOne, G: InnerProduct,

@@ -252,6 +252,8 @@ def minus_i_eigenspace(s: RootOfMinusOne) -> ComplexSubspace:
 
 @dataclass(frozen=True)
 class TraceReport:
+    """Identity checks, a row each with its verdict (also CharacterizationReport)."""
+
     rows: tuple[dict, ...]
 
     @property

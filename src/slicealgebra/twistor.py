@@ -40,6 +40,8 @@ class ProjectivePoint:
         vec = np.array(self.coords, dtype=complex).ravel()
         size = np.abs(vec)
         peak = size.max() if vec.size else 0.0
+        if not np.isfinite(peak):  # the max is NaN if any coordinate is
+            raise ValueError("projective point needs finite coordinates")
         if peak == 0.0:
             raise ValueError("projective point needs a nonzero coordinate")
         # a coordinate 1e-12 of the largest is taken for a rounded zero, so

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from slicealgebra import (SuiteNotApplicableError, algebra_to_dict, cli, clifford_algebra,
-                          dump_algebra)
+                          dump_algebra, twistor)
 from slicealgebra.cli import SUITES, main, resolve_algebra, run_suite
 from slicealgebra.zerovariety import WitnessSearch
 
@@ -39,7 +39,7 @@ def test_info_finds_split_zerodivisors(tmp_path, capsys):
     assert "e1" in report["zerodivisors"]["witness"]
 
 
-def test_algebra_file_round_trip(tmp_path, quaternions):
+def test_algebra_file_round_trip(tmp_path, quaternions, capsys):
     path = tmp_path / "quat.json"
     dump_algebra(quaternions, str(path))
     name, alg = resolve_algebra(str(path))
@@ -52,6 +52,17 @@ def test_algebra_file_round_trip(tmp_path, quaternions):
     bad.write_text("{not json")
     assert main(["info", "--algebra", str(bad)]) == 2
     assert main(["info", "--algebra", str(tmp_path / "missing.json")]) == 2
+
+    # valid JSON of the wrong shape: an error naming the keys, not a traceback
+    good = algebra_to_dict(quaternions)
+    for content in ([1, 2, 3], {k: v for k, v in good.items() if k != "labels"},
+                    {**good, "labels": 5}, {**good, "unit_index": None}):
+        capsys.readouterr()
+        bad.write_text(json.dumps(content))
+        assert main(["info", "--algebra", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert all(key in err for key in good)
 
 
 def test_resolve_algebra_aliases():
@@ -119,6 +130,40 @@ def test_dims_counts_the_kernel_and_fails_a_wrong_trace(monkeypatch, p, q):
     monkeypatch.setattr(cli, "component_invariant", lambda s: trace(s) + 2)
     report = run_suite("dims", alg, "x", trials=6, seed=0, tol=1e-9)
     assert report.pass_count == 0 and len(report.failures) == 6
+
+
+def test_twistor_compares_one_lift_with_the_bundle(monkeypatch):
+    """Each trial lifts once and checks the bundle point at u = I against
+    the chart of that lift: a bundle image c a - u (c b), from evaluating
+    the stem at conj(z), fails every trial, as does a wrong sign in delta1."""
+    alg = clifford_algebra(0, 2)
+    assert run_suite("twistor", alg, "H", trials=20, seed=0, tol=1e-9).pass_count == 20
+    lifts = []
+    lift = cli.twistor_lift
+
+    def counted_lift(*args, **kwargs):
+        lifts.append(args)
+        return lift(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "twistor_lift", counted_lift)
+    assert run_suite("twistor", alg, "H", trials=4, seed=0, tol=1e-9).passed
+    assert len(lifts) == 4
+
+    bundle = cli.generalized_twistor
+    with monkeypatch.context() as m:
+        m.setattr(cli, "generalized_twistor",
+                  lambda F, sigma, z, s, frame: bundle(F, sigma, np.conj(z), s, frame))
+        report = run_suite("twistor", alg, "H", trials=20, seed=0, tol=1e-9)
+        assert report.pass_count == 0 and len(report.failures) == 20
+
+    def flipped_delta1(p):  # -w_7 of the third output taken as +w_7
+        w = p.coords
+        return twistor.ProjectivePoint(np.array([w[0], w[1], w[2] + 1j * w[4] + w[7] + 1j * w[9],
+                                                 w[3] - 1j * w[5] + w[6] + 1j * w[8]]))
+
+    monkeypatch.setattr(twistor, "delta1", flipped_delta1)
+    report = run_suite("twistor", alg, "H", trials=20, seed=0, tol=1e-9)
+    assert report.pass_count == 0 and len(report.failures) == 20
 
 
 def test_verify_not_applicable(capsys):

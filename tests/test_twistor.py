@@ -61,8 +61,9 @@ def test_projective_point_normalization():
     assert np.allclose(p.coords, [1.0, 2.0, 3.0])
     q = ProjectivePoint(np.array([0.0, 3j, 6.0]))
     assert np.allclose(q.coords, [0.0, 1.0, -2j])
-    with pytest.raises(ValueError):
-        ProjectivePoint(np.zeros(3))
+    for coords in (np.zeros(3), [np.nan, 1.0], [np.inf, 1.0]):
+        with pytest.raises(ValueError):
+            ProjectivePoint(np.asarray(coords))
 
     a = _cp([1 + 2j, 3.0, -1j])
     scaled = ProjectivePoint((0.3 - 1.7j) * np.asarray([1 + 2j, 3.0, -1j]))
@@ -459,3 +460,36 @@ def test_bundle_quotient_is_the_slice_function_on_H(quaternions, direction, coef
                               np.concatenate([[x], y * s.element.coeffs[1:]]))
     size = (1.0 + s.element.norm()) * stem.term_size(z)
     assert within_tol(np.linalg.norm(got - want), size)
+
+
+_complex = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(lambda xy: complex(*xy))
+
+
+@settings(max_examples=80, deadline=None)
+@given(coefficients=st.lists(_quaternion, min_size=2, max_size=6), z=_complex,
+       u0=_complex, u1=_complex)
+def test_the_bundle_at_I_is_the_chart_of_the_GSS_lift(quaternions, coefficients, z, u0, u1):
+    """On H, with u = I and s_u = g^-1 I g for g = gamma(u0, u1), the bundle
+    point over s_u is the chart [gamma(w0, w1) - i I gamma(w0, w1) : same for
+    (w2, w3)] of the lift [w0 : w1 : w2 : w3] of the same stem and z, for the
+    section value g and for the standard section, whose value vanishes at
+    s_u = -I and loses its relative accuracy near it.  The chart quotient of
+    that point is f at rho(z, u), in hand-written Hamilton products."""
+    assume(abs(u0) + abs(u1) >= 0.1)
+    frame = QuaternionFrame.detect(quaternions)
+    i = frame.i_root
+    stem = stem_from_slice_poly([quaternions.element(a) for a in coefficients])
+    w = twistor_lift(stem, z, ProjectivePoint(np.array([u0, u1])), frame).coords
+    chart = ProjectivePoint(np.concatenate([fiber_embed(i, gamma(w[0], w[1], frame)),
+                                            fiber_embed(i, gamma(w[2], w[3], frame))]))
+    g = oq.gamma_pair(u0, u1)
+    s_u = RootOfMinusOne.measured(quaternions.element(oq.qmul(oq.qinv(g), oq.qmul(oq.I, g))))
+    sections = [lambda _: quaternions.element(g)]
+    if (s_u.element + i.element).norm() >= 0.1:
+        sections.append(standard_section(i))
+    want = oq.slice_poly_eval([np.array(a) for a in coefficients], oq.rho_point(z, u0, u1))
+    size = (1.0 + s_u.element.norm()) * stem.term_size(z)
+    for section in sections:
+        point = generalized_twistor(stem, section, z, s_u, frame)
+        assert point.chordal_distance(chart) <= 1e-12
+        assert within_tol(np.linalg.norm(rho1_general(point, i).coeffs - want), size)
