@@ -37,11 +37,14 @@ class StemPolynomial:
         if mat.shape[0] == 0:
             mat = np.zeros((1, self.algebra.dimension), dtype=complex)
         mat.setflags(write=False)
-        norms = np.linalg.norm(mat, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(mat, axis=1)
+        for k in np.flatnonzero(np.isinf(norms)):  # a square overflowed: vector_norm rescales
+            norms[k] = vector_norm(mat[k].view(float))
         norms.setflags(write=False)
         object.__setattr__(self, "coeff_matrix", mat)
         object.__setattr__(self, "row_norms", norms)
-        object.__setattr__(self, "intrinsic_defect", 2.0 * float(np.linalg.norm(mat.imag)))
+        object.__setattr__(self, "intrinsic_defect", 2.0 * vector_norm(mat.imag.ravel()))
 
     @classmethod
     def from_coefficients(cls, coefficients: list[ComplexElement]) -> "StemPolynomial":

@@ -195,7 +195,8 @@ def twistor_lift(F: StemPolynomial, z: complex, u: ProjectivePoint,
     """Lift of the induced slice function to CP^3: delta1 of the Segre image
     of [1 : F_0(z) : F_1(z) : F_2(z) : F_3(z)] with u."""
     require_intrinsic(F, tol)
-    comps = frame.decompose(F.evaluate(z))
+    with np.errstate(over="ignore", invalid="ignore"):  # ProjectivePoint rejects inf and NaN
+        comps = frame.decompose(F.evaluate(z))
     cp4 = ProjectivePoint(np.concatenate([[1.0 + 0j], comps]))
     return delta1(segre2(cp4, u))
 

@@ -284,10 +284,6 @@ def left_absorption(witness: ZeroWitness, wp: ComplexElement,
 # where R(mu) has its highest rank is used.  _PROBE: a generic off-axis point.
 _SHIFTS = (0.0, 0.5772156649, -1.2020569032, 1.6180339887, -2.7182818285)
 _PROBE = complex(0.5772156649, 1.4142135624)
-# A zero of multiplicity m spreads its eigenvalues over about eps^(1/m) times
-# the size of z (1.2 eps^(1/m) for x^m on H), more when ill-conditioned;
-# clusters are sought within this many times that, for m up to twice the degree.
-_SPREAD_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
@@ -303,14 +299,13 @@ class ZeroScanHit:
                 "residual": float(self.residual)}
 
 
-def _eigenvalues(mats: np.ndarray, scale: float) -> tuple[np.ndarray, int]:
+def _eigenvalues(mats: np.ndarray, scale: float) -> tuple[np.ndarray, int, float]:
     """The finite z at which R(z) = sum_k z^k mats[k] drops below its generic
-    rank r, and r (`scale` as in svd_rank).  With R(mu) = U S V^T of rank r,
-    U_r^T R(z) V_r is regular and singular wherever rank R(z) < r (if R(z) is
-    singular at every z beyond a constant kernel, elsewhere too: the caller's
-    exact classification drops those).  Solved by the block companion matrix
-    of zeta^d S_r^{-1} U_r^T R(mu + 1/zeta) V_r.
-    """
+    rank r, r (`scale` as in svd_rank) and the shift mu.  With R(mu) = U S V^T
+    of rank r, U_r^T R(z) V_r is regular and singular wherever rank R(z) < r
+    (if R(z) is singular at every z beyond a constant kernel, elsewhere too:
+    the caller's exact classification drops those).  Solved by the block
+    companion matrix of zeta^d S_r^{-1} U_r^T R(mu + 1/zeta) V_r."""
     n, d = mats.shape[1], len(mats) - 1
     best = None
     for mu in _SHIFTS:
@@ -323,41 +318,42 @@ def _eigenvalues(mats: np.ndarray, scale: float) -> tuple[np.ndarray, int]:
             break
     rank, mu, taylor, u, sv, vt = best
     if d == 0 or rank == 0:
-        return np.empty(0, dtype=complex), rank
+        return np.empty(0, dtype=complex), rank, mu
     companion = np.eye(rank * d, k=-rank)
     companion[:rank] = -np.concatenate(
         [u[:, :rank].T @ t @ vt[:rank].T for t in taylor[1:]], axis=1) / sv[:rank, None]
     zeta = np.linalg.eigvals(companion)
-    return mu + 1.0 / zeta[zeta != 0], rank
+    return mu + 1.0 / zeta[zeta != 0], rank, mu
 
 
-def _cluster_means(zs: np.ndarray, mats: np.ndarray, rank: int,
-                   radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cluster_means(zs: np.ndarray, mats: np.ndarray, rank: int, rungs: np.ndarray,
+                   mu: float) -> tuple[np.ndarray, np.ndarray]:
     """One mean per zero, and the largest distance from it to a member of
-    its group: a group grows around each eigenvalue through radii while R
-    stays flat on it (the r-th singular value of R(z) at the mean and
-    halfway to each member at most 10 times the members').  R is flat around
-    a multiple zero, whose eigenvalues spread; between distinct zeros not."""
-    def gap(points: np.ndarray) -> np.ndarray:
-        r_at = np.tensordot(points[:, None] ** np.arange(len(mats)), mats, axes=1)
-        return np.linalg.svd(r_at, compute_uv=False)[:, rank - 1]
-
+    its group: a group grows around each eigenvalue z through the radii
+    rungs |z - mu| while the r-th singular value of R at its mean is at most
+    the members' largest plus eps N sum_k |mean|^k ||R_k||, the rounding of
+    forming R.  Near a zero that singular value grows with the distance to
+    it, so one zero's mean passes and two zeros' does not.  Means within the
+    first rung of the axis are put on it."""
+    rounding = [m.shape[0] * np.finfo(float).eps * vector_norm(m.ravel()) for m in mats]
     means, spreads = [], []
     while zs.size:
         dist = np.abs(zs - zs[0])
+        radii = rungs * abs(zs[0] - mu)
         group = dist <= radii[0]
         for near in (dist <= radius for radius in radii[1:]):
             if near.sum() > group.sum():
-                members = zs[near]
-                inner = np.append((members + members.mean()) / 2, members.mean())
-                if gap(inner).max() > 10.0 * gap(members).max():
+                points = np.append(zs[near], zs[near].mean())
+                powers = points[:, None] ** np.arange(len(mats))
+                gap = np.linalg.svd(np.tensordot(powers, mats, 1), compute_uv=False)[:, rank - 1]
+                if gap[-1] > gap[:-1].max() + np.abs(powers[-1]) @ rounding:
                     break
                 group = near
-        means.append(zs[group].mean())
-        spreads.append(np.abs(zs[group] - means[-1]).max())
+        mean = zs[group].mean()
+        means.append(mean.real if abs(mean.imag) <= rungs[0] * abs(mean - mu) else mean)
+        spreads.append(np.abs(zs[group] - mean).max())
         zs = zs[~group]
-    means = np.array([m.real if abs(m.imag) <= radii[0] else m for m in means], dtype=complex)
-    return means, np.array(spreads)
+    return np.array(means, dtype=complex), np.array(spreads)
 
 
 def discrete_zero_scan(stem, region, target: Element | None = None,
@@ -402,16 +398,19 @@ def discrete_zero_scan(stem, region, target: Element | None = None,
     scale = vector_norm(tgt)
     if svd_rank(np.concatenate(mats), scale)[3] == 0:
         raise SliceAlgebraError("zero set is not discrete: F(z) = target for every z")
-    zs, rank = _eigenvalues(mats, scale)
+    zs, rank, mu = _eigenvalues(mats, scale)
     if rank < alg.dimension and solution(_PROBE) is not None:
         raise SliceAlgebraError(f"zero set is not discrete: F(z) = target at z = {_PROBE}")
-    radii = (_SPREAD_FACTOR * max(1.0, abs(x0), abs(x1), ymax)
-             * np.finfo(float).eps ** (1.0 / np.arange(1, 2 * max(1, len(mats) - 1) + 1)))
-    zs = zs[(np.abs(zs.imag) <= ymax + radii[-1])
-            & (zs.real >= x0 - radii[-1]) & (zs.real <= x1 + radii[-1])]
-    zs, spreads = _cluster_means(zs, mats, rank, radii)
-    inside = ((zs.imag >= 0) & (zs.imag <= ymax + radii[1])
-              & (zs.real >= x0 - radii[1]) & (zs.real <= x1 + radii[1]))
+    # The companion gives zeta = 1/(z - mu) to relative accuracy, so a zero of
+    # multiplicity k spreads its eigenvalues over about (N eps)^(1/k) |z - mu|.
+    rungs = (alg.dimension * np.finfo(float).eps) ** (1 / np.arange(1, 2 * max(1, stem.degree) + 1))
+
+    def in_region(zs: np.ndarray, rung: float) -> np.ndarray:  # widened by rung |z - mu|
+        m = rung * np.abs(zs - mu)
+        return (np.abs(zs.imag) <= ymax + m) & (zs.real >= x0 - m) & (zs.real <= x1 + m)
+
+    zs, spreads = _cluster_means(zs[in_region(zs, rungs[-1])], mats, rank, rungs, mu)
+    inside = (zs.imag >= 0) & in_region(zs, rungs[1])
     out = []
     for z, spread in zip(zs[inside], spreads[inside]):
         if (found := solution(complex(z), spread)) is not None:

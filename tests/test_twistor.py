@@ -56,7 +56,7 @@ def _cp(vals):
     return ProjectivePoint(np.asarray(vals, dtype=complex))
 
 
-def test_projective_point_normalization():
+def test_projective_point_normalization(quaternions, frame):
     p = ProjectivePoint(np.array([2.0, 4.0, 6.0]))
     assert np.allclose(p.coords, [1.0, 2.0, 3.0])
     q = ProjectivePoint(np.array([0.0, 3j, 6.0]))
@@ -64,6 +64,10 @@ def test_projective_point_normalization():
     for coords in (np.zeros(3), [np.nan, 1.0], [np.inf, 1.0]):
         with pytest.raises(ValueError):
             ProjectivePoint(np.asarray(coords))
+    # F(z) overflows at z = 1e200 (1 + i): the lift is no point, under any warning filter
+    square = stem_from_slice_poly([quaternions.unit(), quaternions.zero(), quaternions.unit()])
+    with pytest.raises(ValueError):
+        twistor_lift(square, 1e200 * (1 + 1j), _cp([1.0, 0.5j]), frame)
 
     a = _cp([1 + 2j, 3.0, -1j])
     scaled = ProjectivePoint((0.3 - 1.7j) * np.asarray([1 + 2j, 3.0, -1j]))

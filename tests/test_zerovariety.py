@@ -514,6 +514,74 @@ def test_scan_finds_the_symmetrization_roots(quaternions, coeffs):
         assert h.classification == "isolated"
 
 
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.integers(1, 5).flatmap(lambda d: hnp.arrays(
+    float, (d + 1, 4), elements=st.floats(-3.0, 3.0))))
+def test_scan_hits_do_not_depend_on_the_region(quaternions, coeffs):
+    """The eigenvalues of a zero are grouped at radii set by the
+    eigenproblem, not by the region: the hits of a wide region that lie in
+    +-2 are the +-2 hits, which are the symmetrization roots there."""
+    if np.linalg.norm(coeffs[-1]) < 0.5:
+        coeffs[-1] = coeffs[-1] + oq.ONE
+    roots = np.roots(_symmetrization(coeffs)[::-1])
+    edge = np.minimum(2.0 - np.abs(roots.real), 2.0 - np.abs(roots.imag))
+    gaps = np.abs(roots[:, None] - roots[None, :]) + np.eye(len(roots))
+    assume(np.all(np.abs(edge) > 1e-3) and np.all(gaps > 1e-3))
+    stem = stem_from_slice_poly([quaternions.element(c) for c in coeffs])
+    hits = [(h.z, h.classification) for h in discrete_zero_scan(stem, (-2, 2, -2, 2))]
+    inside = roots[edge > 0]
+    assert len(hits) == len(inside)
+    assert all(np.min(np.abs(inside - z)) <= 1e-8 for z, _ in hits)
+    for extent in (1e10, 1e100, 1e300):
+        wide = [(h.z, h.classification)
+                for h in discrete_zero_scan(stem, (-extent, extent, -extent, extent))
+                if max(abs(h.z.real), abs(h.z.imag)) <= 2.0]
+        assert [kind for _, kind in wide] == [kind for _, kind in hits]
+        assert np.allclose([z for z, _ in wide], [z for z, _ in hits], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("pq", [(0, 2), (1, 1), (2, 2)])
+@pytest.mark.parametrize("k", [10, 20, 40, 75, 100])
+def test_scan_finds_tiny_zeros(pq, k):
+    """1 + 10^(2k) x^2 vanishes on the spheres at +-10^-k i.  Their
+    eigenvalues are grouped within radii relative to |z - mu|, so the two
+    spheres stay apart, and the row norm of c_2 does not overflow at k = 100."""
+    alg = clifford_algebra(*pq)
+    stem = stem_from_slice_poly([alg.unit(), alg.zero(), 10.0 ** (2 * k) * alg.unit()])
+    hits = discrete_zero_scan(stem, (-2, 2, -2, 2))
+    assert [h.classification for h in hits] == ["sphere", "sphere"]
+    assert np.allclose([h.z for h in hits], [-(10.0 ** -k) * 1j, 10.0 ** -k * 1j],
+                       rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("pq", [(0, 2), (2, 2)])
+@pytest.mark.parametrize("delta", [1e-6, 1e-4])
+def test_scan_resolves_two_close_real_zeros(pq, delta):
+    """(x - 1)(x - 1 - delta): the mean 1 + delta/2 of both zeros' eigenvalues
+    is no zero, and R's singular value there says so, so the two stay apart."""
+    alg = clifford_algebra(*pq)
+    stem = stem_from_slice_poly([(1.0 + delta) * alg.unit(), -(2.0 + delta) * alg.unit(),
+                                 alg.unit()])
+    hits = discrete_zero_scan(stem, (-2, 2, -2, 2))
+    assert [h.classification for h in hits] == ["real", "real"]
+    assert np.allclose([h.z for h in hits], [1.0, 1.0 + delta], rtol=0, atol=1e-3 * delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pq=st.sampled_from([(0, 2), (1, 1), (2, 2)]), degree=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), c=st.sampled_from([1e-150, 1e160, 1e200, 1e300]))
+def test_scan_hits_do_not_depend_on_the_stems_scale(pq, degree, seed, c):
+    """The hits of c F are those of F: the tolerance rule is relative, and
+    a row norm whose square overflows is taken at a rescaled row."""
+    alg = clifford_algebra(*pq)
+    rng = np.random.default_rng(seed)
+    coeffs = [alg.random_element(rng) for _ in range(degree + 1)]
+    hits = discrete_zero_scan(stem_from_slice_poly(coeffs), (-2, 2, -2, 2))
+    scaled = discrete_zero_scan(stem_from_slice_poly([c * a for a in coeffs]), (-2, 2, -2, 2))
+    assert [h.classification for h in scaled] == [h.classification for h in hits]
+    assert all(abs(g.z - h.z) <= 1e-9 * abs(h.z) for g, h in zip(scaled, hits))
+
+
 def test_scan_finds_both_isolated_zeros_of_a_split_linear_stem():
     """x - q in Cl(2,2) with q = 1/4 + 3/4 y e3 y^-1 vanishes at 1/4 +- 3i/4
     only; the grid scan missed both."""

@@ -1,15 +1,20 @@
-"""Write the CLI's verify reports for a fixed set of suites, algebras and seeds.
+"""Write the CLI's verify and roots reports for a fixed set of inputs.
 
     python tools/report_set.py OUT_DIR
 
 Runs `slicealg verify SUITE --algebra A --seed S` for every suite on H,
 Cl(0,3), Cl(1,1), Cl(2,1), Cl(2,2), Cl(3,0), Cl(0,6) and Cl(3,3) at seeds 0
-and 7, with 200 trials (40 at N = 64), on the package in this checkout's
-src/. Each JSON report goes to OUT_DIR/<suite>_<algebra>_seed<S>.json (a
-suite that does not apply writes none), and every exit code to
-OUT_DIR/exit_codes.json, so that `diff -r` of the directories written by two
-checkouts lists every report a change moved. It is not a pass/fail gate:
-max_residual is rounding-level and differs between BLAS builds.
+and 7, with 200 trials (40 at N = 64), and `slicealg roots` on H, Cl(0,3),
+Cl(1,1) and Cl(2,2) for x^2 + 1, (x^2 + 1)^3, x^5, x^4 (x^2 - 1),
+1 + 1e40 x^2 and three seeded random stems of degree 2, 3 and 4, each over
+the regions +-2 and +-1e100, on the package in this checkout's src/.  Each
+JSON report goes to OUT_DIR/<suite>_<algebra>_seed<S>.json (a suite that
+does not apply writes none) or OUT_DIR/roots_<stem>_<algebra>_<region>.json,
+each coefficient file to OUT_DIR/poly_<stem>_<algebra>.json, and every exit
+code to OUT_DIR/exit_codes.json, so that `diff -r` of the directories
+written by two checkouts lists every report a change moved (max_residual is
+rounding-level and differs between BLAS builds).  Exits 1 when any run
+exits 1 or 3: a failed check or an internal numerical failure.
 """
 
 from __future__ import annotations
@@ -20,15 +25,39 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from slicealgebra.cli import SUITES, main  # noqa: E402
+from slicealgebra.cli import SUITES, main, resolve_algebra  # noqa: E402
 
 ALGEBRAS = {"H": ("quaternions", 4), "Cl(0,3)": ("clifford 0 3", 8),
             "Cl(1,1)": ("clifford 1 1", 4), "Cl(2,1)": ("clifford 2 1", 8),
             "Cl(2,2)": ("clifford 2 2", 16), "Cl(3,0)": ("clifford 3 0", 8),
             "Cl(0,6)": ("clifford 0 6", 64), "Cl(3,3)": ("clifford 3 3", 64)}
 SEEDS = (0, 7)
+# roots: real coefficients of the stems, index = degree, times the unit
+ROOTS_ALGEBRAS = ("H", "Cl(0,3)", "Cl(1,1)", "Cl(2,2)")
+STEMS = {"x2+1": [1, 0, 1], "x2+1_cubed": [1, 0, 3, 0, 3, 0, 1], "x5": [0, 0, 0, 0, 0, 1],
+         "x4_x2-1": [0, 0, 0, 0, -1, 0, 1], "1+1e40x2": [1, 0, 1e40]}
+RANDOM_DEGREES = (2, 3, 4)
+REGIONS = {"2": "-2,2,-2,2", "1e100": "-1e100,1e100,-1e100,1e100"}
+
+
+def _stems(name: str) -> dict[str, list[list[float]]]:
+    """The coefficient rows of every roots stem on the algebra `name`."""
+    alg = resolve_algebra(ALGEBRAS[name][0])[1]
+    unit = alg.unit().coeffs
+    stems = {stem: [(c * unit).tolist() for c in real] for stem, real in STEMS.items()}
+    rng = np.random.default_rng(ROOTS_ALGEBRAS.index(name))
+    for degree in RANDOM_DEGREES:
+        stems[f"random{degree}"] = rng.standard_normal((degree + 1, alg.dimension)).tolist()
+    return stems
+
+
+def _run(argv: list[str]) -> int:
+    with contextlib.redirect_stderr(io.StringIO()):  # summaries hold wall times
+        return main(argv)
 
 
 def write_report_set(out_dir: Path) -> dict[str, int]:
@@ -39,10 +68,18 @@ def write_report_set(out_dir: Path) -> dict[str, int]:
             for seed in SEEDS:
                 stem = f"{suite}_{name}_seed{seed}"
                 trials = 40 if dimension == 64 else 200
-                with contextlib.redirect_stderr(io.StringIO()):  # summaries hold wall times
-                    codes[stem] = main(["verify", suite, "--algebra", spec, "--seed", str(seed),
-                                        "--trials", str(trials),
-                                        "--json", str(out_dir / f"{stem}.json")])
+                codes[stem] = _run(["verify", suite, "--algebra", spec, "--seed", str(seed),
+                                    "--trials", str(trials),
+                                    "--json", str(out_dir / f"{stem}.json")])
+    for name in ROOTS_ALGEBRAS:
+        for stem, rows in _stems(name).items():
+            poly = out_dir / f"poly_{stem}_{name}.json"
+            poly.write_text(json.dumps(rows) + "\n")
+            for region, extent in REGIONS.items():
+                report = f"roots_{stem}_{name}_{region}"
+                codes[report] = _run(["roots", str(poly), "--algebra", ALGEBRAS[name][0],
+                                      f"--region={extent}",
+                                      "--json", str(out_dir / f"{report}.json")])
     (out_dir / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
     return codes
 
@@ -53,3 +90,4 @@ if __name__ == "__main__":
     codes = write_report_set(Path(sys.argv[1]))
     tally = {code: list(codes.values()).count(code) for code in sorted(set(codes.values()))}
     print(f"{len(codes)} runs; exit codes {tally}")
+    sys.exit(1 if {1, 3} & set(codes.values()) else 0)
