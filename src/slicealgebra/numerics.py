@@ -1,11 +1,11 @@
-"""The shared numerical steps: the norm of a coefficient vector (finite up
-to the largest float), rank decisions by singular values, ranges of
+"""The shared numerical steps: the norm of a coefficient vector (neither
+over- nor underflowing), rank decisions by singular values, ranges of
 projectors of known rank, the Newton-Schulz polish of a near-root of -1,
 and the damped Newton for s*s = -1 on an affine set, with optional linear rows.
 
 Every rank that is a verdict is decided by the cutoff of `numerical_rank`,
-through `svd_rank`, or directly for the zerodivisor test and the kernel
-count of `dims`; a subspace of integer-trace rank is a `projector_range`.  Every
+through `svd_rank`, or directly for the invertibility tests (L_a, R_b) and
+the kernel count of `dims`; a subspace of integer-trace rank is a `projector_range`.  Every
 Newton-Schulz step toward s*s = -1 is taken by `newton_schulz`, and every
 Newton search for a root of -1 on an affine set runs through
 `affine_square_root`.
@@ -22,14 +22,17 @@ from .config import RANK_RELTOL
 
 # Step cap of every Newton search; the other stops usually come first.
 NEWTON_ITERATIONS = 100
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def vector_norm(v: np.ndarray) -> float:
     """np.linalg.norm(v) of a real vector, bit for bit, without its dispatch:
-    sqrt(v.dot(v)), a strided v copied first as there (it sums in another order)."""
+    sqrt(v.dot(v)), a strided v copied first as there (it sums in another order).
+    A square that over- or underflows (no normal float) is taken again at the
+    scale max|v|, as in Blue's norm (ACM TOMS 4, 1978)."""
     v = np.ascontiguousarray(v)
     square = np.vdot(v, v)  # v.dot(v)'s BLAS dot, with no overflow warning
-    if square == math.inf and (big := np.abs(v).max()) < math.inf:  # overflow: scale by max|v|
+    if not _TINY <= square < math.inf and np.count_nonzero(v) and (big := np.abs(v).max()) < math.inf:
         return float(big * vector_norm(v / big))
     return math.sqrt(square)
 
@@ -45,7 +48,7 @@ def numerical_rank(sv: np.ndarray, scale: float = 0.0) -> int:
     one which is zero up to rounding gets rank 0 rather than full rank.
     """
     reference = max(sv[0] if sv.size else 0.0, scale)
-    return int(np.sum(sv > max(RANK_RELTOL * reference, np.finfo(float).tiny)))
+    return int(np.sum(sv > max(RANK_RELTOL * reference, _TINY)))
 
 
 def svd_rank(m: np.ndarray, scale: float = 0.0):

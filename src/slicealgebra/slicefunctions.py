@@ -37,10 +37,7 @@ class StemPolynomial:
         if mat.shape[0] == 0:
             mat = np.zeros((1, self.algebra.dimension), dtype=complex)
         mat.setflags(write=False)
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(mat, axis=1)
-        for k in np.flatnonzero(np.isinf(norms)):  # a square overflowed: vector_norm rescales
-            norms[k] = vector_norm(mat[k].view(float))
+        norms = np.array([vector_norm(row) for row in mat.view(float)])
         norms.setflags(write=False)
         object.__setattr__(self, "coeff_matrix", mat)
         object.__setattr__(self, "row_norms", norms)
@@ -71,8 +68,12 @@ class StemPolynomial:
         return acc
 
     def term_size(self, z: complex) -> float:
-        """sum_k |z|^k ||c_k||, the summed size of the terms of F(z)."""
-        return float(abs(z) ** np.arange(self.degree + 1) @ self.row_norms)
+        """sum_k |z|^k ||c_k||, the summed size of the terms of F(z), by Horner's
+        rule in |z|: no power |z|^k is formed, so for |z| >= 1 none overflows."""
+        size = 0.0
+        for norm in reversed(self.row_norms.tolist()):
+            size = size * abs(z) + norm
+        return size
 
     def evaluate(self, z: complex) -> ComplexElement:
         return ComplexElement.from_vector(self.algebra, self.evaluate_vector(z))

@@ -19,11 +19,11 @@ from math import comb
 
 import numpy as np
 
-from .algebra import Algebra, Element, is_zerodivisor, right_divide
+from .algebra import Algebra, Element, right_divide
 from .config import RANK_RELTOL, resolve_tol, within_tol
 from .errors import (NotFoundError, PreconditionFailedError, SliceAlgebraError,
                      ZeroDivisorError)
-from .numerics import affine_square_root, svd_rank, vector_norm
+from .numerics import affine_square_root, numerical_rank, svd_rank, vector_norm
 from .roots import (
     RootOfMinusOne,
     find_seed_root,
@@ -142,16 +142,16 @@ def _witness(w: ComplexElement, s: Element) -> ZeroWitness:
     return ZeroWitness(w, root, pi_tensor_eval(w, root).norm())
 
 
-def _excluded(witness: ZeroWitness, rb: np.ndarray, tol: float) -> bool:
+def _excluded(witness: ZeroWitness, sigma_min: float, tol: float) -> bool:
     """No witness at tol lies near s: each s' = s + d has ||d|| <= r, where
     (sigma_min(R_b) - tol ||b||) r = ||a + s*b|| + tol (||a|| + ||s|| ||b||),
     and ||s'*s' + 1|| >= ||s*s + 1|| - ||L_s + R_s|| r - mu r^2, as ||x*y|| <=
     mu ||x|| ||y|| for mu the Frobenius norm of the structure constants."""
     w, s, ns = witness.w, witness.root.element, witness.root.element.norm()
-    mu = s.algebra.structure_norm
-    gap = np.linalg.svd(rb, compute_uv=False)[-1] - tol * w.im.norm()
+    gap = sigma_min - tol * w.im.norm()
     if gap <= 0.0:  # R_b bounds no distance
         return False
+    mu = s.algebra.structure_norm
     r = (witness.residual + tol * (w.re.norm() + ns * w.im.norm())) / gap
     lip = np.linalg.norm(s.algebra.left_matrix_vec(s.coeffs)
                          + s.algebra.right_matrix_vec(s.coeffs), 2)
@@ -159,12 +159,13 @@ def _excluded(witness: ZeroWitness, rb: np.ndarray, tol: float) -> bool:
 
 
 def _verdict(w: ComplexElement, candidates, tol: float | None, otherwise: str = "absent",
-             rb: np.ndarray | None = None, invertible: bool = False) -> WitnessSearch:
+             rb: np.ndarray | None = None, sigma_min: float = 0.0) -> WitnessSearch:
     """A "found" search with the first candidate s whose witness holds at
-    tol.  In the band (it holds at sqrt(tol) only): "absent" if b is
-    `invertible` and _excluded(s), else a joint Newton from s on rows
-    [R_b | a] weighted onto (1 + ||s||)^2 (rb: R_b, if the caller has it).
-    No candidate in the band: `otherwise`.  Candidates may be lazy, or witnesses."""
+    tol.  In the band (it holds at sqrt(tol) only): "absent" if _excluded(s)
+    by `sigma_min` (of R_b for an invertible b; 0 excludes nothing), else a
+    joint Newton from s on rows [R_b | a] weighted onto (1 + ||s||)^2 (rb:
+    R_b, if the caller has it).  No candidate in the band: `otherwise`.
+    Candidates may be lazy, or witnesses."""
     alg, a, b, tol = w.algebra, w.re, w.im, resolve_tol(tol)
     status = otherwise
     for c in candidates:
@@ -172,7 +173,7 @@ def _verdict(w: ComplexElement, candidates, tol: float | None, otherwise: str = 
         s = witness.root.element
         if not witness.holds(tol) and witness.holds(np.sqrt(tol)):
             rb = alg.right_matrix_vec(b.coeffs) if rb is None else rb
-            if invertible and _excluded(witness, rb, tol):
+            if _excluded(witness, sigma_min, tol):
                 return WitnessSearch("absent")
             status, ns, size = "inconclusive", s.norm(), a.norm() + s.norm() * b.norm()
             rows = np.column_stack([rb, a.coeffs]) * ((1.0 + ns) ** 2 / size)
@@ -190,13 +191,14 @@ def zero_variety_witness(w: ComplexElement,
     """Search for s in S with pi(w, s) = 0.
 
     The first candidate is s = -a*b^{-1}, by LU on R_b (b = w.im): found if
-    its witness holds at tol, else the unique one if is_zerodivisor calls b
-    invertible.  On an exact zero pivot, or a b the cutoff calls singular
-    (maybe only ill-conditioned: LU's s stays first), Newton for s*s = -1
-    runs on the solutions of s*b = -a (SVD of R_b), from the particular one
-    and up to 19 random points.  One band rule decides (_verdict).  "absent"
-    is exact: the unique s is no root at sqrt(tol), a misses range(R_b) by
-    sqrt(RANK_RELTOL) relative, or in the band sigma_min(R_b) bars witnesses.
+    its witness holds at tol, else the unique one if R_b's singular values
+    call b invertible (is_zerodivisor's verdict on L_b).  On an exact zero
+    pivot, or a b the cutoff calls singular (maybe only ill-conditioned: LU's
+    s stays first), Newton for s*s = -1 runs on the solutions of s*b = -a
+    (SVD of R_b), from the particular one and up to 19 random points.  One
+    band rule decides (_verdict).  "absent" is exact: the unique s is no root
+    at sqrt(tol), a misses range(R_b) by sqrt(RANK_RELTOL) relative, or in
+    the band sigma_min(R_b) bars witnesses.
     """
     alg, a, b = w.algebra, w.re, w.im
 
@@ -211,8 +213,10 @@ def zero_variety_witness(w: ComplexElement,
         lu = [_witness(w, alg.element(np.linalg.solve(rb, -a.coeffs)))]
     except np.linalg.LinAlgError:  # an exact zero pivot: R_b is singular
         lu = []
-    if lu and (lu[0].holds(tol) or not is_zerodivisor(b)):  # a witness is its own proof
-        return _verdict(w, lu, tol, rb=rb, invertible=True)
+    if lu and lu[0].holds(tol):  # a witness is its own proof
+        return WitnessSearch("found", lu[0])
+    if lu and numerical_rank(sv := np.linalg.svd(rb, compute_uv=False)) == alg.dimension:
+        return _verdict(w, lu, tol, rb=rb, sigma_min=sv[-1])  # b is invertible: s is unique
     u, sv, vt, rank = svd_rank(rb)
     s_part = vt[:rank].T @ ((u[:, :rank].T @ -a.coeffs) / sv[:rank])
     if vector_norm(rb @ s_part + a.coeffs) > np.sqrt(RANK_RELTOL) * (

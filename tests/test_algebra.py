@@ -225,14 +225,16 @@ _NORM_ENTRIES = st.one_of(st.floats(-10.0, 10.0), st.floats(), st.floats(1e153, 
 def test_element_norm_is_numpy_norm_bit_for_bit(q, stride, data):
     """Element.norm gives the bits of float(np.linalg.norm(c)), also for
     coefficients held as a strided view, whose dot sums in another order.
-    Where the square c.c overflows and c is finite, np.linalg.norm says inf
-    and Element.norm gives the bits of np.linalg.norm at the scale max|c|."""
+    Where the square c.c is no normal float (it overflows, and np.linalg.norm
+    says inf, or it underflows, and that says 0 or loses digits) and c is
+    finite and nonzero, Element.norm gives the bits of np.linalg.norm at the
+    scale max|c|."""
     alg = CLIFFORD_0Q[q]
     c = data.draw(hnp.arrays(float, alg.dimension * stride, elements=_NORM_ENTRIES))[::stride]
     with np.errstate(over="ignore", invalid="ignore"):
         got, want = Element(alg, c).norm(), float(np.linalg.norm(c))
-        if want == np.inf and np.isfinite(c).all():
-            big = np.abs(c).max()
+        square, big = np.ascontiguousarray(c).dot(np.ascontiguousarray(c)), np.abs(c).max()
+        if not np.finfo(float).tiny <= square < np.inf and 0.0 < big < np.inf:
             want = float(big * np.linalg.norm(c / big))
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 

@@ -297,6 +297,20 @@ def test_roots_tol_reaches_the_scan(tmp_path):
     assert reports[1] == []
 
 
+def test_roots_where_a_power_of_z_overflows(tmp_path):
+    """1e10 + 1e-300 x^2 on H vanishes on the spheres at +-1e155 i.  There
+    |z|^2 = 1e310 overflows, though each term of F(z) has size 1e10; the
+    size sum_k |z|^k ||c_k|| is summed by Horner's rule, so the spheres are
+    found, and no overflow warning is raised (pytest makes it an error)."""
+    poly = _write_poly(tmp_path / "p.json", [[1e10, 0, 0, 0], [0, 0, 0, 0], [1e-300, 0, 0, 0]])
+    out = tmp_path / "o.json"
+    assert main(["roots", poly, "--region=-1e300,1e300,-1e300,1e300", "--json", str(out)]) == 0
+    zeros = json.loads(out.read_text())["zeros"]
+    assert [z["class"] for z in zeros] == ["sphere", "sphere"]
+    assert [z["z"][0] for z in zeros] == [0.0, 0.0]
+    assert [z["z"][1] for z in zeros] == pytest.approx([-1e155, 1e155], rel=1e-9)
+
+
 def test_roots_usage_errors(tmp_path, capsys):
     poly = _write_poly(tmp_path / "p.json", [[1, 0, 0, 0], [1, 0, 0, 0]])
     assert main(["roots", poly, "--region=bad"]) == 2

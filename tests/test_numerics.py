@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -165,7 +165,26 @@ def test_vector_norm_of_a_huge_entry_is_finite(n, big):
         assert vector_norm(v[::-1].copy()) == abs(big)
 
 
+@pytest.mark.parametrize("n", [1, 4, 64])
+@pytest.mark.parametrize("tiny", [1e-200, -1e-300, 5e-324])
+def test_vector_norm_of_a_tiny_entry_is_nonzero(n, tiny):
+    """A square that underflows is taken again at the scale max|v|: the
+    norm of one tiny entry is that entry's size, where np.linalg.norm says 0."""
+    v = np.zeros(n)
+    v[n // 2] = tiny
+    assert np.linalg.norm(v) == 0.0
+    assert vector_norm(v) == abs(tiny)
+    assert vector_norm(v[::-1].copy()) == abs(tiny)
+
+
 @settings(max_examples=200, deadline=None)
 @given(v=st.integers(1, 64).flatmap(lambda n: hnp.arrays(float, n, elements=st.floats(-1e150, 1e150))))
+@example(v=np.array([9.7711871e-188]))
 def test_vector_norm_is_numpy_norm_bit_for_bit(v):
-    assert vector_norm(v).hex() == float(np.linalg.norm(v)).hex()
+    """The bits of np.linalg.norm(v), except where the square v.v is no
+    normal float (entries below 1e150 cannot overflow it, but it may
+    underflow): there those of max|v| np.linalg.norm(v / max|v|)."""
+    want, big = float(np.linalg.norm(v)), np.abs(v).max()
+    if not v.dot(v) >= np.finfo(float).tiny and big > 0.0:
+        want = float(big * np.linalg.norm(v / big))
+    assert vector_norm(v).hex() == want.hex()

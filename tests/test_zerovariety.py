@@ -1,6 +1,9 @@
 """Complexified pairs, the evaluation map, witness search, absorption and
 the discrete zero scan."""
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,8 +23,10 @@ from slicealgebra import (
     find_seed_root,
     inverse,
     is_root,
+    is_zerodivisor,
     leaf_membership,
     left_absorption,
+    make_algebra,
     pi_eval,
     pi_tensor_eval,
     right_absorption,
@@ -30,7 +35,6 @@ from slicealgebra import (
     tau_involution,
     zero_variety_witness,
 )
-from slicealgebra import zerovariety
 from slicealgebra.cli import run_suite
 
 
@@ -258,24 +262,39 @@ def test_an_invertible_member_is_found_by_lu_alone(monkeypatch, p, q):
     assert svds == []
 
 
+@contextmanager
+def _recorded_svds():
+    """Record (matrix, compute_uv) of every direct np.linalg.svd call."""
+    calls, svd = [], np.linalg.svd
+
+    def recorded(m, *args, **kwargs):
+        calls.append((np.array(m), kwargs.get("compute_uv", True)))
+        return svd(m, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "svd", recorded):
+        yield calls
+
+
 @pytest.mark.parametrize("seed", [0, 2, 3])
-def test_a_zero_pivot_member_needs_no_zerodivisor_test(monkeypatch, seed):
+def test_a_zero_pivot_member_needs_no_zerodivisor_test(seed):
     """b = (1 + e1) r on clifford(1,1): LU on R_b hits an exact zero pivot,
-    which already shows b singular, so the search goes to the rank path
-    without asking is_zerodivisor, and still finds the member (-s b, b)."""
+    which already shows b singular, so the search takes no values-only SVD
+    to decide invertibility: its first SVD is the full one of R_b that gives
+    the solution set, and it still finds the member (-s b, b)."""
     alg = clifford_algebra(1, 1)
     rng = np.random.default_rng(seed)
     s = sample_root(find_seed_root(alg), rng)
     b = (alg.unit() + alg.basis_element(1)) * alg.random_element(rng)
+    rb = alg.right_matrix_vec(b.coeffs)
     with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(alg.right_matrix_vec(b.coeffs), np.ones(alg.dimension))
-    asked = []
-    monkeypatch.setattr(zerovariety, "is_zerodivisor", lambda *args: asked.append(args))
+        np.linalg.solve(rb, np.ones(alg.dimension))
     w = ComplexElement(-(s.element * b), b)
-    res = zero_variety_witness(w, rng=rng)
+    with _recorded_svds() as calls:
+        res = zero_variety_witness(w, rng=rng)
     assert res.status == "found"
     assert _witness_holds_in_einsum(w, res.witness.root.element.coeffs)
-    assert asked == []
+    assert calls and np.array_equal(calls[0][0], rb)
+    assert all(uv for _, uv in calls)
 
 
 @pytest.mark.parametrize("gap", [1e-11, 1e-9, 1e-8, 1e-6, 1e-5])
@@ -284,12 +303,61 @@ def test_a_near_miss_with_a_well_conditioned_b_is_decided(quaternions, gap):
     2 gap - gap^2, so the defect lies in the band [tol, sqrt(tol)] (relative
     to (1 + ||s||)^2) for gap 1e-8 to 1e-5.  R_b = 1 keeps every witness
     within about tol of s, so the verdict is exact: "found" when the
-    oracle's s is a root at tol, else "absent" (once "inconclusive")."""
+    oracle's s is a root at tol, else "absent" (once "inconclusive").  The
+    band's verdict takes one SVD, values only, of R_b: its sigma_min both
+    shows b invertible and bounds the distance (once two, L_b's and R_b's)."""
     a = (1.0 - gap) * oq.I
     s = -a  # the solution of a + s*1 = 0
     member = np.linalg.norm(oq.qmul(s, s) + oq.ONE) <= 1e-9 * (1.0 + np.linalg.norm(s)) ** 2
-    res = zero_variety_witness(ComplexElement(quaternions.element(a), quaternions.unit()))
+    with _recorded_svds() as calls:
+        res = zero_variety_witness(ComplexElement(quaternions.element(a), quaternions.unit()))
     assert res.status == ("found" if member else "absent")
+    in_band = 1e-8 <= gap <= 1e-5
+    assert [uv for _, uv in calls] == ([False] if in_band else [])
+    assert all(np.array_equal(m, np.eye(4)) for m, _ in calls)  # R_1
+
+
+def _clifford_one_plus_e1(p: int, q: int):
+    """clifford(p, q) and its 1 + e1."""
+    alg = clifford_algebra(p, q)
+    return alg, alg.unit() + alg.basis_element(1)
+
+
+def _dense_cl23_one_plus_e1(seed: int):
+    """The benchmark's dense Cl(2,3), drawn as bench/workloads.py draws it
+    (from default_rng([seed, 0xDE45E])), and its image of 1 + e1."""
+    cl23, e = _clifford_one_plus_e1(2, 3)
+    basis = ref.rotation(32, np.random.default_rng([seed, 0xDE45E]))
+    alg = make_algebra(ref.rotated(cl23.structure_constants, basis))
+    return alg, alg.element(basis.T @ e.coeffs)
+
+
+# name: (p, the algebra and its 1 + e1)
+_VERDICT_ALGEBRAS = {**{f"Cl({p},{q})": (p, _clifford_one_plus_e1(p, q))
+                        for p in range(5) for q in range(5) if 1 <= p + q <= 4},
+                     **{f"dense Cl(2,3) seed {k}": (2, _dense_cl23_one_plus_e1(k))
+                        for k in (0, 1)}}
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(_VERDICT_ALGEBRAS)), seed=st.integers(0, 2 ** 32 - 1),
+       one_plus_e1=st.booleans())
+def test_the_search_decides_invertibility_as_is_zerodivisor(name, seed, one_plus_e1):
+    """The witness search reads b's invertibility off the singular values of
+    R_b, and that verdict is is_zerodivisor's on L_b: for random b, and for
+    b = (1 + e1) r, a zerodivisor exactly when e1 squares to +1 (p >= 1).
+    The search shows its verdict by whether, once LU's candidate for a
+    random a fails, it goes on to the full SVD of R_b."""
+    p, (alg, e) = _VERDICT_ALGEBRAS[name]
+    rng = np.random.default_rng(seed)
+    b = alg.random_element(rng)
+    b = e * b if one_plus_e1 else b
+    rb = alg.right_matrix_vec(b.coeffs)
+    w = ComplexElement(alg.random_element(rng), b)
+    with _recorded_svds() as calls:
+        zero_variety_witness(w, rng=rng)
+    singular = any(uv and np.array_equal(m, rb) for m, uv in calls)
+    assert singular == is_zerodivisor(b) == (one_plus_e1 and p >= 1)
 
 
 def test_absence_in_the_band_keeps_the_second_order_term(cl11):
@@ -569,10 +637,12 @@ def test_scan_resolves_two_close_real_zeros(pq, delta):
 
 @settings(max_examples=60, deadline=None)
 @given(pq=st.sampled_from([(0, 2), (1, 1), (2, 2)]), degree=st.integers(1, 4),
-       seed=st.integers(0, 2**32 - 1), c=st.sampled_from([1e-150, 1e160, 1e200, 1e300]))
+       seed=st.integers(0, 2**32 - 1),
+       c=st.sampled_from([1e-300, 1e-200, 1e-150, 1e160, 1e200, 1e300]))
 def test_scan_hits_do_not_depend_on_the_stems_scale(pq, degree, seed, c):
     """The hits of c F are those of F: the tolerance rule is relative, and
-    a row norm whose square overflows is taken at a rescaled row."""
+    a norm whose square over- or underflows is taken at a rescaled vector
+    (at c = 1e-200 a norm once read 0, and every eigenvalue passed)."""
     alg = clifford_algebra(*pq)
     rng = np.random.default_rng(seed)
     coeffs = [alg.random_element(rng) for _ in range(degree + 1)]

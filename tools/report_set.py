@@ -4,17 +4,21 @@
 
 Runs `slicealg verify SUITE --algebra A --seed S` for every suite on H,
 Cl(0,3), Cl(1,1), Cl(2,1), Cl(2,2), Cl(3,0), Cl(0,6) and Cl(3,3) at seeds 0
-and 7, with 200 trials (40 at N = 64), and `slicealg roots` on H, Cl(0,3),
-Cl(1,1) and Cl(2,2) for x^2 + 1, (x^2 + 1)^3, x^5, x^4 (x^2 - 1),
-1 + 1e40 x^2 and three seeded random stems of degree 2, 3 and 4, each over
-the regions +-2 and +-1e100, on the package in this checkout's src/.  Each
-JSON report goes to OUT_DIR/<suite>_<algebra>_seed<S>.json (a suite that
-does not apply writes none) or OUT_DIR/roots_<stem>_<algebra>_<region>.json,
-each coefficient file to OUT_DIR/poly_<stem>_<algebra>.json, and every exit
-code to OUT_DIR/exit_codes.json, so that `diff -r` of the directories
-written by two checkouts lists every report a change moved (max_residual is
-rounding-level and differs between BLAS builds).  Exits 1 when any run
-exits 1 or 3: a failed check or an internal numerical failure.
+and 7, with 200 trials (40 at N = 64): 128 runs.  Runs `slicealg roots` on
+H, Cl(0,3), Cl(1,1) and Cl(2,2) for x^2 + 1, (x^2 + 1)^3, x^5, x^4 (x^2 - 1),
+1 + 1e40 x^2, 1e10 + 1e-300 x^2, three seeded random stems of degree 2, 3
+and 4, and the degree-4 one times 1e-200, each over the regions +-2,
++-1e100 and +-1e300: 120 runs, whose scales reach the ends of the float
+range.  All run on the package in this checkout's src/.  Each JSON report
+goes to OUT_DIR/<suite>_<algebra>_seed<S>.json (a suite that does not apply
+writes none) or OUT_DIR/roots_<stem>_<algebra>_<region>.json, each
+coefficient file to OUT_DIR/poly_<stem>_<algebra>.json, and every exit code
+to OUT_DIR/exit_codes.json, so that `diff -r` of the directories written by
+two checkouts lists every report a change moved (max_residual is
+rounding-level and differs between BLAS builds).  Exits 1, naming the runs,
+when any run exits 1 or 3 (a failed check or an internal numerical failure)
+or raises a RuntimeWarning (numpy's over- or underflow, invalid value or
+division by zero, which a run must not meet).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import contextlib
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +44,11 @@ SEEDS = (0, 7)
 # roots: real coefficients of the stems, index = degree, times the unit
 ROOTS_ALGEBRAS = ("H", "Cl(0,3)", "Cl(1,1)", "Cl(2,2)")
 STEMS = {"x2+1": [1, 0, 1], "x2+1_cubed": [1, 0, 3, 0, 3, 0, 1], "x5": [0, 0, 0, 0, 0, 1],
-         "x4_x2-1": [0, 0, 0, 0, -1, 0, 1], "1+1e40x2": [1, 0, 1e40]}
+         "x4_x2-1": [0, 0, 0, 0, -1, 0, 1], "1+1e40x2": [1, 0, 1e40],
+         "1e10+1e-300x2": [1e10, 0, 1e-300]}
 RANDOM_DEGREES = (2, 3, 4)
-REGIONS = {"2": "-2,2,-2,2", "1e100": "-1e100,1e100,-1e100,1e100"}
+REGIONS = {"2": "-2,2,-2,2", "1e100": "-1e100,1e100,-1e100,1e100",
+           "1e300": "-1e300,1e300,-1e300,1e300"}
 
 
 def _stems(name: str) -> dict[str, list[list[float]]]:
@@ -52,42 +59,55 @@ def _stems(name: str) -> dict[str, list[list[float]]]:
     rng = np.random.default_rng(ROOTS_ALGEBRAS.index(name))
     for degree in RANDOM_DEGREES:
         stems[f"random{degree}"] = rng.standard_normal((degree + 1, alg.dimension)).tolist()
+    stems["1e-200random4"] = (1e-200 * np.array(stems["random4"])).tolist()
     return stems
 
 
-def _run(argv: list[str]) -> int:
-    with contextlib.redirect_stderr(io.StringIO()):  # summaries hold wall times
-        return main(argv)
+def _run(argv: list[str]) -> tuple[int, list[str]]:
+    """main(argv)'s exit code and the messages of the RuntimeWarnings it raised."""
+    with contextlib.redirect_stderr(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:  # summaries hold wall times
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, sorted({str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)})
 
 
-def write_report_set(out_dir: Path) -> dict[str, int]:
+def write_report_set(out_dir: Path) -> tuple[dict[str, int], dict[str, list[str]]]:
+    """Write every report; return the exit code of each run, and the
+    warnings of each run that raised any."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    codes = {}
+    runs = {}
     for suite in SUITES:
         for name, (spec, dimension) in ALGEBRAS.items():
             for seed in SEEDS:
                 stem = f"{suite}_{name}_seed{seed}"
                 trials = 40 if dimension == 64 else 200
-                codes[stem] = _run(["verify", suite, "--algebra", spec, "--seed", str(seed),
-                                    "--trials", str(trials),
-                                    "--json", str(out_dir / f"{stem}.json")])
+                runs[stem] = _run(["verify", suite, "--algebra", spec, "--seed", str(seed),
+                                   "--trials", str(trials),
+                                   "--json", str(out_dir / f"{stem}.json")])
     for name in ROOTS_ALGEBRAS:
         for stem, rows in _stems(name).items():
             poly = out_dir / f"poly_{stem}_{name}.json"
             poly.write_text(json.dumps(rows) + "\n")
             for region, extent in REGIONS.items():
                 report = f"roots_{stem}_{name}_{region}"
-                codes[report] = _run(["roots", str(poly), "--algebra", ALGEBRAS[name][0],
-                                      f"--region={extent}",
-                                      "--json", str(out_dir / f"{report}.json")])
+                runs[report] = _run(["roots", str(poly), "--algebra", ALGEBRAS[name][0],
+                                     f"--region={extent}",
+                                     "--json", str(out_dir / f"{report}.json")])
+    codes = {run: code for run, (code, _) in runs.items()}
     (out_dir / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
-    return codes
+    return codes, {run: messages for run, (_, messages) in runs.items() if messages}
 
 
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(__doc__)
-    codes = write_report_set(Path(sys.argv[1]))
+    codes, warned = write_report_set(Path(sys.argv[1]))
     tally = {code: list(codes.values()).count(code) for code in sorted(set(codes.values()))}
-    print(f"{len(codes)} runs; exit codes {tally}")
-    sys.exit(1 if {1, 3} & set(codes.values()) else 0)
+    print(f"{len(codes)} runs; exit codes {tally}; {len(warned)} warned")
+    failed = sorted(run for run, code in codes.items() if code in (1, 3))
+    for run in failed:
+        print(f"exit {codes[run]}: {run}")
+    for run, messages in sorted(warned.items()):
+        print(f"warned: {run}: {'; '.join(messages)}")
+    sys.exit(1 if failed or warned else 0)
