@@ -115,6 +115,13 @@ class Algebra:
         """mu, the Frobenius norm of the structure constants: ||x*y|| <= mu ||x|| ||y||."""
         return np.linalg.norm(self.structure_constants)
 
+    @cached_property
+    def basis_square_defects(self) -> np.ndarray:
+        """||e_i*e_i + 1|| for each basis element: read-only, built on first use."""
+        d = np.linalg.norm(self.structure_constants.diagonal().T + self.unit_vector, axis=1)
+        d.flags.writeable = False
+        return d
+
     def unit(self) -> "Element":
         return Element(self, self.unit_vector)
 

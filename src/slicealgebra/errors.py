@@ -58,7 +58,7 @@ class DegenerateImageError(SliceAlgebraError):
 
 
 class BadSectionError(SliceAlgebraError):
-    """Section value is outside the fiber or is a zerodivisor."""
+    """Section value is outside the fiber or zero."""
 
 
 class FrameNotFoundError(SliceAlgebraError):

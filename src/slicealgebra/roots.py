@@ -71,16 +71,14 @@ def find_seed_root(algebra: Algebra,
                    tol: float | None = None) -> RootOfMinusOne:
     """Find some s in S, or raise NotFoundError.
 
-    The first basis element e_i that is a root at tol (||c[i, i, :] + 1||
-    against the size (1 + ||e_i||)^2 = 4) is returned; for Clifford
-    algebras every product of basis elements is a signed basis element, so
-    this already covers every blade.  Up to 50 damped Newton searches on
-    a*a + 1 = 0 from random starts are the fallback for general algebras.
+    The first basis element e_i that is a root at tol (its cached
+    basis_square_defects entry against (1 + ||e_i||)^2 = 4) is returned; in
+    a Clifford algebra every product of basis elements is a signed basis
+    element, so this covers every blade.  Up to 50 damped Newton searches
+    on a*a + 1 = 0 from random starts are the fallback for general algebras.
     """
     n = algebra.dimension
-    squares = algebra.structure_constants[np.arange(n), np.arange(n)]
-    defects = np.linalg.norm(squares + algebra.unit_vector, axis=1)
-    hits = np.flatnonzero(within_tol(defects, 4.0, tol))
+    hits = np.flatnonzero(within_tol(algebra.basis_square_defects, 4.0, tol))
     if hits.size:
         cand = algebra.basis_element(int(hits[0]))
         return RootOfMinusOne.measured(cand)

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import Algebra, Element, is_zerodivisor, left_divide
+from .algebra import Algebra, Element, left_divide
 from .config import within_tol
 from .errors import (
     BadSectionError,
@@ -253,7 +253,8 @@ def generalized_twistor(F: StemPolynomial, sigma, z: complex,
 
     The first block is the chart image of c = sigma(s); the second is the
     image of T_{F(z)}(c) = c a + u (c b) for F(z) = a + i b.  Taking the
-    ratio gamma(c)^{-1} gamma(T c) in the algebra recovers eval_slice.
+    ratio gamma(c)^{-1} gamma(T c) in the algebra recovers eval_slice; only
+    that quotient, rho1_general, needs c invertible, and it decides.
     """
     require_intrinsic(F, tol)
     u = frame.i_root if isinstance(frame, QuaternionFrame) else frame
@@ -264,12 +265,12 @@ def generalized_twistor(F: StemPolynomial, sigma, z: complex,
     if not RootOfMinusOne(u.element, vector_norm(left_u @ uv + alg.unit_vector)).holds(tol):
         raise BadSectionError("bundle base point u is not a root of -1")
     c = sigma(s)
-    left_c = alg.left_matrix_vec(c.coeffs)  # for u c - c s, the image and the verdict
+    left_c = alg.left_matrix_vec(c.coeffs)  # for u c - c s and the image
     defect = vector_norm(left_u @ c.coeffs - left_c @ sv)
     if not within_tol(defect, c.norm() * (u.element.norm() + s.element.norm()), tol):
         raise BadSectionError(f"section value misses the fiber (defect {defect:.3e})")
-    if c.norm() == 0.0 or is_zerodivisor(c, left_c):
-        raise BadSectionError("section value is a zerodivisor")
+    if c.norm() == 0.0:
+        raise BadSectionError("section value is zero")
     w = F.evaluate_vector(z)
     image = left_c @ w.real.copy() + left_u @ (left_c @ w.imag.copy())
     return ProjectivePoint(np.concatenate([v - 1j * (left_u @ v) for v in (c.coeffs, image)]))

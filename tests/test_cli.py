@@ -100,6 +100,41 @@ def test_stereographic_on_the_complex_numbers(capsys):
     assert capsys.readouterr().err.startswith("PASS suite=stereographic")
 
 
+@pytest.mark.parametrize("p, q", [(0, 2), (1, 1), (2, 2), (2, 1), (0, 6)])
+def test_the_stereographic_trial_decides_no_rank(monkeypatch, p, q):
+    """The fiber is a projector range, the section value's invertibility is
+    left to the chart quotient: with the SVD made to raise, the suite
+    passes every trial."""
+    alg = clifford_algebra(p, q)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    trials = 3 if alg.dimension == 64 else 10
+    report = run_suite("stereographic", alg, "x", trials=trials, seed=0, tol=1e-9)
+    assert report.pass_count == trials
+
+
+def test_the_twistor_suite_takes_only_the_frames_svds(monkeypatch):
+    """The twistor suite's SVDs are those of QuaternionFrame.detect, none
+    per trial."""
+    alg = clifford_algebra(0, 2)
+    calls = []
+    svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    twistor.QuaternionFrame.detect(alg)
+    detect_calls, calls[:] = len(calls), []
+    assert detect_calls > 0
+    assert run_suite("twistor", alg, "H", trials=20, seed=0, tol=1e-9).pass_count == 20
+    assert len(calls) == detect_calls
+
+
 @pytest.mark.parametrize("p, q", [(p, n - p) for n in range(7) for p in range(n + 1)])
 def test_every_suite_on_every_signature(p, q):
     """Every suite passes on every Cl(p, q) with p + q <= 6, or does not apply."""

@@ -35,6 +35,7 @@ from slicealgebra import (
 )
 from slicealgebra import numerics, orthogonal, roots
 from slicealgebra.algebra import Element
+from slicealgebra.config import within_tol
 from slicealgebra.roots import polish_root
 
 SIGNATURES = [(0, 1), (0, 2), (2, 0), (1, 1), (0, 3), (3, 0), (1, 2), (2, 1), (0, 4)]
@@ -84,6 +85,67 @@ def test_seed_rule_in_rescaled_bases(quaternions):
     seed = find_seed_root(rescaled([1, 2, 2, 2]))
     assert seed.residual <= 1e-9
     assert np.count_nonzero(seed.element.coeffs) > 1
+
+
+def _seed_from_the_tensor(algebra, rng=None, tol=None):
+    """find_seed_root as it was before the defects were cached: the N x N
+    diagonal c[i, i, :] gathered and normed on every call."""
+    n = algebra.dimension
+    squares = algebra.structure_constants[np.arange(n), np.arange(n)]
+    defects = np.linalg.norm(squares + algebra.unit_vector, axis=1)
+    hits = np.flatnonzero(within_tol(defects, 4.0, tol))
+    if hits.size:
+        return RootOfMinusOne.measured(algebra.basis_element(int(hits[0])))
+    if rng is None:
+        rng = np.random.default_rng(0)
+    for _ in range(50):
+        x, _ = numerics.affine_square_root(algebra, np.zeros(n), np.eye(n),
+                                           rng.standard_normal(n))
+        cand = RootOfMinusOne.measured(Element(algebra, x))
+        if cand.holds(tol):
+            return cand
+    raise NotFoundError("no square root of -1 found; the locus may be empty")
+
+
+def _seed_or_error(search, *args, **kwargs):
+    try:
+        seed = search(*args, **kwargs)
+    except NotFoundError:
+        return None
+    return seed.element.coeffs.tolist(), seed.residual
+
+
+@pytest.mark.parametrize("p, q", [(p, n - p) for n in range(7) for p in range(n + 1)])
+def test_cached_square_defects_give_the_seed_of_the_tensor(p, q):
+    """The seed rule on the cached defects picks what the rule on the
+    tensor's diagonal picks, at the default, a strict and a loose tol."""
+    alg = clifford_algebra(p, q)
+    for tol in (None, 1e-12, 0.9):
+        assert _seed_or_error(find_seed_root, alg, tol=tol) == \
+            _seed_or_error(_seed_from_the_tensor, alg, tol=tol), tol
+    assert "basis_square_defects" in vars(alg)  # built once, then read
+
+
+def test_cached_square_defects_keep_the_newton_fallback():
+    """On the benchmark's dense Cl(2,3) no basis element is a root, and the
+    Newton fallback draws the same seed from the same rng."""
+    c = clifford_algebra(2, 3).structure_constants
+    for seed in (0, 1):
+        alg = make_algebra(einsum_reference.rotated(
+            c, einsum_reference.rotation(32, np.random.default_rng([seed, 0xDE45E]))))
+        assert not np.any(within_tol(alg.basis_square_defects, 4.0))
+        for k in range(3):
+            got = _seed_or_error(find_seed_root, alg, np.random.default_rng(k))
+            assert got is not None
+            assert got == _seed_or_error(_seed_from_the_tensor, alg, np.random.default_rng(k))
+
+
+def test_cached_square_defects_are_read_only(quaternions):
+    defects = quaternions.basis_square_defects
+    assert defects is quaternions.basis_square_defects
+    assert defects.tolist() == [2.0, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError):
+        defects[0] = 0.0
 
 
 def test_no_root_in_reals_and_split_line():

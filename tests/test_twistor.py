@@ -17,6 +17,7 @@ from slicealgebra import (
     ProjectivePoint,
     QuaternionFrame,
     RootOfMinusOne,
+    ZeroDivisorError,
     clifford_algebra,
     component_invariant,
     delta1,
@@ -27,6 +28,7 @@ from slicealgebra import (
     gamma,
     generalized_twistor,
     inverse,
+    is_zerodivisor,
     left_divide,
     make_algebra,
     minus_i_eigenspace,
@@ -283,15 +285,14 @@ def test_fiber_eigenspace_and_quotient_need_no_svd(monkeypatch, p, q):
     rng = np.random.default_rng(p + 7 * q)
     stem = stem_from_slice_poly([alg.random_element(rng) for _ in range(3)])
     roots = [sample_root(u, rng) for _ in range(3)]
-    points = [generalized_twistor(stem, standard_section(u), 0.3 + 0.7j, s, u)
-              for s in roots]  # the section test decides a rank by SVD
 
     def refuse(*args, **kwargs):
         raise AssertionError("called the SVD")
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
     n, expected = alg.dimension, (alg.dimension - component_invariant(u)) // 4
-    for s, point in zip(roots, points):
+    for s in roots:
+        point = generalized_twistor(stem, standard_section(u), 0.3 + 0.7j, s, u)
         assert fiber_real_basis(u, s).shape == (n, 2 * expected)
         assert stereographic_fiber(u, s).rank == expected
         assert minus_i_eigenspace(s).rank == n // 2
@@ -366,6 +367,47 @@ def test_generalized_twistor_bad_sections(quaternions, frame):
     minus_u = RootOfMinusOne.from_element(-u.element)
     with pytest.raises(BadSectionError):
         generalized_twistor(stem, sigma, 0.1 + 0.1j, minus_u, frame)
+
+
+@pytest.fixture(scope="module")
+def cl22():
+    return clifford_algebra(2, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_only_a_zero_or_off_fiber_section_value_is_rejected(cl22, seed):
+    """On Cl(2,2) = M4(R) the fiber over u, the centralizer of u, holds
+    nonzero zerodivisors: for a in it and an eigenvalue alpha + i beta of
+    L_a (beta != 0), one of c = a - alpha -+ beta u is singular, as L_a and
+    L_u commute and L_u has eigenvalues +-i.  generalized_twistor gives a
+    point for such a c; its chart quotient raises ZeroDivisorError or
+    misses eval_slice, and never passes.  A zero value, an off-fiber value
+    and the standard section at s = -u still raise BadSectionError."""
+    u = find_seed_root(cl22)
+    stem = stem_from_slice_poly([cl22.unit(), cl22.zero(), cl22.unit()])
+    z = 0.3 + 0.7j
+    for sigma, s in [(lambda _s: cl22.zero(), u),
+                     (lambda _s: cl22.unit() + cl22.basis_element(1), u),
+                     (standard_section(u), RootOfMinusOne.from_element(-u.element))]:
+        with pytest.raises(BadSectionError):
+            generalized_twistor(stem, sigma, z, s, u)
+    rng = np.random.default_rng(seed)
+    basis = fiber_real_basis(u, u)
+    a = cl22.element(basis @ rng.standard_normal(basis.shape[1]))
+    eigenvalues = np.linalg.eigvals(cl22.left_matrix_vec(a.coeffs))
+    lam = eigenvalues[np.argmax(np.abs(eigenvalues.imag))]
+    assume(abs(lam.imag) > 1e-3)
+    candidates = [a - lam.real * cl22.unit() - sign * abs(lam.imag) * u.element
+                  for sign in (1, -1)]
+    singular = [c for c in candidates if is_zerodivisor(c)]
+    assert len(singular) == 1
+    point = generalized_twistor(stem, lambda _s: singular[0], z, u, u)
+    try:
+        residual = (rho1_general(point, u) - eval_slice(stem, z, u)).norm()
+    except ZeroDivisorError:
+        return
+    assert not within_tol(residual, (1.0 + u.element.norm()) * stem.term_size(z))
 
 
 def _dense_cl12():

@@ -1,17 +1,20 @@
-"""Write the CLI's verify and roots reports for a fixed set of inputs.
+"""Write the CLI's info, verify and roots reports for a fixed set of inputs.
 
     python tools/report_set.py OUT_DIR
 
 Runs `slicealg verify SUITE --algebra A --seed S` for every suite on H,
 Cl(0,3), Cl(1,1), Cl(2,1), Cl(2,2), Cl(3,0), Cl(0,6) and Cl(3,3) at seeds 0
-and 7, with 200 trials (40 at N = 64): 128 runs.  Runs `slicealg roots` on
+and 7, with 200 trials (40 at N = 64): 128 runs.  Runs `slicealg info
+--algebra A --seed S` on the same algebras and seeds, whose zerodivisor
+probe pins `is_zerodivisor`'s verdicts: 16 runs.  Runs `slicealg roots` on
 H, Cl(0,3), Cl(1,1) and Cl(2,2) for x^2 + 1, (x^2 + 1)^3, x^5, x^4 (x^2 - 1),
 1 + 1e40 x^2, 1e10 + 1e-300 x^2, three seeded random stems of degree 2, 3
 and 4, and the degree-4 one times 1e-200, each over the regions +-2,
 +-1e100 and +-1e300: 120 runs, whose scales reach the ends of the float
 range.  All run on the package in this checkout's src/.  Each JSON report
 goes to OUT_DIR/<suite>_<algebra>_seed<S>.json (a suite that does not apply
-writes none) or OUT_DIR/roots_<stem>_<algebra>_<region>.json, each
+writes none), OUT_DIR/info_<algebra>_seed<S>.json or
+OUT_DIR/roots_<stem>_<algebra>_<region>.json, each
 coefficient file to OUT_DIR/poly_<stem>_<algebra>.json, and every exit code
 to OUT_DIR/exit_codes.json, so that `diff -r` of the directories written by
 two checkouts lists every report a change moved (max_residual is
@@ -85,6 +88,11 @@ def write_report_set(out_dir: Path) -> tuple[dict[str, int], dict[str, list[str]
                 runs[stem] = _run(["verify", suite, "--algebra", spec, "--seed", str(seed),
                                    "--trials", str(trials),
                                    "--json", str(out_dir / f"{stem}.json")])
+    for name, (spec, _) in ALGEBRAS.items():
+        for seed in SEEDS:
+            stem = f"info_{name}_seed{seed}"
+            runs[stem] = _run(["info", "--algebra", spec, "--seed", str(seed),
+                               "--json", str(out_dir / f"{stem}.json")])
     for name in ROOTS_ALGEBRAS:
         for stem, rows in _stems(name).items():
             poly = out_dir / f"poly_{stem}_{name}.json"
