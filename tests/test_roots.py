@@ -88,8 +88,8 @@ def test_seed_rule_in_rescaled_bases(quaternions):
 
 
 def _seed_from_the_tensor(algebra, rng=None, tol=None):
-    """find_seed_root as it was before the defects were cached: the N x N
-    diagonal c[i, i, :] gathered and normed on every call."""
+    """The seed rule read off the tensor itself: the N x N diagonal
+    c[i, i, :] gathered and normed on each call."""
     n = algebra.dimension
     squares = algebra.structure_constants[np.arange(n), np.arange(n)]
     defects = np.linalg.norm(squares + algebra.unit_vector, axis=1)
