@@ -5,8 +5,8 @@ An algebra of dimension N is the tensor c with
     basis_i * basis_j = sum_k c[i, j, k] * basis_k
 
 plus a distinguished unit basis index.  Everything downstream (inverses,
-zerodivisor tests, kernels, Newton searches) is built on three kernels: the
-product x*y and the operator matrices L_a (x -> a*x) and R_a (x -> x*a).
+zerodivisor tests, kernels, Newton searches) is built on L_a (x -> a*x),
+with x*y = L_x y, and R_a (x -> x*a), L_a of the opposite algebra (c[j, i, k]).
 
 The kernel is chosen once, from the tensor.  When each basis product is a
 nonzero multiple of a single basis element and multiplying by a basis
@@ -67,24 +67,10 @@ class Algebra:
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != c.shape[0]:
             raise DimensionMismatchError("label count must match dimension")
-        n = c.shape[0]
-        self._product_table = _product_table(c)
-        if self._product_table is None:
-            # contiguous copies: L_a[k, j] = a @ c[:, j, k], R_a[k, i] = a @ c[i, :, k]
-            self._left_flat = c.transpose(0, 2, 1).reshape(n, n * n)
-            self._right_flat = c.transpose(1, 2, 0).reshape(n, n * n)
-            return
-        idx, val = self._product_table
-        rows, cols = np.arange(n)[:, None], np.arange(n)[None, :]
-        # L_a[idx[i, j], j] = a_i val[i, j] and R_a[idx[i, j], i] = a_j val[i, j]
-        self._left_index = np.empty((n, n), dtype=np.intp)
-        self._left_value = np.empty((n, n))
-        self._left_index[idx, cols] = rows
-        self._left_value[idx, cols] = val
-        self._right_index = np.empty((n, n), dtype=np.intp)
-        self._right_value = np.empty((n, n))
-        self._right_index[idx, rows] = cols
-        self._right_value[idx, rows] = val
+        table = self._product_table = _product_table(c)
+        self._left = _operator_kernel(c, table)
+        self._right = _operator_kernel(c.transpose(1, 0, 2),
+                                       None if table is None else (table[0].T, table[1].T))
 
     @property
     def dimension(self) -> int:
@@ -133,31 +119,30 @@ class Algebra:
         v[self.unit_index] = float(t)
         return Element(self, v)
 
-    def random_element(self, rng: np.random.Generator, scale: float = 1.0) -> "Element":
-        return Element(self, scale * rng.standard_normal(self.dimension))
+    def random_element(self, rng: np.random.Generator) -> "Element":
+        return Element(self, rng.standard_normal(self.dimension))
 
     # -- raw vector kernels --------------------------------------------------
 
     def multiply_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Coefficients of x*y, computed as L_x @ y."""
-        if self._product_table is not None:
-            return (x[self._left_index] * self._left_value) @ y
-        n = self.dimension
-        return (x @ self._left_flat).reshape(n, n) @ y
+        return self.left_matrix_vec(x) @ y
 
     def left_matrix_vec(self, a: np.ndarray) -> np.ndarray:
         """Matrix of x -> a*x; column j is a*basis_j."""
         if self._product_table is not None:
-            return a[self._left_index] * self._left_value
+            index, value = self._left
+            return a[index] * value
         n = self.dimension
-        return (a @ self._left_flat).reshape(n, n)
+        return (a @ self._left).reshape(n, n)
 
     def right_matrix_vec(self, a: np.ndarray) -> np.ndarray:
         """Matrix of x -> x*a; column i is basis_i*a."""
         if self._product_table is not None:
-            return a[self._right_index] * self._right_value
+            index, value = self._right
+            return a[index] * value
         n = self.dimension
-        return (a @ self._right_flat).reshape(n, n)
+        return (a @ self._right).reshape(n, n)
 
     def compatible(self, other: "Algebra") -> bool:
         if self is other:
@@ -166,12 +151,9 @@ class Algebra:
                 and self.unit_index == other.unit_index
                 and np.array_equal(self.structure_constants, other.structure_constants))
 
-    def label_linear_combination(self, coeffs: np.ndarray, digits: int = 6) -> str:
-        parts = []
-        for x, lab in zip(coeffs, self.labels):
-            if x == 0.0:
-                continue
-            parts.append(f"{round(float(x), digits):+g}*{lab}")
+    def label_linear_combination(self, coeffs: np.ndarray) -> str:
+        parts = [f"{round(float(x), 6):+g}*{lab}"
+                 for x, lab in zip(coeffs, self.labels) if x != 0.0]
         return " ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
@@ -329,6 +311,17 @@ def _product_table(c: np.ndarray):
     return idx, np.take_along_axis(c, idx[:, :, None], axis=2)[:, :, 0]
 
 
+def _operator_kernel(c: np.ndarray, table):
+    """What left_matrix_vec reads for c: the contiguous (N, N^2) copy with
+    L_a[k, j] = a @ c[:, j, k], or, from c's product table (idx, val), the
+    gather with L_a[idx[i, j], j] = a_i val[i, j]: L_a = a[index] * value."""
+    if table is None:
+        n = c.shape[0]
+        return c.transpose(0, 2, 1).reshape(n, n * n)
+    index = np.argsort(table[0], axis=0)  # inverts the permutation in each column
+    return index, np.take_along_axis(table[1], index, axis=0)
+
+
 # -- Clifford construction ---------------------------------------------------
 
 
@@ -414,12 +407,12 @@ def right_divide(d: Element, c: Element) -> Element:
     return _solve(c.algebra.right_matrix_vec(c.coeffs), d, c)
 
 
-def is_zerodivisor(a: Element, left: np.ndarray | None = None) -> bool:
-    """True when L_a (`left`, when the caller has gathered it) is singular.
-    In a finite-dimensional associative unital algebra a*x = 1 forces
-    x*a = 1, so L_a is singular exactly when R_a is, and one operator decides.
-    Singular means below full numerical_rank, from the singular values alone."""
-    m = a.algebra.left_matrix_vec(a.coeffs) if left is None else left
+def is_zerodivisor(a: Element) -> bool:
+    """True when L_a is singular.  In a finite-dimensional associative
+    unital algebra a*x = 1 forces x*a = 1, so L_a is singular exactly when
+    R_a is, and one operator decides.  Singular means below full
+    numerical_rank, from the singular values alone."""
+    m = a.algebra.left_matrix_vec(a.coeffs)
     return numerical_rank(np.linalg.svd(m, compute_uv=False)) < a.algebra.dimension
 
 

@@ -335,7 +335,11 @@ def _probe_zerodivisors(alg: Algebra, rng) -> dict:
         if k != alg.unit_index:
             candidates.append(alg.unit() + alg.basis_element(k))
             candidates.append(alg.unit() - alg.basis_element(k))
-    candidates.extend(alg.random_element(rng) for _ in range(32))
+    # a - x at a real eigenvalue x of L_a, else (a - x)^2 + y^2: singular in any basis
+    for a in (alg.random_element(rng) for _ in range(8)):
+        for lam in np.linalg.eigvals(alg.left_matrix_vec(a.coeffs)):
+            shift = a - alg.scalar(lam.real)
+            candidates.append(shift * shift + alg.scalar(lam.imag ** 2) if lam.imag else shift)
     for cand in candidates:
         if cand.norm() > 0 and is_zerodivisor(cand):
             return {"found": True,

@@ -4,8 +4,8 @@ projectors of known rank, the Newton-Schulz polish of a near-root of -1,
 and the damped Newton for s*s = -1 on an affine set, with optional linear rows.
 
 Every rank that is a verdict is decided by the cutoff of `numerical_rank`,
-through `svd_rank`, or directly for the invertibility tests (L_a, R_b) and
-the kernel count of `dims`; a subspace of integer-trace rank is a `projector_range`.  Every
+through `svd_rank` where singular vectors are read, else on a values-only
+SVD; a subspace of integer-trace rank is a `projector_range`.  Every
 Newton-Schulz step toward s*s = -1 is taken by `newton_schulz`, and every
 Newton search for a root of -1 on an affine set runs through
 `affine_square_root`.

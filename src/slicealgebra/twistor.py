@@ -24,7 +24,7 @@ from .errors import (
     DegenerateImageError,
     FrameNotFoundError,
 )
-from .numerics import projector_range, svd_rank, vector_norm
+from .numerics import numerical_rank, projector_range, vector_norm
 from .roots import ComplexSubspace, RootOfMinusOne, integer_trace, is_root
 from .slicefunctions import StemPolynomial, require_intrinsic
 from .zerovariety import ComplexElement
@@ -96,7 +96,7 @@ class QuaternionFrame:
         k = self.i * self.j
         mat = np.stack([self.algebra.unit().coeffs, self.i.coeffs,
                         self.j.coeffs, k.coeffs], axis=1)
-        if svd_rank(mat)[3] < 4:
+        if numerical_rank(np.linalg.svd(mat, compute_uv=False)) < 4:
             raise FrameNotFoundError("frame vectors are linearly dependent")
         object.__setattr__(self, "_matrix", mat)
 

@@ -400,7 +400,7 @@ def discrete_zero_scan(stem, region, target: Element | None = None,
 
     mats = np.array([alg.right_matrix_vec(c) for c in coeffs])
     scale = vector_norm(tgt)
-    if svd_rank(np.concatenate(mats), scale)[3] == 0:
+    if numerical_rank(np.linalg.svd(np.concatenate(mats), compute_uv=False), scale) == 0:
         raise SliceAlgebraError("zero set is not discrete: F(z) = target for every z")
     zs, rank, mu = _eigenvalues(mats, scale)
     if rank < alg.dimension and solution(_PROBE) is not None:

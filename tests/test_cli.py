@@ -6,9 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import einsum_reference as ref
 from slicealgebra import (SuiteNotApplicableError, algebra_to_dict, cli, clifford_algebra,
-                          dump_algebra, twistor)
+                          dump_algebra, make_algebra, twistor)
 from slicealgebra.cli import SUITES, main, resolve_algebra, run_suite
 from slicealgebra.zerovariety import WitnessSearch
 
@@ -37,6 +40,41 @@ def test_info_finds_split_zerodivisors(tmp_path, capsys):
     assert report["zerodivisors"]["found"] is True
     assert isinstance(report["zerodivisors"]["witness"], str)
     assert "e1" in report["zerodivisors"]["witness"]
+
+
+def _info_zerodivisors(c, path, seed):
+    dump_algebra(make_algebra(c), str(path))
+    out = path.with_suffix(".out")
+    assert main(["info", "--algebra", str(path), "--seed", str(seed), "--json", str(out)]) == 0
+    return json.loads(out.read_text())["zerodivisors"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(sig=st.sampled_from([(1, 1), (2, 1), (0, 3), (2, 2), (0, 2), (0, 1)]),
+       basis_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
+def test_info_finds_zerodivisors_in_a_rotated_basis(tmp_path_factory, sig, basis_seed, seed):
+    """M2(R), M2(C), H+H and M4(R) in an orthogonally rotated basis with the
+    unit kept have zerodivisors, though no basis element nor any 1 +- e_k is
+    one; H and C have none."""
+    c = clifford_algebra(*sig).structure_constants
+    rotated = ref.rotated(c, ref.rotation(c.shape[0], np.random.default_rng(basis_seed)))
+    found = _info_zerodivisors(rotated, tmp_path_factory.mktemp("info") / "alg.json", seed)
+    assert found["found"] is (sig not in ((0, 2), (0, 1)))
+    assert (found["witness"] is None) is not found["found"]
+
+
+@pytest.mark.parametrize("sig", [(0, 2), (0, 1)], ids=["H", "C"])
+def test_info_finds_no_zerodivisor_in_a_skewed_division_algebra(tmp_path, sig):
+    """H and C in the non-orthogonal basis 1, 1 + e_1, 1 + e_1 + e_2, ...:
+    every spectral candidate is zero up to rounding and not singular."""
+    c = clifford_algebra(*sig).structure_constants
+    n = c.shape[0]
+    basis = np.triu(np.ones((n, n)))
+    skewed = np.einsum("ai,bj,abm,km->ijk", basis, basis, c, np.linalg.inv(basis))
+    skewed[0] = skewed[:, 0] = np.eye(n)
+    for seed in (0, 7):
+        assert _info_zerodivisors(skewed, tmp_path / "alg.json", seed) == \
+            {"found": False, "witness": None}
 
 
 def test_algebra_file_round_trip(tmp_path, quaternions, capsys):

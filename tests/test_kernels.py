@@ -55,6 +55,31 @@ def test_kernels_match_einsum(alg, data):
         assert np.allclose(right, ref.right_matrix(c, x), rtol=1e-12, atol=atol)
 
 
+OPPOSITE = {alg: make_algebra(alg.structure_constants.transpose(1, 0, 2))
+            for alg in KERNEL_CASES}
+
+
+@pytest.mark.parametrize("alg", KERNEL_CASES, ids=repr)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_right_operator_is_left_operator_of_the_opposite_algebra(alg, data):
+    """R_a is L_a of the algebra with the two factor indices of c swapped,
+    bit for bit, on both kernel kinds."""
+    opposite = OPPOSITE[alg]
+    assert (opposite._product_table is None) == (alg._product_table is None)
+    a = data.draw(_vectors(alg.dimension, 1))[0]
+    assert np.array_equal(alg.right_matrix_vec(a), opposite.left_matrix_vec(a))
+
+
+@pytest.mark.parametrize("alg", KERNEL_CASES, ids=repr)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_product_is_left_operator_times_vector(alg, data):
+    """x*y is L_x @ y, bit for bit, on both kernel kinds."""
+    x, y = data.draw(_vectors(alg.dimension, 2))
+    assert np.array_equal(alg.multiply_vec(x, y), alg.left_matrix_vec(x) @ y)
+
+
 def test_kernel_choice_follows_the_tensor():
     assert all(CLIFFORD[sig]._product_table is not None for sig in CLIFFORD)
     assert DENSE._product_table is None

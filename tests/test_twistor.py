@@ -1,6 +1,8 @@
 """Projective pipeline over the quaternions and the generalized
 stereographic bundle."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -92,6 +94,27 @@ def test_frame_detection(quaternions, cl11, cl03):
     with pytest.raises(FrameNotFoundError):
         QuaternionFrame(quaternions, quaternions.basis_element(1),
                         quaternions.basis_element(1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.tuples(*[st.floats(-2.0, 2.0)] * 4))
+def test_frame_independence_reads_singular_values_only(quaternions, q):
+    """The independence test of 1, I, J, K counts a rank and reads no
+    singular vector: every SVD it takes computes values only.  The frame is
+    H's basis frame conjugated by a unit quaternion."""
+    q = np.array(q)
+    assume(np.linalg.norm(q) >= 0.1)
+    q, conj = q / np.linalg.norm(q), q * np.array([1.0, -1.0, -1.0, -1.0]) / np.linalg.norm(q)
+    i, j = (quaternions.element(oq.qmul(oq.qmul(q, e), conj)) for e in (oq.I, oq.J))
+    flags, svd = [], np.linalg.svd
+
+    def recorded(m, *args, **kwargs):
+        flags.append(kwargs.get("compute_uv", True))
+        return svd(m, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "svd", recorded):
+        QuaternionFrame(quaternions, i, j)
+    assert flags == [False]
 
 
 def test_gamma_basis_values(quaternions, frame):
@@ -452,13 +475,19 @@ def test_bundle_array_path_gives_the_element_bits(name):
 
 def test_a_twistor_point_gathers_L_u_once_and_wraps_only_the_section(monkeypatch):
     """One generalized_twistor call gathers L_u once (and L_c once) and
-    builds one Element, the section value."""
+    builds one Element, the section value.  The standard section's own
+    product u*s is a gather of L_u too, so its value is formed before the
+    count starts and the counted section only wraps it."""
     alg = clifford_algebra(2, 2)
     u = find_seed_root(alg)
     rng = np.random.default_rng(3)
     s = sample_root(u, rng)
     stem = stem_from_slice_poly([alg.random_element(rng) for _ in range(3)])
-    section = standard_section(u)
+    value = standard_section(u)(s).coeffs
+
+    def section(_):
+        return Element(alg, value)
+
     gathers, elements = [], []
     gather = alg.left_matrix_vec
     post_init = Element.__post_init__

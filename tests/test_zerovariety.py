@@ -725,6 +725,17 @@ def test_scan_rejects_a_zero_set_that_is_not_discrete(quaternions, coeffs, targe
                            target=None if target is None else element(target))
 
 
+@pytest.mark.parametrize("algebra", ["quaternions", "cl03", "cl11"])
+def test_a_constant_pencil_is_found_from_singular_values_alone(request, algebra):
+    """The test that F = target for every z counts a rank and reads no
+    singular vector: the scan of F = 0 takes one SVD, of values only."""
+    alg = request.getfixturevalue(algebra)
+    stem = stem_from_slice_poly([alg.zero(), alg.zero(), alg.zero()])
+    with _recorded_svds() as calls, pytest.raises(SliceAlgebraError, match="not discrete"):
+        discrete_zero_scan(stem, (-2, 2, -2, 2))
+    assert [uv for _, uv in calls] == [False]
+
+
 def test_scan_rejects_nonintrinsic(quaternions):
     from slicealgebra import NotIntrinsicError, StemPolynomial
 

@@ -6,12 +6,18 @@ Runs `slicealg verify SUITE --algebra A --seed S` for every suite on H,
 Cl(0,3), Cl(1,1), Cl(2,1), Cl(2,2), Cl(3,0), Cl(0,6) and Cl(3,3) at seeds 0
 and 7, with 200 trials (40 at N = 64): 128 runs.  Runs `slicealg info
 --algebra A --seed S` on the same algebras and seeds, whose zerodivisor
-probe pins `is_zerodivisor`'s verdicts: 16 runs.  Runs `slicealg roots` on
+probe pins `is_zerodivisor`'s verdicts: 16 runs.  Writes H, Cl(1,1),
+Cl(0,3) and Cl(2,2) in a seeded orthogonal basis that keeps the unit to
+OUT_DIR/algebra_rot-<algebra>.json, whose dense tensors take the (N, N^2)
+kernel path, and runs every suite (200 trials) and `info` on each at
+seeds 0 and 7: 72 runs.  Runs `slicealg roots` on
 H, Cl(0,3), Cl(1,1) and Cl(2,2) for x^2 + 1, (x^2 + 1)^3, x^5, x^4 (x^2 - 1),
 1 + 1e40 x^2, 1e10 + 1e-300 x^2, three seeded random stems of degree 2, 3
 and 4, and the degree-4 one times 1e-200, each over the regions +-2,
 +-1e100 and +-1e300: 120 runs, whose scales reach the ends of the float
-range.  All run on the package in this checkout's src/.  Each JSON report
+range: 336 runs in all, on the package in this checkout's src/, from
+OUT_DIR as the working directory (so a rotated algebra's report names it
+by its file name alone).  Each JSON report
 goes to OUT_DIR/<suite>_<algebra>_seed<S>.json (a suite that does not apply
 writes none), OUT_DIR/info_<algebra>_seed<S>.json or
 OUT_DIR/roots_<stem>_<algebra>_<region>.json, each
@@ -29,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -37,12 +44,14 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from slicealgebra import dump_algebra, make_algebra  # noqa: E402
 from slicealgebra.cli import SUITES, main, resolve_algebra  # noqa: E402
 
 ALGEBRAS = {"H": ("quaternions", 4), "Cl(0,3)": ("clifford 0 3", 8),
             "Cl(1,1)": ("clifford 1 1", 4), "Cl(2,1)": ("clifford 2 1", 8),
             "Cl(2,2)": ("clifford 2 2", 16), "Cl(3,0)": ("clifford 3 0", 8),
             "Cl(0,6)": ("clifford 0 6", 64), "Cl(3,3)": ("clifford 3 3", 64)}
+ROTATED = ("H", "Cl(1,1)", "Cl(0,3)", "Cl(2,2)")
 SEEDS = (0, 7)
 # roots: real coefficients of the stems, index = degree, times the unit
 ROOTS_ALGEBRAS = ("H", "Cl(0,3)", "Cl(1,1)", "Cl(2,2)")
@@ -66,6 +75,21 @@ def _stems(name: str) -> dict[str, list[list[float]]]:
     return stems
 
 
+def _write_rotated(name: str) -> str:
+    """Write the algebra `name` in a seeded orthogonal basis f_i = sum_a
+    basis[a, i] e_a that keeps the unit e_0; return the file name."""
+    c = resolve_algebra(ALGEBRAS[name][0])[1].structure_constants
+    n = c.shape[0]
+    q, r = np.linalg.qr(np.random.default_rng(ROTATED.index(name)).standard_normal((n - 1, n - 1)))
+    basis = np.eye(n)
+    basis[1:, 1:] = q * np.sign(np.diag(r))
+    rotated = np.einsum("ai,bj,abm,mk->ijk", basis, basis, c, basis, optimize=True)
+    rotated[0] = rotated[:, 0] = np.eye(n)  # the unit law, exactly
+    path = f"algebra_rot-{name}.json"
+    dump_algebra(make_algebra(rotated), path)
+    return path
+
+
 def _run(argv: list[str]) -> tuple[int, list[str]]:
     """main(argv)'s exit code and the messages of the RuntimeWarnings it raised."""
     with contextlib.redirect_stderr(io.StringIO()), \
@@ -79,16 +103,21 @@ def write_report_set(out_dir: Path) -> tuple[dict[str, int], dict[str, list[str]
     """Write every report; return the exit code of each run, and the
     warnings of each run that raised any."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = out_dir.resolve()
+    os.chdir(out_dir)
+    algebras = dict(ALGEBRAS)
+    for name in ROTATED:
+        algebras[f"rot-{name}"] = (_write_rotated(name), ALGEBRAS[name][1])
     runs = {}
     for suite in SUITES:
-        for name, (spec, dimension) in ALGEBRAS.items():
+        for name, (spec, dimension) in algebras.items():
             for seed in SEEDS:
                 stem = f"{suite}_{name}_seed{seed}"
                 trials = 40 if dimension == 64 else 200
                 runs[stem] = _run(["verify", suite, "--algebra", spec, "--seed", str(seed),
                                    "--trials", str(trials),
                                    "--json", str(out_dir / f"{stem}.json")])
-    for name, (spec, _) in ALGEBRAS.items():
+    for name, (spec, _) in algebras.items():
         for seed in SEEDS:
             stem = f"info_{name}_seed{seed}"
             runs[stem] = _run(["info", "--algebra", spec, "--seed", str(seed),
