@@ -102,6 +102,11 @@ class Algebra:
         return np.linalg.norm(self.structure_constants)
 
     @cached_property
+    def associativity_residual(self) -> float:
+        """associativity_residual(self), computed once (make_algebra checks it)."""
+        return associativity_residual(self)
+
+    @cached_property
     def basis_square_defects(self) -> np.ndarray:
         """||e_i*e_i + 1|| for each basis element: read-only, built on first use."""
         d = np.linalg.norm(self.structure_constants.diagonal().T + self.unit_vector, axis=1)
@@ -257,7 +262,7 @@ def make_algebra(structure_constants,
     if not (np.array_equal(c[unit_index], eye) and np.array_equal(c[:, unit_index], eye)):
         raise BadUnitError("designated unit fails the unit law")
 
-    violation = associativity_residual(algebra)
+    violation = algebra.associativity_residual
     if violation > resolve_tol(tol):
         raise NonAssociativeError(f"max associativity violation {violation:.3e}")
     return algebra
@@ -266,20 +271,20 @@ def make_algebra(structure_constants,
 def associativity_residual(algebra: Algebra) -> float:
     """Largest entry of (e_i e_j) e_k - e_i (e_j e_k) over the whole basis.
 
-    With a product table both sides are single scaled basis elements, found
-    by two table lookups each.  Otherwise one row i at a time is formed by
-    two matrix products, so memory stays O(N^3).
+    Both paths check one basis row i at a time.  With a product table both
+    sides are single scaled basis elements, found by two table lookups each,
+    in O(N^2) memory a row.  Otherwise row i is formed by two matrix
+    products, in O(N^3) memory a row.
     """
     if algebra._product_table is not None:
         idx, val = algebra._product_table
-        n = algebra.dimension
-        i, k = np.arange(n)[:, None, None], np.arange(n)[None, None, :]
-        ij, jk = idx[:, :, None], idx[None, :, :]
-        left_at, left = idx[ij, k], val[:, :, None] * val[ij, k]
-        right_at, right = idx[i, jk], val[None, :, :] * val[i, jk]
-        gap = np.where(left_at == right_at, np.abs(left - right),
-                       np.maximum(np.abs(left), np.abs(right)))
-        return float(gap.max())
+        gaps = []
+        for i in range(algebra.dimension):  # [j, k] of row i
+            left_at, left = idx[idx[i]], val[i][:, None] * val[idx[i]]
+            right_at, right = idx[i][idx], val * val[i][idx]
+            gaps.append(np.where(left_at == right_at, np.abs(left - right),
+                                 np.maximum(np.abs(left), np.abs(right))).max())
+        return float(np.max(gaps))
     c = algebra.structure_constants
     n = algebra.dimension
     by_m = c.reshape(n, n * n)   # [m, (k, l)]
@@ -419,19 +424,15 @@ def is_zerodivisor(a: Element) -> bool:
 # -- JSON interchange --------------------------------------------------------
 
 
-def _jsonable(x: float):
-    xf = float(x)
-    return int(xf) if xf.is_integer() else xf
-
-
 def algebra_to_dict(algebra: Algebra) -> dict:
-    c = algebra.structure_constants
+    """The JSON object of an algebra; integer-valued entries are written as ints."""
     return {
         "dimension": algebra.dimension,
         "unit_index": algebra.unit_index,
         "labels": list(algebra.labels),
-        "structure_constants": [[[_jsonable(v) for v in row] for row in plane]
-                                for plane in c],
+        "structure_constants": [[[int(v) if v.is_integer() else v for v in row]
+                                 for row in plane]
+                                for plane in algebra.structure_constants.tolist()],
     }
 
 
@@ -452,8 +453,7 @@ def algebra_from_dict(data: dict, tol: float | None = None) -> Algebra:
 
 def dump_algebra(algebra: Algebra, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra_to_dict(algebra), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(algebra_to_dict(algebra), sort_keys=True) + "\n")
 
 
 def load_algebra(path: str, tol: float | None = None) -> Algebra:

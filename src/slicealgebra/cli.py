@@ -21,7 +21,6 @@ import numpy as np
 
 from .algebra import (
     Algebra,
-    associativity_residual,
     clifford_algebra,
     is_zerodivisor,
     left_divide,
@@ -356,7 +355,7 @@ def cmd_algebra_info(args) -> int:
         "unit_index": alg.unit_index,
         "labels": list(alg.labels),
         "signature": list(alg.signature) if alg.signature else None,
-        "associativity_residual": associativity_residual(alg),
+        "associativity_residual": alg.associativity_residual,
         "unit_ok": True,
         "zerodivisors": _probe_zerodivisors(alg, rng),
     }

@@ -12,7 +12,7 @@ a map to P(E + E) whose chart quotient recovers the slice function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -102,13 +102,14 @@ class QuaternionFrame:
 
     @classmethod
     def detect(cls, algebra: Algebra) -> "QuaternionFrame":
-        """Search basis elements for an anticommuting pair of roots."""
+        """Search basis elements and their pairwise products for an
+        anticommuting pair of roots, then the pairs of _trace_free_frames."""
         if algebra.dimension != 4:
             raise FrameNotFoundError(
                 f"dimension {algebra.dimension} algebra has no quaternion frame")
         candidates = [algebra.basis_element(k) for k in range(4)]
         candidates += [a * b for a, b in combinations(candidates, 2)]
-        for a, b in combinations(candidates, 2):
+        for a, b in chain(combinations(candidates, 2), _trace_free_frames(algebra)):
             try:
                 return cls(algebra, a, b)
             except FrameNotFoundError:
@@ -130,6 +131,27 @@ class QuaternionFrame:
     def decompose(self, w: ComplexElement) -> np.ndarray:
         """Complex coordinates of w in the {1, I, J, K} basis."""
         return np.linalg.solve(self.matrix, w.as_vector())
+
+
+def _trace_free_frames(algebra: Algebra):
+    """Candidate pairs (I, J) for a basis that is not orthogonal.  With a0
+    and b0 the trace-free parts a - tr(L_a)/N of non-unit basis elements, I
+    is a0 and J is (b0 + I b0 I)/2, the part of b0 that anticommutes with I,
+    each scaled so that the scalar part tr(L_{x^2})/N of its square is -1."""
+    def scalar_part(a: Element) -> float:
+        return np.trace(algebra.left_matrix_vec(a.coeffs)) / algebra.dimension
+
+    def scaled(a: Element) -> Element | None:
+        lam = -scalar_part(a * a)
+        return a / np.sqrt(lam) if lam > 0 else None
+
+    basis = (algebra.basis_element(k) for k in range(algebra.dimension)
+             if k != algebra.unit_index)
+    pure = [e - algebra.scalar(scalar_part(e)) for e in basis]
+    for i in (x for x in map(scaled, pure) if x is not None):
+        for j in (scaled((b + i * b * i) / 2) for b in pure):
+            if j is not None:
+                yield i, j
 
 
 def gamma(z: complex, w: complex, frame: QuaternionFrame) -> Element:

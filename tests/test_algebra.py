@@ -1,7 +1,10 @@
 """Structure-constant validation, Clifford products, multiplication
 operators, inverses, quotients and JSON interchange."""
 
+import io
 import json
+import os
+import tempfile
 from itertools import combinations
 
 import numpy as np
@@ -21,6 +24,7 @@ from slicealgebra import (
     algebra_to_dict,
     associativity_residual,
     clifford_algebra,
+    dump_algebra,
     inverse,
     is_zerodivisor,
     left_divide,
@@ -29,7 +33,7 @@ from slicealgebra import (
     operator_matrix,
     right_divide,
 )
-from slicealgebra.algebra import Element
+from slicealgebra.algebra import Algebra, Element
 
 
 def test_make_algebra_validates_shape_and_unit():
@@ -189,6 +193,44 @@ def test_json_round_trip(quaternions):
     bad["dimension"] = 5
     with pytest.raises(DimensionMismatchError):
         algebra_from_dict(bad)
+
+
+def _json_dump_bytes(algebra):
+    """The file json.dump wrote, each entry folded by float(x) and, when
+    integer-valued, int(float(x)): the writer's bytes before it took the C
+    encoder."""
+    def jsonable(x):
+        xf = float(x)
+        return int(xf) if xf.is_integer() else xf
+
+    data = {"dimension": algebra.dimension, "unit_index": algebra.unit_index,
+            "labels": list(algebra.labels),
+            "structure_constants": [[[jsonable(v) for v in row] for row in plane]
+                                    for plane in algebra.structure_constants]}
+    out = io.StringIO()
+    json.dump(data, out, sort_keys=True)
+    out.write("\n")
+    return out.getvalue().encode("utf-8")
+
+
+_ENTRIES = st.one_of(st.integers(-10**6, 10**6).map(float),
+                     st.sampled_from([0.0, -0.0, 1e300, -1e300, 2.0**62, 5e-324, -2.2e-308]),
+                     st.floats(-1e-300, 1e-300, allow_subnormal=True),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.integers(1, 4).flatmap(
+    lambda n: hnp.arrays(float, (n, n, n), elements=_ENTRIES)))
+def test_dump_algebra_writes_the_json_dump_bytes(c):
+    """Integer-valued entries (-0.0 and 1e300 among them) are written as
+    ints, every other one by float repr, as json.dump wrote them."""
+    algebra = Algebra(c, 0, tuple(f"b{i}" for i in range(c.shape[0])))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "algebra.json")
+        dump_algebra(algebra, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == _json_dump_bytes(algebra)
 
 
 def test_element_arithmetic(quaternions):

@@ -6,10 +6,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import einsum_reference as ref
+from slicealgebra import algebra as algebra_module
 from slicealgebra import (SuiteNotApplicableError, algebra_to_dict, cli, clifford_algebra,
                           dump_algebra, make_algebra, twistor)
 from slicealgebra.cli import SUITES, main, resolve_algebra, run_suite
@@ -68,13 +69,26 @@ def test_info_finds_no_zerodivisor_in_a_skewed_division_algebra(tmp_path, sig):
     """H and C in the non-orthogonal basis 1, 1 + e_1, 1 + e_1 + e_2, ...:
     every spectral candidate is zero up to rounding and not singular."""
     c = clifford_algebra(*sig).structure_constants
-    n = c.shape[0]
-    basis = np.triu(np.ones((n, n)))
-    skewed = np.einsum("ai,bj,abm,km->ijk", basis, basis, c, np.linalg.inv(basis))
-    skewed[0] = skewed[:, 0] = np.eye(n)
+    skewed = ref.rebased(c, np.triu(np.ones(c.shape[:2])))
     for seed in (0, 7):
         assert _info_zerodivisors(skewed, tmp_path / "alg.json", seed) == \
             {"found": False, "witness": None}
+
+
+def test_info_decides_associativity_once(monkeypatch, capsys):
+    """make_algebra's residual is the one the info report gives: one check."""
+    calls = []
+    residual = algebra_module.associativity_residual
+
+    def counted(alg):
+        calls.append(alg)
+        return residual(alg)
+
+    for module in (algebra_module, cli):  # wherever a caller may look the name up
+        monkeypatch.setattr(module, "associativity_residual", counted, raising=False)
+    assert main(["info", "--algebra", "clifford 0 3"]) == 0
+    assert json.loads(capsys.readouterr().out)["associativity_residual"] == 0.0
+    assert len(calls) == 1
 
 
 def test_algebra_file_round_trip(tmp_path, quaternions, capsys):
@@ -203,6 +217,41 @@ def test_dims_counts_the_kernel_and_fails_a_wrong_trace(monkeypatch, p, q):
     monkeypatch.setattr(cli, "component_invariant", lambda s: trace(s) + 2)
     report = run_suite("dims", alg, "x", trials=6, seed=0, tol=1e-9)
     assert report.pass_count == 0 and len(report.failures) == 6
+
+
+def test_twistor_finds_a_frame_in_the_skewed_quaternion_basis(tmp_path, capsys):
+    """H in the basis 1, 1 + e1, 1 + e1 + e2, 1 + e1 + e2 + e12, which has no
+    anticommuting pair of roots among its elements and their products."""
+    c = ref.rebased(clifford_algebra(0, 2).structure_constants, np.triu(np.ones((4, 4))))
+    path = tmp_path / "skewed.json"
+    dump_algebra(make_algebra(c), str(path))
+    assert main(["verify", "twistor", "--algebra", str(path), "--trials", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass_count"] == 20
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_twistor_passes_on_h_in_a_basis_that_keeps_the_unit(seed):
+    """f_0 = 1 and f_1, f_2, f_3 drawn at random, not orthogonal."""
+    basis = np.eye(4)
+    basis[:, 1:] = np.random.default_rng(seed).standard_normal((4, 3))
+    assume(np.linalg.cond(basis) < 30)
+    alg = make_algebra(ref.rebased(clifford_algebra(0, 2).structure_constants, basis))
+    assert run_suite("twistor", alg, "H", trials=10, seed=0, tol=1e-9).passed
+
+
+@pytest.mark.parametrize("sig", [(1, 1), (0, 3)], ids=["Cl(1,1)", "Cl(0,3)"])
+@pytest.mark.parametrize("basis_seed", [None, 0, 1, 2])
+def test_twistor_does_not_apply_without_a_quaternion_frame(sig, basis_seed):
+    """M2(R) (in any basis) and the 8-dimensional Cl(0,3) have no frame."""
+    c = clifford_algebra(*sig).structure_constants
+    if basis_seed is not None:
+        n = c.shape[0]
+        basis = np.eye(n)
+        basis[:, 1:] = np.random.default_rng(basis_seed).standard_normal((n, n - 1))
+        c = ref.rebased(c, basis)
+    with pytest.raises(SuiteNotApplicableError):
+        run_suite("twistor", make_algebra(c), "x", trials=3, seed=0, tol=1e-9)
 
 
 def test_twistor_compares_one_lift_with_the_bundle(monkeypatch):

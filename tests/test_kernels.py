@@ -1,6 +1,8 @@
 """The structure-tensor kernels against the dense einsum definitions: the
 gather tables of signed-permutation algebras and the dense (N, N^2) path."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ def _labels(n):
     return tuple(f"b{i}" for i in range(n))
 
 
-CLIFFORD = {sig: clifford_algebra(*sig) for sig in SIGNATURES + [(3, 3)]}
+CLIFFORD = {sig: clifford_algebra(*sig) for sig in SIGNATURES + [(0, 6), (3, 3)]}
 DENSE = make_algebra(ref.rotated(CLIFFORD[2, 3].structure_constants,
                                  ref.rotation(32, np.random.default_rng(11))))
 KERNEL_CASES = [CLIFFORD[sig] for sig in SIGNATURES + [(3, 3)]] + [DENSE]
@@ -110,6 +112,47 @@ def test_associativity_residual_is_the_einsum_on_tables(sig, data):
     alg = Algebra(c, 0, _labels(n))
     assert alg._product_table is not None
     assert associativity_residual(alg) == ref.associativity_residual(c)
+
+
+def _swap_products(c, idx, i1, j1, j2):
+    """Swap the products e_i1 e_j1 and e_i1 e_j2, and those of the i2 with
+    e_i2 e_j1 = e_i1 e_j2: the targets move, yet both still permute."""
+    i2 = int(np.flatnonzero(idx[:, j1] == idx[i1, j2])[0])
+    assert idx[i2, j2] == idx[i1, j1]  # an abelian table: the four form a 2 x 2 square
+    for i in (i1, i2):
+        c[i, [j1, j2]] = c[i, [j2, j1]]
+
+
+@pytest.mark.parametrize("sig", [(0, 6), (3, 3)], ids=["Cl(0,6)", "Cl(3,3)"])
+@pytest.mark.parametrize("change", ["flipped", "swapped", "moved"])
+def test_n64_associativity_residual_is_the_einsum(sig, change):
+    """At N = 64 one sign flipped or a square of products swapped keeps the
+    table path, one index moved takes the dense path; either way the
+    residual is the einsum's, bit for bit."""
+    c = CLIFFORD[sig].structure_constants.copy()
+    rng = np.random.default_rng(sum(sig) + len(change))
+    i, j, k = rng.integers(1, 64, size=3)
+    if change == "flipped":
+        c[i, j] = -c[i, j]
+    elif change == "swapped":
+        _swap_products(c, CLIFFORD[sig]._product_table[0], i, j, k)
+    else:
+        c[i, j] = np.roll(c[i, j], 1)
+    alg = Algebra(c, 0, _labels(64))
+    assert (alg._product_table is None) == (change == "moved")
+    assert associativity_residual(alg) == ref.associativity_residual(c) > 0.0
+
+
+def test_table_residual_takes_o_n2_memory_a_row():
+    """At N = 64 the table path never holds an N^3 temporary (2 MiB)."""
+    alg = CLIFFORD[3, 3]
+    tracemalloc.start()
+    try:
+        assert associativity_residual(alg) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_flipped_sign_is_rejected():

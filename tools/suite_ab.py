@@ -9,7 +9,11 @@ imported here, so the two sides share one interpreter and meet the same
 phases of a machine whose speed drifts.  An op is one `run_suite` call:
 every suite on H, Cl(0,3) and Cl(2,2) at 5 trials and on Cl(0,6) and
 Cl(3,3) at 3 trials, at seeds 0-29; a suite that does not apply is left
-out.  Each of 7 rounds runs every op on both sides, alternating which side
+out.  The structure-tensor layer adds two kinds of op: `build`, one
+`clifford_algebra(p, q)` for each of the five algebras (its associativity
+check included), and `dump+load`, `dump_algebra` then `load_algebra` of
+one dense Cl(2,3) (N = 32) in a seeded orthonormal basis that keeps the
+unit, the same tensor on both sides.  Each of 7 rounds runs every op on both sides, alternating which side
 goes first from op to op.  An op's time is its fastest round.  The table
 gives, for each (suite, algebra), the median over seeds of the op times of
 each side and the relative change.  BLAS runs on one thread.
@@ -37,12 +41,36 @@ SEEDS = range(30)
 ROUNDS = 7
 
 
+def _dense_cl23(algebra) -> np.ndarray:
+    """Cl(2,3)'s tensor in a seeded orthonormal basis f_i = sum_a basis[a, i]
+    e_a that keeps the unit, with the unit law reset exactly."""
+    c = algebra.clifford_algebra(2, 3).structure_constants
+    n = c.shape[0]
+    q, r = np.linalg.qr(np.random.default_rng(23).standard_normal((n - 1, n - 1)))
+    basis = np.eye(n)
+    basis[1:, 1:] = q * np.sign(np.diag(r))
+    dense = np.einsum("ai,bj,abm,mk->ijk", basis, basis, c, basis, optimize=True)
+    dense[0] = dense[:, 0] = np.eye(n)
+    return dense
+
+
 def _ops(checkout: str, name: str, into: str) -> dict:
     """{(suite, algebra, seed): op} for every op of `checkout`'s package,
     imported as `name`, that applies; op() runs it."""
     shutil.copytree(Path(checkout) / "src" / "slicealgebra", Path(into) / name)
     cli = importlib.import_module(f"{name}.cli")
+    algebra = importlib.import_module(f"{name}.algebra")
     ops = {}
+    for alg_name, ((p, q), _) in ALGEBRAS.items():
+        ops["build", alg_name, 0] = lambda p=p, q=q: algebra.clifford_algebra(p, q)
+    dense = algebra.Algebra(_dense_cl23(algebra), 0, tuple(f"f{k}" for k in range(32)))
+    path = str(Path(into) / f"{name}-dense.json")
+
+    def round_trip():
+        algebra.dump_algebra(dense, path)
+        algebra.load_algebra(path)
+
+    ops["dump+load", "dense Cl(2,3)", 0] = round_trip
     for alg_name, ((p, q), trials) in ALGEBRAS.items():
         alg = cli.clifford_algebra(p, q)
         for suite in cli.SUITES:
@@ -71,11 +99,11 @@ def main(parent: str, change: str) -> None:
                     started = time.perf_counter()
                     sides[side][key]()
                     fastest[side, k] = min(fastest[side, k], time.perf_counter() - started)
-    print(f"{'suite':<14}{'algebra':<9}{'parent ms':>10}{'change ms':>10}{'change':>9}")
+    print(f"{'suite':<14}{'algebra':<14}{'parent ms':>10}{'change ms':>10}{'change':>9}")
     for suite, alg_name in dict.fromkeys(key[:2] for key in keys):
         cols = [k for k, key in enumerate(keys) if key[:2] == (suite, alg_name)]
         before, after = (1e3 * np.median(fastest[side, cols]) for side in (0, 1))
-        print(f"{suite:<14}{alg_name:<9}{before:>10.3f}{after:>10.3f}"
+        print(f"{suite:<14}{alg_name:<14}{before:>10.3f}{after:>10.3f}"
               f"{after / before - 1:>+9.1%}")
 
 
