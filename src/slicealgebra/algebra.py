@@ -12,9 +12,10 @@ The kernel is chosen once, from the tensor.  When each basis product is a
 nonzero multiple of a single basis element and multiplying by a basis
 element on either side permutes the basis (Clifford algebras, twisted group
 algebras), L_a and R_a are signed permutation matrices scaled by the
-entries of a, gathered from two N x N tables; associativity is then
-a comparison of the tables.  Every other tensor is multiplied through one
-contiguous (N, N^2) matrix per side.
+entries of a, gathered from two N x N tables.  Every other tensor is
+multiplied through one contiguous (N, N^2) matrix per side.  Both check
+associativity one basis row at a time, by table lookups in O(N^2) memory a
+row or by matrix products in O(N^3).
 
 Clifford algebras R_{p,q} are built from bitmask blades, one bit per
 generator, by the rule e_A e_B = +-e_{A xor B} (Dorst, Fontijne and Mann,
