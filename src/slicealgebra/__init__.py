@@ -4,7 +4,6 @@ real associative algebras."""
 from .algebra import (
     Algebra,
     Element,
-    OperatorMatrix,
     algebra_from_dict,
     algebra_to_dict,
     associativity_residual,
@@ -73,7 +72,6 @@ from .zerovariety import (
 )
 from .slicefunctions import (
     StemPolynomial,
-    TwistMap,
     alpha_beta,
     cauchy_riemann_residual,
     eval_generalized,

@@ -32,7 +32,7 @@ LAPACK's LinAlgError becomes ZeroDivisorError.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -219,20 +219,6 @@ class Element:
         return f"<{self.algebra.label_linear_combination(self.coeffs)}>"
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """An N x N multiplication operator attached to its defining element."""
-
-    element: Element
-    kind: str
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=float)
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-
 def make_algebra(structure_constants,
                  unit_index: int = 0,
                  labels: Sequence[str] | None = None,
@@ -368,8 +354,8 @@ def multiply(a: Element, b: Element) -> Element:
     return a * b
 
 
-def operator_matrix(a: Element, kind: str) -> OperatorMatrix:
-    """Multiplication operator of the requested kind: L, R, F = L+R, T = L.R."""
+def operator_matrix(a: Element, kind: str) -> np.ndarray:
+    """The read-only matrix of L_a, R_a, F_a = L_a + R_a or T_a = L_a R_a."""
     if kind not in ("L", "R", "F", "T"):
         raise ValueError(f"unknown operator kind {kind!r}")
     left = a.algebra.left_matrix_vec(a.coeffs)
@@ -383,7 +369,8 @@ def operator_matrix(a: Element, kind: str) -> OperatorMatrix:
             m = left + right
         else:
             m = left @ right
-    return OperatorMatrix(a, kind, m)
+    m.flags.writeable = False
+    return m
 
 
 def _solve(op: np.ndarray, d: Element, c: Element) -> Element:
@@ -438,12 +425,18 @@ def algebra_to_dict(algebra: Algebra) -> dict:
 
 
 def algebra_from_dict(data: dict, tol: float | None = None) -> Algebra:
+    """The algebra of a JSON object, whose fields are not coerced: "dimension"
+    and "unit_index" are integers, "labels" strings, the tensor numbers."""
     try:
-        c = np.asarray(data["structure_constants"], dtype=float)
-        n = int(data["dimension"])
-        unit_index = int(data["unit_index"])
-        labels = [str(s) for s in data["labels"]]
-    except (KeyError, TypeError, ValueError):  # not an object, a key missing or mistyped
+        raw = np.asarray(data["structure_constants"])  # object dtype for ints past 64 bits
+        n, unit_index, labels = data["dimension"], data["unit_index"], data["labels"]
+        if not (type(n) is int and type(unit_index) is int and type(labels) is list
+                and all(type(x) is str for x in labels)
+                and (raw.dtype.kind in "iuf" if raw.dtype != object
+                     else all(type(v) in (int, float) for v in raw.flat))):
+            raise TypeError("mistyped field")
+        c = raw.astype(float, copy=False)
+    except (KeyError, TypeError, ValueError, OverflowError):  # a key missing or mistyped
         raise ValueError("expected an object with \"structure_constants\" (N x N x N), "
                          "\"dimension\", \"unit_index\" and \"labels\"") from None
     if c.shape != (n, n, n):

@@ -251,7 +251,7 @@ def _suite_twistor(alg, trials, rng, tol):
         # whose point is the chart of the lift [w0 : w1 : w2 : w3] half by half
         chart = ProjectivePoint(np.concatenate([fiber_embed(i_root, gamma(*half, frame))
                                                 for half in np.split(lift.coords, 2)]))
-        distance = chart.chordal_distance(generalized_twistor(stem, lambda _: g, z, s_u, frame))
+        distance = chart.chordal_distance(generalized_twistor(stem, lambda _: g, z, s_u, i_root))
         ok = within_tol(residual, size, tol) and within_tol(distance, 2.0, tol)
         yield ok, max(residual, distance), f"trial {t}"
 

@@ -1,4 +1,5 @@
-"""Shared numeric policy: the tolerance rule, the rank cutoff, size guards.
+"""Shared numeric policy: the tolerance rule, the rank cutoff, the rounded-zero
+cutoff, size guards.
 
 The tolerance rule.  An identity that holds exactly (s*s + 1 = 0, a + s*b =
 0, a trace that vanishes) is checked through its residual r, which passes at
@@ -18,6 +19,10 @@ DEFAULT_TOL = 1e-9
 # test are exact-rank statements, so the threshold is relative to the
 # largest singular value.
 RANK_RELTOL = 1e-8
+
+# A projective coordinate this far below the largest is a rounded zero, not
+# a value to divide by (ProjectivePoint, delta1, rho1); no residual test.
+ROUNDED_ZERO = 1e-12
 
 # Dense structure-constant tensors only; everything stays small.
 MAX_DIMENSION = 64

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Element, OperatorMatrix, is_zerodivisor, right_divide
+from .algebra import Algebra, Element, is_zerodivisor, right_divide
 from .config import within_tol
 from .errors import DimensionMismatchError, NotFoundError, ZeroDivisorError
 from .numerics import newton_schulz, null_space
@@ -66,12 +66,11 @@ def _gram_for(G: InnerProduct, alg: Algebra) -> np.ndarray:
     return G.gram
 
 
-def adjoint(L: OperatorMatrix | np.ndarray, G: InnerProduct) -> np.ndarray:
+def adjoint(L: np.ndarray, G: InnerProduct) -> np.ndarray:
     """G^{-1} L^T G, the adjoint of L for <a, b> = a^T G b."""
-    mat = L.entries if isinstance(L, OperatorMatrix) else np.asarray(L)
-    if mat.shape != G.gram.shape:
+    if L.shape != G.gram.shape:
         raise DimensionMismatchError("operator and gram shapes differ")
-    return G.inverse @ mat.T @ G.gram
+    return G.inverse @ L.T @ G.gram
 
 
 def is_in_S0(s: Element, G: InnerProduct, tol: float | None = None) -> bool:

@@ -145,11 +145,6 @@ class TangentFrame:
     def dimension(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def elements(self) -> list[Element]:
-        alg = self.base.algebra
-        return [Element(alg, self.basis[:, j].copy()) for j in range(self.dimension)]
-
     def random_tangent(self, rng: np.random.Generator) -> Element:
         if self.dimension == 0:
             return self.base.algebra.zero()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, Element, left_divide
+from .algebra import Algebra, Element
 from .config import within_tol
 from .errors import InvalidTwistError, NotIntrinsicError
 from .numerics import vector_norm
@@ -181,47 +181,14 @@ def cauchy_riemann_residual(F: StemPolynomial, z: complex, s: RootOfMinusOne,
     return vector_norm(fx + alg.left_matrix_vec(s.element.coeffs) @ fy)
 
 
-@dataclass(frozen=True)
-class TwistMap:
-    """Twist of the root argument: identity, a fixed inner automorphism
-    s -> y^{-1} s y, or an arbitrary per-z callback."""
-
-    kind: str
-    y: Element | None = None
-    callback: object = None
-
-    @classmethod
-    def identity(cls) -> "TwistMap":
-        return cls("identity")
-
-    @classmethod
-    def conjugation(cls, y: Element) -> "TwistMap":
-        return cls("fixed-automorphism", y=y)
-
-    @classmethod
-    def from_callable(cls, fn) -> "TwistMap":
-        return cls("per-z-automorphism", callback=fn)
-
-    def apply(self, z: complex, s: RootOfMinusOne,
-              tol: float | None = None) -> RootOfMinusOne:
-        if self.kind == "identity":
-            return s
-        if self.kind == "fixed-automorphism":
-            out = left_divide(self.y, s.element * self.y)
-        elif self.kind == "per-z-automorphism":
-            out = self.callback(z, s)
-            if isinstance(out, RootOfMinusOne):
-                out = out.element
-        else:
-            raise ValueError(f"unknown twist kind {self.kind!r}")
-        root = RootOfMinusOne.measured(out)
-        if not root.holds(tol):
-            raise InvalidTwistError(f"twist output has residual {root.residual:.3e}")
-        return root
-
-
-def eval_generalized(F: StemPolynomial, twist: TwistMap, z: complex,
+def eval_generalized(F: StemPolynomial, twist, z: complex,
                      s: RootOfMinusOne, tol: float | None = None) -> Element:
-    """f(pi(z, s)) = pi(F(z), twist(z, s)) for twisted slice functions."""
+    """f(pi(z, s)) = pi(F(z), twist(z, s)) for a twist (z, s) -> Element,
+    such as lambda z, s: s.element or, for the inner automorphism
+    s -> y^{-1} s y, lambda z, s: left_divide(y, s.element * y).  An output
+    that is no root of -1 at tol raises InvalidTwistError."""
     require_intrinsic(F, tol)
-    return pi_tensor_eval(F.evaluate(z), twist.apply(z, s, tol))
+    root = RootOfMinusOne.measured(twist(z, s))
+    if not root.holds(tol):
+        raise InvalidTwistError(f"twist output has residual {root.residual:.3e}")
+    return pi_tensor_eval(F.evaluate(z), root)

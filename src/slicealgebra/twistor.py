@@ -12,12 +12,11 @@ a map to P(E + E) whose chart quotient recovers the slice function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
 
 import numpy as np
 
 from .algebra import Algebra, Element, left_divide
-from .config import within_tol
+from .config import ROUNDED_ZERO, within_tol
 from .errors import (
     BadSectionError,
     BasePointAtInfinityError,
@@ -44,9 +43,8 @@ class ProjectivePoint:
             raise ValueError("projective point needs finite coordinates")
         if peak == 0.0:
             raise ValueError("projective point needs a nonzero coordinate")
-        # a coordinate 1e-12 of the largest is taken for a rounded zero, so
-        # that the scaling does not divide by it; it is no residual test
-        lead = np.flatnonzero(size > 1e-12 * peak)[0]
+        # scale by the first coordinate that is no rounded zero
+        lead = np.flatnonzero(size > ROUNDED_ZERO * peak)[0]
         vec = vec / vec[lead]
         vec.setflags(write=False)
         object.__setattr__(self, "coords", vec)
@@ -102,14 +100,11 @@ class QuaternionFrame:
 
     @classmethod
     def detect(cls, algebra: Algebra) -> "QuaternionFrame":
-        """Search basis elements and their pairwise products for an
-        anticommuting pair of roots, then the pairs of _trace_free_frames."""
+        """The first pair of _trace_free_frames that the constructor accepts."""
         if algebra.dimension != 4:
             raise FrameNotFoundError(
                 f"dimension {algebra.dimension} algebra has no quaternion frame")
-        candidates = [algebra.basis_element(k) for k in range(4)]
-        candidates += [a * b for a, b in combinations(candidates, 2)]
-        for a, b in chain(combinations(candidates, 2), _trace_free_frames(algebra)):
+        for a, b in _trace_free_frames(algebra):
             try:
                 return cls(algebra, a, b)
             except FrameNotFoundError:
@@ -134,10 +129,12 @@ class QuaternionFrame:
 
 
 def _trace_free_frames(algebra: Algebra):
-    """Candidate pairs (I, J) for a basis that is not orthogonal.  With a0
+    """Candidate pairs (I, J) of a quaternion frame, in any basis.  With a0
     and b0 the trace-free parts a - tr(L_a)/N of non-unit basis elements, I
     is a0 and J is (b0 + I b0 I)/2, the part of b0 that anticommutes with I,
-    each scaled so that the scalar part tr(L_{x^2})/N of its square is -1."""
+    each scaled so that the scalar part tr(L_{x^2})/N of its square is -1.
+    The unit is a basis element, so on an algebra isomorphic to H the other
+    three parts span Im H; on the standard basis the first pair is (e1, e2)."""
     def scalar_part(a: Element) -> float:
         return np.trace(algebra.left_matrix_vec(a.coeffs)) / algebra.dimension
 
@@ -190,7 +187,7 @@ def delta1(p: ProjectivePoint) -> ProjectivePoint:
                     w[2] + 1j * w[4] - w[7] + 1j * w[9],
                     w[3] - 1j * w[5] + w[6] + 1j * w[8]])
     peak = np.abs(w).max()
-    if np.abs(out).max() <= 1e-12 * peak:  # rounded zero, as in ProjectivePoint
+    if np.abs(out).max() <= ROUNDED_ZERO * peak:
         raise DegenerateImageError("delta1 image is the zero vector")
     return ProjectivePoint(out)
 
@@ -201,7 +198,7 @@ def rho1(p: ProjectivePoint, frame: QuaternionFrame) -> Element:
         raise ValueError("rho1 expects a CP^3 point")
     w = p.coords
     base_scale = np.abs(w[:2]).max()
-    if base_scale <= 1e-12 * np.abs(w).max():  # rounded zero, as in ProjectivePoint
+    if base_scale <= ROUNDED_ZERO * np.abs(w).max():
         raise BasePointAtInfinityError("base point (w0, w1) = (0, 0)")
     return left_divide(gamma(w[0], w[1], frame), gamma(w[2], w[3], frame))
 
@@ -269,9 +266,10 @@ def standard_section(u: RootOfMinusOne):
 
 
 def generalized_twistor(F: StemPolynomial, sigma, z: complex,
-                        s: RootOfMinusOne, frame,
+                        s: RootOfMinusOne, u: RootOfMinusOne,
                         tol: float | None = None) -> ProjectivePoint:
-    """Point of P(E + E) inducing the slice function at (z, s).
+    """Point of P(E + E) inducing the slice function at (z, s) in the bundle
+    over the root u (on H, frame.i_root), whose defect is measured here.
 
     The first block is the chart image of c = sigma(s); the second is the
     image of T_{F(z)}(c) = c a + u (c b) for F(z) = a + i b.  Taking the
@@ -279,9 +277,6 @@ def generalized_twistor(F: StemPolynomial, sigma, z: complex,
     that quotient, rho1_general, needs c invertible, and it decides.
     """
     require_intrinsic(F, tol)
-    u = frame.i_root if isinstance(frame, QuaternionFrame) else frame
-    if not isinstance(u, RootOfMinusOne):
-        raise TypeError("frame must be a QuaternionFrame or a RootOfMinusOne")
     alg, uv, sv = u.algebra, u.element.coeffs, s.element.coeffs
     left_u = alg.left_matrix_vec(uv)
     if not RootOfMinusOne(u.element, vector_norm(left_u @ uv + alg.unit_vector)).holds(tol):

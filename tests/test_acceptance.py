@@ -57,10 +57,6 @@ def _report(num, ok, detail):
     assert ok, detail
 
 
-def _mat(x, kind):
-    return operator_matrix(x, kind).entries
-
-
 def test_criterion_01_operator_identities():
     worst = 0.0
     rng = np.random.default_rng(1)
@@ -69,8 +65,8 @@ def test_criterion_01_operator_identities():
         eye = np.eye(alg.dimension)
         for _ in range(500):
             a = alg.random_element(rng)
-            la, ra = _mat(a, "L"), _mat(a, "R")
-            fa, ta = _mat(a, "F"), _mat(a, "T")
+            la, ra = operator_matrix(a, "L"), operator_matrix(a, "R")
+            fa, ta = operator_matrix(a, "F"), operator_matrix(a, "T")
             worst = max(worst,
                         np.abs(ra @ la - la @ ra).max(),
                         np.abs(fa @ fa - (la @ la + ra @ ra + 2 * ta)).max())
@@ -80,8 +76,8 @@ def test_criterion_01_operator_identities():
             continue  # no roots in R or R_{1,0}: element identities only
         for _ in range(500):
             s = sample_root(seed, rng)
-            ls, rs = _mat(s.element, "L"), _mat(s.element, "R")
-            fs, ts = _mat(s.element, "F"), _mat(s.element, "T")
+            ls, rs = operator_matrix(s.element, "L"), operator_matrix(s.element, "R")
+            fs, ts = operator_matrix(s.element, "F"), operator_matrix(s.element, "T")
             worst = max(worst,
                         np.abs(ls @ ls + eye).max(),
                         np.abs(rs @ rs + eye).max(),
@@ -116,7 +112,7 @@ def test_criterion_02_trace_theorems():
         s = sample_root(seed, rng)
         s_top = float(s.element.coeffs[-1])
         expected = -8.0 * s_top * s_top
-        gap = abs(float(np.trace(_mat(s.element, "T"))) - expected)
+        gap = abs(float(np.trace(operator_matrix(s.element, "T"))) - expected)
         pseudo_ok = pseudo_ok and gap <= 1e-6
     ok = all_ok and worst_trace <= 1e-9 and pseudo_ok
     _report(2, ok,

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import einsum_reference as ref
 import oracle_quaternion as oq
 from slicealgebra import (
     BadUnitError,
@@ -147,24 +148,38 @@ def test_operator_matrices_represent_multiplication(cl03, rng):
     for _ in range(50):
         a = cl03.random_element(rng)
         x = cl03.random_element(rng)
-        left = operator_matrix(a, "L").entries
-        right = operator_matrix(a, "R").entries
+        left = operator_matrix(a, "L")
+        right = operator_matrix(a, "R")
         assert np.allclose(left @ x.coeffs, (a * x).coeffs, atol=1e-12)
         assert np.allclose(right @ x.coeffs, (x * a).coeffs, atol=1e-12)
-        f = operator_matrix(a, "F").entries
-        t = operator_matrix(a, "T").entries
+        f = operator_matrix(a, "F")
+        t = operator_matrix(a, "T")
         assert np.allclose(f, left + right, atol=1e-12)
         assert np.allclose(t, left @ right, atol=1e-12)
     with pytest.raises(ValueError):
         operator_matrix(a, "Q")
 
 
+@pytest.mark.parametrize("kind", ["L", "R", "F", "T"])
+def test_operator_matrix_is_a_read_only_array(cl03, kind, rng):
+    """Both kernel paths: the product table of Cl(0,3) and the dense
+    (N, N^2) matrix of Cl(0,3) in a rotated basis."""
+    c = cl03.structure_constants
+    dense = make_algebra(ref.rotated(c, ref.rotation(c.shape[0], rng)))
+    for alg in (cl03, dense):
+        m = operator_matrix(alg.random_element(rng), kind)
+        assert type(m) is np.ndarray and m.shape == (8, 8)
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 1.0
+
+
 def test_left_right_commute(cl03, rng):
     """[L_a, R_a] = 0 by associativity."""
     for _ in range(50):
         a = cl03.random_element(rng)
-        left = operator_matrix(a, "L").entries
-        right = operator_matrix(a, "R").entries
+        left = operator_matrix(a, "L")
+        right = operator_matrix(a, "R")
         assert np.linalg.norm(left @ right - right @ left) <= 1e-9
 
 
@@ -313,7 +328,7 @@ def test_zerodivisor_exactly_when_inverse_raises(name, built, data):
     if built:
         assert is_zerodivisor(a)
     elif not is_zerodivisor(a):
-        atol = 1e-10 * np.linalg.cond(operator_matrix(a, "L").entries)
+        atol = 1e-10 * np.linalg.cond(operator_matrix(a, "L"))
         assert (a * inverse(a)).approx_eq(alg.unit(), atol)
         assert (inverse(a) * a).approx_eq(alg.unit(), atol)
 

@@ -1,8 +1,12 @@
 """Command line driver: exit codes, report schemas, determinism."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -115,6 +119,52 @@ def test_algebra_file_round_trip(tmp_path, quaternions, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert all(key in err for key in good)
+
+
+_MISTYPED = {
+    "dimension": st.sampled_from([4.9, 4.0, "4", True, None, [4]]),
+    "unit_index": st.sampled_from([0.7, 0.0, "0", False, None, [0]]),
+    "labels": st.sampled_from(["1ijk", [1, 2, 3, 4], [None] * 4, [["1"], ["i"], ["j"], ["k"]],
+                               None, 4]),
+    "structure_constants": st.sampled_from(["1", "-1", None, "x"]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), key=st.sampled_from(sorted(_MISTYPED)))
+def test_mistyped_algebra_fields_are_usage_errors(quaternions, data, key):
+    """A field of the wrong JSON type is rejected, not coerced: 4.9 and "0"
+    are no integers, "1ijk" and [1, 2, 3, 4] no list of strings, and a
+    tensor entry "1" or null no number."""
+    content = algebra_to_dict(quaternions)
+    wrong = data.draw(_MISTYPED[key], label=key)
+    if key == "structure_constants":
+        i, j, k = data.draw(st.tuples(*[st.integers(0, 3)] * 3), label="entry")
+        content[key][i][j][k] = wrong
+    else:
+        content[key] = wrong
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "algebra.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(content, fh)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(["info", "--algebra", path]) == 2
+    assert err.getvalue().startswith("error:")
+    assert all(name in err.getvalue() for name in _MISTYPED)
+
+
+def test_integers_beyond_64_bits_load_as_before(tmp_path, quaternions):
+    """dump_algebra writes integer-valued entries as JSON integers, and
+    2^66 overflows int64: H in the basis 1, t e1, e2, t e12 with t = 2^33
+    (an exact rescaling, with entries -2^66) comes back unchanged."""
+    scale = np.array([1.0, 2.0 ** 33, 1.0, 2.0 ** 33])
+    c = quaternions.structure_constants * scale[:, None, None] * scale[None, :, None] / scale
+    path = tmp_path / "wide.json"
+    dump_algebra(make_algebra(c), str(path))
+    assert "73786976294838206464" in path.read_text()
+    back = resolve_algebra(str(path))[1]
+    assert np.array_equal(back.structure_constants, c)
 
 
 def test_resolve_algebra_aliases():

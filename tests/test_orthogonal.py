@@ -59,11 +59,11 @@ def test_adjoint_is_transpose_for_identity_gram(quaternions, rng):
     for _ in range(10):
         a = quaternions.random_element(rng)
         L = operator_matrix(a, "L")
-        assert np.allclose(adjoint(L, G), L.entries.T, atol=1e-13)
+        assert np.allclose(adjoint(L, G), L.T, atol=1e-13)
     # weighted gram: G^{-1} L^T G, checked against the pairing identity
     W = InnerProduct(np.diag([1.0, 2.0, 3.0, 4.0]))
     a = quaternions.random_element(rng)
-    L = operator_matrix(a, "L").entries
+    L = operator_matrix(a, "L")
     adj = adjoint(L, W)
     for _ in range(10):
         u = quaternions.random_element(rng)
@@ -77,7 +77,7 @@ def test_left_multiplication_by_imaginary_unit_is_antisymmetric(quaternions):
     G = _std(quaternions)
     for vec in (oq.I, oq.J, oq.K):
         L = operator_matrix(quaternions.element(vec), "L")
-        assert np.allclose(adjoint(L, G), -L.entries, atol=1e-14)
+        assert np.allclose(adjoint(L, G), -L, atol=1e-14)
 
 
 def test_is_in_S0_quaternions_and_complex(quaternions, complex_algebra, rng):

@@ -12,7 +12,6 @@ from slicealgebra import (
     NotIntrinsicError,
     RootOfMinusOne,
     StemPolynomial,
-    TwistMap,
     alpha_beta,
     cauchy_riemann_residual,
     eval_generalized,
@@ -20,6 +19,7 @@ from slicealgebra import (
     find_seed_root,
     intrinsic_defect,
     is_intrinsic,
+    left_divide,
     pi_eval,
     sample_root,
     stem_from_slice_poly,
@@ -64,7 +64,7 @@ def test_seam_stem_is_not_intrinsic(quaternions):
     with pytest.raises(NotIntrinsicError):
         alpha_beta(bad, 0.3 + 0.4j)
     with pytest.raises(NotIntrinsicError):
-        eval_generalized(bad, TwistMap.identity(), 0.3 + 0.4j, i)
+        eval_generalized(bad, lambda z, s: s.element, 0.3 + 0.4j, i)
 
 
 def test_high_degree_seam_is_not_intrinsic(quaternions):
@@ -250,7 +250,9 @@ def test_twist_identity_matches_plain(quaternions, rng):
     stem = stem_from_slice_poly([quaternions.random_element(rng)
                                  for _ in range(4)])
     seed = find_seed_root(quaternions)
-    twist = TwistMap.identity()
+    def twist(z, s):
+        return s.element
+
     for _ in range(100):
         s = sample_root(seed, rng)
         z = complex(rng.standard_normal(), rng.standard_normal())
@@ -261,13 +263,15 @@ def test_twist_identity_matches_plain(quaternions, rng):
 
 def test_twist_conjugation_pinned(quaternions):
     y = quaternions.element((oq.ONE + oq.K) / np.sqrt(2.0))
-    twist = TwistMap.conjugation(y)
+    def twist(z, s):
+        return left_divide(y, s.element * y)
+
     i = _root(quaternions, oq.I)
 
     # oracle: y^{-1} i y = -j
     conj_i = oq.qmul(oq.qinv(y.coeffs), oq.qmul(oq.I, y.coeffs))
     assert np.allclose(conj_i, -oq.J, atol=1e-12)
-    assert np.allclose(twist.apply(0.0, i).element.coeffs, -oq.J, atol=1e-12)
+    assert np.allclose(twist(0.0, i).coeffs, -oq.J, atol=1e-12)
 
     identity = _poly(quaternions, [0.0, 1.0])
     got = eval_generalized(identity, twist, 2.0 + 3.0j, i)
@@ -279,7 +283,7 @@ def test_twist_conjugation_pinned(quaternions):
 
 def test_twist_callback_and_rejection(quaternions, rng):
     j = _root(quaternions, oq.J)
-    swap = TwistMap.from_callable(lambda z, s: j)
+    swap = lambda z, s: j.element
     stem = stem_from_slice_poly([quaternions.random_element(rng)
                                  for _ in range(3)])
     i = _root(quaternions, oq.I)
@@ -287,7 +291,7 @@ def test_twist_callback_and_rejection(quaternions, rng):
     assert (eval_generalized(stem, swap, z, i)
             - eval_slice(stem, z, j)).norm() <= 1e-12
 
-    broken = TwistMap.from_callable(lambda z, s: quaternions.scalar(0.5))
+    broken = lambda z, s: quaternions.scalar(0.5)
     with pytest.raises(InvalidTwistError):
         eval_generalized(stem, broken, z, i)
 

@@ -14,9 +14,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "slicealgebra"
 ALLOWED = {
     ("roots.py", 0.01): "component_invariant snaps tr(T_s) to an integer; "
                         "rounding moves it by about N eps ||s||^2, far below 0.01",
-    ("twistor.py", 1e-12): "zero-coordinate cutoffs of ProjectivePoint, delta1 "
-                           "and rho1: a coordinate this far below the largest "
-                           "is a rounded zero, not a value to divide by",
 }
 
 

@@ -30,6 +30,7 @@ from slicealgebra import (
     gamma,
     generalized_twistor,
     inverse,
+    is_root,
     is_zerodivisor,
     left_divide,
     make_algebra,
@@ -94,6 +95,13 @@ def test_frame_detection(quaternions, cl11, cl03):
     with pytest.raises(FrameNotFoundError):
         QuaternionFrame(quaternions, quaternions.basis_element(1),
                         quaternions.basis_element(1))
+
+
+def test_frame_detection_on_the_standard_basis_is_e1_e2():
+    h = clifford_algebra(0, 2)
+    frame = QuaternionFrame.detect(h)
+    assert np.array_equal(frame.i.coeffs, h.basis_element(1).coeffs)
+    assert np.array_equal(frame.j.coeffs, h.basis_element(2).coeffs)
 
 
 @settings(max_examples=30, deadline=None)
@@ -347,8 +355,7 @@ def test_standard_section_values(quaternions, frame, rng):
 
 
 def test_generalized_twistor_consistency(quaternions, cl03, frame, rng):
-    for alg, base in ((quaternions, frame), (cl03, find_seed_root(cl03))):
-        u = base.i_root if isinstance(base, QuaternionFrame) else base
+    for alg, u in ((quaternions, frame.i_root), (cl03, find_seed_root(cl03))):
         sigma = standard_section(u)
         stem = stem_from_slice_poly([alg.random_element(rng)
                                      for _ in range(4)])
@@ -358,7 +365,7 @@ def test_generalized_twistor_consistency(quaternions, cl03, frame, rng):
             if (s.element + u.element).norm() < 1e-3:
                 continue  # section vanishes at -u
             z = complex(*rng.standard_normal(2))
-            p = generalized_twistor(stem, sigma, z, s, base)
+            p = generalized_twistor(stem, sigma, z, s, u)
             got = rho1_general(p, u)
             want = eval_slice(stem, z, s)
             assert (got - want).norm() <= 1e-8 * (1 + want.norm())
@@ -370,7 +377,7 @@ def test_generalized_twistor_constant_stem(quaternions, frame):
     sigma = standard_section(u)
     seed = find_seed_root(quaternions)
     s = sample_root(seed, np.random.default_rng(11))
-    p = generalized_twistor(one, sigma, 0.4 + 0.9j, s, frame)
+    p = generalized_twistor(one, sigma, 0.4 + 0.9j, s, u)
     n = quaternions.dimension
     assert np.allclose(p.coords[:n], p.coords[n:], atol=1e-12)
 
@@ -381,15 +388,32 @@ def test_generalized_twistor_bad_sections(quaternions, frame):
     s = RootOfMinusOne.from_element(quaternions.basis_element(2))
     off_fiber = lambda _s: quaternions.unit()
     with pytest.raises(BadSectionError):
-        generalized_twistor(stem, off_fiber, 0.1 + 0.1j, s, frame)
+        generalized_twistor(stem, off_fiber, 0.1 + 0.1j, s, u)
     vanishing = lambda _s: quaternions.zero()
     with pytest.raises(BadSectionError):
-        generalized_twistor(stem, vanishing, 0.1 + 0.1j, s, frame)
+        generalized_twistor(stem, vanishing, 0.1 + 0.1j, s, u)
     # the standard section itself dies at s = -u
     sigma = standard_section(u)
     minus_u = RootOfMinusOne.from_element(-u.element)
     with pytest.raises(BadSectionError):
-        generalized_twistor(stem, sigma, 0.1 + 0.1j, minus_u, frame)
+        generalized_twistor(stem, sigma, 0.1 + 0.1j, minus_u, u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), eps=st.floats(1e-6, 1.0))
+def test_generalized_twistor_measures_its_base_point(quaternions, cl03, seed, eps):
+    """A u that is no root of -1 raises BadSectionError, whatever residual
+    it carries: a random element and a root scaled by 1 + eps, each wrapped
+    with its measured residual and with a false residual of 0."""
+    rng = np.random.default_rng(seed)
+    for alg in (quaternions, cl03):
+        stem = stem_from_slice_poly([alg.unit(), alg.unit()])
+        s = find_seed_root(alg)
+        for x in (alg.random_element(rng), (1.0 + eps) * s.element):
+            assert not is_root(x)
+            for u in (RootOfMinusOne(x, 0.0), RootOfMinusOne.measured(x)):
+                with pytest.raises(BadSectionError, match="base point"):
+                    generalized_twistor(stem, lambda _s: alg.unit(), 0.3 + 0.7j, s, u)
 
 
 @pytest.fixture(scope="module")
@@ -565,6 +589,6 @@ def test_the_bundle_at_I_is_the_chart_of_the_GSS_lift(quaternions, coefficients,
     want = oq.slice_poly_eval([np.array(a) for a in coefficients], oq.rho_point(z, u0, u1))
     size = (1.0 + s_u.element.norm()) * stem.term_size(z)
     for section in sections:
-        point = generalized_twistor(stem, section, z, s_u, frame)
+        point = generalized_twistor(stem, section, z, s_u, i)
         assert point.chordal_distance(chart) <= 1e-12
         assert within_tol(np.linalg.norm(rho1_general(point, i).coeffs - want), size)
