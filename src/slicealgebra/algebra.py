@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -381,12 +382,15 @@ def _solve(op: np.ndarray, d: Element, c: Element) -> Element:
 
 
 def inverse(a: Element) -> Element:
-    """Two-sided inverse, left_divide(a, 1) once the singular values have shown
-    L_a to be well conditioned.  Raises ZeroDivisorError exactly when
-    is_zerodivisor(a)."""
+    """Two-sided inverse, once the singular values have shown L_a to be well
+    conditioned: [L_a; R_a] y = [1; 1] by QR, backward stable for both a*y = 1
+    and y*a = 1 (LU on L_a alone can leave y*a - 1 cond(L_a) times larger).
+    Raises ZeroDivisorError exactly when is_zerodivisor(a)."""
     if is_zerodivisor(a):
         raise ZeroDivisorError(f"element {a!r} is numerically singular")
-    return left_divide(a, a.algebra.unit())
+    alg = a.algebra
+    q, r = np.linalg.qr(np.vstack([alg.left_matrix_vec(a.coeffs), alg.right_matrix_vec(a.coeffs)]))
+    return Element(alg, np.linalg.solve(r, q.T @ np.tile(alg.unit_vector, 2)))
 
 
 def left_divide(c: Element, d: Element) -> Element:
@@ -412,15 +416,18 @@ def is_zerodivisor(a: Element) -> bool:
 # -- JSON interchange --------------------------------------------------------
 
 
+def _json_plane(plane: np.ndarray) -> list:
+    """One plane c[i] as JSON lists, integer-valued entries as ints."""
+    return [[int(v) if v.is_integer() else v for v in row] for row in plane.tolist()]
+
+
 def algebra_to_dict(algebra: Algebra) -> dict:
     """The JSON object of an algebra; integer-valued entries are written as ints."""
     return {
         "dimension": algebra.dimension,
         "unit_index": algebra.unit_index,
         "labels": list(algebra.labels),
-        "structure_constants": [[[int(v) if v.is_integer() else v for v in row]
-                                 for row in plane]
-                                for plane in algebra.structure_constants.tolist()],
+        "structure_constants": [_json_plane(plane) for plane in algebra.structure_constants],
     }
 
 
@@ -429,10 +436,14 @@ def algebra_from_dict(data: dict, tol: float | None = None) -> Algebra:
     and "unit_index" are integers, "labels" strings, the tensor numbers."""
     try:
         raw = np.asarray(data["structure_constants"])  # object dtype for ints past 64 bits
+        entries = [data["structure_constants"]]  # numpy reads true among numbers as 1
+        for _ in range(raw.ndim):
+            entries = chain.from_iterable(entries)
         n, unit_index, labels = data["dimension"], data["unit_index"], data["labels"]
         if not (type(n) is int and type(unit_index) is int and type(labels) is list
                 and all(type(x) is str for x in labels)
-                and (raw.dtype.kind in "iuf" if raw.dtype != object
+                and (raw.dtype.kind in "iuf" and bool not in map(type, entries)
+                     if raw.dtype != object
                      else all(type(v) in (int, float) for v in raw.flat))):
             raise TypeError("mistyped field")
         c = raw.astype(float, copy=False)
@@ -446,8 +457,14 @@ def algebra_from_dict(data: dict, tol: float | None = None) -> Algebra:
 
 
 def dump_algebra(algebra: Algebra, path: str) -> None:
+    """json.dumps(algebra_to_dict(algebra), sort_keys=True) + "\n", written
+    one plane c[i] at a time, in O(N^2) memory."""
+    head = json.dumps({"dimension": algebra.dimension, "labels": list(algebra.labels)})
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(algebra_to_dict(algebra), sort_keys=True) + "\n")
+        fh.write(head[:-1] + ', "structure_constants": [')  # the keys in sorted order
+        for i, plane in enumerate(algebra.structure_constants):
+            fh.write((", " if i else "") + json.dumps(_json_plane(plane)))
+        fh.write(f'], "unit_index": {json.dumps(algebra.unit_index)}}}\n')
 
 
 def load_algebra(path: str, tol: float | None = None) -> Algebra:

@@ -89,13 +89,27 @@ def is_in_S0(s: Element, G: InnerProduct, tol: float | None = None) -> bool:
 
 
 def antisymmetric_subspace(algebra: Algebra, G: InnerProduct) -> list[Element]:
-    """Basis of A0 = {a : L_a + L_a^t = 0}, the ambient space of S0: the
-    kernel of the N^2 x N system, taken from its N x N triangular factor R
-    (same kernel), so that the SVD that decides the rank is N x N."""
+    """Basis of A0 = {a : L_a + L_a^t = 0}: <a x, y> + <x, a y> = 0, so
+    sum_i a_i B_i is antisymmetric for B_i = c[i] G, B_i[j, k] = <e_i e_j, e_k>.
+    One row B_i[j, k] + B_i[k, j] per k >= j, off-diagonal rows times sqrt(2)
+    (the Gram matrix of the N^2 x N system vec(L_{e_i} + L_{e_i}^t) under the
+    standard G), formed for 256 // N values of j at a time (N <= 16: one
+    block) and folded into the N x N triangular factor, R <- qr([R; block]):
+    the sequential TSQR of Demmel, Grigori, Hoemmen and Langou (SIAM J. Sci.
+    Comput. 34, 2012), in O(N^2) memory.  The kernel is null_space(R)."""
     gram = _gram_for(G, algebra)
-    c = algebra.structure_constants  # L_{e_j} = c[j]^T, so its adjoint is G^{-1} c[j] G
-    cols = (c.transpose(0, 2, 1) + G.inverse @ c @ gram).reshape(len(c), -1).T
-    return [algebra.element(col) for col in null_space(np.linalg.qr(cols, mode="r")).T]
+    c, n = algebra.structure_constants, algebra.dimension
+    iota = np.arange(n)
+    weight = np.where(iota == iota[:, None], 1.0, np.sqrt(2.0))
+    r = np.empty((0, n))
+    width = max(1, 256 // n)
+    for j0 in range(0, n, width):
+        j, k = slice(j0, j0 + width), slice(j0, n)
+        # sym[i, j, k] = B_i[j, k] + B_i[k, j], for k >= j0 only
+        sym = c[:, j] @ gram[:, k] + (c[:, k] @ gram[:, j]).transpose(0, 2, 1)
+        sym *= weight[j, k]
+        r = np.linalg.qr(np.vstack([r, sym[:, iota[k] >= iota[j, None]].T]), mode="r")
+    return [algebra.element(col) for col in null_space(r).T]
 
 
 def sample_S0(algebra: Algebra, G: InnerProduct,

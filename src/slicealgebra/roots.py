@@ -76,6 +76,8 @@ def find_seed_root(algebra: Algebra,
     a Clifford algebra every product of basis elements is a signed basis
     element, so this covers every blade.  Up to 50 damped Newton searches
     on a*a + 1 = 0 from random starts are the fallback for general algebras.
+    A central root (L_s = R_s by the tolerance rule), whose conjugation
+    orbit is one point, is only kept as the answer of last resort.
     """
     n = algebra.dimension
     hits = np.flatnonzero(within_tol(algebra.basis_square_defects, 4.0, tol))
@@ -84,13 +86,20 @@ def find_seed_root(algebra: Algebra,
         return RootOfMinusOne.measured(cand)
     if rng is None:
         rng = np.random.default_rng(0)
+    central = None
     for _ in range(50):
         x, _ = affine_square_root(algebra, np.zeros(n), np.eye(n),
                                   rng.standard_normal(n))
         cand = RootOfMinusOne.measured(Element(algebra, x))
         if cand.holds(tol):
-            return cand
-    raise NotFoundError("no square root of -1 found; the locus may be empty")
+            left, right = algebra.left_matrix_vec(x), algebra.right_matrix_vec(x)
+            if not within_tol(np.linalg.norm(left - right),
+                              np.linalg.norm(left) + np.linalg.norm(right), tol):
+                return cand
+            central = central or cand  # the first central root
+    if central is None:
+        raise NotFoundError("no square root of -1 found; the locus may be empty")
+    return central
 
 
 def conjugate_root(y: Element, s: RootOfMinusOne) -> RootOfMinusOne:

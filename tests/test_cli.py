@@ -126,7 +126,7 @@ _MISTYPED = {
     "unit_index": st.sampled_from([0.7, 0.0, "0", False, None, [0]]),
     "labels": st.sampled_from(["1ijk", [1, 2, 3, 4], [None] * 4, [["1"], ["i"], ["j"], ["k"]],
                                None, 4]),
-    "structure_constants": st.sampled_from(["1", "-1", None, "x"]),
+    "structure_constants": st.sampled_from(["1", "-1", None, "x", True, False]),
 }
 
 
@@ -135,7 +135,8 @@ _MISTYPED = {
 def test_mistyped_algebra_fields_are_usage_errors(quaternions, data, key):
     """A field of the wrong JSON type is rejected, not coerced: 4.9 and "0"
     are no integers, "1ijk" and [1, 2, 3, 4] no list of strings, and a
-    tensor entry "1" or null no number."""
+    tensor entry "1", null, true or false no number (numpy would read true
+    among numbers as 1)."""
     content = algebra_to_dict(quaternions)
     wrong = data.draw(_MISTYPED[key], label=key)
     if key == "structure_constants":

@@ -13,10 +13,14 @@ out.  The structure-tensor layer adds two kinds of op: `build`, one
 `clifford_algebra(p, q)` for each of the five algebras (its associativity
 check included), and `dump+load`, `dump_algebra` then `load_algebra` of
 one dense Cl(2,3) (N = 32) in a seeded orthonormal basis that keeps the
-unit, the same tensor on both sides.  Each of 7 rounds runs every op on both sides, alternating which side
-goes first from op to op.  An op's time is its fastest round.  The table
+unit, the same tensor on both sides.  The constructions layer adds `A0`,
+`orthogonal.antisymmetric_subspace` under the standard inner product on H,
+Cl(2,2), Cl(0,6) and Cl(3,3), one op per seed (the same call).  Each of 7
+rounds runs every op on both sides, alternating which side goes first
+from op to op.  An op's time is its fastest round.  The table
 gives, for each (suite, algebra), the median over seeds of the op times of
-each side and the relative change.  BLAS runs on one thread.
+each side and the relative change; an `A0` row also gives each side's
+tracemalloc peak of one call, after the rounds.  BLAS runs on one thread.
 """
 
 from __future__ import annotations
@@ -31,12 +35,14 @@ import shutil  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 ALGEBRAS = {"H": ((0, 2), 5), "Cl(0,3)": ((0, 3), 5), "Cl(2,2)": ((2, 2), 5),
             "Cl(0,6)": ((0, 6), 3), "Cl(3,3)": ((3, 3), 3)}
+A0_ALGEBRAS = ("H", "Cl(2,2)", "Cl(0,6)", "Cl(3,3)")
 SEEDS = range(30)
 ROUNDS = 7
 
@@ -71,6 +77,12 @@ def _ops(checkout: str, name: str, into: str) -> dict:
         algebra.load_algebra(path)
 
     ops["dump+load", "dense Cl(2,3)", 0] = round_trip
+    orthogonal = importlib.import_module(f"{name}.orthogonal")
+    for alg_name in A0_ALGEBRAS:
+        alg = algebra.clifford_algebra(*ALGEBRAS[alg_name][0])
+        for seed in SEEDS:  # the same call: 30 repeats
+            ops["A0", alg_name, seed] = (lambda a=alg, g=orthogonal.InnerProduct.standard(alg):
+                                         orthogonal.antisymmetric_subspace(a, g))
     for alg_name, ((p, q), trials) in ALGEBRAS.items():
         alg = cli.clifford_algebra(p, q)
         for suite in cli.SUITES:
@@ -99,12 +111,25 @@ def main(parent: str, change: str) -> None:
                     started = time.perf_counter()
                     sides[side][key]()
                     fastest[side, k] = min(fastest[side, k], time.perf_counter() - started)
-    print(f"{'suite':<14}{'algebra':<14}{'parent ms':>10}{'change ms':>10}{'change':>9}")
+        peaks = {key: [_peak_mib(side[key]) for side in sides] for key in keys if key[0] == "A0"}
+    print(f"{'suite':<14}{'algebra':<14}{'parent ms':>10}{'change ms':>10}{'change':>9}"
+          f"{'parent MiB':>12}{'change MiB':>12}")
     for suite, alg_name in dict.fromkeys(key[:2] for key in keys):
         cols = [k for k, key in enumerate(keys) if key[:2] == (suite, alg_name)]
         before, after = (1e3 * np.median(fastest[side, cols]) for side in (0, 1))
+        peak = peaks.get((suite, alg_name, 0))
         print(f"{suite:<14}{alg_name:<14}{before:>10.3f}{after:>10.3f}"
-              f"{after / before - 1:>+9.1%}")
+              f"{after / before - 1:>+9.1%}" + (f"{peak[0]:>12.3f}{peak[1]:>12.3f}" if peak else ""))
+
+
+def _peak_mib(op) -> float:
+    """tracemalloc's peak over one call of op, in MiB."""
+    tracemalloc.start()
+    try:
+        op()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 if __name__ == "__main__":
