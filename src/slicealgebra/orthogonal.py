@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Algebra, Element, is_zerodivisor, right_divide
+from .algebra import Algebra, Element
 from .config import within_tol
-from .errors import DimensionMismatchError, NotFoundError, ZeroDivisorError
+from .errors import DimensionMismatchError, NotFoundError
 from .numerics import newton_schulz, null_space
 from .roots import RootOfMinusOne, TraceReport, is_root
-from .zerovariety import ComplexElement, zero_variety_witness
+from .zerovariety import ComplexElement, ZeroWitness, _solution_witnesses
 
 
 @dataclass(frozen=True)
@@ -243,20 +243,16 @@ def z0_residual(w: ComplexElement, G: InnerProduct) -> float:
 
 @dataclass(frozen=True)
 class Z0Verdict:
-    """Agreement record between the quadratic equations and witness search."""
+    """Agreement record between the quadratic equations and a witness in S0."""
 
     residual: float
     residual_member: bool
     witness_status: str  # found | absent | inconclusive
-    replay: dict | None
+    witness: ZeroWitness | None = None
 
     @property
     def witness_member(self) -> bool | None:
-        if self.witness_status == "found":
-            return True
-        if self.witness_status == "absent":
-            return False
-        return None
+        return {"found": True, "absent": False}.get(self.witness_status)
 
     @property
     def agree(self) -> bool | None:
@@ -267,44 +263,28 @@ class Z0Verdict:
         return {"residual": self.residual,
                 "residual_member": self.residual_member,
                 "witness_status": self.witness_status,
-                "agree": self.agree,
-                "replay": self.replay}
+                "agree": self.agree}
 
 
 def z0_equivalence_check(w: ComplexElement, G: InnerProduct,
                          tol: float | None = None,
                          rng: np.random.Generator | None = None) -> Z0Verdict:
-    """Compare quadratic-equation membership against a root witness in S0.
-
-    For w with invertible parts the containment proof is replayed through
-    u = b a^{-1}: orthogonality and antisymmetry of L_u plus the factoring
-    L_b = L_u L_a.  Quadratic-equation membership is the tolerance rule on
-    z0_residual against ||G^{-1} L_w^T G|| ||L_w||.  Disagreements are
-    recorded, not resolved.
-    """
-    alg = w.algebra
+    """Compare quadratic-equation membership (the tolerance rule on
+    z0_residual against ||G^{-1} L_w^T G|| ||L_w||) with a witness in S0,
+    searched inside A0: s = span @ t over antisymmetric_subspace's basis,
+    solving s*b = -a as zero_variety_witness does.  A found s is in S0 (in
+    A0, and a root).  "absent" is exact: A0 is {0}, a misses the range of
+    R_b @ span, or the unique solution is no root; "inconclusive": no
+    Newton start (0 and 7 random) on a kernel of solutions found a root."""
     adj, lw = _z0_terms(w, G)
     residual = float(np.linalg.norm(adj @ lw))
     residual_member = bool(within_tol(residual, np.linalg.norm(adj) * np.linalg.norm(lw), tol))
-    a, b = w.re, w.im
-    b_singular = is_zerodivisor(b)
-    search = zero_variety_witness(w, tol, rng)
-    status = search.status
-    if search.found and not is_in_S0(search.witness.root.element, G, tol):
-        # a unique witness (invertible im part) outside S0 settles restriction
-        status = "inconclusive" if b_singular else "absent"
-
-    replay = None
-    try:
-        u = right_divide(b, a)
-    except ZeroDivisorError:  # LAPACK finds a singular: no u to replay through
-        u = None
-    if u is not None and not b_singular:
-        lu = alg.left_matrix_vec(u.coeffs)
-        adj = adjoint(lu, G)
-        la = alg.left_matrix_vec(a.coeffs)
-        lb = alg.left_matrix_vec(b.coeffs)
-        replay = {"u_orthogonal": float(np.linalg.norm(adj @ lu - np.eye(alg.dimension))),
-                  "u_antisymmetric": float(np.linalg.norm(lu + adj)),
-                  "factor": float(np.linalg.norm(lb - lu @ la))}
-    return Z0Verdict(residual, residual_member, status, replay)
+    basis = antisymmetric_subspace(w.algebra, G)
+    if not basis:  # S0 is empty
+        return Z0Verdict(residual, residual_member, "absent")
+    span = np.stack([b.coeffs for b in basis], axis=1)
+    witnesses, unique = _solution_witnesses(  # None: a misses the range
+        w, w.algebra.right_matrix_vec(w.im.coeffs) @ span, span, 8, rng) or ([], True)
+    found = next((witness for witness in witnesses if witness.holds(tol)), None)
+    status = "found" if found else "absent" if unique else "inconclusive"
+    return Z0Verdict(residual, residual_member, status, found)

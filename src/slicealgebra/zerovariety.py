@@ -145,7 +145,7 @@ def _witness(w: ComplexElement, s: Element) -> ZeroWitness:
 def _excluded(witness: ZeroWitness, sigma_min: float, tol: float) -> bool:
     """No witness at tol lies near s: each s' = s + d has ||d|| <= r, where
     (sigma_min(R_b) - tol ||b||) r = ||a + s*b|| + tol (||a|| + ||s|| ||b||),
-    and ||s'*s' + 1|| >= ||s*s + 1|| - ||L_s + R_s|| r - mu r^2, as ||x*y|| <=
+    and ||s'*s' + 1|| >= ||s*s + 1|| - ||L_s + R_s||_F r - mu r^2, as ||x*y|| <=
     mu ||x|| ||y|| for mu the Frobenius norm of the structure constants."""
     w, s, ns = witness.w, witness.root.element, witness.root.element.norm()
     gap = sigma_min - tol * w.im.norm()
@@ -154,7 +154,7 @@ def _excluded(witness: ZeroWitness, sigma_min: float, tol: float) -> bool:
     mu = s.algebra.structure_norm
     r = (witness.residual + tol * (w.re.norm() + ns * w.im.norm())) / gap
     lip = np.linalg.norm(s.algebra.left_matrix_vec(s.coeffs)
-                         + s.algebra.right_matrix_vec(s.coeffs), 2)
+                         + s.algebra.right_matrix_vec(s.coeffs))
     return bool(witness.root.residual - lip * r - mu * r * r > tol * (1.0 + ns + r) ** 2)
 
 
@@ -165,11 +165,10 @@ def _verdict(w: ComplexElement, candidates, tol: float | None, otherwise: str = 
     by `sigma_min` (of R_b for an invertible b; 0 excludes nothing), else a
     joint Newton from s on rows [R_b | a] weighted onto (1 + ||s||)^2 (rb:
     R_b, if the caller has it).  No candidate in the band: `otherwise`.
-    Candidates may be lazy, or witnesses."""
+    Candidates are witnesses, maybe lazy."""
     alg, a, b, tol = w.algebra, w.re, w.im, resolve_tol(tol)
     status = otherwise
-    for c in candidates:
-        witness = c if isinstance(c, ZeroWitness) else _witness(w, c)
+    for witness in candidates:
         s = witness.root.element
         if not witness.holds(tol) and witness.holds(np.sqrt(tol)):
             rb = alg.right_matrix_vec(b.coeffs) if rb is None else rb
@@ -195,16 +194,16 @@ def zero_variety_witness(w: ComplexElement,
     call b invertible (is_zerodivisor's verdict on L_b).  On an exact zero
     pivot, or a b the cutoff calls singular (maybe only ill-conditioned: LU's
     s stays first), Newton for s*s = -1 runs on the solutions of s*b = -a
-    (SVD of R_b), from the particular one and up to 19 random points.  One
-    band rule decides (_verdict).  "absent" is exact: the unique s is no root
-    at sqrt(tol), a misses range(R_b) by sqrt(RANK_RELTOL) relative, or in
-    the band sigma_min(R_b) bars witnesses.
+    (_solution_witnesses, which z0_equivalence_check runs inside A0), from
+    the particular one and up to 19 random points.  One band rule decides
+    (_verdict).  "absent" is exact: the unique s is no root at sqrt(tol), a
+    misses range(R_b), or in the band sigma_min(R_b) bars witnesses.
     """
     alg, a, b = w.algebra, w.re, w.im
 
     if b.norm() == 0.0:  # pi(w, s) = a: w = 0 is a member through every root
         try:
-            return _verdict(w, [find_seed_root(alg, rng=rng, tol=tol).element], tol)
+            return _verdict(w, [_witness(w, find_seed_root(alg, rng=rng, tol=tol).element)], tol)
         except NotFoundError:  # S is empty
             return WitnessSearch("absent")
 
@@ -217,22 +216,32 @@ def zero_variety_witness(w: ComplexElement,
         return WitnessSearch("found", lu[0])
     if lu and numerical_rank(sv := np.linalg.svd(rb, compute_uv=False)) == alg.dimension:
         return _verdict(w, lu, tol, rb=rb, sigma_min=sv[-1])  # b is invertible: s is unique
-    u, sv, vt, rank = svd_rank(rb)
-    s_part = vt[:rank].T @ ((u[:, :rank].T @ -a.coeffs) / sv[:rank])
-    if vector_norm(rb @ s_part + a.coeffs) > np.sqrt(RANK_RELTOL) * (
-            a.norm() + sv[0] * vector_norm(s_part)):
+    if (solutions := _solution_witnesses(w, rb, None, 20, rng)) is None:
         return WitnessSearch("absent")  # a lies outside the range of R_b
-    kernel = vt[rank:].T  # (N, m)
+    witnesses, unique = solutions
+    return _verdict(w, chain(lu, witnesses), tol, "absent" if unique else "inconclusive", rb)
+
+
+def _solution_witnesses(w: ComplexElement, m: np.ndarray, span: np.ndarray | None,
+                        starts: int, rng: np.random.Generator | None):
+    """Witnesses of the s = span @ t (span None: the identity) with s*b = -a,
+    m = R_b @ span, from a thin SVD of m: None when a misses range(m) by
+    sqrt(RANK_RELTOL) relative, else (witnesses, unique): the particular s if
+    m has no kernel, else affine_square_root on it from 0 and starts - 1
+    random points, lazily."""
+    alg, a = w.algebra, w.re.coeffs
+    u, sv, vt, rank = svd_rank(m)
+    base = vt[:rank].T @ ((u[:, :rank].T @ -a) / sv[:rank])
+    if vector_norm(m @ base + a) > np.sqrt(RANK_RELTOL) * (vector_norm(a) + sv[0] * vector_norm(base)):
+        return None
+    base, kernel = (base, vt[rank:].T) if span is None else (span @ base, span @ vt[rank:].T)
     if not kernel.shape[1]:
-        return _verdict(w, lu + [alg.element(s_part)], tol, rb=rb)
+        return [_witness(w, alg.element(base))], True
     rng = np.random.default_rng(0) if rng is None else rng
-
-    def newton(attempt: int) -> Element:
-        t = np.zeros(kernel.shape[1]) if attempt == 0 \
-            else rng.standard_normal(kernel.shape[1])
-        return alg.element(affine_square_root(alg, s_part, kernel, t)[0])
-
-    return _verdict(w, chain(lu, map(newton, range(20))), tol, "inconclusive", rb)
+    xs = chain([np.zeros(kernel.shape[1])],
+               (rng.standard_normal(kernel.shape[1]) for _ in range(starts - 1)))
+    return (_witness(w, alg.element(affine_square_root(alg, base, kernel, x)[0]))
+            for x in xs), False
 
 
 def leaf_membership(w: ComplexElement, a: Element,
@@ -275,7 +284,7 @@ def left_absorption(witness: ZeroWitness, wp: ComplexElement,
     sp, t = wp.re, wp.im
     product = wp * witness.w
     try:
-        closed_form = [right_divide(sp * a + t, sp - t * a)]
+        closed_form = [_witness(product, right_divide(sp * a + t, sp - t * a))]
     except ZeroDivisorError:  # s' - ta is singular: no closed form
         closed_form = []
     found = _verdict(product, closed_form, tol)
@@ -373,10 +382,12 @@ def discrete_zero_scan(stem, region, target: Element | None = None,
     passes the tolerance rule against the size ||target|| +
     sum_k (|z| + r)^k ||c_k|| of its terms, else "isolated" when
     zero_variety_witness finds the root at tol, else dropped.
-    Off-axis hits come at z and conj z.  Raises SliceAlgebraError "zero set
-    is not discrete" when F equals target, or when R(z) is singular at every
-    z and F(_PROBE) = target has a solution."""
-    from .slicefunctions import require_intrinsic
+    Off-axis hits come at z and conj z.  F and target are first scaled by
+    the power of two that puts their largest coefficient in [1, 2), exactly.
+    Raises SliceAlgebraError when that size is not finite at a z, and "zero
+    set is not discrete" when F equals target, or when R(z) is singular at
+    every z and F(_PROBE) = target has a solution."""
+    from .slicefunctions import StemPolynomial, require_intrinsic
 
     require_intrinsic(stem, tol)
     alg = stem.algebra
@@ -386,15 +397,22 @@ def discrete_zero_scan(stem, region, target: Element | None = None,
     ymax = max(abs(y0), abs(y1))
     find_seed_root(alg, rng=rng)  # an algebra without roots has no zeros to scan
     tgt = alg.zero().coeffs if target is None else target.coeffs
+    # 2^k: the hits are F's, and no size overflows unless a term at z does
+    largest = max(np.abs(stem.coeff_matrix.real).max(), np.abs(tgt).max())
+    factor = np.ldexp(1.0, min(1 - int(np.frexp(largest)[1]), 1023))
+    stem, tgt = StemPolynomial(alg, stem.coeff_matrix * factor), tgt * factor
     coeffs = stem.coeff_matrix.real.copy()
     coeffs[0] -= tgt
 
-    def solution(z: complex, spread: float = 0.0):  # (class, residual) or None
+    def solution(z: complex, spread: float = 0.0):  # (class, residual of F) or None
+        size = vector_norm(tgt) + stem.term_size(float(abs(z) + spread))  # floats: inf, no warning
+        if not size < np.inf:
+            raise SliceAlgebraError(f"F(z) - target is too large to represent at z = {z}")
         w = ComplexElement.from_vector(alg, stem.evaluate_vector(z) - tgt)
-        if within_tol(w.norm(), vector_norm(tgt) + stem.term_size(abs(z) + spread), tol):
-            return ("real" if z.imag == 0.0 else "sphere"), w.norm()
+        if within_tol(w.norm(), size, tol):
+            return ("real" if z.imag == 0.0 else "sphere"), w.norm() / factor
         if z.imag != 0.0 and (search := zero_variety_witness(w, tol, rng)).found:
-            return "isolated", float(np.hypot(search.witness.residual,
+            return "isolated", float(np.hypot(search.witness.residual / factor,
                                               search.witness.root.residual))
         return None
 

@@ -484,6 +484,25 @@ def test_roots_where_a_power_of_z_overflows(tmp_path):
     assert [z["z"][1] for z in zeros] == pytest.approx([-1e155, 1e155], rel=1e-9)
 
 
+@pytest.mark.parametrize("rows, options, zeros", [
+    ([[1, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]], ["--target=1e308,0,0,0"], []),
+    ([[-1e308, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]], ["--region=-1e300,1e300,-1e300,1e300"],
+     [-1e154, 1e154]),
+])
+def test_roots_near_the_float_limit(tmp_path, rows, options, zeros):
+    """x^2 + 1 = 1e308 has its real zeros at +-1e154, outside +-2, and so
+    has x^2 = 1e308.  The sizes of the terms, 2e308 there, overflow; the
+    scan works on F - target over the power of two of its largest
+    coefficient, so it finds the zeros without an overflow warning (pytest
+    makes one an error)."""
+    poly = _write_poly(tmp_path / "p.json", rows)
+    out = tmp_path / "o.json"
+    assert main(["roots", poly, "--json", str(out)] + options) == 0
+    found = json.loads(out.read_text())["zeros"]
+    assert [z["class"] for z in found] == ["real"] * len(zeros)
+    assert [z["z"] for z in found] == [[pytest.approx(z, rel=1e-12), 0.0] for z in zeros]
+
+
 def test_roots_usage_errors(tmp_path, capsys):
     poly = _write_poly(tmp_path / "p.json", [[1, 0, 0, 0], [1, 0, 0, 0]])
     assert main(["roots", poly, "--region=bad"]) == 2

@@ -17,9 +17,9 @@ ALLOWED = {
     ("numerics.py", "numerical_rank"): "the cutoff itself, for every kernel, eigenspace, "
                                        "Newton step, rank and zerodivisor the package "
                                        "decides",
-    ("zerovariety.py", "zero_variety_witness"): "solvability of s*b = -a: the residual "
-                                                "of svd_rank's truncated solve is "
-                                                "judged at the same cutoff",
+    ("zerovariety.py", "_solution_witnesses"): "solvability of s*b = -a: the residual "
+                                               "of svd_rank's truncated solve is "
+                                               "judged at the same cutoff",
 }
 
 

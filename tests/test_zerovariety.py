@@ -397,6 +397,12 @@ def test_witness_zerodivisor_branch(cl11, rng):
     assert res2.status == "absent"
 
 
+def test_witness_of_a_nonzero_real_part_without_roots():
+    """Cl(1,0) = R + R has no root of -1, so a + s*0 = 1 has no witness."""
+    alg = clifford_algebra(1, 0)
+    assert zero_variety_witness(ComplexElement(alg.unit(), alg.zero())).status == "absent"
+
+
 def test_leaf_membership(quaternions, rng):
     """The pinned example: w = (1+j, i), target 1 -> witness -k."""
     w = ComplexElement(quaternions.element(oq.ONE + oq.J),
@@ -652,6 +658,15 @@ def test_scan_hits_do_not_depend_on_the_stems_scale(pq, degree, seed, c):
     assert all(abs(g.z - h.z) <= 1e-9 * abs(h.z) for g, h in zip(scaled, hits))
 
 
+def test_scan_of_a_stem_with_subnormal_coefficients(quaternions):
+    """(x^2 + 1) 1e-310 is scaled to normal coefficients before its rank is
+    decided, so it keeps the spheres of x^2 + 1 rather than count as 0."""
+    tiny = 1e-310 * quaternions.unit()
+    hits = discrete_zero_scan(stem_from_slice_poly([tiny, quaternions.zero(), tiny]),
+                              (-2, 2, -2, 2))
+    assert [(h.z, h.classification) for h in hits] == [(-1j, "sphere"), (1j, "sphere")]
+
+
 def test_scan_finds_both_isolated_zeros_of_a_split_linear_stem():
     """x - q in Cl(2,2) with q = 1/4 + 3/4 y e3 y^-1 vanishes at 1/4 +- 3i/4
     only; the grid scan missed both."""
@@ -711,6 +726,21 @@ def test_scan_of_a_singular_pencil_without_zeros(cl11):
                               (-2, 2, -2, 2)) == []
     with pytest.raises(SliceAlgebraError, match="not discrete"):
         discrete_zero_scan(stem_from_slice_poly([e11, 0.5 * (e12 - e2)]), (-2, 2, -2, 2))
+
+
+def test_scan_of_a_nonzero_constant_stem_has_no_zeros(quaternions):
+    assert discrete_zero_scan(stem_from_slice_poly([quaternions.unit()]), (-2, 2, -2, 2)) == []
+
+
+def test_scan_rejects_a_candidate_whose_size_overflows(quaternions):
+    """A candidate z = 1e300 of x^2 + 1 has terms of size 1e600: it cannot
+    be judged, and the scan says so, naming z, rather than test it against
+    an infinite size."""
+    stem = stem_from_slice_poly([quaternions.unit(), quaternions.zero(), quaternions.unit()])
+    candidate = (np.array([1e300 + 0j]), quaternions.dimension, 0.0)
+    with mock.patch("slicealgebra.zerovariety._eigenvalues", return_value=candidate), \
+            pytest.raises(SliceAlgebraError, match=r"too large to represent at z = \(1e\+300"):
+        discrete_zero_scan(stem, (-1e300, 1e300, -1e300, 1e300))
 
 
 @pytest.mark.parametrize("coeffs, target", [("0", None), ("00", None), ("1", "1"),

@@ -15,12 +15,16 @@ H, Cl(0,3), Cl(1,1) and Cl(2,2) for x^2 + 1, (x^2 + 1)^3, x^5, x^4 (x^2 - 1),
 1 + 1e40 x^2, 1e10 + 1e-300 x^2, three seeded random stems of degree 2, 3
 and 4, and the degree-4 one times 1e-200, each over the regions +-2,
 +-1e100 and +-1e300: 120 runs, whose scales reach the ends of the float
-range: 336 runs in all, on the package in this checkout's src/, from
+range.  Runs `slicealg roots` on H for x^2 + 1 with --target=1e300,0,0,0
+and with --target=1e308,0,0,0, and for -1e308 + x^2, over the same three
+regions: 9 runs, whose terms overflow unless the scan scales them: 345
+runs in all, on the package in this checkout's src/, from
 OUT_DIR as the working directory (so a rotated algebra's report names it
 by its file name alone).  Each JSON report
 goes to OUT_DIR/<suite>_<algebra>_seed<S>.json (a suite that does not apply
-writes none), OUT_DIR/info_<algebra>_seed<S>.json or
-OUT_DIR/roots_<stem>_<algebra>_<region>.json, each
+writes none), OUT_DIR/info_<algebra>_seed<S>.json,
+OUT_DIR/roots_<stem>_<algebra>_<region>.json or
+OUT_DIR/roots_<stem>_target<T>_<algebra>_<region>.json, each
 coefficient file to OUT_DIR/poly_<stem>_<algebra>.json, and every exit code
 to OUT_DIR/exit_codes.json, so that `diff -r` of the directories written by
 two checkouts lists every report a change moved (max_residual is
@@ -61,6 +65,9 @@ STEMS = {"x2+1": [1, 0, 1], "x2+1_cubed": [1, 0, 3, 0, 3, 0, 1], "x5": [0, 0, 0,
 RANDOM_DEGREES = (2, 3, 4)
 REGIONS = {"2": "-2,2,-2,2", "1e100": "-1e100,1e100,-1e100,1e100",
            "1e300": "-1e300,1e300,-1e300,1e300"}
+# roots near the float limit on H: (stem, its real coefficients, the target's real part)
+LIMIT_RUNS = (("x2+1", [1.0, 0.0, 1.0], "1e300"), ("x2+1", [1.0, 0.0, 1.0], "1e308"),
+              ("-1e308+x2", [-1e308, 0.0, 1.0], None))
 
 
 def _stems(name: str) -> dict[str, list[list[float]]]:
@@ -122,15 +129,20 @@ def write_report_set(out_dir: Path) -> tuple[dict[str, int], dict[str, list[str]
             stem = f"info_{name}_seed{seed}"
             runs[stem] = _run(["info", "--algebra", spec, "--seed", str(seed),
                                "--json", str(out_dir / f"{stem}.json")])
-    for name in ROOTS_ALGEBRAS:
-        for stem, rows in _stems(name).items():
-            poly = out_dir / f"poly_{stem}_{name}.json"
-            poly.write_text(json.dumps(rows) + "\n")
-            for region, extent in REGIONS.items():
-                report = f"roots_{stem}_{name}_{region}"
-                runs[report] = _run(["roots", str(poly), "--algebra", ALGEBRAS[name][0],
-                                     f"--region={extent}",
-                                     "--json", str(out_dir / f"{report}.json")])
+    roots = [(name, stem, rows, None) for name in ROOTS_ALGEBRAS
+             for stem, rows in _stems(name).items()]
+    roots += [("H", stem, [[c, 0.0, 0.0, 0.0] for c in real], target)
+              for stem, real, target in LIMIT_RUNS]
+    for name, stem, rows, target in roots:
+        poly = out_dir / f"poly_{stem}_{name}.json"
+        poly.write_text(json.dumps(rows) + "\n")
+        options = [] if target is None else [f"--target={target},0,0,0"]
+        stem += "" if target is None else f"_target{target}"
+        for region, extent in REGIONS.items():
+            report = f"roots_{stem}_{name}_{region}"
+            runs[report] = _run(["roots", str(poly), "--algebra", ALGEBRAS[name][0],
+                                 f"--region={extent}", *options,
+                                 "--json", str(out_dir / f"{report}.json")])
     codes = {run: code for run, (code, _) in runs.items()}
     (out_dir / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
     return codes, {run: messages for run, (_, messages) in runs.items() if messages}
