@@ -34,7 +34,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -431,22 +430,24 @@ def algebra_to_dict(algebra: Algebra) -> dict:
     }
 
 
+def json_numbers(value) -> np.ndarray:
+    """A JSON number or nested list of numbers as a float array.  Nothing is
+    coerced: TypeError when some leaf is a boolean, a string or no number."""
+    raw = np.asarray(value, dtype=object)  # the JSON values: numpy reads true among numbers as 1
+    if not {int, float}.issuperset(map(type, raw.flat)):
+        raise TypeError("expected numbers")
+    return raw.astype(float)
+
+
 def algebra_from_dict(data: dict, tol: float | None = None) -> Algebra:
     """The algebra of a JSON object, whose fields are not coerced: "dimension"
     and "unit_index" are integers, "labels" strings, the tensor numbers."""
     try:
-        raw = np.asarray(data["structure_constants"])  # object dtype for ints past 64 bits
-        entries = [data["structure_constants"]]  # numpy reads true among numbers as 1
-        for _ in range(raw.ndim):
-            entries = chain.from_iterable(entries)
+        c = json_numbers(data["structure_constants"])
         n, unit_index, labels = data["dimension"], data["unit_index"], data["labels"]
         if not (type(n) is int and type(unit_index) is int and type(labels) is list
-                and all(type(x) is str for x in labels)
-                and (raw.dtype.kind in "iuf" and bool not in map(type, entries)
-                     if raw.dtype != object
-                     else all(type(v) in (int, float) for v in raw.flat))):
+                and all(type(x) is str for x in labels)):
             raise TypeError("mistyped field")
-        c = raw.astype(float, copy=False)
     except (KeyError, TypeError, ValueError, OverflowError):  # a key missing or mistyped
         raise ValueError("expected an object with \"structure_constants\" (N x N x N), "
                          "\"dimension\", \"unit_index\" and \"labels\"") from None

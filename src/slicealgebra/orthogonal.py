@@ -34,6 +34,8 @@ class InnerProduct:
         g = np.array(self.gram, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("gram matrix must be square")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("gram matrix must be finite")
         if not within_tol(np.linalg.norm(g - g.T), 2.0 * np.linalg.norm(g)):
             raise ValueError("gram matrix must be symmetric")
         eigs = np.linalg.eigvalsh(g)
@@ -42,6 +44,7 @@ class InnerProduct:
         g.setflags(write=False)
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "inverse", np.linalg.inv(g))
+        object.__setattr__(self, "_a0", {})  # algebra -> A0's span, see antisymmetric_subspace
 
     @classmethod
     def standard(cls, algebra: Algebra) -> "InnerProduct":
@@ -73,56 +76,63 @@ def adjoint(L: np.ndarray, G: InnerProduct) -> np.ndarray:
     return G.inverse @ L.T @ G.gram
 
 
+def _left_terms(alg: Algebra, v: np.ndarray, G: InnerProduct):
+    """(L_v, G^{-1} L_v^T G) and their Frobenius norms; L_{a+ib} = L_a + i L_b."""
+    left = alg.left_matrix_vec(v)
+    adj = adjoint(left, G)
+    return left, adj, np.linalg.norm(left), np.linalg.norm(adj)
+
+
 def is_in_S0(s: Element, G: InnerProduct, tol: float | None = None) -> bool:
     """Two of {s*s = -1, L_s^t L_s = I, L_s + L_s^t = 0} hold (hence all),
     each by the tolerance rule, the matrix terms sized by Frobenius norms."""
-    alg = s.algebra
-    _gram_for(G, alg)
-    left = alg.left_matrix_vec(s.coeffs)
-    adj = adjoint(left, G)
-    eye = np.eye(alg.dimension)
-    nl, na = np.linalg.norm(left), np.linalg.norm(adj)
+    n = s.algebra.dimension
+    left, adj, nl, na = _left_terms(s.algebra, s.coeffs, G)
     checks = (is_root(s, tol),
-              within_tol(np.linalg.norm(adj @ left - eye), na * nl + np.sqrt(alg.dimension), tol),
+              within_tol(np.linalg.norm(adj @ left - np.eye(n)), na * nl + np.sqrt(n), tol),
               within_tol(np.linalg.norm(left + adj), nl + na, tol))
     return sum(checks) >= 2
 
 
 def antisymmetric_subspace(algebra: Algebra, G: InnerProduct) -> list[Element]:
-    """Basis of A0 = {a : L_a + L_a^t = 0}: <a x, y> + <x, a y> = 0, so
-    sum_i a_i B_i is antisymmetric for B_i = c[i] G, B_i[j, k] = <e_i e_j, e_k>.
-    One row B_i[j, k] + B_i[k, j] per k >= j, off-diagonal rows times sqrt(2)
-    (the Gram matrix of the N^2 x N system vec(L_{e_i} + L_{e_i}^t) under the
-    standard G), formed for 256 // N values of j at a time (N <= 16: one
-    block) and folded into the N x N triangular factor, R <- qr([R; block]):
-    the sequential TSQR of Demmel, Grigori, Hoemmen and Langou (SIAM J. Sci.
-    Comput. 34, 2012), in O(N^2) memory.  The kernel is null_space(R)."""
-    gram = _gram_for(G, algebra)
-    c, n = algebra.structure_constants, algebra.dimension
-    iota = np.arange(n)
-    weight = np.where(iota == iota[:, None], 1.0, np.sqrt(2.0))
-    r = np.empty((0, n))
-    width = max(1, 256 // n)
-    for j0 in range(0, n, width):
-        j, k = slice(j0, j0 + width), slice(j0, n)
-        # sym[i, j, k] = B_i[j, k] + B_i[k, j], for k >= j0 only
-        sym = c[:, j] @ gram[:, k] + (c[:, k] @ gram[:, j]).transpose(0, 2, 1)
-        sym *= weight[j, k]
-        r = np.linalg.qr(np.vstack([r, sym[:, iota[k] >= iota[j, None]].T]), mode="r")
-    return [algebra.element(col) for col in null_space(r).T]
+    """Basis of A0 = {a : L_a + L_a^t = 0}, built once per algebra and kept on
+    G, as long as G lives, as a read-only (N, m) span: <a x, y> + <x, a y> = 0,
+    so sum_i a_i B_i is antisymmetric for B_i = c[i] G, B_i[j, k] =
+    <e_i e_j, e_k>.  One row B_i[j, k] + B_i[k, j] per k >= j, off-diagonal
+    rows times sqrt(2) (the Gram matrix of the N^2 x N system
+    vec(L_{e_i} + L_{e_i}^t) under the standard G), formed for 256 // N values
+    of j at a time (N <= 16: one block) and folded into the N x N triangular
+    factor, R <- qr([R; block]): the sequential TSQR of Demmel, Grigori,
+    Hoemmen and Langou (SIAM J. Sci. Comput. 34, 2012), in O(N^2) memory.
+    The kernel is null_space(R)."""
+    span = G._a0.get(algebra)
+    if span is None:
+        gram = _gram_for(G, algebra)
+        c, n = algebra.structure_constants, algebra.dimension
+        iota = np.arange(n)
+        weight = np.where(iota == iota[:, None], 1.0, np.sqrt(2.0))
+        r = np.empty((0, n))
+        width = max(1, 256 // n)
+        for j0 in range(0, n, width):
+            j, k = slice(j0, j0 + width), slice(j0, n)
+            # sym[i, j, k] = B_i[j, k] + B_i[k, j], for k >= j0 only
+            sym = c[:, j] @ gram[:, k] + (c[:, k] @ gram[:, j]).transpose(0, 2, 1)
+            sym *= weight[j, k]
+            r = np.linalg.qr(np.vstack([r, sym[:, iota[k] >= iota[j, None]].T]), mode="r")
+        span = G._a0[algebra] = null_space(r)
+        span.flags.writeable = False
+    return [algebra.element(col) for col in span.T]
 
 
 def sample_S0(algebra: Algebra, G: InnerProduct,
               rng: np.random.Generator | None = None,
-              tol: float | None = None,
-              basis: list[Element] | None = None) -> RootOfMinusOne:
-    """Draw a root of -1 in A0 (`basis`, antisymmetric_subspace(algebra, G)
-    unless passed) in up to 50 draws, as the polar factor of L_a for a
-    random a in A0: numerics.newton_schulz from a / ||L_a||_F."""
+              tol: float | None = None) -> RootOfMinusOne:
+    """Draw a root of -1 in A0 (antisymmetric_subspace(algebra, G), built
+    once per G) in up to 50 draws, as the polar factor of L_a for a random a
+    in A0: numerics.newton_schulz from a / ||L_a||_F."""
     if rng is None:
         rng = np.random.default_rng(0)
-    if basis is None:
-        basis = antisymmetric_subspace(algebra, G)
+    basis = antisymmetric_subspace(algebra, G)
     if not basis:
         raise NotFoundError("antisymmetric subspace is trivial")
     span = np.stack([b.coeffs for b in basis], axis=1)  # (N, m), orthonormal
@@ -192,12 +202,9 @@ def cone_decompose(x: Element, G: InnerProduct,
     signals x outside the cone.
     """
     alg = x.algebra
-    _gram_for(G, alg)
     n = alg.dimension
-    left = alg.left_matrix_vec(x.coeffs)
-    adj = adjoint(left, G)
+    left, adj, nl, na = _left_terms(alg, x.coeffs, G)
     eye = np.eye(n)
-    nl, na = np.linalg.norm(left), np.linalg.norm(adj)
 
     beta = float(np.trace(left + adj)) / (2.0 * n)
     if not within_tol(np.linalg.norm(left + adj - 2.0 * beta * eye),
@@ -221,15 +228,6 @@ def cone_decompose(x: Element, G: InnerProduct,
 # -- the quadratic equations for the distinguished variety -------------------
 
 
-def _z0_terms(w: ComplexElement, G: InnerProduct) -> tuple[np.ndarray, np.ndarray]:
-    """(G^{-1} L_w^T G, L_w) for L_w = L_a + i L_b."""
-    alg = w.algebra
-    _gram_for(G, alg)
-    lw = (alg.left_matrix_vec(w.re.coeffs)
-          + 1j * alg.left_matrix_vec(w.im.coeffs))
-    return adjoint(lw, G), lw
-
-
 def z0_residual(w: ComplexElement, G: InnerProduct) -> float:
     """Frobenius norm of G^{-1} L_w^T G L_w for L_w = L_a + i L_b.
 
@@ -237,7 +235,7 @@ def z0_residual(w: ComplexElement, G: InnerProduct) -> float:
     so the real and imaginary parts encode the two quadratic systems
     L_a^t L_a = L_b^t L_b and L_a^t L_b + L_b^t L_a = 0.
     """
-    adj, lw = _z0_terms(w, G)
+    lw, adj, _, _ = _left_terms(w.algebra, w.as_vector(), G)
     return float(np.linalg.norm(adj @ lw))
 
 
@@ -271,14 +269,14 @@ def z0_equivalence_check(w: ComplexElement, G: InnerProduct,
                          rng: np.random.Generator | None = None) -> Z0Verdict:
     """Compare quadratic-equation membership (the tolerance rule on
     z0_residual against ||G^{-1} L_w^T G|| ||L_w||) with a witness in S0,
-    searched inside A0: s = span @ t over antisymmetric_subspace's basis,
-    solving s*b = -a as zero_variety_witness does.  A found s is in S0 (in
-    A0, and a root).  "absent" is exact: A0 is {0}, a misses the range of
-    R_b @ span, or the unique solution is no root; "inconclusive": no
+    searched inside A0 (antisymmetric_subspace, built once per G): s = span
+    @ t, solving s*b = -a as zero_variety_witness does.  A found s is in S0
+    (in A0, and a root).  "absent" is exact: A0 is {0}, a misses the range
+    of R_b @ span, or the unique solution is no root; "inconclusive": no
     Newton start (0 and 7 random) on a kernel of solutions found a root."""
-    adj, lw = _z0_terms(w, G)
+    lw, adj, nl, na = _left_terms(w.algebra, w.as_vector(), G)
     residual = float(np.linalg.norm(adj @ lw))
-    residual_member = bool(within_tol(residual, np.linalg.norm(adj) * np.linalg.norm(lw), tol))
+    residual_member = bool(within_tol(residual, na * nl, tol))
     basis = antisymmetric_subspace(w.algebra, G)
     if not basis:  # S0 is empty
         return Z0Verdict(residual, residual_member, "absent")

@@ -514,7 +514,11 @@ def test_roots_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("content", ["5", '{"coeffs": [[1, 0, 0, 0]]}'])
+@pytest.mark.parametrize("content", ["5", '{"coeffs": [[1, 0, 0, 0]]}',
+                                     "[[true, 0, 0, 0], [1, 0, 0, 0]]",
+                                     '[["1", 0, 0, 0], [1, 0, 0, 0]]',
+                                     pytest.param("[[1" + "0" * 400 + ", 0, 0, 0], [1, 0, 0, 0]]",
+                                                  id="int past float")])
 def test_malformed_coefficient_files_are_usage_errors(tmp_path, capsys, content):
     poly = tmp_path / "p.json"
     poly.write_text(content)

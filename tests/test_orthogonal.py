@@ -2,6 +2,7 @@
 equations for the distinguished zero variety."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,18 @@ def test_inner_product_validation(quaternions):
     assert abs(G.norm(a) - np.sqrt(3.0)) <= 1e-15
     with pytest.raises(DimensionMismatchError):
         adjoint(np.eye(4), InnerProduct(np.eye(2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_inner_product_rejects_a_non_finite_gram(bad):
+    """Finiteness is tested first, under its own message and with no
+    RuntimeWarning from the symmetry test's g - g^T."""
+    gram = np.eye(4)
+    gram[1, 2] = gram[2, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="gram matrix must be finite"):
+            InnerProduct(gram)
 
 
 def test_adjoint_is_transpose_for_identity_gram(quaternions, rng):
@@ -205,13 +218,74 @@ def test_antisymmetric_subspace_takes_o_n2_memory():
     assert peak < 1.5 * 2**20
 
 
+def _block_qr_calls(monkeypatch) -> list:
+    """Grows by one on each np.linalg.qr(..., mode="r"), the call that folds
+    one block of rows into antisymmetric_subspace's triangular factor."""
+    calls, qr = [], np.linalg.qr
+
+    def counted(a, mode="reduced"):
+        if mode == "r":
+            calls.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+@pytest.mark.parametrize("first", ["z0_equivalence_check", "sample_S0"])
+def test_A0_is_built_once_per_inner_product(monkeypatch, first):
+    """The first z0_equivalence_check or sample_S0 under G builds A0; every
+    later one, of either kind, with the same algebra and G reads it."""
+    alg = clifford_algebra(2, 2)
+    G = _std(alg)
+    rng = np.random.default_rng(5)
+    s = sample_S0(alg, _std(alg), rng)  # another G: its A0 is not G's
+    b = alg.random_element(rng)
+    member = ComplexElement(-(s.element * b), b)
+    calls = _block_qr_calls(monkeypatch)
+    checks = {"z0_equivalence_check": lambda: z0_equivalence_check(member, G, rng=rng),
+              "sample_S0": lambda: sample_S0(alg, G, rng)}
+    checks[first]()
+    built = len(calls)
+    assert built == 1  # N = 16: one block
+    for _ in range(3):
+        assert checks["z0_equivalence_check"]().witness_status == "found"
+        assert is_in_S0(checks["sample_S0"]().element, G)
+    assert len(calls) == built
+
+
+def test_each_inner_product_keeps_its_own_A0(monkeypatch, quaternions):
+    """A new G on the same algebra builds its own A0: under diag(1, 1, 2, 2)
+    only e1 is antisymmetric.  Each is built once, however often it is read."""
+    calls = _block_qr_calls(monkeypatch)
+    standard, weighted = _std(quaternions), InnerProduct(np.diag([1.0, 1.0, 2.0, 2.0]))
+    for _ in range(3):
+        assert len(antisymmetric_subspace(quaternions, standard)) == 3
+        (e1,) = antisymmetric_subspace(quaternions, weighted)
+        assert abs(abs(e1.coeffs[1]) - 1.0) <= 1e-12
+        assert is_in_S0(sample_S0(quaternions, weighted).element, weighted)
+    assert len(calls) == 2
+
+
+def test_one_inner_product_keeps_an_A0_per_algebra(monkeypatch):
+    """The same G on Cl(0,2) and Cl(2,0), both N = 4, gives each algebra its
+    own A0 (dimensions 3 and 1), each built once."""
+    calls = _block_qr_calls(monkeypatch)
+    G = InnerProduct(np.eye(4))
+    quaternions, split = clifford_algebra(0, 2), clifford_algebra(2, 0)
+    for _ in range(2):
+        assert len(antisymmetric_subspace(quaternions, G)) == 3
+        assert len(antisymmetric_subspace(split, G)) == 1
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("p, q", [(0, 2), (2, 2), (0, 6)])
 def test_sample_S0_needs_no_factorization(monkeypatch, p, q):
     """A draw is the Newton-Schulz polar factor: with the SVD, lstsq and
     solve made to raise, sample_S0 still returns roots in S0."""
     alg = clifford_algebra(p, q)
     G = _std(alg)
-    basis = antisymmetric_subspace(alg, G)
+    antisymmetric_subspace(alg, G)  # A0's SVD, kept on G
 
     def refuse(*args, **kwargs):
         raise AssertionError("sample_S0 factored a matrix")
@@ -220,12 +294,12 @@ def test_sample_S0_needs_no_factorization(monkeypatch, p, q):
         monkeypatch.setattr(np.linalg, name, refuse)
     rng = np.random.default_rng(1)
     for _ in range(10):
-        s = sample_S0(alg, G, rng, basis=basis)
+        s = sample_S0(alg, G, rng)
         assert s.holds() and is_in_S0(s.element, G)
 
 
 _SMALL_SIGNATURES = [(p, n - p) for n in range(2, 6) for p in range(n + 1)] + [(0, 1)]
-_S0_BASES = {}
+_S0_CASES = {}  # (algebra, G): G keeps the algebra's A0 across examples
 
 
 @settings(max_examples=60, deadline=None)
@@ -233,11 +307,11 @@ _S0_BASES = {}
 def test_S0_roots_are_orthogonal_and_antisymmetric(pq, seed):
     """Every sample_S0 root on Cl(p,q), p + q <= 5, has L_s^T L_s = 1 and
     L_s^T = -L_s, with L_s formed from the structure constants by einsum."""
-    if pq not in _S0_BASES:
+    if pq not in _S0_CASES:
         alg = clifford_algebra(*pq)
-        _S0_BASES[pq] = alg, antisymmetric_subspace(alg, _std(alg))
-    alg, basis = _S0_BASES[pq]
-    s = sample_S0(alg, _std(alg), np.random.default_rng(seed), basis=basis)
+        _S0_CASES[pq] = alg, _std(alg)
+    alg, G = _S0_CASES[pq]
+    s = sample_S0(alg, G, np.random.default_rng(seed))
     left = einsum_reference.left_matrix(alg.structure_constants, s.element.coeffs)
     size = np.linalg.norm(left)
     assert within_tol(np.linalg.norm(left.T @ left - np.eye(alg.dimension)),
@@ -265,9 +339,8 @@ def test_sample_S0_reaches_the_rounding_floor(p, q, rng):
     the rounding floor eps * N * (1 + ||s||)^2 of s*s."""
     alg = clifford_algebra(p, q)
     G = _std(alg)
-    basis = antisymmetric_subspace(alg, G)
     for _ in range(10):
-        s = sample_S0(alg, G, rng, basis=basis)
+        s = sample_S0(alg, G, rng)
         floor = np.finfo(float).eps * alg.dimension * (1.0 + s.element.norm()) ** 2
         assert s.residual <= 4.0 * floor
         assert is_in_S0(s.element, G)

@@ -15,9 +15,11 @@ check included), and `dump+load`, `dump_algebra` then `load_algebra` of
 one dense Cl(2,3) (N = 32) in a seeded orthonormal basis that keeps the
 unit, the same tensor on both sides.  The constructions layer adds `A0`,
 `orthogonal.antisymmetric_subspace` under the standard inner product on H,
-Cl(2,2), Cl(0,6) and Cl(3,3), one op per seed (the same call).  Each of 7
-rounds runs every op on both sides, alternating which side goes first
-from op to op.  An op's time is its fastest round.  The table
+Cl(2,2), Cl(0,6) and Cl(3,3), one op per seed (the same call).  An
+InnerProduct keeps the A0 it built, so each `A0` call makes its own G (its
+inverse included) and every round, and each tracemalloc peak, times one
+build.  Each of 7 rounds runs every op on both sides, alternating which
+side goes first from op to op.  An op's time is its fastest round.  The table
 gives, for each (suite, algebra), the median over seeds of the op times of
 each side and the relative change; an `A0` row also gives each side's
 tracemalloc peak of one call, after the rounds.  BLAS runs on one thread.
@@ -81,8 +83,8 @@ def _ops(checkout: str, name: str, into: str) -> dict:
     for alg_name in A0_ALGEBRAS:
         alg = algebra.clifford_algebra(*ALGEBRAS[alg_name][0])
         for seed in SEEDS:  # the same call: 30 repeats
-            ops["A0", alg_name, seed] = (lambda a=alg, g=orthogonal.InnerProduct.standard(alg):
-                                         orthogonal.antisymmetric_subspace(a, g))
+            ops["A0", alg_name, seed] = lambda a=alg: orthogonal.antisymmetric_subspace(
+                a, orthogonal.InnerProduct.standard(a))  # a new G: G keeps the A0 it built
     for alg_name, ((p, q), trials) in ALGEBRAS.items():
         alg = cli.clifford_algebra(p, q)
         for suite in cli.SUITES:
