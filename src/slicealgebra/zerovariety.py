@@ -159,23 +159,22 @@ def _excluded(witness: ZeroWitness, sigma_min: float, tol: float) -> bool:
 
 
 def _verdict(w: ComplexElement, candidates, tol: float | None, otherwise: str = "absent",
-             rb: np.ndarray | None = None, sigma_min: float = 0.0) -> WitnessSearch:
+             sigma_min: float = 0.0) -> WitnessSearch:
     """A "found" search with the first candidate s whose witness holds at
     tol.  In the band (it holds at sqrt(tol) only): "absent" if _excluded(s)
     by `sigma_min` (of R_b for an invertible b; 0 excludes nothing), else a
-    joint Newton from s on rows [R_b | a] weighted onto (1 + ||s||)^2 (rb:
-    R_b, if the caller has it).  No candidate in the band: `otherwise`.
-    Candidates are witnesses, maybe lazy."""
+    joint Newton from s on rows [R_b | a] weighted onto (1 + ||s||)^2.  No
+    candidate in the band: `otherwise`.  Candidates: witnesses, maybe lazy."""
     alg, a, b, tol = w.algebra, w.re, w.im, resolve_tol(tol)
     status = otherwise
     for witness in candidates:
         s = witness.root.element
         if not witness.holds(tol) and witness.holds(np.sqrt(tol)):
-            rb = alg.right_matrix_vec(b.coeffs) if rb is None else rb
             if _excluded(witness, sigma_min, tol):
                 return WitnessSearch("absent")
             status, ns, size = "inconclusive", s.norm(), a.norm() + s.norm() * b.norm()
-            rows = np.column_stack([rb, a.coeffs]) * ((1.0 + ns) ** 2 / size)
+            rows = np.column_stack([alg.right_matrix_vec(b.coeffs), a.coeffs])
+            rows *= (1.0 + ns) ** 2 / size
             joint, _ = affine_square_root(alg, s.coeffs, np.eye(alg.dimension),
                                           np.zeros(alg.dimension), rows)
             witness = _witness(w, alg.element(joint))
@@ -191,7 +190,7 @@ def zero_variety_witness(w: ComplexElement,
 
     The first candidate is s = -a*b^{-1}, by LU on R_b (b = w.im): found if
     its witness holds at tol, else the unique one if R_b's singular values
-    call b invertible (is_zerodivisor's verdict on L_b).  On an exact zero
+    (numerical_rank, values only) call b invertible.  On an exact zero
     pivot, or a b the cutoff calls singular (maybe only ill-conditioned: LU's
     s stays first), Newton for s*s = -1 runs on the solutions of s*b = -a
     (_solution_witnesses, which z0_equivalence_check runs inside A0), from
@@ -215,11 +214,11 @@ def zero_variety_witness(w: ComplexElement,
     if lu and lu[0].holds(tol):  # a witness is its own proof
         return WitnessSearch("found", lu[0])
     if lu and numerical_rank(sv := np.linalg.svd(rb, compute_uv=False)) == alg.dimension:
-        return _verdict(w, lu, tol, rb=rb, sigma_min=sv[-1])  # b is invertible: s is unique
+        return _verdict(w, lu, tol, sigma_min=sv[-1])  # b is invertible: s is unique
     if (solutions := _solution_witnesses(w, rb, None, 20, rng)) is None:
         return WitnessSearch("absent")  # a lies outside the range of R_b
     witnesses, unique = solutions
-    return _verdict(w, chain(lu, witnesses), tol, "absent" if unique else "inconclusive", rb)
+    return _verdict(w, chain(lu, witnesses), tol, "absent" if unique else "inconclusive")
 
 
 def _solution_witnesses(w: ComplexElement, m: np.ndarray, span: np.ndarray | None,

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import einsum_reference
@@ -69,6 +69,18 @@ def test_inner_product_rejects_a_non_finite_gram(bad):
             InnerProduct(gram)
 
 
+@pytest.mark.parametrize("gram, message", [
+    (np.eye(4) + 1j * np.ones((4, 4)), "gram matrix must be real"),
+    (np.zeros((0, 0)), "gram matrix must not be empty")], ids=["complex", "0x0"])
+def test_inner_product_rejects_a_complex_or_empty_gram(gram, message):
+    """A complex G is not taken as its real part, and a 0 x 0 G is no inner
+    product: each is refused with its own message, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            InnerProduct(gram)
+
+
 def test_adjoint_is_transpose_for_identity_gram(quaternions, rng):
     G = _std(quaternions)
     for _ in range(10):
@@ -122,28 +134,27 @@ def test_antisymmetric_subspace_dimensions(quaternions, complex_algebra, cl03,
     expect = [(quaternions, 3), (complex_algebra, 1), (cl03, 6), (cl11, 1),
               (reals, 0)]
     for alg, dim in expect:
-        basis = antisymmetric_subspace(alg, _std(alg))
-        assert len(basis) == dim
-        for b in basis:
-            left = alg.left_matrix_vec(b.coeffs)
+        span = antisymmetric_subspace(alg, _std(alg))
+        assert span.shape == (alg.dimension, dim)
+        for a in span.T:
+            left = alg.left_matrix_vec(a)
             assert np.linalg.norm(left + left.T) <= 1e-10
 
 
 def test_quaternion_antisymmetric_subspace_is_imaginary(quaternions):
-    span = np.stack([b.coeffs for b in
-                     antisymmetric_subspace(quaternions, _std(quaternions))])
-    assert np.linalg.norm(span[:, 0]) <= 1e-12
-    assert np.linalg.matrix_rank(span[:, 1:]) == 3
+    span = antisymmetric_subspace(quaternions, _std(quaternions))
+    assert np.linalg.norm(span[0]) <= 1e-12
+    assert np.linalg.matrix_rank(span[1:]) == 3
 
 
 def _per_basis_subspace(alg, G):
-    """A0 from one column vec(L_{e_j} + G^{-1} L_{e_j}^T G) per basis element."""
+    """A0 from one column vec(G L_{e_j} + L_{e_j}^T G) per basis element, all
+    N^2 rows, and one null_space."""
     n = alg.dimension
-    ginv = np.linalg.inv(G.gram)
     cols = np.empty((n * n, n))
     for j in range(n):
         left = alg.left_matrix_vec(np.eye(n)[j])
-        cols[:, j] = (left + ginv @ left.T @ G.gram).ravel()
+        cols[:, j] = (G.gram @ left + left.T @ G.gram).ravel()
     return null_space(cols)
 
 
@@ -162,13 +173,13 @@ def test_antisymmetric_subspace_is_the_per_basis_build(make):
     same A0."""
     alg = make()
     G = _std(alg)
-    got = np.stack([b.coeffs for b in antisymmetric_subspace(alg, G)], axis=1)
+    got = antisymmetric_subspace(alg, G)
     oracle = _per_basis_subspace(alg, G)
     assert got.shape == oracle.shape
     assert np.linalg.norm(got @ got.T - oracle @ oracle.T) <= 1e-12
     right = alg.right_matrix_vec(alg.random_element(np.random.default_rng(4)).coeffs)
     G = InnerProduct(right.T @ right)
-    moved = np.stack([b.coeffs for b in antisymmetric_subspace(alg, G)], axis=1)
+    moved = antisymmetric_subspace(alg, G)
     for basis in (moved, _per_basis_subspace(alg, G)):
         assert basis.shape == got.shape
         assert np.linalg.norm(basis @ basis.T - got @ got.T) <= 1e-9
@@ -180,6 +191,7 @@ _A0_SIGNATURES = [(p, n - p) for n in range(5) for p in range(n + 1)]
 @settings(max_examples=80, deadline=None)
 @given(pq=st.sampled_from(_A0_SIGNATURES), gram=st.sampled_from(["standard", "4I", "R_b^T R_b"]),
        seed=st.integers(0, 2**32 - 1))
+@example(pq=(2, 2), gram="R_b^T R_b", seed=865824)  # cond(G) 3.7e5
 def test_antisymmetric_subspace_matches_the_oracle(pq, gram, seed):
     """On Cl(p,q), p + q <= 4, A0 is the per-basis oracle's subspace, with
     the same dimension, and every L_a in it is G-antisymmetric.  Two kernels
@@ -194,7 +206,7 @@ def test_antisymmetric_subspace_matches_the_oracle(pq, gram, seed):
     else:
         G = InnerProduct((4.0 if gram == "4I" else 1.0) * np.eye(n))
     bound = 1e-12 * np.linalg.cond(G.gram)
-    got = np.array([b.coeffs for b in antisymmetric_subspace(alg, G)]).reshape(-1, n).T
+    got = antisymmetric_subspace(alg, G)
     oracle = _per_basis_subspace(alg, G)
     assert got.shape == oracle.shape
     assert np.linalg.norm(got @ got.T - oracle @ oracle.T) <= bound
@@ -211,7 +223,7 @@ def test_antisymmetric_subspace_takes_o_n2_memory():
     G = _std(alg)
     tracemalloc.start()
     try:
-        assert len(antisymmetric_subspace(alg, G)) == 28
+        assert antisymmetric_subspace(alg, G).shape[1] == 28
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -260,9 +272,9 @@ def test_each_inner_product_keeps_its_own_A0(monkeypatch, quaternions):
     calls = _block_qr_calls(monkeypatch)
     standard, weighted = _std(quaternions), InnerProduct(np.diag([1.0, 1.0, 2.0, 2.0]))
     for _ in range(3):
-        assert len(antisymmetric_subspace(quaternions, standard)) == 3
-        (e1,) = antisymmetric_subspace(quaternions, weighted)
-        assert abs(abs(e1.coeffs[1]) - 1.0) <= 1e-12
+        assert antisymmetric_subspace(quaternions, standard).shape[1] == 3
+        (e1,) = antisymmetric_subspace(quaternions, weighted).T
+        assert abs(abs(e1[1]) - 1.0) <= 1e-12
         assert is_in_S0(sample_S0(quaternions, weighted).element, weighted)
     assert len(calls) == 2
 
@@ -274,8 +286,8 @@ def test_one_inner_product_keeps_an_A0_per_algebra(monkeypatch):
     G = InnerProduct(np.eye(4))
     quaternions, split = clifford_algebra(0, 2), clifford_algebra(2, 0)
     for _ in range(2):
-        assert len(antisymmetric_subspace(quaternions, G)) == 3
-        assert len(antisymmetric_subspace(split, G)) == 1
+        assert antisymmetric_subspace(quaternions, G).shape[1] == 3
+        assert antisymmetric_subspace(split, G).shape[1] == 1
     assert len(calls) == 2
 
 
@@ -285,7 +297,7 @@ def test_sample_S0_needs_no_factorization(monkeypatch, p, q):
     solve made to raise, sample_S0 still returns roots in S0."""
     alg = clifford_algebra(p, q)
     G = _std(alg)
-    antisymmetric_subspace(alg, G)  # A0's SVD, kept on G
+    antisymmetric_subspace(alg, G)  # A0's QR and SVD, kept on G
 
     def refuse(*args, **kwargs):
         raise AssertionError("sample_S0 factored a matrix")
@@ -530,7 +542,93 @@ def test_z0_without_an_antisymmetric_subspace_is_absent():
     """Cl(1,0) = R + R: A0 is {0}, so S0 is empty and even w = 0 is no member."""
     alg = clifford_algebra(1, 0)
     G = _std(alg)
-    assert antisymmetric_subspace(alg, G) == []
+    assert antisymmetric_subspace(alg, G).shape == (2, 0)
     verdict = z0_equivalence_check(ComplexElement.zero(alg), G)
     assert verdict.witness_status == "absent"
     assert verdict.witness is None
+
+
+def test_antisymmetric_subspace_is_the_array_kept_on_G(quaternions):
+    """A0 comes back as the read-only (N, m) array that G keeps, the same
+    object on every call."""
+    G = _std(quaternions)
+    span = antisymmetric_subspace(quaternions, G)
+    assert isinstance(span, np.ndarray) and span.shape == (4, 3)
+    assert not span.flags.writeable
+    assert antisymmetric_subspace(quaternions, G) is span
+
+
+_ILL_CONDITIONED = {}  # (p, q) -> (algebra, standard G, seed root), kept across examples
+
+
+@settings(max_examples=30, deadline=None)
+@given(pq=st.sampled_from([(1, 1), (2, 2), (3, 3)]), seed=st.integers(0, 2**32 - 1))
+def test_S0_under_an_ill_conditioned_gram(pq, seed):
+    """G = R_b^T R_b with b = (1 + e1) r + 1e-3 r', near the zerodivisor
+    (1 + e1) r: cond(G) runs from about 1e4 to 1e15, with medians 1e7 to 1e9
+    over the three algebras.  Every L_a commutes with R_b, so S0 under G is
+    S0 under the standard G: a standard S0 root s is in S0, beta + gamma s
+    decomposes in the cone, (-s y, y) solves the quadratic equations,
+    sample_S0 finds a root, and a root outside S0 stays out."""
+    if pq not in _ILL_CONDITIONED:
+        alg = clifford_algebra(*pq)
+        _ILL_CONDITIONED[pq] = alg, _std(alg), find_seed_root(alg)
+    alg, standard, seed_root = _ILL_CONDITIONED[pq]
+    rng = np.random.default_rng(seed)
+    one_plus_e1 = alg.unit() + alg.basis_element(1)
+    b = one_plus_e1 * alg.random_element(rng) + 1e-3 * alg.random_element(rng)
+    right = alg.right_matrix_vec(b.coeffs)
+    G = InnerProduct(right.T @ right)
+    s = sample_S0(alg, standard, rng).element
+    assert is_in_S0(s, G)
+
+    beta, gamma = float(rng.standard_normal()), float(abs(rng.standard_normal()) + 0.1)
+    dec = cone_decompose(beta * alg.unit() + gamma * s, G)
+    assert dec is not None and dec.root is not None
+    assert abs(dec.beta - beta) <= 1e-7 * (1 + abs(beta) + gamma)
+    assert abs(dec.gamma - gamma) <= 1e-7 * (1 + abs(beta) + gamma)
+    assert (dec.root.element - s).norm() <= 1e-6
+
+    y = alg.random_element(rng)
+    assert z0_equivalence_check(ComplexElement(-(s * y), y), G, rng=rng).residual_member
+
+    drawn = sample_S0(alg, G, rng)
+    assert drawn.holds() and is_in_S0(drawn.element, standard)
+
+    outside = sample_root(seed_root, rng)
+    while is_in_S0(outside.element, standard):
+        outside = sample_root(seed_root, rng)
+    assert not is_in_S0(outside.element, G)
+
+
+def test_a_gram_scaled_by_a_power_of_ten_keeps_the_verdicts():
+    """G = 10^k I for k = +-300, 308 and -320 (subnormal) gives the standard
+    G's verdicts on Cl(2,2), with every warning raised as an error: G_hat is
+    the same matrix up to a factor in [1, 2), so no term over- or underflows."""
+    alg = clifford_algebra(2, 2)
+    standard = _std(alg)
+    rng = np.random.default_rng(6)
+    root = sample_S0(alg, standard, rng)
+    skew = sample_root(find_seed_root(alg), rng)
+    s, outside = root.element, skew.element
+    y = alg.random_element(rng)
+    cases = [s, outside, 0.5 * alg.unit() + 2.0 * s, alg.random_element(rng)]
+    pairs = [ComplexElement(-(s * y), y), ComplexElement(y, alg.random_element(rng))]
+
+    def verdicts(G):
+        return ([is_in_S0(x, G) for x in cases],
+                [None if d is None else (d.root is None, round(d.beta, 6), round(d.gamma, 6))
+                 for d in (cone_decompose(x, G) for x in cases)],
+                [z0_equivalence_check(w, G).residual_member for w in pairs],
+                [orthogonality_characterization(r, G).passed for r in (root, skew)],
+                is_in_S0(sample_S0(alg, G).element, standard))
+
+    expect = verdicts(standard)
+    assert expect[0][:2] == expect[3] == [True, False]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (300, -300, 308, -320):
+            G = InnerProduct(10.0 ** k * np.eye(alg.dimension))
+            assert verdicts(G) == expect
+            assert antisymmetric_subspace(alg, G).shape == antisymmetric_subspace(
+                alg, standard).shape

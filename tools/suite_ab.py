@@ -16,9 +16,8 @@ one dense Cl(2,3) (N = 32) in a seeded orthonormal basis that keeps the
 unit, the same tensor on both sides.  The constructions layer adds `A0`,
 `orthogonal.antisymmetric_subspace` under the standard inner product on H,
 Cl(2,2), Cl(0,6) and Cl(3,3), one op per seed (the same call).  An
-InnerProduct keeps the A0 it built, so each `A0` call makes its own G (its
-inverse included) and every round, and each tracemalloc peak, times one
-build.  Each of 7 rounds runs every op on both sides, alternating which
+InnerProduct keeps the A0 it built, so each `A0` call makes its own G and
+every round, and each tracemalloc peak, times one build.  Each of 7 rounds runs every op on both sides, alternating which
 side goes first from op to op.  An op's time is its fastest round.  The table
 gives, for each (suite, algebra), the median over seeds of the op times of
 each side and the relative change; an `A0` row also gives each side's
