@@ -38,9 +38,7 @@ from .errors import (
     ZeroDivisorError,
 )
 from .roots import (
-    ComplexSubspace,
     RootOfMinusOne,
-    TangentFrame,
     TraceReport,
     component_invariant,
     conjugate_root,

@@ -28,7 +28,7 @@ from .zerovariety import ComplexElement, ZeroWitness, _solution_witnesses
 
 @dataclass(frozen=True)
 class InnerProduct:
-    """<a, b> = a^T G b with G symmetric positive definite; scaled is G_hat."""
+    """<a, b> = a^T G b with G symmetric positive definite; G = 2^power G_hat (scaled)."""
 
     gram: np.ndarray
 
@@ -42,7 +42,8 @@ class InnerProduct:
             raise ValueError("gram matrix must not be empty")
         if not np.all(np.isfinite(g)):
             raise ValueError("gram matrix must be finite")
-        scaled = np.ldexp(g, 1 - np.frexp(np.abs(g).max())[1])
+        power = int(np.frexp(np.abs(g).max())[1]) - 1
+        scaled = np.ldexp(g, -power)
         if not within_tol(np.linalg.norm(scaled - scaled.T), 2.0 * np.linalg.norm(scaled)):
             raise ValueError("gram matrix must be symmetric")
         if np.linalg.eigvalsh(scaled)[0] <= 0:
@@ -51,6 +52,7 @@ class InnerProduct:
         scaled.setflags(write=False)
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "power", power)
         object.__setattr__(self, "_a0", {})  # algebra -> A0's span, see antisymmetric_subspace
 
     @classmethod
@@ -63,10 +65,12 @@ class InnerProduct:
         return self.gram.shape[0]
 
     def pairing(self, a: Element, b: Element) -> float:
-        return float(a.coeffs @ self.gram @ b.coeffs)
+        return float(np.ldexp(a.coeffs @ self.scaled @ b.coeffs, self.power))
 
     def norm(self, a: Element) -> float:
-        return float(np.sqrt(max(self.pairing(a, a), 0.0)))
+        q = max(float(a.coeffs @ self.scaled @ a.coeffs), 0.0)  # a^T G_hat a
+        # 2^power q = 2^(power % 2) q 4^(power // 2): the root first keeps a finite norm finite
+        return float(np.ldexp(np.sqrt(np.ldexp(q, self.power % 2)), self.power // 2))
 
 
 def _scaled_for(G: InnerProduct, alg: Algebra) -> np.ndarray:

@@ -143,29 +143,11 @@ def polish_root(s: Element) -> Element:
 # -- tangent structure -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TangentFrame:
-    """Basis of the tangent space {h : s*h + h*s = 0} at a root s."""
-
-    base: RootOfMinusOne
-    basis: np.ndarray  # (N, k), orthonormal columns
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.shape[1]
-
-    def random_tangent(self, rng: np.random.Generator) -> Element:
-        if self.dimension == 0:
-            return self.base.algebra.zero()
-        return Element(self.base.algebra,
-                       self.basis @ rng.standard_normal(self.dimension))
-
-
-def tangent_frame(s: RootOfMinusOne) -> TangentFrame:
-    """Kernel of F_s = L_s + R_s by singular value decomposition."""
+def tangent_frame(s: RootOfMinusOne) -> np.ndarray:
+    """Kernel of F_s = L_s + R_s by singular value decomposition: orthonormal (N, k)."""
     alg = s.algebra
     f = alg.left_matrix_vec(s.element.coeffs) + alg.right_matrix_vec(s.element.coeffs)
-    return TangentFrame(s, null_space(f))
+    return null_space(f)
 
 
 def integer_trace(m: np.ndarray) -> int:
@@ -219,34 +201,16 @@ def nijenhuis(s: RootOfMinusOne, x: Element, y: Element,
 # -- complexified eigenspace -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComplexSubspace:
-    """A complex subspace of the complexification, as a column basis."""
-
-    algebra: Algebra
-    matrix: np.ndarray  # complex (N, k), orthonormal columns
-
-    @property
-    def rank(self) -> int:
-        return self.matrix.shape[1]
-
-    def contains(self, vector: np.ndarray, tol: float | None = None) -> bool:
-        # the columns are orthonormal (projector_range), so this is the projection
-        proj = self.matrix @ (self.matrix.conj().T @ vector)
-        return bool(within_tol(np.linalg.norm(vector - proj),
-                               np.linalg.norm(vector) + np.linalg.norm(proj), tol))
-
-
-def minus_i_eigenspace(s: RootOfMinusOne) -> ComplexSubspace:
+def minus_i_eigenspace(s: RootOfMinusOne) -> np.ndarray:
     """The (-i)-eigenspace of L_s on the complexification.
 
     The range of the projector (1 + i L_s)/2, of rank N/2, spanned by the
-    vectors v + i(s*v); each basis column w returned satisfies L_s w = -i w,
-    so its imaginary part is s times its real part.
+    vectors v + i(s*v); each orthonormal column w returned satisfies
+    L_s w = -i w, so its imaginary part is s times its real part.
     """
     alg = s.algebra
     proj = 0.5 * (np.eye(alg.dimension) + 1j * alg.left_matrix_vec(s.element.coeffs))
-    return ComplexSubspace(alg, projector_range(proj, alg.dimension // 2))
+    return projector_range(proj, alg.dimension // 2)
 
 
 # -- trace report ------------------------------------------------------------

@@ -24,7 +24,7 @@ from .errors import (
     FrameNotFoundError,
 )
 from .numerics import numerical_rank, projector_range, vector_norm
-from .roots import ComplexSubspace, RootOfMinusOne, integer_trace, is_root
+from .roots import RootOfMinusOne, integer_trace, is_root
 from .slicefunctions import StemPolynomial, require_intrinsic
 from .zerovariety import ComplexElement
 
@@ -242,7 +242,7 @@ def fiber_real_basis(u: RootOfMinusOne, s: RootOfMinusOne) -> np.ndarray:
     return projector_range(*_fiber_projector(u, s)[:2])
 
 
-def stereographic_fiber(u: RootOfMinusOne, s: RootOfMinusOne) -> ComplexSubspace:
+def stereographic_fiber(u: RootOfMinusOne, s: RootOfMinusOne) -> np.ndarray:
     """The fiber over s of the bundle carried by (A, L_u), embedded C-linearly.
 
     The real solution space B of u c = c s is L_u-closed, so its chart
@@ -252,7 +252,7 @@ def stereographic_fiber(u: RootOfMinusOne, s: RootOfMinusOne) -> ComplexSubspace
     """
     proj, rank, left = _fiber_projector(u, s)
     chart = 0.5 * (proj - 1j * (left @ proj))  # (1 - i L_u)/2 times proj
-    return ComplexSubspace(u.algebra, projector_range(chart, rank // 2))
+    return projector_range(chart, rank // 2)
 
 
 def standard_section(u: RootOfMinusOne):

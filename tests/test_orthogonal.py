@@ -14,6 +14,7 @@ import oracle_quaternion as oq
 from slicealgebra import (
     ComplexElement,
     DimensionMismatchError,
+    Element,
     InnerProduct,
     NotFoundError,
     RootOfMinusOne,
@@ -55,6 +56,21 @@ def test_inner_product_validation(quaternions):
     assert abs(G.norm(a) - np.sqrt(3.0)) <= 1e-15
     with pytest.raises(DimensionMismatchError):
         adjoint(np.eye(4), InnerProduct(np.eye(2)))
+
+
+def test_pairing_and_norm_read_the_scaled_gram(quaternions, rng):
+    """The norm under G = 1e308 I is 2e154 without an overflow on the way,
+    and under G = I pairing and norm are the plain a^T b and its root."""
+    ones = quaternions.element([1.0, 1.0, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert InnerProduct(1e308 * np.eye(4)).norm(ones) == 2e154
+        assert InnerProduct(1e-308 * np.eye(4)).norm(ones) == 2e-154
+        G = InnerProduct(np.eye(4))
+        for _ in range(20):
+            a, b = quaternions.random_element(rng), quaternions.random_element(rng)
+            assert G.pairing(a, b) == float(a.coeffs @ np.eye(4) @ b.coeffs)
+            assert G.norm(a) == float(np.sqrt(max(float(a.coeffs @ np.eye(4) @ a.coeffs), 0.0)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -385,7 +401,8 @@ def test_tangent_intersection_is_j_invariant(quaternions, rng):
     G = _std(quaternions)
     for _ in range(20):
         s = sample_S0(quaternions, G, rng)
-        h = tangent_frame(s).random_tangent(rng)
+        basis = tangent_frame(s)
+        h = Element(quaternions, basis @ rng.standard_normal(basis.shape[1]))
         sh = s.element * h
         left = quaternions.left_matrix_vec(sh.coeffs)
         assert np.linalg.norm(left + adjoint(left, G)) <= 1e-10 * (1 + h.norm())

@@ -20,7 +20,7 @@ def test_quick_tour_runs_and_states_its_values():
     tour = {}
     exec(compile(_quick_tour(), str(README), "exec"), tour)
     s, w, F, H = tour["s"], tour["w"], tour["F"], tour["H"]
-    assert tour["tangent_frame"](s).dimension == 2
+    assert tour["tangent_frame"](s).shape[1] == 2
     assert tour["zero_variety_witness"](w).status == "found"
     assert tour["eval_slice"](F, 1j, s).norm() == 0
     # rho1 of the lift is F(x) = x*x + 1 at the point x = rho(z, u) it lies over

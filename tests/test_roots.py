@@ -41,6 +41,11 @@ from slicealgebra.roots import polish_root
 SIGNATURES = [(0, 1), (0, 2), (2, 0), (1, 1), (0, 3), (3, 0), (1, 2), (2, 1), (0, 4)]
 
 
+def _tangent(alg, basis, rng):
+    """A random tangent vector: the frame's columns times standard normals."""
+    return Element(alg, basis @ rng.standard_normal(basis.shape[1]))
+
+
 def test_is_root_basic(quaternions):
     assert is_root(quaternions.basis_element(1))
     assert not is_root(quaternions.unit())
@@ -267,8 +272,8 @@ def test_array_root_path_gives_the_element_bits(name):
         assert np.array_equal(want.element.coeffs, _element_polish(conj.element).coeffs)
         assert root_residual(s.element) == (s.element * s.element + alg.unit()).norm()
 
-        frame = tangent_frame(s)
-        x, y = frame.random_tangent(tangents), frame.random_tangent(tangents)
+        basis = tangent_frame(s)
+        x, y = _tangent(alg, basis, tangents), _tangent(alg, basis, tangents)
         se = s.element
         expansion = se * (y * x) - se * (x * y) + (se * x) * y - (se * y) * x
         assert np.array_equal(nijenhuis(s, x, y).coeffs, expansion.coeffs)
@@ -329,6 +334,14 @@ def test_sampling_rejects_exact_zerodivisors(cl11):
     assert s.holds() and component_invariant(s) == component_invariant(seed)
     want = conjugate_root(good, seed).element
     assert (s.element - want).norm() <= 1e-9 * (1.0 + want.norm())
+
+
+def test_sampling_gives_up_after_200_rejected_draws(cl11):
+    """y = 0 has R_y = 0, which LU finds singular, at every draw."""
+    normals = _QueuedNormals([np.zeros(4)] * 200)
+    with pytest.raises(NotFoundError):
+        sample_root(find_seed_root(cl11), normals)
+    assert normals.vectors == []
 
 
 def test_conjugating_by_a_zerodivisor_raises(cl11):
@@ -423,23 +436,48 @@ def test_tangent_frame_dimension_formula(rng):
         for _ in range(20):
             s = sample_root(seed, rng)
             inv = component_invariant(s)
-            assert tangent_frame(s).dimension == (alg.dimension + inv) // 2
+            assert tangent_frame(s).shape[1] == (alg.dimension + inv) // 2
+
+
+def test_tangent_frame_is_an_orthonormal_kernel_array(rng):
+    for p, q in SIGNATURES:
+        alg = clifford_algebra(p, q)
+        s = sample_root(find_seed_root(alg), rng)
+        basis = tangent_frame(s)
+        assert isinstance(basis, np.ndarray) and basis.dtype == float
+        k = basis.shape[1]
+        assert basis.shape == (alg.dimension, k)
+        assert np.linalg.norm(basis.T @ basis - np.eye(k)) <= 1e-12
+        f = alg.left_matrix_vec(s.element.coeffs) + alg.right_matrix_vec(s.element.coeffs)
+        assert np.linalg.norm(f @ basis) <= 1e-12 * np.linalg.norm(f)
+
+
+def test_tangent_frame_of_an_isolated_root_is_empty(complex_algebra):
+    """+-i are the two isolated roots of C: no tangent directions, and a
+    draw of zero normals leaves the generator where it was."""
+    s = RootOfMinusOne.from_element(complex_algebra.basis_element(1))
+    basis = tangent_frame(s)
+    assert isinstance(basis, np.ndarray) and basis.shape == (2, 0)
+    rng = np.random.default_rng(7)
+    before = rng.bit_generator.state
+    h = _tangent(complex_algebra, basis, rng)
+    assert rng.bit_generator.state == before
+    assert np.array_equal(h.coeffs, complex_algebra.zero().coeffs)
 
 
 def test_tangent_vectors_anticommute(cl03, rng):
     seed = find_seed_root(cl03)
     s = sample_root(seed, rng)
-    frame = tangent_frame(s)
+    basis = tangent_frame(s)
     for _ in range(20):
-        h = frame.random_tangent(rng)
+        h = _tangent(cl03, basis, rng)
         assert (s.element * h + h * s.element).norm() <= 1e-9 * (1 + h.norm())
 
 
 def test_j_structure_squares_to_minus_one(quaternions, rng):
     seed = find_seed_root(quaternions)
     s = sample_root(seed, rng)
-    frame = tangent_frame(s)
-    h = frame.random_tangent(rng)
+    h = _tangent(quaternions, tangent_frame(s), rng)
     jh = j_structure(s, h)
     assert (j_structure(s, jh) + h).norm() <= 1e-9 * (1 + h.norm())
     # the root itself is never tangent
@@ -466,8 +504,8 @@ def test_nijenhuis_vanishes(quaternions, cl03, rng):
     seed = find_seed_root(cl03)
     for _ in range(50):
         s = sample_root(seed, rng)
-        frame = tangent_frame(s)
-        x, y = frame.random_tangent(rng), frame.random_tangent(rng)
+        basis = tangent_frame(s)
+        x, y = _tangent(cl03, basis, rng), _tangent(cl03, basis, rng)
         bound = 1e-10 * (1 + x.norm() * y.norm())
         assert nijenhuis(s, x, y).norm() <= bound
 
@@ -482,14 +520,27 @@ def test_minus_i_eigenspace(quaternions, complex_algebra, rng):
     seed = find_seed_root(quaternions)
     s = sample_root(seed, rng)
     space = minus_i_eigenspace(s)
-    assert space.rank == 2  # N/2 for the quaternions
+    assert space.shape[1] == 2  # N/2 for the quaternions
 
     left = quaternions.left_matrix_vec(s.element.coeffs)
-    for col in space.matrix.T:
+    for col in space.T:
         assert np.linalg.norm(left @ col + 1j * col) <= 1e-9
 
     i_root = find_seed_root(complex_algebra)
-    assert minus_i_eigenspace(i_root).rank == 1
+    assert minus_i_eigenspace(i_root).shape[1] == 1
+
+
+def test_minus_i_eigenspace_is_an_orthonormal_array(rng):
+    for p, q in SIGNATURES:
+        alg = clifford_algebra(p, q)
+        s = sample_root(find_seed_root(alg), rng)
+        space = minus_i_eigenspace(s)
+        n = alg.dimension
+        assert isinstance(space, np.ndarray) and space.dtype == complex
+        assert space.shape == (n, n // 2)
+        assert np.linalg.norm(space.conj().T @ space - np.eye(n // 2)) <= 1e-12
+        left = alg.left_matrix_vec(s.element.coeffs)
+        assert np.linalg.norm(left @ space + 1j * space) <= 1e-12 * np.linalg.norm(left)
 
 
 def test_eigenspace_columns_land_in_zero_variety(quaternions, rng):
@@ -497,7 +548,7 @@ def test_eigenspace_columns_land_in_zero_variety(quaternions, rng):
 
     seed = find_seed_root(quaternions)
     s = sample_root(seed, rng)
-    for col in minus_i_eigenspace(s).matrix.T:
+    for col in minus_i_eigenspace(s).T:
         w = ComplexElement.from_vector(quaternions, col)
         assert pi_tensor_eval(w, s).norm() <= 1e-10
 
@@ -528,7 +579,7 @@ def test_pseudoscalar_component_of_cl30():
     alg = clifford_algebra(3, 0)
     omega = RootOfMinusOne.from_element(alg.basis_element(7))
     assert component_invariant(omega) == -8
-    assert tangent_frame(omega).dimension == 0
+    assert tangent_frame(omega).shape == (8, 0)
     report = verify_trace_identities(omega)
     assert report.passed
 

@@ -239,32 +239,39 @@ def test_twistor_image_of_sphere_is_line(quaternions, frame):
         assert sv[2] <= 1e-10 * sv[0]
 
 
+def _in_span(cols, vector, tol):
+    """vector is its projection onto the span of the orthonormal cols."""
+    proj = cols @ (cols.conj().T @ vector)
+    return bool(within_tol(np.linalg.norm(vector - proj),
+                           np.linalg.norm(vector) + np.linalg.norm(proj), tol))
+
+
 def test_fiber_quaternions(quaternions, frame, rng):
     i = frame.i_root
     same = stereographic_fiber(i, i)
-    assert same.rank == 1
-    assert same.contains(fiber_embed(i, quaternions.unit()), 1e-9)
+    assert same.shape[1] == 1
+    assert _in_span(same, fiber_embed(i, quaternions.unit()), 1e-9)
     anti = stereographic_fiber(i, RootOfMinusOne.from_element(-i.element))
-    assert anti.rank == 1
-    assert anti.contains(fiber_embed(i, quaternions.basis_element(2)), 1e-9)
-    assert not anti.contains(fiber_embed(i, quaternions.unit()), 1e-9)
+    assert anti.shape[1] == 1
+    assert _in_span(anti, fiber_embed(i, quaternions.basis_element(2)), 1e-9)
+    assert not _in_span(anti, fiber_embed(i, quaternions.unit()), 1e-9)
 
     seed = find_seed_root(quaternions)
     for _ in range(20):
         s = sample_root(seed, rng)
-        assert stereographic_fiber(i, s).rank == 1
+        assert stereographic_fiber(i, s).shape[1] == 1
 
 
 def test_fiber_complex_and_cl03(complex_algebra, cl03, rng):
     i = RootOfMinusOne.from_element(complex_algebra.basis_element(1))
-    assert stereographic_fiber(i, i).rank == 1
+    assert stereographic_fiber(i, i).shape[1] == 1
     minus = RootOfMinusOne.from_element(-complex_algebra.basis_element(1))
-    assert stereographic_fiber(i, minus).rank == 0
+    assert stereographic_fiber(i, minus).shape[1] == 0
 
     u = find_seed_root(cl03)
     for _ in range(10):
         s = sample_root(u, rng)
-        assert stereographic_fiber(u, s).rank == 2
+        assert stereographic_fiber(u, s).shape[1] == 2
 
 
 def _projector(cols: np.ndarray) -> np.ndarray:
@@ -289,8 +296,28 @@ def test_fiber_chart_is_fiber_embed_on_the_real_basis(p, q):
         basis = fiber_real_basis(u, s)
         want = np.stack([fiber_embed(u, alg.element(col)) for col in basis.T], axis=1) \
             if basis.shape[1] else np.zeros((alg.dimension, 0), dtype=complex)
-        got = stereographic_fiber(u, s).matrix
+        got = stereographic_fiber(u, s)
         assert np.linalg.norm(_projector(got) - _projector(want)) <= 1e-9
+
+
+@pytest.mark.parametrize("p, q", [(0, 2), (1, 1), (0, 3), (2, 1)])
+def test_stereographic_fiber_is_an_orthonormal_array_in_its_chart_range(p, q):
+    """The columns are orthonormal and fixed by the chart projector
+    (1 - i L_u)/2 (1 - R_s L_u)/2, of rank (N - tr R_s L_u)/4."""
+    alg = clifford_algebra(p, q)
+    u = find_seed_root(alg)
+    rng = np.random.default_rng(p + 7 * q)
+    left, n = alg.left_matrix_vec(u.element.coeffs), alg.dimension
+    for s in [u, RootOfMinusOne(-u.element, u.residual)] + [sample_root(u, rng) for _ in range(3)]:
+        cols = stereographic_fiber(u, s)
+        op = alg.right_matrix_vec(s.element.coeffs) @ left
+        k = round(n - np.trace(op)) // 4
+        assert isinstance(cols, np.ndarray) and cols.dtype == complex
+        assert cols.shape == (n, k)
+        assert np.linalg.norm(cols.conj().T @ cols - np.eye(k)) <= 1e-12
+        proj = 0.5 * (np.eye(n) - op)
+        chart = 0.5 * (proj - 1j * (left @ proj))
+        assert np.linalg.norm(chart @ cols - cols) <= 1e-12 * (1.0 + np.linalg.norm(op))
 
 
 def test_fiber_over_a_central_root_in_a_dense_basis():
@@ -302,8 +329,8 @@ def test_fiber_over_a_central_root_in_a_dense_basis():
         clifford_algebra(2, 3).structure_constants, basis))
     u = RootOfMinusOne.from_element(alg.element(basis[-1]))
     assert fiber_real_basis(u, u).shape[1] == 32
-    assert stereographic_fiber(u, u).rank == 16
-    assert stereographic_fiber(u, RootOfMinusOne.from_element(-u.element)).rank == 0
+    assert stereographic_fiber(u, u).shape[1] == 16
+    assert stereographic_fiber(u, RootOfMinusOne.from_element(-u.element)).shape[1] == 0
 
 
 @pytest.mark.parametrize("p, q", [(0, 2), (2, 1), (0, 6)])
@@ -325,8 +352,8 @@ def test_fiber_eigenspace_and_quotient_need_no_svd(monkeypatch, p, q):
     for s in roots:
         point = generalized_twistor(stem, standard_section(u), 0.3 + 0.7j, s, u)
         assert fiber_real_basis(u, s).shape == (n, 2 * expected)
-        assert stereographic_fiber(u, s).rank == expected
-        assert minus_i_eigenspace(s).rank == n // 2
+        assert stereographic_fiber(u, s).shape[1] == expected
+        assert minus_i_eigenspace(s).shape[1] == n // 2
         want = eval_slice(stem, 0.3 + 0.7j, s)
         assert (rho1_general(point, u) - want).norm() <= 1e-9 * (1 + want.norm())
 

@@ -474,6 +474,17 @@ def test_left_absorption_identity_multiplier(quaternions):
                        base.root.element.coeffs, atol=1e-12)
 
 
+def test_left_absorption_without_a_closed_form_searches(quaternions):
+    """wp = 0 makes s' - ta exactly singular: there is no closed form, and
+    the search on the zero product finds a witness."""
+    w = ComplexElement(quaternions.unit(), quaternions.element(oq.I))
+    base = zero_variety_witness(w).witness
+    res = left_absorption(base, ComplexElement.zero(quaternions))
+    assert res.status == "found"
+    assert res.witness.w.re.norm() == res.witness.w.im.norm() == 0.0
+    assert is_root(res.witness.root.element)
+
+
 def test_left_absorption_random(quaternions, rng):
     seed = find_seed_root(quaternions)
     found = 0
