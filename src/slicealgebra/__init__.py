@@ -14,8 +14,6 @@ from .algebra import (
     left_divide,
     load_algebra,
     make_algebra,
-    multiply,
-    operator_matrix,
     right_divide,
 )
 from .errors import (
@@ -97,7 +95,6 @@ from .twistor import (
     QuaternionFrame,
     delta1,
     fiber_embed,
-    fiber_real_basis,
     gamma,
     generalized_twistor,
     rho,

@@ -211,10 +211,6 @@ class Element:
         """np.linalg.norm(coeffs), bit for bit (numerics.vector_norm)."""
         return vector_norm(self.coeffs)
 
-    def approx_eq(self, other: "Element", tol: float | None = None) -> bool:
-        self._require_same(other)
-        return vector_norm(self.coeffs - other.coeffs) <= resolve_tol(tol)
-
     def __repr__(self) -> str:
         return f"<{self.algebra.label_linear_combination(self.coeffs)}>"
 
@@ -348,29 +344,6 @@ def clifford_algebra(p: int, q: int) -> Algebra:
 
 
 # -- operations --------------------------------------------------------------
-
-
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
-
-
-def operator_matrix(a: Element, kind: str) -> np.ndarray:
-    """The read-only matrix of L_a, R_a, F_a = L_a + R_a or T_a = L_a R_a."""
-    if kind not in ("L", "R", "F", "T"):
-        raise ValueError(f"unknown operator kind {kind!r}")
-    left = a.algebra.left_matrix_vec(a.coeffs)
-    if kind == "L":
-        m = left
-    else:
-        right = a.algebra.right_matrix_vec(a.coeffs)
-        if kind == "R":
-            m = right
-        elif kind == "F":
-            m = left + right
-        else:
-            m = left @ right
-    m.flags.writeable = False
-    return m
 
 
 def _solve(op: np.ndarray, d: Element, c: Element) -> Element:

@@ -65,12 +65,21 @@ class InnerProduct:
         return self.gram.shape[0]
 
     def pairing(self, a: Element, b: Element) -> float:
-        return float(np.ldexp(a.coeffs @ self.scaled @ b.coeffs, self.power))
+        (a_hat, ea), (b_hat, eb) = _binade(a.coeffs), _binade(b.coeffs)
+        return float(np.ldexp(a_hat @ self.scaled @ b_hat, self.power + ea + eb))
 
     def norm(self, a: Element) -> float:
-        q = max(float(a.coeffs @ self.scaled @ a.coeffs), 0.0)  # a^T G_hat a
-        # 2^power q = 2^(power % 2) q 4^(power // 2): the root first keeps a finite norm finite
-        return float(np.ldexp(np.sqrt(np.ldexp(q, self.power % 2)), self.power // 2))
+        a_hat, ea = _binade(a.coeffs)
+        q = max(float(a_hat @ self.scaled @ a_hat), 0.0)  # a_hat^T G_hat a_hat
+        # ||a||^2 = 2^(power % 2) q 4^(power // 2 + ea): the root first, then the scale
+        return float(np.ldexp(np.sqrt(np.ldexp(q, self.power % 2)), self.power // 2 + ea))
+
+
+def _binade(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(v_hat, e) with v = 2^e v_hat, exact, and v_hat's largest entry in [1/2, 1)
+    (frexp): a^T G_hat b formed on such vectors neither over- nor underflows."""
+    e = int(np.frexp(np.abs(v).max())[1])
+    return np.ldexp(v, -e), e
 
 
 def _scaled_for(G: InnerProduct, alg: Algebra) -> np.ndarray:

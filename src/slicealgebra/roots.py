@@ -116,8 +116,8 @@ def sample_root(seed: RootOfMinusOne, rng: np.random.Generator,
     A draw is rejected when LU finds R_y singular (LAPACK's LinAlgError),
     when the conjugate is not finite or has norm above 32 (a cap, not a
     tolerance: on noncompact components the orbit is unbounded), or when
-    the conjugate, polished (polish_root) to the rounding floor, fails the
-    membership test at the defect the polish measured.
+    the conjugate, polished by numerics.newton_schulz to the rounding
+    floor, fails the membership test at the defect the polish measured.
     """
     algebra, s = seed.algebra, seed.element.coeffs
     for _ in range(200):
@@ -132,12 +132,6 @@ def sample_root(seed: RootOfMinusOne, rng: np.random.Generator,
         if within_tol(residual, (1.0 + vector_norm(out)) ** 2, tol):  # as holds
             return RootOfMinusOne(Element(algebra, out), residual)
     raise NotFoundError("conjugation sampling failed repeatedly")
-
-
-def polish_root(s: Element) -> Element:
-    """s brought to the rounding floor of s*s = -1 by numerics.newton_schulz,
-    with no solve or factorization."""
-    return Element(s.algebra, newton_schulz(s.algebra, s.coeffs)[0])
 
 
 # -- tangent structure -------------------------------------------------------

@@ -43,22 +43,9 @@ class StemPolynomial:
         object.__setattr__(self, "row_norms", norms)
         object.__setattr__(self, "intrinsic_defect", 2.0 * vector_norm(mat.imag.ravel()))
 
-    @classmethod
-    def from_coefficients(cls, coefficients: list[ComplexElement]) -> "StemPolynomial":
-        if not coefficients:
-            raise ValueError("need at least one coefficient")
-        alg = coefficients[0].algebra
-        mat = np.stack([c.as_vector() for c in coefficients])
-        return cls(alg, mat)
-
     @property
     def degree(self) -> int:
         return self.coeff_matrix.shape[0] - 1
-
-    @property
-    def coefficients(self) -> list[ComplexElement]:
-        return [ComplexElement.from_vector(self.algebra, row)
-                for row in self.coeff_matrix]
 
     def evaluate_vector(self, z: complex) -> np.ndarray:
         z = complex(z)
@@ -84,23 +71,6 @@ class StemPolynomial:
         for k in range(self.coeff_matrix.shape[0] - 2, -1, -1):
             acc = zz[..., None] * acc + self.coeff_matrix[k]
         return acc
-
-    def derivative(self) -> "StemPolynomial":
-        if self.degree == 0:
-            return StemPolynomial(self.algebra,
-                                  np.zeros((1, self.algebra.dimension), complex))
-        powers = np.arange(1, self.degree + 1, dtype=complex)
-        return StemPolynomial(self.algebra,
-                              self.coeff_matrix[1:] * powers[:, None])
-
-    def __add__(self, other: "StemPolynomial") -> "StemPolynomial":
-        if not self.algebra.compatible(other.algebra):
-            raise ValueError("stems over incompatible algebras")
-        rows = max(self.coeff_matrix.shape[0], other.coeff_matrix.shape[0])
-        mat = np.zeros((rows, self.algebra.dimension), dtype=complex)
-        mat[:self.coeff_matrix.shape[0]] += self.coeff_matrix
-        mat[:other.coeff_matrix.shape[0]] += other.coeff_matrix
-        return StemPolynomial(self.algebra, mat)
 
     def __repr__(self) -> str:
         return (f"StemPolynomial(degree={self.degree}, "

@@ -63,11 +63,6 @@ class ProjectivePoint:
             b = b * (np.conj(overlap) / abs(overlap))
         return float(np.linalg.norm(a - b))
 
-    def approx_eq(self, other: "ProjectivePoint", tol: float | None = None) -> bool:
-        """Chordal distance of the unit representatives a - b, of size 2."""
-        return self.coords.shape == other.coords.shape and \
-            bool(within_tol(self.chordal_distance(other), 2.0, tol))
-
     def to_json(self) -> list[list[float]]:
         return [[float(c.real), float(c.imag)] for c in self.coords]
 
@@ -235,11 +230,6 @@ def _fiber_projector(u: RootOfMinusOne, s: RootOfMinusOne):
     left = alg.left_matrix_vec(u.element.coeffs)
     op = alg.right_matrix_vec(s.element.coeffs) @ left
     return 0.5 * (np.eye(alg.dimension) - op), (alg.dimension - integer_trace(op)) // 2, left
-
-
-def fiber_real_basis(u: RootOfMinusOne, s: RootOfMinusOne) -> np.ndarray:
-    """Orthonormal columns spanning {c : u c = c s} (projector_range)."""
-    return projector_range(*_fiber_projector(u, s)[:2])
 
 
 def stereographic_fiber(u: RootOfMinusOne, s: RootOfMinusOne) -> np.ndarray:

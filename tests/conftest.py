@@ -16,6 +16,18 @@ if "CI" in os.environ:
     settings.load_profile("ci")
 
 from slicealgebra import clifford_algebra
+from slicealgebra.config import resolve_tol, within_tol
+
+
+def elements_close(a, b, tol=None) -> bool:
+    """||a - b|| <= tol: an absolute bound on the coefficient difference."""
+    return (a - b).norm() <= resolve_tol(tol)
+
+
+def points_close(p, q, tol=None) -> bool:
+    """Equal shapes, and the chordal distance ||a - b|| of the unit
+    representatives within tol of its size 2."""
+    return p.coords.shape == q.coords.shape and bool(within_tol(p.chordal_distance(q), 2.0, tol))
 
 
 @pytest.fixture(scope="session")

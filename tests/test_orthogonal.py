@@ -25,7 +25,6 @@ from slicealgebra import (
     find_seed_root,
     is_in_S0,
     make_algebra,
-    operator_matrix,
     orthogonality_characterization,
     sample_S0,
     sample_root,
@@ -73,6 +72,45 @@ def test_pairing_and_norm_read_the_scaled_gram(quaternions, rng):
             assert G.norm(a) == float(np.sqrt(max(float(a.coeffs @ np.eye(4) @ a.coeffs), 0.0)))
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_norm_holds_at_the_element_scale(quaternions, scale):
+    """Under the standard G the norm of scale * 1 is scale, with no warning:
+    its square over- or underflows unless the argument is scaled first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = quaternions.element([scale, 0.0, 0.0, 0.0])
+        assert InnerProduct.standard(quaternions).norm(a) == scale
+
+
+def test_pairing_of_arguments_at_both_ends_of_the_range(complex_algebra):
+    """<(1e308, 1e308), (1e-10, 0)> = 1.9e298 under G = [[1, .9], [.9, 1]],
+    with no warning: unscaled, a^T G overflows and inf * 0 is NaN."""
+    G = InnerProduct(np.array([[1.0, 0.9], [0.9, 1.0]]))
+    a, b = complex_algebra.element([1e308, 1e308]), complex_algebra.element([1e-10, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = G.pairing(a, b)
+    assert abs(got - 1.9e298) <= 1e-15 * 1.9e298
+
+
+def test_pairing_and_norm_keep_the_bits_of_the_unscaled_form(complex_algebra, quaternions,
+                                                             cl03, rng):
+    """Scaling by powers of two is exact, so where a^T G_hat b is finite and
+    normal unscaled, pairing and norm give its bits: 2^power a^T G_hat b and
+    2^(power // 2) sqrt(2^(power % 2) a^T G_hat a)."""
+    for alg in (complex_algebra, quaternions, cl03):
+        n = alg.dimension
+        for _ in range(10):
+            m = rng.standard_normal((n, n))
+            G = InnerProduct(np.ldexp(m @ m.T + n * np.eye(n), int(rng.integers(-60, 61))))
+            for _ in range(10):
+                a, b = (alg.element(rng.standard_normal(n) * 10.0 ** rng.uniform(-50, 50))
+                        for _ in range(2))
+                q = max(float(a.coeffs @ G.scaled @ a.coeffs), 0.0)
+                assert G.pairing(a, b) == float(np.ldexp(a.coeffs @ G.scaled @ b.coeffs, G.power))
+                assert G.norm(a) == float(np.ldexp(np.sqrt(np.ldexp(q, G.power % 2)), G.power // 2))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_inner_product_rejects_a_non_finite_gram(bad):
     """Finiteness is tested first, under its own message and with no
@@ -101,12 +139,12 @@ def test_adjoint_is_transpose_for_identity_gram(quaternions, rng):
     G = _std(quaternions)
     for _ in range(10):
         a = quaternions.random_element(rng)
-        L = operator_matrix(a, "L")
+        L = quaternions.left_matrix_vec(a.coeffs)
         assert np.allclose(adjoint(L, G), L.T, atol=1e-13)
     # weighted gram: G^{-1} L^T G, checked against the pairing identity
     W = InnerProduct(np.diag([1.0, 2.0, 3.0, 4.0]))
     a = quaternions.random_element(rng)
-    L = operator_matrix(a, "L")
+    L = quaternions.left_matrix_vec(a.coeffs)
     adj = adjoint(L, W)
     for _ in range(10):
         u = quaternions.random_element(rng)
@@ -119,7 +157,7 @@ def test_adjoint_is_transpose_for_identity_gram(quaternions, rng):
 def test_left_multiplication_by_imaginary_unit_is_antisymmetric(quaternions):
     G = _std(quaternions)
     for vec in (oq.I, oq.J, oq.K):
-        L = operator_matrix(quaternions.element(vec), "L")
+        L = quaternions.left_matrix_vec(quaternions.element(vec).coeffs)
         assert np.allclose(adjoint(L, G), -L, atol=1e-14)
 
 

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import einsum_reference
 import oracle_quaternion as oq
+from conftest import elements_close
 from slicealgebra import (
     NonIntegerTraceError,
     NotFoundError,
@@ -36,7 +37,6 @@ from slicealgebra import (
 from slicealgebra import numerics, orthogonal, roots
 from slicealgebra.algebra import Element
 from slicealgebra.config import within_tol
-from slicealgebra.roots import polish_root
 
 SIGNATURES = [(0, 1), (0, 2), (2, 0), (1, 1), (0, 3), (3, 0), (1, 2), (2, 1), (0, 4)]
 
@@ -227,7 +227,7 @@ EXACT_ALGEBRAS = {"H": lambda: clifford_algebra(0, 2), "Cl(2,2)": lambda: cliffo
 
 
 def _element_polish(s):
-    """polish_root written in Element operators: steps s <- s*(s*s + 3)/2
+    """numerics.newton_schulz written in Element operators: steps s <- s*(s*s + 3)/2
     while ||s*s + 1|| falls, up to one step past ||s*s + 1|| <= eps N
     (1 + ||s||)^2 and at most 100 steps; the s of least defect."""
     one, three = s.algebra.unit(), 3.0 * s.algebra.unit()
@@ -248,9 +248,9 @@ def _element_polish(s):
 
 @pytest.mark.parametrize("name", sorted(EXACT_ALGEBRAS))
 def test_array_root_path_gives_the_element_bits(name):
-    """sample_root is exactly polish_root(conjugate_root(y, seed).element) for
-    the first y that a replayed rng accepts; that conjugate and polish are
-    exactly their Element expansions, and so is nijenhuis."""
+    """sample_root is exactly the newton_schulz polish of conjugate_root(y,
+    seed).element for the first y that a replayed rng accepts; that conjugate
+    and polish are exactly their Element expansions, and so is nijenhuis."""
     alg = EXACT_ALGEBRAS[name]()
     seed = find_seed_root(alg)
     rng, replay, tangents = (np.random.default_rng(k) for k in (11, 11, 12))
@@ -263,7 +263,8 @@ def test_array_root_path_gives_the_element_bits(name):
             except ZeroDivisorError:
                 continue
             if conj.element.norm() <= 32.0:
-                want = RootOfMinusOne.measured(polish_root(conj.element))
+                polished = numerics.newton_schulz(alg, conj.element.coeffs)[0]
+                want = RootOfMinusOne.measured(Element(alg, polished))
                 if want.holds():
                     break
         assert np.array_equal(s.element.coeffs, want.element.coeffs)
@@ -375,19 +376,18 @@ def test_polish_root_needs_no_lapack(monkeypatch):
     start = s + 1e-6 * alg.random_element(rng)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("polish_root called LAPACK")
+        raise AssertionError("newton_schulz called LAPACK")
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
-    out = polish_root(start)
+    out = Element(alg, numerics.newton_schulz(alg, start.coeffs)[0])
     floor = 4.0 * np.finfo(float).eps * alg.dimension * (1.0 + out.norm()) ** 2
     assert root_residual(start) > 1e3 * floor
     assert root_residual(out) <= floor
 
 
 def test_every_polish_is_the_one_newton_schulz(monkeypatch):
-    """polish_root, sample_root and sample_S0 each end in
-    numerics.newton_schulz."""
+    """sample_root and sample_S0 each end in numerics.newton_schulz."""
     calls = []
 
     def counted(algebra, x):
@@ -399,7 +399,7 @@ def test_every_polish_is_the_one_newton_schulz(monkeypatch):
         monkeypatch.setattr(module, "newton_schulz", counted)
     alg, rng = clifford_algebra(0, 3), np.random.default_rng(0)
     seed = find_seed_root(alg)
-    for draw in (lambda: polish_root(seed.element), lambda: sample_root(seed, rng),
+    for draw in (lambda: sample_root(seed, rng),
                  lambda: orthogonal.sample_S0(alg, orthogonal.InnerProduct.standard(alg), rng)):
         before = len(calls)
         draw()
@@ -414,7 +414,7 @@ def test_polish_root_reaches_the_floor_on_h(quaternions, direction, perturbation
     steps reach ||s*s + 1|| <= 4 eps N (1 + ||s||)^2, in oracle arithmetic."""
     assume(np.linalg.norm(direction) > 0.1)
     start = np.concatenate([[0.0], direction / np.linalg.norm(direction)]) + perturbation
-    s = polish_root(quaternions.element(start)).coeffs
+    s = numerics.newton_schulz(quaternions, start)[0]
     floor = 4.0 * np.finfo(float).eps * 4 * (1.0 + np.linalg.norm(s)) ** 2
     assert np.linalg.norm(oq.qmul(s, s) + oq.ONE) <= floor
 
@@ -489,8 +489,8 @@ def test_quaternion_j_structure_values(quaternions):
     i = RootOfMinusOne.from_element(quaternions.basis_element(1))
     j = quaternions.basis_element(2)
     k = quaternions.basis_element(3)
-    assert j_structure(i, j).approx_eq(k)
-    assert j_structure(i, k).approx_eq(-j)
+    assert elements_close(j_structure(i, j), k)
+    assert elements_close(j_structure(i, k), -j)
 
 
 def test_nijenhuis_vanishes(quaternions, cl03, rng):
