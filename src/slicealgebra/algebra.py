@@ -80,12 +80,11 @@ class Algebra:
     # -- element constructors ------------------------------------------------
 
     def element(self, coeffs: Iterable[float]) -> "Element":
-        v = np.array(list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs,
-                     dtype=float)
-        if v.shape != (self.dimension,):
+        e = Element(self, coeffs.copy() if isinstance(coeffs, np.ndarray) else list(coeffs))
+        if e.coeffs.shape != (self.dimension,):
             raise DimensionMismatchError(
-                f"expected {self.dimension} coefficients, got {v.shape}")
-        return Element(self, v)
+                f"expected {self.dimension} coefficients, got {e.coeffs.shape}")
+        return e
 
     def basis_element(self, i: int) -> "Element":
         v = np.zeros(self.dimension)
@@ -175,7 +174,10 @@ class Element:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.coeffs, dtype=float)
+        c = self.coeffs  # checked before the cast, which would drop an imaginary part
+        if c.dtype.kind == "c" if isinstance(c, np.ndarray) else np.iscomplexobj(c):
+            raise ValueError("coefficients must be real")
+        v = np.asarray(c, dtype=float)
         v.flags.writeable = False
         object.__setattr__(self, "coeffs", v)
 

@@ -32,6 +32,7 @@ from .config import default_tol, within_tol
 from .errors import (
     FrameNotFoundError,
     NotFoundError,
+    NotTangentError,
     SliceAlgebraError,
     SuiteNotApplicableError,
 )
@@ -146,7 +147,11 @@ def _suite_nijenhuis(alg, trials, rng, tol):
         basis = tangent_frame(s)
         x = Element(alg, basis @ rng.standard_normal(basis.shape[1]))
         y = Element(alg, basis @ rng.standard_normal(basis.shape[1]))
-        residual = nijenhuis(s, x, y).norm()
+        try:
+            residual = nijenhuis(s, x, y, tol).norm()
+        except NotTangentError as exc:  # the frame's x or y fails tangency at tol
+            yield False, float("inf"), f"trial {t}: {exc}"
+            continue
         size = 4.0 * s.element.norm() * x.norm() * y.norm()  # four products cancel
         yield within_tol(residual, size, tol), residual, f"trial {t}"
 

@@ -1,15 +1,15 @@
 """Inner-product constructions: orthogonal roots, the quadratic cone, and
 the quadratic equations cutting out the distinguished zero variety.
 
-With an inner product G on the algebra, S0 collects the roots of -1 whose
-left multiplication is an orthogonal complex structure.  Any two of
-{s*s = -1, L_s orthogonal, L_s antisymmetric} force the third, so membership
-is a two-of-three test.  Elements of the quadratic cone factor as
-x = beta*1 + gamma*s with s in S0, and the variety of w = a + ib with
-L_w^T G L_w = 0 (bilinear, non-conjugating transpose) is probed by an explicit
-residual.  G-adjointness has one inverse-free form, on G_hat = 2^k G with its
-largest entry in [1, 2) (exact; the identities are homogeneous in G): L is
-G-antisymmetric if L^T G_hat + G_hat L = 0, G-orthogonal if L^T G_hat L = G_hat.
+With an inner product G on the algebra, one pair of G-identities,
+L_x^T G L_x = alpha^2 G and L_x^T G + G L_x = 2 beta G, decides S0, the
+quadratic cone and Z0.  S0, the roots of -1 whose L_s is an orthogonal
+complex structure, is where both hold at (alpha^2, beta) = (1, 0); any two of
+{s*s = -1, the first, the second} force the third (a two-of-three test).  The
+cone's x = beta*1 + gamma*s, s in S0, satisfy both; Z0 is the first at
+alpha^2 = 0 on w = a + ib (bilinear, non-conjugating transpose).  Each is read
+with no inverse on G_hat = 2^k G, its largest entry in [1, 2) (exact: the
+identities are homogeneous in G).
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ class InnerProduct:
         object.__setattr__(self, "gram", g)
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "power", power)
+        object.__setattr__(self, "_sizes", (np.linalg.norm(scaled), float(np.trace(scaled))))
         object.__setattr__(self, "_a0", {})  # algebra -> A0's span, see antisymmetric_subspace
 
     @classmethod
@@ -96,22 +97,37 @@ def adjoint(L: np.ndarray, G: InnerProduct) -> np.ndarray:
     return np.linalg.solve(G.scaled, L.T @ G.scaled)
 
 
-def _left_terms(alg: Algebra, v: np.ndarray, G: InnerProduct):
-    """(L_v, L_v^T G_hat, G_hat L_v, G_hat); L_{a+ib} = L_a + i L_b."""
+def _g_identities(alg: Algebra, v: np.ndarray, G: InnerProduct,
+                  alpha_sq: float | None = None, beta: float | None = None,
+                  tol: float | None = None):
+    """Yield (alpha^2, residual, verdict) of the first G-identity on G_hat, then,
+    formed only if asked for, (beta, residual, verdict) of the second; L_{a+ib}
+    = L_a + i L_b.  A coefficient left None is tr(L_v^T G_hat L_v) or tr(G_hat
+    L_v) over tr G_hat; the tolerance rule, terms sized by Frobenius norms."""
     scaled = _scaled_for(G, alg)
+    norm, trace = G._sizes  # ||G_hat||_F, tr G_hat
     left = alg.left_matrix_vec(v)
-    return left, left.T @ scaled, scaled @ left, scaled
+    lg = left.T @ scaled
+    nlg = np.linalg.norm(lg)
+
+    def check(term, size, coef):  # residual and verdict of term = coef G_hat
+        residual = float(np.linalg.norm(term - coef * scaled if coef else term))
+        return residual, bool(within_tol(residual, size + abs(coef) * norm, tol))
+
+    square = lg @ left
+    if alpha_sq is None:
+        alpha_sq = float(np.trace(square)) / trace
+    yield alpha_sq, *check(square, nlg * np.linalg.norm(left), alpha_sq)
+    gl = scaled @ left
+    if beta is None:
+        beta = float(np.trace(gl)) / trace
+    yield beta, *check(lg + gl, np.linalg.norm(gl) + nlg, 2.0 * beta)
 
 
 def is_in_S0(s: Element, G: InnerProduct, tol: float | None = None) -> bool:
-    """Two of {s*s = -1, L_s G-orthogonal, L_s G-antisymmetric} hold (hence
-    all), each by the tolerance rule, the matrix terms sized by Frobenius norms."""
-    left, lg, gl, scaled = _left_terms(s.algebra, s.coeffs, G)
-    nl, nlg, ngl, ng = (np.linalg.norm(m) for m in (left, lg, gl, scaled))
-    checks = (is_root(s, tol),
-              within_tol(np.linalg.norm(lg @ left - scaled), nlg * nl + ng, tol),
-              within_tol(np.linalg.norm(lg + gl), ngl + nlg, tol))
-    return sum(checks) >= 2
+    """Two of {s*s = -1, the G-identities at (alpha^2, beta) = (1, 0)} hold."""
+    identities = _g_identities(s.algebra, s.coeffs, G, 1.0, 0.0, tol)
+    return is_root(s, tol) + sum(ok for _, _, ok in identities) >= 2
 
 
 def antisymmetric_subspace(algebra: Algebra, G: InnerProduct) -> np.ndarray:
@@ -167,26 +183,14 @@ CharacterizationReport = TraceReport  # the same rows, verdict and JSON
 
 
 def orthogonality_characterization(s: RootOfMinusOne, G: InnerProduct,
-                                   rng: np.random.Generator | None = None,
                                    tol: float | None = None) -> CharacterizationReport:
-    """<sa, sa> = <a, a> and <sa, a> = 0 under G_hat on every basis vector and
-    32 random a; passes exactly when s is an orthogonal complex structure."""
-    alg = s.algebra
-    scaled = _scaled_for(G, alg)
-    rng = np.random.default_rng(0) if rng is None else rng
-    probes = [alg.basis_element(k) for k in range(alg.dimension)]
-    probes += [alg.random_element(rng) for _ in range(32)]
-    rows = []
-    for idx, a in enumerate(probes):
-        sa, a = (s.element * a).coeffs, a.coeffs
-        sa_sa, a_a = float(sa @ scaled @ sa), float(a @ scaled @ a)
-        iso, perp = abs(sa_sa - a_a), abs(float(sa @ scaled @ a))
-        size = sa_sa + a_a  # bounds <sa,a> too
-        label = f"e_{idx}" if idx < alg.dimension else f"random_{idx - alg.dimension}"
-        for identity, residual in (("<sa,sa> = <a,a>", iso), ("<sa,a> = 0", perp)):
-            rows.append({"probe": label, "identity": identity, "residual": float(residual),
-                         "pass": bool(within_tol(residual, size, tol))})
-    return CharacterizationReport(tuple(rows))
+    """<sa, sa> = <a, a> and <sa, a> = 0 under G_hat for every a: by
+    polarization exactly L_s^T G_hat L_s = G_hat and L_s^T G_hat + G_hat L_s
+    = 0, a row each; passes exactly when s is an orthogonal complex structure."""
+    identities = _g_identities(s.algebra, s.element.coeffs, G, 1.0, 0.0, tol)
+    return CharacterizationReport(tuple(
+        {"identity": name, "residual": residual, "pass": ok}
+        for name, (_, residual, ok) in zip(("<sa,sa> = <a,a>", "<sa,a> = 0"), identities)))
 
 
 # -- quadratic cone ----------------------------------------------------------
@@ -208,27 +212,19 @@ class ConeDecomposition:
 
 def cone_decompose(x: Element, G: InnerProduct,
                    tol: float | None = None) -> ConeDecomposition | None:
-    """Split x = beta + gamma*s when L_x^T G_hat + G_hat L_x = 2 beta G_hat
-    and L_x^T G_hat L_x = alpha^2 G_hat (beta and alpha^2 from traces over
-    tr G_hat), each by the tolerance rule, terms sized by Frobenius norms.
+    """Split x = beta + gamma*s when the pair of G-identities holds, beta and
+    alpha^2 read off the traces (_g_identities).
 
     gamma^2 = alpha^2 - beta^2 cancels alpha^2 against beta^2, so x is real
     when gamma^2 is within tolerance of 0 against alpha^2 + beta^2 (gamma is
     then below about sqrt(tol) |x|, which the traces cannot resolve).  None
-    signals x outside the cone.
-    """
-    left, lg, gl, scaled = _left_terms(x.algebra, x.coeffs, G)
-    nl, nlg, ngl, ng = (np.linalg.norm(m) for m in (left, lg, gl, scaled))
-    trace = float(np.trace(scaled))
-
-    beta = float(np.trace(gl)) / trace
-    if not within_tol(np.linalg.norm(lg + gl - 2.0 * beta * scaled),
-                      ngl + nlg + 2.0 * abs(beta) * ng, tol):
+    signals x outside the cone."""
+    identities = _g_identities(x.algebra, x.coeffs, G, tol=tol)
+    alpha_sq, _, ok = next(identities)
+    if not ok:
         return None
-    square = lg @ left
-    alpha_sq = float(np.trace(square)) / trace
-    if not within_tol(np.linalg.norm(square - alpha_sq * scaled),
-                      nlg * nl + abs(alpha_sq) * ng, tol):
+    beta, _, ok = next(identities)
+    if not ok:
         return None
     gamma_sq = alpha_sq - beta ** 2
     alpha = float(np.sqrt(max(alpha_sq, 0.0)))
@@ -244,14 +240,9 @@ def cone_decompose(x: Element, G: InnerProduct,
 
 
 def z0_residual(w: ComplexElement, G: InnerProduct) -> float:
-    """Frobenius norm of L_w^T G_hat L_w for L_w = L_a + i L_b.
-
-    The transpose is the plain one (bilinear extension of the inner product),
-    so the real and imaginary parts encode the two quadratic systems
-    L_a^T G L_a = L_b^T G L_b and L_a^T G L_b + L_b^T G L_a = 0.
-    """
-    lw, lg, _, _ = _left_terms(w.algebra, w.as_vector(), G)
-    return float(np.linalg.norm(lg @ lw))
+    """||L_w^T G_hat L_w||_F, L_w = L_a + i L_b, the plain transpose: its real and
+    imaginary parts are L_a^T G L_a - L_b^T G L_b and L_a^T G L_b + L_b^T G L_a."""
+    return next(_g_identities(w.algebra, w.as_vector(), G, 0.0))[1]
 
 
 @dataclass(frozen=True)
@@ -287,9 +278,7 @@ def z0_equivalence_check(w: ComplexElement, G: InnerProduct,
     (in A0, and a root).  "absent" is exact: A0 is {0}, a misses the range
     of R_b @ span, or the unique solution is no root; "inconclusive": no
     Newton start (0 and 7 random) on a kernel of solutions found a root."""
-    lw, lg, _, _ = _left_terms(w.algebra, w.as_vector(), G)
-    residual = float(np.linalg.norm(lg @ lw))
-    residual_member = bool(within_tol(residual, np.linalg.norm(lg) * np.linalg.norm(lw), tol))
+    _, residual, residual_member = next(_g_identities(w.algebra, w.as_vector(), G, 0.0, tol=tol))
     span = antisymmetric_subspace(w.algebra, G)
     if not span.shape[1]:  # S0 is empty
         return Z0Verdict(residual, residual_member, "absent")

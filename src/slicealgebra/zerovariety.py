@@ -200,7 +200,7 @@ def zero_variety_witness(w: ComplexElement,
     """
     alg, a, b = w.algebra, w.re, w.im
 
-    if b.norm() == 0.0:  # pi(w, s) = a: w = 0 is a member through every root
+    if b.norm() == 0.0 == a.norm():  # w = 0 meets every root; a != 0 misses range(R_0)
         try:
             return _verdict(w, [_witness(w, find_seed_root(alg, rng=rng, tol=tol).element)], tol)
         except NotFoundError:  # S is empty

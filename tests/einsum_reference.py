@@ -66,3 +66,13 @@ def rebased(c, basis):
     out[0] = np.eye(n)
     out[:, 0] = np.eye(n)
     return out
+
+
+def rescaled_blades(c, labels, k, draw):
+    """Cl(p,q)'s tensor c with generator g scaled by 2^(k sigma_g), sigma drawn
+    by default_rng([1, draw]), and each blade (label "e12...") by the product
+    of its generators' scales: an exact change of basis."""
+    sigma = np.random.default_rng([1, draw]).choice([-1, 1], c.shape[0].bit_length() - 1)
+    gen = np.ldexp(1.0, k * sigma)
+    scales = [np.prod([gen[int(g) - 1] for g in label[1:]]) for label in labels]
+    return rebased(c, np.diag(scales))

@@ -246,6 +246,18 @@ def test_element_copies_the_callers_array(quaternions):
     assert e.coeffs[0] == 1.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("coeffs", [np.array([1j, 0, 0, 0]), np.array([1, 2, 3, 4], dtype=complex),
+                                    [np.complex128(1j), 0, 0, 0], [0.0, 2j, 0.0, 0.0]])
+def test_complex_coefficients_are_rejected(quaternions, coeffs):
+    """Algebra.element and Element raise before casting to float, which
+    would drop the imaginary part (numpy warns only)."""
+    with pytest.raises(ValueError, match="coefficients must be real"):
+        quaternions.element(coeffs)
+    with pytest.raises(ValueError, match="coefficients must be real"):
+        Element(quaternions, coeffs)
+
+
 CLIFFORD_0Q = [clifford_algebra(0, q) for q in range(7)]
 
 # moderate entries, whose sums round differently in another order; any

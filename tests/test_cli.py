@@ -195,6 +195,34 @@ def test_verify_exit_codes(capsys):
             assert capsys.readouterr().err.startswith(f"FAIL suite={suite}")
 
 
+def test_nijenhuis_fails_a_trial_whose_tangency_check_fails(tmp_path, capsys):
+    """In Cl(2,2) with generators scaled by 2^(+-20) the tangent frame's x
+    or y can fail nijenhuis's tangency check: the trial fails (exit 1, not a
+    usage error) with the check's message as its input and no residual.
+    --tol reaches that check: on Cl(2,1) at 2^(+-13) more trials pass at
+    1e-3 than at 1e-9."""
+    def dump(p, q, k, draw):
+        alg = clifford_algebra(p, q)
+        path = tmp_path / f"cl{p}{q}_{draw}.json"
+        dump_algebra(make_algebra(ref.rescaled_blades(alg.structure_constants, alg.labels, k, draw),
+                                  labels=alg.labels), str(path))
+        return str(path)
+
+    cl22 = dump(2, 2, 20, 0)
+    for tol in ("1e-3", "1e-9"):
+        assert main(["verify", "nijenhuis", "--algebra", cl22, "--trials", "20",
+                     "--tol", tol]) == 1
+        failures = json.loads(capsys.readouterr().out)["failures"]
+    untested = [f["input"] for f in failures if f["residual"] is None]
+    assert untested and all("anticommutator defect" in desc for desc in untested)
+    passes = []
+    for tol in ("1e-9", "1e-3"):
+        main(["verify", "nijenhuis", "--algebra", dump(2, 1, 13, 2), "--trials", "20",
+              "--tol", tol])
+        passes.append(json.loads(capsys.readouterr().out)["pass_count"])
+    assert passes[0] < passes[1]
+
+
 def test_stereographic_on_the_complex_numbers(capsys):
     """The fiber over a conjugate of u has complex rank (N - tr T_u)/4, the
     rank of the centralizer of u: on C, tr T_i = -2 gives 1, not N // 4 = 0."""

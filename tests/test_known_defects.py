@@ -15,6 +15,7 @@ import einsum_reference as ref
 from slicealgebra import (
     NonAssociativeError,
     NotFoundError,
+    SuiteNotApplicableError,
     clifford_algebra,
     find_seed_root,
     make_algebra,
@@ -34,23 +35,40 @@ def test_quaternions_in_a_diagonal_basis_load():
     assert np.array_equal(make_algebra(c, labels=H.labels).structure_constants, c)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 7: the search budgets and Newton starts assume "
-                          "a basis of unit scale")
-@pytest.mark.parametrize("suite", ["zero-variety", "stereographic"])
-@pytest.mark.parametrize("draw", [0, 1, 2])
-def test_rescaled_cl22_passes_as_the_built_in(draw, suite):
-    """Each generator of Cl(2,2) scaled by 2^(20 sigma_g), sigma drawn by
+def _rescaled(p, q, k, suite, draws, raises=AssertionError):
+    """One strict xfail per draw: ROADMAP item 7's scale defect, which a
+    suite on Cl(p,q) at generator scales 2^(+-k) shows by raising `raises`."""
+    mark = pytest.mark.xfail(strict=True, raises=raises,
+                             reason="ROADMAP item 7: the search budgets, Newton starts and "
+                                    "tangency checks assume a basis of unit scale")
+    return [pytest.param(p, q, k, suite, draw, marks=mark, id=f"Cl({p},{q})-2^{k}-{suite}-{draw}")
+            for draw in draws]
+
+
+@pytest.mark.parametrize("p, q, k, suite, draw", [
+    *_rescaled(2, 2, 20, "zero-variety", [0, 1, 2]),
+    *_rescaled(2, 2, 20, "stereographic", [0, 1, 2]),
+    *_rescaled(2, 2, 20, "dims", [0, 1]),
+    *_rescaled(2, 2, 20, "nijenhuis", [0, 1, 2]),
+    *_rescaled(2, 2, 20, "absorption", [0, 1, 2]),
+    *_rescaled(0, 2, 20, "stereographic", [0, 1, 2]),
+    *_rescaled(0, 2, 20, "absorption", [0, 1, 2]),
+    *_rescaled(0, 2, 20, "nijenhuis", [0, 1, 2]),
+    *_rescaled(0, 2, 20, "twistor", [0, 1, 2], raises=(AssertionError, SuiteNotApplicableError)),
+    *_rescaled(0, 3, 13, "nijenhuis", [0, 2]),
+    *_rescaled(0, 3, 13, "zero-variety", [0, 2]),
+    *_rescaled(0, 3, 13, "stereographic", [1, 2]),
+    *_rescaled(0, 3, 13, "absorption", [0, 1, 2]),
+])
+def test_rescaled_clifford_passes_as_the_built_in(p, q, k, suite, draw):
+    """Each generator of Cl(p,q) scaled by 2^(k sigma_g), sigma drawn by
     default_rng([1, draw]), each blade by the product of its generators'
-    scales (an exact change of basis): the suite passes as often as on the
-    built-in algebra (20 of 20)."""
-    alg = clifford_algebra(2, 2)
-    sigma = np.random.default_rng([1, draw]).choice([-1, 1], 4)
-    gen = np.ldexp(1.0, 20 * sigma)
-    scales = [np.prod([gen[int(g) - 1] for g in label[1:]]) for label in alg.labels]
-    rescaled = make_algebra(ref.rebased(alg.structure_constants, np.diag(scales)),
+    scales (an exact change of basis; einsum_reference.rescaled_blades): the
+    suite passes as often as on the built-in algebra, at 20 trials and seed 0."""
+    alg = clifford_algebra(p, q)
+    rescaled = make_algebra(ref.rescaled_blades(alg.structure_constants, alg.labels, k, draw),
                             labels=alg.labels)
-    want = run_suite(suite, alg, "Cl(2,2)", 20, 0, default_tol()).pass_count
+    want = run_suite(suite, alg, f"Cl({p},{q})", 20, 0, default_tol()).pass_count
     assert run_suite(suite, rescaled, "rescaled", 20, 0, default_tol()).pass_count == want
 
 

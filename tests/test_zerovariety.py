@@ -36,6 +36,7 @@ from slicealgebra import (
     tau_involution,
     zero_variety_witness,
 )
+from slicealgebra import zerovariety
 from slicealgebra.cli import run_suite
 
 
@@ -402,6 +403,21 @@ def test_witness_of_a_nonzero_real_part_without_roots():
     """Cl(1,0) = R + R has no root of -1, so a + s*0 = 1 has no witness."""
     alg = clifford_algebra(1, 0)
     assert zero_variety_witness(ComplexElement(alg.unit(), alg.zero())).status == "absent"
+
+
+@pytest.mark.parametrize("p, q", [(0, 0), (1, 0), (0, 2), (2, 2), (3, 3)])
+def test_a_nonzero_real_part_is_absent_without_a_seed_search(monkeypatch, p, q):
+    """pi((a, 0), s) = a for every s, so w = (a, 0) with a != 0 has no witness:
+    the general path decides that exactly (LU raises on R_0, and a misses
+    its range {0}), with no seed search."""
+    alg = clifford_algebra(p, q)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched for a seed root")
+
+    monkeypatch.setattr(zerovariety, "find_seed_root", refuse)
+    for a in (alg.unit(), alg.random_element(np.random.default_rng(p + 10 * q))):
+        assert zero_variety_witness(ComplexElement(a, alg.zero())).status == "absent"
 
 
 def test_leaf_membership(quaternions, rng):
