@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import MAX_CLIFFORD_GENERATORS, MAX_DIMENSION, resolve_tol
+from .config import MAX_CLIFFORD_GENERATORS, MAX_DIMENSION, within_tol
 from .errors import (
     BadUnitError,
     DimensionMismatchError,
@@ -102,9 +102,14 @@ class Algebra:
         return np.linalg.norm(self.structure_constants)
 
     @cached_property
+    def _associativity(self) -> tuple[float, float]:
+        """_associativity_defects(self), computed once (make_algebra checks it)."""
+        return _associativity_defects(self)
+
+    @property
     def associativity_residual(self) -> float:
-        """associativity_residual(self), computed once (make_algebra checks it)."""
-        return associativity_residual(self)
+        """associativity_residual(self), from the check make_algebra ran."""
+        return self._associativity[0]
 
     @cached_property
     def basis_square_defects(self) -> np.ndarray:
@@ -224,9 +229,12 @@ def make_algebra(structure_constants,
                  tol: float | None = None) -> Algebra:
     """Validate structure constants and wrap them as an Algebra.
 
-    Entries must be finite.  Associativity is checked to tolerance on the
-    full basis; the unit law is required to hold exactly on the tensor
-    entries.
+    Entries must be finite.  Associativity is checked on the full basis by
+    the tolerance rule: each associator (e_i e_j) e_k - e_i (e_j e_k) against
+    the summed sizes sum_l sum_m |c_ijm c_mkl| + |c_jkm c_iml| of the products
+    it compares (_associativity_defects), so that the verdict does not change
+    with the scale of the basis.  The unit law is required to hold exactly
+    on the tensor entries.
     """
     c = np.asarray(structure_constants, dtype=float)
     if labels is None:
@@ -247,39 +255,68 @@ def make_algebra(structure_constants,
     if not (np.array_equal(c[unit_index], eye) and np.array_equal(c[:, unit_index], eye)):
         raise BadUnitError("designated unit fails the unit law")
 
-    violation = algebra.associativity_residual
-    if violation > resolve_tol(tol):
-        raise NonAssociativeError(f"max associativity violation {violation:.3e}")
+    absolute, relative = algebra._associativity
+    if not within_tol(relative, 1.0, tol):
+        raise NonAssociativeError(f"associativity violation {relative:.3e} of the size of the "
+                                  f"products compared (largest entry {absolute:.3e})")
     return algebra
 
 
 def associativity_residual(algebra: Algebra) -> float:
-    """Largest entry of (e_i e_j) e_k - e_i (e_j e_k) over the whole basis.
+    """Largest entry of (e_i e_j) e_k - e_i (e_j e_k) over the whole basis."""
+    return _associativity_defects(algebra)[0]
+
+
+def _ratio(gap: np.ndarray, size: np.ndarray) -> float:
+    """The largest gap / size, taken as 0 where size is 0 (both sides exactly 0)."""
+    return float(np.divide(gap, size, out=np.zeros_like(gap), where=size > 0).max())
+
+
+def _associativity_defects(algebra: Algebra) -> tuple[float, float]:
+    """The largest entry of (e_i e_j) e_k - e_i (e_j e_k) over the whole
+    basis, and the largest ratio, over the triples (i, j, k), of that
+    associator's 1-norm to the summed sizes of the products it compares,
+    sum_l sum_m |c_ijm c_mkl| + |c_jkm c_iml|.  (Entry by entry, the
+    rounding-level entries of a rotated tensor would be compared with sizes
+    of their own rounding level.)
 
     Both paths check one basis row i at a time.  With a product table both
     sides are single scaled basis elements, found by two table lookups each,
-    in O(N^2) memory a row.  Otherwise row i is formed by two matrix
-    products, in O(N^3) memory a row.
+    in O(N^2) memory a row: where they land on one basis element the size
+    is the sum of their moduli, elsewhere the associator is its own size.
+    Otherwise row i is formed by two matrix products, in O(N^3) memory a
+    row, and its sizes, summed over l first, in O(N^2).
     """
+    worst = relative = 0.0
     if algebra._product_table is not None:
         idx, val = algebra._product_table
-        gaps = []
         for i in range(algebra.dimension):  # [j, k] of row i
             left_at, left = idx[idx[i]], val[i][:, None] * val[idx[i]]
             right_at, right = idx[i][idx], val * val[i][idx]
-            gaps.append(np.where(left_at == right_at, np.abs(left - right),
-                                 np.maximum(np.abs(left), np.abs(right))).max())
-        return float(np.max(gaps))
+            same = left_at == right_at
+            gap = np.where(same, np.abs(left - right), np.maximum(np.abs(left), np.abs(right)))
+            row_worst = float(gap.max())
+            worst = max(worst, row_worst)
+            if row_worst:  # else every ratio of the row is 0
+                size = np.abs(left) + np.abs(right)
+                relative = max(relative, _ratio(np.where(same, gap, size), size))
+        return worst, relative
     c = algebra.structure_constants
     n = algebra.dimension
     by_m = c.reshape(n, n * n)   # [m, (k, l)]
     by_jk = c.reshape(n * n, n)  # [(j, k), m]
-    worst = 0.0
+    size_m = np.abs(c).sum(axis=2)  # [m, k]: sum_l |c[m, k, l]|
+    size_jk = np.abs(by_jk)
     for row in c:  # row[j, m] = c[i, j, m]
         lhs = row @ by_m   # sum_m c[i, j, m] c[m, k, l]
         rhs = by_jk @ row  # sum_m c[j, k, m] c[i, m, l]
-        worst = max(worst, float(np.max(np.abs(lhs.ravel() - rhs.ravel()))))
-    return worst
+        gap = np.abs(lhs.reshape(n, n, n) - rhs.reshape(n, n, n))
+        size_row = np.abs(row)
+        # [j, k]: sum_l sum_m |c[i, j, m] c[m, k, l]| + |c[j, k, m] c[i, m, l]|
+        size = size_row @ size_m + (size_jk @ size_row.sum(axis=1)).reshape(n, n)
+        worst = max(worst, float(gap.max()))
+        relative = max(relative, _ratio(gap.sum(axis=2), size))
+    return worst, relative
 
 
 def _product_table(c: np.ndarray):

@@ -44,7 +44,6 @@ from .roots import (
     nijenhuis,
     component_invariant,
     sample_root,
-    tangent_frame,
     verify_trace_identities,
 )
 from .slicefunctions import eval_slice, stem_from_slice_poly
@@ -143,13 +142,24 @@ def _suite_traces(alg, trials, rng, tol):
 
 
 def _suite_nijenhuis(alg, trials, rng, tol):
-    for t, s in _sampled_roots(alg, trials, rng, "nijenhuis"):
-        basis = tangent_frame(s)
-        x = Element(alg, basis @ rng.standard_normal(basis.shape[1]))
-        y = Element(alg, basis @ rng.standard_normal(basis.shape[1]))
+    seed = _seed_or_not_applicable(alg, rng, "nijenhuis")
+    # T_s = L_s R_s is an involution whose +1 eigenspace is the tangent space
+    # ker(L_s + R_s), so (1 + T_s)/2 projects onto it: no frame.  Its rank
+    # (N + tr T_s)/2 is the same on the whole conjugation orbit of the seed
+    tangent = alg.dimension + component_invariant(seed) > 0
+    for t in range(trials):
+        s = sample_root(seed, rng)
+        r = rng.standard_normal((2, alg.dimension))
+        if tangent:
+            r += (alg.left_matrix_vec(s.element.coeffs)
+                  @ (alg.right_matrix_vec(s.element.coeffs) @ r.T)).T
+            r /= np.linalg.norm(r, axis=1, keepdims=True)  # residual at rounding level
+        else:  # ker F_s = {0}, as on C: r + T_s r is rounding noise
+            r[:] = 0.0
+        x, y = Element(alg, r[0]), Element(alg, r[1])
         try:
             residual = nijenhuis(s, x, y, tol).norm()
-        except NotTangentError as exc:  # the frame's x or y fails tangency at tol
+        except NotTangentError as exc:  # x or y fails tangency at tol
             yield False, float("inf"), f"trial {t}: {exc}"
             continue
         size = 4.0 * s.element.norm() * x.norm() * y.norm()  # four products cancel

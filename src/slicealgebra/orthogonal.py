@@ -198,27 +198,26 @@ def orthogonality_characterization(s: RootOfMinusOne, G: InnerProduct,
 
 @dataclass(frozen=True)
 class ConeDecomposition:
-    """x = beta*1 + gamma*s with gamma = sqrt(alpha^2 - beta^2); root is None
-    for real x (gamma^2 within tolerance of 0)."""
+    """x = beta*1 + gamma*s, alpha^2 = beta^2 + gamma^2 read off the traces;
+    root is None for real x (x = beta*1 by the tolerance rule)."""
 
     beta: float
     alpha: float
+    gamma: float
     root: RootOfMinusOne | None
-
-    @property
-    def gamma(self) -> float:
-        return float(np.sqrt(max(self.alpha ** 2 - self.beta ** 2, 0.0)))
 
 
 def cone_decompose(x: Element, G: InnerProduct,
                    tol: float | None = None) -> ConeDecomposition | None:
     """Split x = beta + gamma*s when the pair of G-identities holds, beta and
-    alpha^2 read off the traces (_g_identities).
+    alpha^2 read off the traces (_g_identities).  None signals x outside the
+    cone: alpha^2 - beta^2 = gamma^2 negative beyond tolerance against
+    alpha^2 + beta^2.
 
-    gamma^2 = alpha^2 - beta^2 cancels alpha^2 against beta^2, so x is real
-    when gamma^2 is within tolerance of 0 against alpha^2 + beta^2 (gamma is
-    then below about sqrt(tol) |x|, which the traces cannot resolve).  None
-    signals x outside the cone."""
+    x is real when x = beta*1 passes the tolerance rule, against ||x|| +
+    |beta| ||1||.  gamma is sqrt(||(x - beta)^2||), as (gamma s)^2 = -gamma^2:
+    sqrt(alpha^2 - beta^2) would cancel alpha^2 against beta^2, and leave a
+    gamma far below |x| with a relative error of about eps |x|^2 / gamma^2."""
     identities = _g_identities(x.algebra, x.coeffs, G, tol=tol)
     alpha_sq, _, ok = next(identities)
     if not ok:
@@ -227,13 +226,14 @@ def cone_decompose(x: Element, G: InnerProduct,
     if not ok:
         return None
     gamma_sq = alpha_sq - beta ** 2
-    alpha = float(np.sqrt(max(alpha_sq, 0.0)))
-    if within_tol(abs(gamma_sq), abs(alpha_sq) + beta ** 2, tol):
-        return ConeDecomposition(beta, alpha, None)
-    if gamma_sq < 0.0:
+    if gamma_sq < 0.0 and not within_tol(-gamma_sq, abs(alpha_sq) + beta ** 2, tol):
         return None
-    s = (x - beta * x.algebra.unit()) / float(np.sqrt(gamma_sq))
-    return ConeDecomposition(beta, alpha, RootOfMinusOne.measured(s))
+    im = x - beta * x.algebra.unit()
+    alpha = float(np.sqrt(max(alpha_sq, 0.0)))
+    gamma = float(np.sqrt((im * im).norm()))  # (gamma s)^2 = -gamma^2, and ||1|| = 1
+    if within_tol(im.norm(), x.norm() + abs(beta), tol):
+        return ConeDecomposition(beta, alpha, gamma, None)
+    return ConeDecomposition(beta, alpha, gamma, RootOfMinusOne.measured(im / gamma))
 
 
 # -- the quadratic equations for the distinguished variety -------------------

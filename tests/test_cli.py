@@ -82,14 +82,14 @@ def test_info_finds_no_zerodivisor_in_a_skewed_division_algebra(tmp_path, sig):
 def test_info_decides_associativity_once(monkeypatch, capsys):
     """make_algebra's residual is the one the info report gives: one check."""
     calls = []
-    residual = algebra_module.associativity_residual
+    defects = algebra_module._associativity_defects
 
     def counted(alg):
         calls.append(alg)
-        return residual(alg)
+        return defects(alg)
 
     for module in (algebra_module, cli):  # wherever a caller may look the name up
-        monkeypatch.setattr(module, "associativity_residual", counted, raising=False)
+        monkeypatch.setattr(module, "_associativity_defects", counted, raising=False)
     assert main(["info", "--algebra", "clifford 0 3"]) == 0
     assert json.loads(capsys.readouterr().out)["associativity_residual"] == 0.0
     assert len(calls) == 1
@@ -196,8 +196,8 @@ def test_verify_exit_codes(capsys):
 
 
 def test_nijenhuis_fails_a_trial_whose_tangency_check_fails(tmp_path, capsys):
-    """In Cl(2,2) with generators scaled by 2^(+-20) the tangent frame's x
-    or y can fail nijenhuis's tangency check: the trial fails (exit 1, not a
+    """In Cl(2,2) with generators scaled by 2^(+-20) the projected x or y
+    can fail nijenhuis's tangency check: the trial fails (exit 1, not a
     usage error) with the check's message as its input and no residual.
     --tol reaches that check: on Cl(2,1) at 2^(+-13) more trials pass at
     1e-3 than at 1e-9."""
@@ -289,7 +289,7 @@ def test_dims_counts_the_kernel_and_fails_a_wrong_trace(monkeypatch, p, q):
     def refuse(*args, **kwargs):
         raise AssertionError("dims built a tangent frame")
 
-    monkeypatch.setattr(cli, "tangent_frame", refuse)
+    monkeypatch.setattr(cli, "tangent_frame", refuse, raising=False)
     alg = clifford_algebra(p, q)
     assert run_suite("dims", alg, "x", trials=6, seed=0, tol=1e-9).pass_count == 6
     trace = cli.component_invariant
@@ -445,6 +445,46 @@ def test_run_suite_direct(quaternions):
     assert report.wall_time >= 0.0
     with pytest.raises(ValueError):
         run_suite("bogus", quaternions, "x", 1, 0, 1e-9)
+
+
+@pytest.mark.parametrize("p, q", [(0, 2), (1, 1), (2, 2)])
+def test_nijenhuis_draws_its_tangent_vectors_with_no_svd(monkeypatch, p, q):
+    """The suite projects random vectors by (1 + L_s R_s)/2 onto ker(L_s + R_s):
+    every trial passes, and no SVD runs (tangent_frame would take one)."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    report = run_suite("nijenhuis", clifford_algebra(p, q), "x", trials=20, seed=0, tol=1e-9)
+    assert report.passed and report.max_residual <= 1e-12
+    assert calls == []
+
+
+@pytest.mark.parametrize("basis_seed", [None, 0, 1, 2])
+def test_nijenhuis_keeps_a_zero_tangent_vector_zero(basis_seed):
+    """On C, built in or in the basis 1, 0.3 g_0 + (1 + 0.3 g_1) e1 (g standard
+    normal from default_rng(basis_seed)), ker F_s = {0} ((N + tr T_s)/2 = 0):
+    both tangent vectors are 0, not r + T_s r, rounding noise that scaled to
+    unit norm would fail the tangency check, and every trial passes."""
+    c = clifford_algebra(0, 1).structure_constants
+    if basis_seed is not None:
+        basis = np.eye(2) + 0.3 * np.random.default_rng(basis_seed).standard_normal((2, 2))
+        basis[:, 0] = [1.0, 0.0]
+        c = ref.rebased(c, basis)
+    report = run_suite("nijenhuis", make_algebra(c), "C", trials=50, seed=0, tol=1e-9)
+    assert report.pass_count == 50 and report.max_residual == 0.0
+
+
+def test_cone_on_the_complex_numbers_at_a_coarse_tol(capsys):
+    """cone_decompose calls x real only when x = beta*1 passes the tolerance
+    rule, not whenever gamma^2 does (gamma up to about sqrt(tol) |x|): on C
+    at --tol 1e-6 and seed 1 every trial passes, trial 63 included."""
+    assert main(["verify", "cone", "--algebra", "complex", "--tol", "1e-6", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass_count"] == 200
 
 
 def test_roots_scan_reports(tmp_path):

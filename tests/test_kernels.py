@@ -163,6 +163,30 @@ def test_flipped_sign_is_rejected():
         make_algebra(c)
 
 
+def test_quaternions_in_a_diagonal_basis_load():
+    """H in the basis 1, 1100 e1, 1300 e2, 700 e12 is exactly H: its largest
+    associator entry, about 1.2e-7, is rounding against products up to 1.7e6,
+    and the check compares it with their size, not with tol itself."""
+    H = clifford_algebra(0, 2)
+    c = ref.rebased(H.structure_constants, np.diag([1.0, 1100.0, 1300.0, 700.0]))
+    alg = make_algebra(c, labels=H.labels)
+    assert np.array_equal(alg.structure_constants, c)
+    assert alg.associativity_residual == associativity_residual(alg) > 1e-8
+
+
+@pytest.mark.parametrize("alg", [CLIFFORD[0, 6], CLIFFORD[3, 3], DENSE], ids=repr)
+def test_an_entry_off_by_a_millionth_is_rejected(alg):
+    """One structure constant off by 1e-6 of the largest: rejected at the
+    default tol, on the table path (the entry scaled) and on the dense one."""
+    c = alg.structure_constants.copy()
+    i, j = 5, 9
+    k = int(np.argmax(np.abs(c[i, j])))
+    c[i, j, k] += 1e-6 * np.abs(c).max()
+    assert (Algebra(c, 0, alg.labels)._product_table is None) == (alg is DENSE)
+    with pytest.raises(NonAssociativeError):
+        make_algebra(c, labels=alg.labels)
+
+
 @pytest.mark.parametrize("alg", [CLIFFORD[sig] for sig in SIGNATURES], ids=repr)
 def test_clifford_tables_are_associative(alg):
     assert associativity_residual(alg) == 0.0

@@ -495,6 +495,41 @@ def test_cone_decompose_quaternions(quaternions, rng):
             assert dec.root.residual <= 1e-7
 
 
+_CONE_ALGEBRAS = {name: clifford_algebra(*pq)
+                  for name, pq in (("C", (0, 1)), ("H", (0, 2)), ("Cl(0,3)", (0, 3)),
+                                   ("Cl(2,2)", (2, 2)))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(_CONE_ALGEBRAS)), log_ratio=st.floats(-12.0, 0.0),
+       tol=st.sampled_from([1e-9, 1e-6, 1e-3]), beta_sign=st.sampled_from([-1.0, 1.0]),
+       size=st.floats(0.01, 100.0), seed=st.integers(0, 2**32 - 1))
+@example(name="C", log_ratio=float(np.log10(3e-5 / np.hypot(2.0, 3e-5))), tol=1e-9,
+         beta_sign=1.0, size=float(np.hypot(2.0, 3e-5)), seed=1)  # 2 + 3e-5 s
+@example(name="C", log_ratio=float(np.log10(1e-5 / np.hypot(2.0, 1e-5))), tol=1e-9,
+         beta_sign=1.0, size=float(np.hypot(2.0, 1e-5)), seed=1)  # 2 + 1e-5 s
+def test_cone_calls_x_real_only_when_x_is_its_real_part(name, log_ratio, tol, beta_sign,
+                                                        size, seed):
+    """x = beta + gamma s with s from sample_S0 under the standard G (so
+    ||s|| = ||1|| = 1) and gamma / ||x|| = 10^log_ratio: cone_decompose either
+    calls x real, with x - beta*1 within tol, or returns a root that holds at
+    tol, with beta + gamma s within tol of x."""
+    alg = _CONE_ALGEBRAS[name]
+    G = _std(alg)
+    s = sample_S0(alg, G, np.random.default_rng(seed)).element
+    ratio = 10.0 ** log_ratio
+    x = beta_sign * size * np.sqrt(1.0 - ratio ** 2) * alg.unit() + size * ratio * s
+    dec = cone_decompose(x, G, tol)
+    assert dec is not None
+    real = dec.beta * alg.unit()
+    if dec.root is None:
+        assert within_tol((x - real).norm(), x.norm() + real.norm(), tol)
+    else:
+        assert dec.root.holds(tol)
+        rebuilt = real + dec.gamma * dec.root.element
+        assert within_tol((x - rebuilt).norm(), x.norm() + rebuilt.norm(), tol)
+
+
 def test_cone_cl03_constructed_and_generic(cl03, rng):
     G = _std(cl03)
     hits = 0
