@@ -6,7 +6,6 @@ from .algebra import (
     Element,
     algebra_from_dict,
     algebra_to_dict,
-    associativity_residual,
     clifford_algebra,
     dump_algebra,
     inverse,
@@ -77,11 +76,9 @@ from .slicefunctions import (
     stem_from_slice_poly,
 )
 from .orthogonal import (
-    CharacterizationReport,
     ConeDecomposition,
     InnerProduct,
     Z0Verdict,
-    adjoint,
     antisymmetric_subspace,
     cone_decompose,
     is_in_S0,

@@ -108,7 +108,7 @@ class Algebra:
 
     @property
     def associativity_residual(self) -> float:
-        """associativity_residual(self), from the check make_algebra ran."""
+        """Largest entry of (e_i e_j) e_k - e_i (e_j e_k), from make_algebra's check."""
         return self._associativity[0]
 
     @cached_property
@@ -260,11 +260,6 @@ def make_algebra(structure_constants,
         raise NonAssociativeError(f"associativity violation {relative:.3e} of the size of the "
                                   f"products compared (largest entry {absolute:.3e})")
     return algebra
-
-
-def associativity_residual(algebra: Algebra) -> float:
-    """Largest entry of (e_i e_j) e_k - e_i (e_j e_k) over the whole basis."""
-    return _associativity_defects(algebra)[0]
 
 
 def _ratio(gap: np.ndarray, size: np.ndarray) -> float:

@@ -224,25 +224,28 @@ def _suite_cone(alg, trials, rng, tol):
             beta, gam = rng.standard_normal(), abs(rng.standard_normal()) + 0.1
             x = beta * alg.unit() + gam * s.element
             dec = cone_decompose(x, G, tol)
-            if dec is None or dec.root is None:
+            if dec is None:
                 yield False, float("inf"), f"trial {t}: member not decomposed"
                 continue
-            residual = max(abs(dec.beta - beta),
-                           abs(dec.alpha - float(np.hypot(beta, gam))),
-                           (dec.root.element * dec.gamma - gam * s.element).norm())
-            # each difference pairs two parts of x = beta + gamma*s
-            size = 2.0 * (abs(beta) + gam * s.element.norm())
-            yield within_tol(residual, size, tol), residual, f"trial {t}"
+            if dec.root is not None:
+                residual = max(abs(dec.beta - beta),
+                               abs(dec.alpha - float(np.hypot(beta, gam))),
+                               (dec.root.element * dec.gamma - gam * s.element).norm())
+                # each difference pairs two parts of x = beta + gamma*s
+                size = 2.0 * (abs(beta) + gam * s.element.norm())
+                yield within_tol(residual, size, tol), residual, f"trial {t}"
+                continue
+            # real to cone_decompose (gamma*s within tol): beta*1 must rebuild x
         else:
             x = alg.random_element(rng)
             dec = cone_decompose(x, G, tol)
             if dec is None:
                 yield True, 0.0, f"trial {t}: outside cone"
                 continue
-            rebuilt = dec.beta * alg.unit() + (dec.gamma * dec.root.element
-                                               if dec.root else alg.zero())
-            residual = (x - rebuilt).norm()
-            yield within_tol(residual, x.norm() + rebuilt.norm(), tol), residual, f"trial {t}"
+        rebuilt = dec.beta * alg.unit() + (dec.gamma * dec.root.element
+                                           if dec.root else alg.zero())
+        residual = (x - rebuilt).norm()
+        yield within_tol(residual, x.norm() + rebuilt.norm(), tol), residual, f"trial {t}"
 
 
 def _suite_twistor(alg, trials, rng, tol):

@@ -90,13 +90,6 @@ def _scaled_for(G: InnerProduct, alg: Algebra) -> np.ndarray:
     return G.scaled
 
 
-def adjoint(L: np.ndarray, G: InnerProduct) -> np.ndarray:
-    """G^{-1} L^T G, the adjoint of L for <a, b> = a^T G b, by one solve."""
-    if L.shape != G.gram.shape:
-        raise DimensionMismatchError("operator and gram shapes differ")
-    return np.linalg.solve(G.scaled, L.T @ G.scaled)
-
-
 def _g_identities(alg: Algebra, v: np.ndarray, G: InnerProduct,
                   alpha_sq: float | None = None, beta: float | None = None,
                   tol: float | None = None):
@@ -179,16 +172,13 @@ def sample_S0(algebra: Algebra, G: InnerProduct,
     raise NotFoundError("no orthogonal root found in the antisymmetric subspace")
 
 
-CharacterizationReport = TraceReport  # the same rows, verdict and JSON
-
-
 def orthogonality_characterization(s: RootOfMinusOne, G: InnerProduct,
-                                   tol: float | None = None) -> CharacterizationReport:
+                                   tol: float | None = None) -> TraceReport:
     """<sa, sa> = <a, a> and <sa, a> = 0 under G_hat for every a: by
     polarization exactly L_s^T G_hat L_s = G_hat and L_s^T G_hat + G_hat L_s
     = 0, a row each; passes exactly when s is an orthogonal complex structure."""
     identities = _g_identities(s.algebra, s.element.coeffs, G, 1.0, 0.0, tol)
-    return CharacterizationReport(tuple(
+    return TraceReport(tuple(
         {"identity": name, "residual": residual, "pass": ok}
         for name, (_, residual, ok) in zip(("<sa,sa> = <a,a>", "<sa,a> = 0"), identities)))
 
@@ -262,10 +252,6 @@ class Z0Verdict:
     def agree(self) -> bool | None:
         wm = self.witness_member
         return None if wm is None else wm == self.residual_member
-
-    def to_json(self) -> dict:
-        return {"residual": self.residual, "residual_member": self.residual_member,
-                "witness_status": self.witness_status, "agree": self.agree}
 
 
 def z0_equivalence_check(w: ComplexElement, G: InnerProduct,

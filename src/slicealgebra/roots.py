@@ -162,17 +162,17 @@ def component_invariant(s: RootOfMinusOne) -> int:
                          @ alg.right_matrix_vec(s.element.coeffs))
 
 
-def _require_tangent(s: RootOfMinusOne, h: Element, tol: float | None) -> None:
-    s.element._require_same(h)
-    mul, sc, hc = s.algebra.multiply_vec, s.element.coeffs, h.coeffs
-    defect = vector_norm(mul(sc, hc) + mul(hc, sc))
+def _require_tangent(s: RootOfMinusOne, left: np.ndarray, h: Element, tol: float | None) -> None:
+    s.element._require_same(h)  # left is L_s: left @ h is s*h
+    hc = h.coeffs
+    defect = vector_norm(left @ hc + s.algebra.multiply_vec(hc, s.element.coeffs))
     if not within_tol(defect, 2.0 * s.element.norm() * h.norm(), tol):
         raise NotTangentError(f"anticommutator defect {defect:.3e}")
 
 
 def j_structure(s: RootOfMinusOne, h: Element, tol: float | None = None) -> Element:
     """The complex structure h -> s*h on the tangent space at s."""
-    _require_tangent(s, h, tol)
+    _require_tangent(s, s.algebra.left_matrix_vec(s.element.coeffs), h, tol)
     return s.element * h
 
 
@@ -182,11 +182,12 @@ def nijenhuis(s: RootOfMinusOne, x: Element, y: Element,
 
     Bracket expansion of N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] for
     constant fields; associativity of the algebra forces it to vanish.
+    L_s is gathered once, for both tangency checks and the tensor.
     """
-    _require_tangent(s, x, tol)
-    _require_tangent(s, y, tol)
     alg, xc, yc = s.algebra, x.coeffs, y.coeffs
     left, mul = alg.left_matrix_vec(s.element.coeffs), alg.multiply_vec
+    _require_tangent(s, left, x, tol)
+    _require_tangent(s, left, y, tol)
     # left @ v is s*v; the terms are summed left to right, as written above
     return Element(alg, left @ mul(yc, xc) - left @ mul(xc, yc)
                    + mul(left @ xc, yc) - mul(left @ yc, xc))
@@ -212,16 +213,13 @@ def minus_i_eigenspace(s: RootOfMinusOne) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TraceReport:
-    """Identity checks, a row each with its verdict (also CharacterizationReport)."""
+    """Identity checks, a row each with its verdict."""
 
     rows: tuple[dict, ...]
 
     @property
     def passed(self) -> bool:
         return all(row["pass"] for row in self.rows)
-
-    def to_json(self) -> list[dict]:
-        return [dict(row) for row in self.rows]
 
 
 def _signature_trace_formula(signature: tuple[int, int], s0: float, s_top: float) -> float:

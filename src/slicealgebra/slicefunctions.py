@@ -121,34 +121,19 @@ def alpha_beta(F: StemPolynomial, z: complex,
     return w.re, w.im
 
 
-def _slice_value(F: StemPolynomial, z: complex, s: RootOfMinusOne) -> np.ndarray:
-    # The induced function lives on the quotient by (z, s) ~ (conj z, -s);
-    # canonicalize to Im z >= 0 so non-intrinsic stems show their seam.
-    if z.imag < 0:
-        z = np.conj(z)
-        s_vec = -s.element.coeffs
-    else:
-        s_vec = s.element.coeffs
-    fz = F.evaluate_vector(z)
-    return fz.real + F.algebra.left_matrix_vec(s_vec) @ fz.imag
-
-
 def cauchy_riemann_residual(F: StemPolynomial, z: complex, s: RootOfMinusOne,
-                            h: float = 1e-5, *,
-                            check_intrinsic: bool = True,
-                            tol: float | None = None) -> float:
-    """Central-difference norm of (d/dx + L_s d/dy) f(x + sy), O(h^2) when
-    the stem is intrinsic.  The default step h = 1e-5 balances that
+                            h: float = 1e-5, *, tol: float | None = None) -> float:
+    """Central-difference norm of (d/dx + L_s d/dy) f(x + sy), O(h^2) for
+    the intrinsic stem it requires.  The default step h = 1e-5 balances that
     truncation error against the rounding eps / h of the differences."""
-    if check_intrinsic:
-        require_intrinsic(F, tol)
+    require_intrinsic(F, tol)
     if not h > 0:
         raise ValueError("step must be positive")
-    z = complex(z)
-    fx = (_slice_value(F, z + h, s) - _slice_value(F, z - h, s)) / (2.0 * h)
-    fy = (_slice_value(F, z + 1j * h, s) - _slice_value(F, z - 1j * h, s)) / (2.0 * h)
-    alg = F.algebra
-    return vector_norm(fx + alg.left_matrix_vec(s.element.coeffs) @ fy)
+    left = F.algebra.left_matrix_vec(s.element.coeffs)
+    w = np.array([F.evaluate_vector(complex(z) + d) for d in (h, -h, 1j * h, -1j * h)])
+    f = w.real + w.imag @ left.T  # eval_slice's coefficients a + s*b, a row each
+    fx, fy = (f[0] - f[1]) / (2.0 * h), (f[2] - f[3]) / (2.0 * h)
+    return vector_norm(fx + left @ fy)
 
 
 def eval_generalized(F: StemPolynomial, twist, z: complex,

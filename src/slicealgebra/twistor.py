@@ -11,7 +11,7 @@ a map to P(E + E) whose chart quotient recovers the slice function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .errors import (
 from .numerics import numerical_rank, projector_range, vector_norm
 from .roots import RootOfMinusOne, integer_trace, is_root
 from .slicefunctions import StemPolynomial, require_intrinsic
-from .zerovariety import ComplexElement
 
 
 @dataclass(frozen=True)
@@ -49,10 +48,6 @@ class ProjectivePoint:
         vec.setflags(write=False)
         object.__setattr__(self, "coords", vec)
 
-    @classmethod
-    def from_affine(cls, z: complex) -> "ProjectivePoint":
-        return cls(np.array([1.0, z], dtype=complex))
-
     def chordal_distance(self, other: "ProjectivePoint") -> float:
         a = self.coords / np.linalg.norm(self.coords)
         b = other.coords / np.linalg.norm(other.coords)
@@ -62,9 +57,6 @@ class ProjectivePoint:
         if abs(overlap) > 0:
             b = b * (np.conj(overlap) / abs(overlap))
         return float(np.linalg.norm(a - b))
-
-    def to_json(self) -> list[list[float]]:
-        return [[float(c.real), float(c.imag)] for c in self.coords]
 
     def __repr__(self) -> str:
         inside = ":".join(f"{c:.4g}" for c in self.coords)
@@ -78,6 +70,7 @@ class QuaternionFrame:
     algebra: Algebra
     i: Element
     j: Element
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)  # columns 1, I, J, K
 
     def __post_init__(self) -> None:
         if self.algebra.dimension != 4:
@@ -91,7 +84,7 @@ class QuaternionFrame:
                         self.j.coeffs, k.coeffs], axis=1)
         if numerical_rank(np.linalg.svd(mat, compute_uv=False)) < 4:
             raise FrameNotFoundError("frame vectors are linearly dependent")
-        object.__setattr__(self, "_matrix", mat)
+        object.__setattr__(self, "matrix", mat)
 
     @classmethod
     def detect(cls, algebra: Algebra) -> "QuaternionFrame":
@@ -113,14 +106,6 @@ class QuaternionFrame:
     @property
     def i_root(self) -> RootOfMinusOne:
         return RootOfMinusOne.measured(self.i)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self._matrix
-
-    def decompose(self, w: ComplexElement) -> np.ndarray:
-        """Complex coordinates of w in the {1, I, J, K} basis."""
-        return np.linalg.solve(self.matrix, w.as_vector())
 
 
 def _trace_free_frames(algebra: Algebra):
@@ -200,7 +185,7 @@ def rho1(p: ProjectivePoint, frame: QuaternionFrame) -> Element:
 
 def rho(z: complex, u: ProjectivePoint, frame: QuaternionFrame) -> Element:
     """rho(z, [u0:u1]) = rho1(segre1([1:z], u)), a point of the slice C_s."""
-    return rho1(segre1(ProjectivePoint.from_affine(z), u), frame)
+    return rho1(segre1(ProjectivePoint(np.array([1.0, z])), u), frame)
 
 
 def twistor_lift(F: StemPolynomial, z: complex, u: ProjectivePoint,
@@ -210,7 +195,7 @@ def twistor_lift(F: StemPolynomial, z: complex, u: ProjectivePoint,
     of [1 : F_0(z) : F_1(z) : F_2(z) : F_3(z)] with u."""
     require_intrinsic(F, tol)
     with np.errstate(over="ignore", invalid="ignore"):  # ProjectivePoint rejects inf and NaN
-        comps = frame.decompose(F.evaluate(z))
+        comps = np.linalg.solve(frame.matrix, F.evaluate_vector(z))  # in {1, I, J, K}
     cp4 = ProjectivePoint(np.concatenate([[1.0 + 0j], comps]))
     return delta1(segre2(cp4, u))
 

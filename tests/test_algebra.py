@@ -23,7 +23,6 @@ from slicealgebra import (
     ZeroDivisorError,
     algebra_from_dict,
     algebra_to_dict,
-    associativity_residual,
     clifford_algebra,
     dump_algebra,
     inverse,
@@ -98,7 +97,7 @@ def test_clifford_basis_layout():
     assert alg.labels[-1] == "e123"  # pseudoscalar last
     assert alg.labels[1:4] == ("e1", "e2", "e3")
     assert alg.signature == (1, 2)
-    assert associativity_residual(alg) == 0.0
+    assert alg.associativity_residual == 0.0
 
 
 def test_clifford_generator_squares():

@@ -1,12 +1,14 @@
 """Command line driver: exit codes, report schemas, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -485,6 +487,85 @@ def test_cone_on_the_complex_numbers_at_a_coarse_tol(capsys):
     at --tol 1e-6 and seed 1 every trial passes, trial 63 included."""
     assert main(["verify", "cone", "--algebra", "complex", "--tol", "1e-6", "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["pass_count"] == 200
+
+
+@pytest.mark.parametrize("algebra", ["complex", "quaternions"])
+def test_cone_rebuilds_a_member_it_calls_real(monkeypatch, algebra):
+    """A member x = beta + gamma*s, gamma = |N(0,1)| + 0.1, is real to
+    cone_decompose at --tol 0.1 when gamma*s passes the tolerance rule
+    against ||x|| + |beta|.  beta*1 then rebuilds x, and every trial passes
+    at seeds 0 and 1.  A real verdict whose beta is off by 1 fails each
+    trial it is given, members (the even trials) among them."""
+    for seed in (0, 1):
+        assert main(["verify", "cone", "--algebra", algebra, "--tol", "0.1",
+                     "--seed", str(seed), "--json", os.devnull]) == 0
+    decompose, calls, real = cli.cone_decompose, [], []
+
+    def off_by_one(x, G, tol):  # one call a trial, in trial order
+        dec = decompose(x, G, tol)
+        calls.append(dec)
+        if dec is None or dec.root is not None:
+            return dec
+        real.append(f"trial {len(calls) - 1}")
+        return dataclasses.replace(dec, beta=dec.beta + 1.0)
+
+    monkeypatch.setattr(cli, "cone_decompose", off_by_one)
+    for seed in (0, 1):
+        real.clear()
+        calls.clear()
+        report = run_suite("cone", resolve_algebra(algebra)[1], algebra, 200, seed, 0.1)
+        assert [f["input"] for f in report.failures] == real
+        assert any(int(t.split()[1]) % 2 == 0 for t in real)
+
+
+_POLICY_ALGEBRAS = ("reals", "complex", "quaternions", "clifford 1 1", "clifford 0 3",
+                    "clifford 2 2")
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra=st.sampled_from(_POLICY_ALGEBRAS), command=st.sampled_from(SUITES + ("roots",)),
+       seed=st.integers(0, 2**32 - 1), log_tol=st.floats(-8.0, -1.0), data=st.data())
+def test_any_tol_gives_a_verdict_or_not_applicable(tmp_path_factory, algebra, command, seed,
+                                                   log_tol, data):
+    """The tolerance rule at any --tol in [1e-8, 1e-1], log-uniform: `verify`
+    on every suite and `roots` on a random stem of degree <= 4 over a random
+    region, with or without --target, exit 0 or 2 (not applicable), write
+    strict JSON (no NaN or Infinity) when they exit 0, and raise no
+    RuntimeWarning.  `roots` on R, which has no root of -1, is an error."""
+    argv = ["--algebra", algebra, "--seed", str(seed), "--tol", repr(10.0 ** log_tol)]
+    if command == "roots":
+        n = resolve_algebra(algebra)[1].dimension
+        rng = np.random.default_rng(seed)
+        degree = data.draw(st.integers(0, 4), label="degree")
+        path = tmp_path_factory.mktemp("policy") / "poly.json"
+        argv = ["roots", _write_poly(path, rng.standard_normal((degree + 1, n)).tolist()),
+                *argv]
+        x0, y0 = (data.draw(st.floats(-4.0, 4.0), label=f"{v}0") for v in "xy")
+        x1, y1 = (data.draw(st.floats(0.1, 4.0), label=f"{v}-width") + v0
+                  for v, v0 in (("x", x0), ("y", y0)))
+        argv.append(f"--region={x0!r},{x1!r},{y0!r},{y1!r}")
+        if data.draw(st.booleans(), label="target"):
+            argv.append("--target=" + ",".join(map(repr, rng.standard_normal(n).tolist())))
+    else:
+        argv = ["verify", command, *argv, "--trials", "10"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 0:
+        _strict_json(out.getvalue())
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith(("not applicable", "error:"))
 
 
 def test_roots_scan_reports(tmp_path):

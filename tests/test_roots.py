@@ -570,7 +570,7 @@ def test_trace_signature_formula_all_signatures(rng):
         for _ in range(25):
             s = sample_root(seed, rng)
             report = verify_trace_identities(s)
-            assert report.passed, (p, q, report.to_json())
+            assert report.passed, (p, q, report.rows)
 
 
 def test_pseudoscalar_component_of_cl30():

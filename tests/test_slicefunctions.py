@@ -232,19 +232,12 @@ def test_cauchy_riemann_intrinsic_orders(quaternions, rng):
 
 
 def test_cauchy_riemann_flags_seam(quaternions):
-    """Non-intrinsic stems blow up at the real axis: the y-difference
-    straddles the identification (z, s) ~ (conj z, -s)."""
+    """A non-intrinsic stem induces no function on the quotient by
+    (z, s) ~ (conj z, -s), so the residual refuses it."""
     bad = _seam_stem(quaternions)
     i = _root(quaternions, oq.I)
     with pytest.raises(NotIntrinsicError):
         cauchy_riemann_residual(bad, 0.5, i)
-    h = 1e-4
-    r = cauchy_riemann_residual(bad, 0.5, i, h=h, check_intrinsic=False)
-    assert abs(r - 1.0 / h) <= 1e-6 / h
-    # away from the axis the same constant stem is flat
-    off = cauchy_riemann_residual(bad, 0.5 + 1.0j, i, h=h,
-                                  check_intrinsic=False)
-    assert off <= 1e-10
 
 
 def test_twist_identity_matches_plain(quaternions, rng):

@@ -18,9 +18,10 @@ and 4, and the degree-4 one times 1e-200, each over the regions +-2,
 range.  Runs `slicealg roots` on H for x^2 + 1 with --target=1e300,0,0,0
 and with --target=1e308,0,0,0, and for -1e308 + x^2, over the same three
 regions: 9 runs, whose terms overflow unless the scan scales them.  Runs
-every suite on C and H at --tol 1e-6, seeds 0 and 1, with 200 trials: 32
-runs, whose verdicts follow the tolerance rule at a tol other than the
-default.  377 runs in all, on the package in this checkout's src/, from
+every suite on C and H at --tol 1e-6 and at --tol 1e-1, seeds 0 and 1, with
+200 trials: 64 runs, whose verdicts follow the tolerance rule at a tol other
+than the default (at 1e-1 a cone member can be real to the tolerance).  409
+runs in all, on the package in this checkout's src/, from
 OUT_DIR as the working directory (so a rotated algebra's report names it
 by its file name alone).  Each JSON report
 goes to OUT_DIR/<suite>_<algebra>_seed<S>.json or
@@ -73,7 +74,7 @@ LIMIT_RUNS = (("x2+1", [1.0, 0.0, 1.0], "1e300"), ("x2+1", [1.0, 0.0, 1.0], "1e3
               ("-1e308+x2", [-1e308, 0.0, 1.0], None))
 # every suite at a tol other than the default
 TOL_ALGEBRAS = {"C": "complex", "H": "quaternions"}
-TOL, TOL_SEEDS = "1e-6", (0, 1)
+TOLS, TOL_SEEDS = ("1e-6", "1e-1"), (0, 1)
 
 
 def _stems(name: str) -> dict[str, list[list[float]]]:
@@ -130,12 +131,13 @@ def write_report_set(out_dir: Path) -> tuple[dict[str, int], dict[str, list[str]
                 runs[stem] = _run(["verify", suite, "--algebra", spec, "--seed", str(seed),
                                    "--trials", str(trials),
                                    "--json", str(out_dir / f"{stem}.json")])
-    for suite in SUITES:
-        for name, spec in TOL_ALGEBRAS.items():
-            for seed in TOL_SEEDS:
-                stem = f"{suite}_{name}_tol{TOL}_seed{seed}"
-                runs[stem] = _run(["verify", suite, "--algebra", spec, "--seed", str(seed),
-                                   "--tol", TOL, "--json", str(out_dir / f"{stem}.json")])
+    for tol in TOLS:
+        for suite in SUITES:
+            for name, spec in TOL_ALGEBRAS.items():
+                for seed in TOL_SEEDS:
+                    stem = f"{suite}_{name}_tol{tol}_seed{seed}"
+                    runs[stem] = _run(["verify", suite, "--algebra", spec, "--seed", str(seed),
+                                       "--tol", tol, "--json", str(out_dir / f"{stem}.json")])
     for name, (spec, _) in algebras.items():
         for seed in SEEDS:
             stem = f"info_{name}_seed{seed}"
