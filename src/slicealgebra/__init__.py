@@ -45,11 +45,20 @@ from .roots import (
     minus_i_eigenspace,
     negate_root,
     nijenhuis,
-    root_residual,
     sample_root,
     sigma_involution,
     tangent_frame,
     verify_trace_identities,
+)
+from .slicefunctions import (
+    StemPolynomial,
+    alpha_beta,
+    cauchy_riemann_residual,
+    eval_generalized,
+    eval_slice,
+    intrinsic_defect,
+    is_intrinsic,
+    stem_from_slice_poly,
 )
 from .zerovariety import (
     ComplexElement,
@@ -64,16 +73,6 @@ from .zerovariety import (
     right_absorption,
     tau_involution,
     zero_variety_witness,
-)
-from .slicefunctions import (
-    StemPolynomial,
-    alpha_beta,
-    cauchy_riemann_residual,
-    eval_generalized,
-    eval_slice,
-    intrinsic_defect,
-    is_intrinsic,
-    stem_from_slice_poly,
 )
 from .orthogonal import (
     ConeDecomposition,

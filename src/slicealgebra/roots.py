@@ -27,8 +27,9 @@ class RootOfMinusOne:
 
     @classmethod
     def measured(cls, element: Element) -> "RootOfMinusOne":
-        """element with its defect, whether or not it is a root."""
-        return cls(element, root_residual(element))
+        """element with its defect ||element*element + 1||, whether or not it is a root."""
+        alg, v = element.algebra, element.coeffs
+        return cls(element, vector_norm(alg.multiply_vec(v, v) + alg.unit_vector))
 
     @classmethod
     def from_element(cls, element: Element, tol: float | None = None) -> "RootOfMinusOne":
@@ -44,10 +45,6 @@ class RootOfMinusOne:
     def holds(self, tol: float | None = None) -> bool:
         """residual <= tol * (1 + ||s||)^2, the size of the terms s*s and 1."""
         return bool(within_tol(self.residual, (1.0 + self.element.norm()) ** 2, tol))
-
-
-def root_residual(a: Element) -> float:
-    return vector_norm(a.algebra.multiply_vec(a.coeffs, a.coeffs) + a.algebra.unit_vector)
 
 
 def is_root(a: Element, tol: float | None = None) -> bool:
@@ -172,8 +169,9 @@ def _require_tangent(s: RootOfMinusOne, left: np.ndarray, h: Element, tol: float
 
 def j_structure(s: RootOfMinusOne, h: Element, tol: float | None = None) -> Element:
     """The complex structure h -> s*h on the tangent space at s."""
-    _require_tangent(s, s.algebra.left_matrix_vec(s.element.coeffs), h, tol)
-    return s.element * h
+    left = s.algebra.left_matrix_vec(s.element.coeffs)
+    _require_tangent(s, left, h, tol)
+    return Element(s.algebra, left @ h.coeffs)  # s*h
 
 
 def nijenhuis(s: RootOfMinusOne, x: Element, y: Element,

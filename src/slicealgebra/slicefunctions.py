@@ -15,10 +15,9 @@ import numpy as np
 
 from .algebra import Algebra, Element
 from .config import within_tol
-from .errors import InvalidTwistError, NotIntrinsicError
+from .errors import DimensionMismatchError, InvalidTwistError, NotIntrinsicError
 from .numerics import vector_norm
 from .roots import RootOfMinusOne
-from .zerovariety import ComplexElement, pi_tensor_eval
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,6 @@ class StemPolynomial:
             size = size * abs(z) + norm
         return size
 
-    def evaluate(self, z: complex) -> ComplexElement:
-        return ComplexElement.from_vector(self.algebra, self.evaluate_vector(z))
-
     def evaluate_many(self, zz: np.ndarray) -> np.ndarray:
         zz = np.asarray(zz, dtype=complex)
         acc = np.broadcast_to(self.coeff_matrix[-1], zz.shape + (self.algebra.dimension,)).copy()
@@ -107,9 +103,12 @@ def require_intrinsic(F: StemPolynomial, tol: float | None = None) -> None:
 
 def eval_slice(F: StemPolynomial, z: complex, s: RootOfMinusOne,
                tol: float | None = None) -> Element:
-    """f(pi(z, s)) = pi(F(z), s) for the induced slice function."""
+    """f(pi(z, s)) = pi(F(z), s) for the induced slice function.  A root
+    from an algebra incompatible with F's raises DimensionMismatchError."""
     require_intrinsic(F, tol)
-    w = F.evaluate_vector(z)  # pi_tensor_eval on coefficients: a + s*b
+    if not F.algebra.compatible(s.algebra):
+        raise DimensionMismatchError("root and stem from incompatible algebras")
+    w = F.evaluate_vector(z)  # pi(F(z), s) on coefficients: a + s*b
     return Element(F.algebra, w.real + s.algebra.multiply_vec(s.element.coeffs, w.imag.copy()))
 
 
@@ -117,8 +116,8 @@ def alpha_beta(F: StemPolynomial, z: complex,
                tol: float | None = None) -> tuple[Element, Element]:
     """The decomposition f(x + sy) = alpha(z) + s beta(z)."""
     require_intrinsic(F, tol)
-    w = F.evaluate(z)
-    return w.re, w.im
+    w = F.evaluate_vector(z)
+    return F.algebra.element(w.real), F.algebra.element(w.imag)
 
 
 def cauchy_riemann_residual(F: StemPolynomial, z: complex, s: RootOfMinusOne,
@@ -146,4 +145,4 @@ def eval_generalized(F: StemPolynomial, twist, z: complex,
     root = RootOfMinusOne.measured(twist(z, s))
     if not root.holds(tol):
         raise InvalidTwistError(f"twist output has residual {root.residual:.3e}")
-    return pi_tensor_eval(F.evaluate(z), root)
+    return eval_slice(F, z, root, tol)

@@ -208,24 +208,20 @@ def fiber_embed(u: RootOfMinusOne, a: Element) -> np.ndarray:
     return a.coeffs - 1j * u.algebra.multiply_vec(u.element.coeffs, a.coeffs)
 
 
-def _fiber_projector(u: RootOfMinusOne, s: RootOfMinusOne):
-    """(1 - R_s L_u)/2, onto {c : u c = c s}, the (-1)-eigenspace of the
-    involution R_s L_u; its rank (N - tr R_s L_u)/2; and L_u."""
-    alg = u.algebra
-    left = alg.left_matrix_vec(u.element.coeffs)
-    op = alg.right_matrix_vec(s.element.coeffs) @ left
-    return 0.5 * (np.eye(alg.dimension) - op), (alg.dimension - integer_trace(op)) // 2, left
-
-
 def stereographic_fiber(u: RootOfMinusOne, s: RootOfMinusOne) -> np.ndarray:
     """The fiber over s of the bundle carried by (A, L_u), embedded C-linearly.
 
     The real solution space B of u c = c s is L_u-closed, so its chart
     image B - i (L_u B) is a complex subspace of half the real dimension:
     the range of (1 - i L_u)/2 (the +i-eigenspace of L_u, which commutes
-    with R_s L_u) times the fiber projector, found by one projector_range.
+    with R_s L_u) times the fiber projector (1 - R_s L_u)/2, onto B, the
+    (-1)-eigenspace of the involution R_s L_u, of rank (N - tr R_s L_u)/2;
+    the range is found by one projector_range.
     """
-    proj, rank, left = _fiber_projector(u, s)
+    alg = u.algebra
+    left = alg.left_matrix_vec(u.element.coeffs)
+    op = alg.right_matrix_vec(s.element.coeffs) @ left
+    proj, rank = 0.5 * (np.eye(alg.dimension) - op), (alg.dimension - integer_trace(op)) // 2
     chart = 0.5 * (proj - 1j * (left @ proj))  # (1 - i L_u)/2 times proj
     return projector_range(chart, rank // 2)
 

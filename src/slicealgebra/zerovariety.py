@@ -30,6 +30,7 @@ from .roots import (
     negate_root,
     sample_root,  # noqa: F401 - unused; bench/tests checks the tracer rebinds it here
 )
+from .slicefunctions import StemPolynomial, require_intrinsic
 
 
 @dataclass(frozen=True)
@@ -368,7 +369,7 @@ def _cluster_means(zs: np.ndarray, mats: np.ndarray, rank: int, rungs: np.ndarra
     return np.array(means, dtype=complex), np.array(spreads)
 
 
-def discrete_zero_scan(stem, region, target: Element | None = None,
+def discrete_zero_scan(stem: StemPolynomial, region, target: Element | None = None,
                        rng: np.random.Generator | None = None,
                        tol: float | None = None) -> list[ZeroScanHit]:
     """Solutions of pi(F(z), s) = target over a conjugation-symmetric rectangle.
@@ -386,8 +387,6 @@ def discrete_zero_scan(stem, region, target: Element | None = None,
     Raises SliceAlgebraError when that size is not finite at a z, and "zero
     set is not discrete" when F equals target, or when R(z) is singular at
     every z and F(_PROBE) = target has a solution."""
-    from .slicefunctions import StemPolynomial, require_intrinsic
-
     require_intrinsic(stem, tol)
     alg = stem.algebra
     x0, x1, y0, y1 = (float(v) for v in region)

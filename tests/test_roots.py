@@ -1,6 +1,8 @@
 """The locus of square roots of -1: seeds, sampling, tangent geometry,
 trace identities and the complexified eigenspace."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -28,7 +30,6 @@ from slicealgebra import (
     nijenhuis,
     pi_tensor_eval,
     right_divide,
-    root_residual,
     sample_root,
     sigma_involution,
     tangent_frame,
@@ -37,6 +38,7 @@ from slicealgebra import (
 from slicealgebra import numerics, orthogonal, roots
 from slicealgebra.algebra import Element
 from slicealgebra.config import within_tol
+from slicealgebra.numerics import vector_norm
 
 SIGNATURES = [(0, 1), (0, 2), (2, 0), (1, 1), (0, 3), (3, 0), (1, 2), (2, 1), (0, 4)]
 
@@ -44,6 +46,11 @@ SIGNATURES = [(0, 1), (0, 2), (2, 0), (1, 1), (0, 3), (3, 0), (1, 2), (2, 1), (0
 def _tangent(alg, basis, rng):
     """A random tangent vector: the frame's columns times standard normals."""
     return Element(alg, basis @ rng.standard_normal(basis.shape[1]))
+
+
+def _defect(a):
+    """||a*a + 1||, a root's residual, on coefficient arrays."""
+    return vector_norm(a.algebra.multiply_vec(a.coeffs, a.coeffs) + a.algebra.unit_vector)
 
 
 def test_is_root_basic(quaternions):
@@ -189,10 +196,10 @@ def test_conjugation_and_sampling_stay_in_locus(cl03, rng):
     seed = find_seed_root(cl03)
     for _ in range(50):
         s = sample_root(seed, rng)
-        assert root_residual(s.element) <= 1e-9
+        assert RootOfMinusOne.measured(s.element).residual == _defect(s.element) <= 1e-9
         y = cl03.random_element(rng)
         conj = conjugate_root(y, s)
-        assert root_residual(conj.element) <= 1e-8
+        assert RootOfMinusOne.measured(conj.element).residual <= 1e-8
         assert component_invariant(conj) == component_invariant(s)
 
 
@@ -250,7 +257,8 @@ def _element_polish(s):
 def test_array_root_path_gives_the_element_bits(name):
     """sample_root is exactly the newton_schulz polish of conjugate_root(y,
     seed).element for the first y that a replayed rng accepts; that conjugate
-    and polish are exactly their Element expansions, and so is nijenhuis."""
+    and polish are exactly their Element expansions, and so are nijenhuis
+    and j_structure, each from one gather of L_s."""
     alg = EXACT_ALGEBRAS[name]()
     seed = find_seed_root(alg)
     rng, replay, tangents = (np.random.default_rng(k) for k in (11, 11, 12))
@@ -268,17 +276,22 @@ def test_array_root_path_gives_the_element_bits(name):
                 if want.holds():
                     break
         assert np.array_equal(s.element.coeffs, want.element.coeffs)
-        assert s.residual == want.residual == root_residual(want.element)
+        assert s.residual == want.residual == _defect(want.element)
         assert np.array_equal(conj.element.coeffs, right_divide(y * seed.element, y).coeffs)
         assert np.array_equal(want.element.coeffs, _element_polish(conj.element).coeffs)
-        assert root_residual(s.element) == (s.element * s.element + alg.unit()).norm()
+        measured = RootOfMinusOne.measured(s.element).residual
+        assert measured == _defect(s.element) == (s.element * s.element + alg.unit()).norm()
 
         basis = tangent_frame(s)
         x, y = _tangent(alg, basis, tangents), _tangent(alg, basis, tangents)
         se = s.element
         expansion = se * (y * x) - se * (x * y) + (se * x) * y - (se * y) * x
-        assert np.array_equal(nijenhuis(s, x, y).coeffs, expansion.coeffs)
-        assert np.array_equal(j_structure(s, x).coeffs, (se * x).coeffs)
+        for call, bits in ((lambda: nijenhuis(s, x, y), expansion),
+                           (lambda: j_structure(s, x), se * x)):
+            with mock.patch.object(alg, "left_matrix_vec", wraps=alg.left_matrix_vec) as gather:
+                got = call()
+            assert sum(np.array_equal(c.args[0], se.coeffs) for c in gather.call_args_list) == 1
+            assert np.array_equal(got.coeffs, bits.coeffs)
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 2), (0, 6)])
@@ -382,8 +395,8 @@ def test_polish_root_needs_no_lapack(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", refuse)
     out = Element(alg, numerics.newton_schulz(alg, start.coeffs)[0])
     floor = 4.0 * np.finfo(float).eps * alg.dimension * (1.0 + out.norm()) ** 2
-    assert root_residual(start) > 1e3 * floor
-    assert root_residual(out) <= floor
+    assert RootOfMinusOne.measured(start).residual > 1e3 * floor
+    assert RootOfMinusOne.measured(out).residual <= floor
 
 
 def test_every_polish_is_the_one_newton_schulz(monkeypatch):

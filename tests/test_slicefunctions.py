@@ -9,12 +9,14 @@ from hypothesis.extra import numpy as hnp
 import oracle_quaternion as oq
 from conftest import elements_close
 from slicealgebra import (
+    DimensionMismatchError,
     InvalidTwistError,
     NotIntrinsicError,
     RootOfMinusOne,
     StemPolynomial,
     alpha_beta,
     cauchy_riemann_residual,
+    clifford_algebra,
     eval_generalized,
     eval_slice,
     find_seed_root,
@@ -240,10 +242,13 @@ def test_cauchy_riemann_flags_seam(quaternions):
         cauchy_riemann_residual(bad, 0.5, i)
 
 
-def test_twist_identity_matches_plain(quaternions, rng):
-    stem = stem_from_slice_poly([quaternions.random_element(rng)
-                                 for _ in range(4)])
-    seed = find_seed_root(quaternions)
+@pytest.mark.parametrize("p, q", [(0, 2), (0, 3), (2, 2)], ids=["H", "Cl(0,3)", "Cl(2,2)"])
+def test_twist_identity_matches_plain(p, q, rng):
+    """The identity twist gives eval_slice's bits, and alpha_beta gives the
+    real and imaginary parts of F(z), bit for bit."""
+    alg = clifford_algebra(p, q)
+    stem = stem_from_slice_poly([alg.random_element(rng) for _ in range(4)])
+    seed = find_seed_root(alg)
     def twist(z, s):
         return s.element
 
@@ -252,7 +257,10 @@ def test_twist_identity_matches_plain(quaternions, rng):
         z = complex(rng.standard_normal(), rng.standard_normal())
         a = eval_generalized(stem, twist, z, s)
         b = eval_slice(stem, z, s)
-        assert (a - b).norm() <= 1e-12 * (1 + b.norm())
+        assert np.array_equal(a.coeffs, b.coeffs)
+        w = stem.evaluate_vector(z)
+        al, be = alpha_beta(stem, z)
+        assert np.array_equal(al.coeffs, w.real) and np.array_equal(be.coeffs, w.imag)
 
 
 def test_twist_conjugation_pinned(quaternions):
@@ -275,7 +283,7 @@ def test_twist_conjugation_pinned(quaternions):
     assert eval_generalized(square_plus_one, twist, 1j, i).norm() <= 1e-12
 
 
-def test_twist_callback_and_rejection(quaternions, rng):
+def test_twist_callback_and_rejection(quaternions, cl11, rng):
     j = _root(quaternions, oq.J)
     swap = lambda z, s: j.element
     stem = stem_from_slice_poly([quaternions.random_element(rng)
@@ -288,6 +296,13 @@ def test_twist_callback_and_rejection(quaternions, rng):
     broken = lambda z, s: quaternions.scalar(0.5)
     with pytest.raises(InvalidTwistError):
         eval_generalized(stem, broken, z, i)
+
+    # a root of Cl(1,1), of the same dimension as H, is no root for H's stem
+    foreign = find_seed_root(cl11)
+    with pytest.raises(DimensionMismatchError):
+        eval_generalized(stem, lambda z, s: foreign.element, z, i)
+    with pytest.raises(DimensionMismatchError):
+        eval_slice(stem, z, foreign)
 
 
 def test_stem_coefficients_round_trip(quaternions, rng):

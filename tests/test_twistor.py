@@ -14,6 +14,7 @@ from conftest import elements_close, points_close
 from slicealgebra import (
     BadSectionError,
     BasePointAtInfinityError,
+    ComplexElement,
     DegenerateImageError,
     Element,
     FrameNotFoundError,
@@ -51,7 +52,7 @@ from slicealgebra import (
 )
 from slicealgebra.config import within_tol
 from slicealgebra.numerics import projector_range
-from slicealgebra.twistor import _fiber_projector
+from slicealgebra.roots import integer_trace
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +65,12 @@ def _cp(vals):
 
 
 def _fiber_basis(u, s):
-    """Orthonormal columns spanning {c : u c = c s}, the fiber projector's range."""
-    return projector_range(*_fiber_projector(u, s)[:2])
+    """Orthonormal columns spanning {c : u c = c s}: the range of (1 - R_s L_u)/2,
+    the (-1)-eigenspace of the involution R_s L_u, of rank (N - tr R_s L_u)/2."""
+    alg = u.algebra
+    op = alg.right_matrix_vec(s.element.coeffs) @ alg.left_matrix_vec(u.element.coeffs)
+    return projector_range(0.5 * (np.eye(alg.dimension) - op),
+                           (alg.dimension - integer_trace(op)) // 2)
 
 
 def test_projective_point_normalization(quaternions, frame):
@@ -516,7 +521,7 @@ def test_bundle_array_path_gives_the_element_bits(name):
         point = generalized_twistor(stem, standard_section(u), z, s, u)
 
         c = alg.unit() - ue * s.element
-        w = stem.evaluate(z)
+        w = ComplexElement.from_vector(alg, stem.evaluate_vector(z))
         image = c * w.re + ue * (c * w.im)
         chart = [v.coeffs - 1j * (ue * v).coeffs for v in (c, image)]
         assert np.array_equal(fiber_embed(u, c), chart[0])
