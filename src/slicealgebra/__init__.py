@@ -5,7 +5,6 @@ from .algebra import (
     Algebra,
     Element,
     algebra_from_dict,
-    algebra_to_dict,
     clifford_algebra,
     dump_algebra,
     inverse,
@@ -43,7 +42,6 @@ from .roots import (
     is_root,
     j_structure,
     minus_i_eigenspace,
-    negate_root,
     nijenhuis,
     sample_root,
     sigma_involution,

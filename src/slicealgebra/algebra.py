@@ -427,16 +427,6 @@ def _json_plane(plane: np.ndarray) -> list:
     return [[int(v) if v.is_integer() else v for v in row] for row in plane.tolist()]
 
 
-def algebra_to_dict(algebra: Algebra) -> dict:
-    """The JSON object of an algebra; integer-valued entries are written as ints."""
-    return {
-        "dimension": algebra.dimension,
-        "unit_index": algebra.unit_index,
-        "labels": list(algebra.labels),
-        "structure_constants": [_json_plane(plane) for plane in algebra.structure_constants],
-    }
-
-
 def json_numbers(value) -> np.ndarray:
     """A JSON number or nested list of numbers as a float array.  Nothing is
     coerced: TypeError when some leaf is a boolean, a string or no number."""
@@ -465,8 +455,9 @@ def algebra_from_dict(data: dict, tol: float | None = None) -> Algebra:
 
 
 def dump_algebra(algebra: Algebra, path: str) -> None:
-    """json.dumps(algebra_to_dict(algebra), sort_keys=True) + "\n", written
-    one plane c[i] at a time, in O(N^2) memory."""
+    """One JSON object and a newline, as json.dumps(sort_keys=True) spaces it:
+    "dimension", "labels", "structure_constants" (c[i][j][k], integer-valued
+    entries as ints) and "unit_index".  Written one plane c[i] at a time."""
     head = json.dumps({"dimension": algebra.dimension, "labels": list(algebra.labels)})
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(head[:-1] + ', "structure_constants": [')  # the keys in sorted order

@@ -318,6 +318,8 @@ def run_suite(suite: str, algebra: Algebra, algebra_id: str,
               trials: int, seed: int, tol: float) -> SuiteReport:
     if suite not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {suite!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
     max_residual = 0.0

@@ -245,12 +245,9 @@ class Z0Verdict:
     witness: ZeroWitness | None = None
 
     @property
-    def witness_member(self) -> bool | None:
-        return {"found": True, "absent": False}.get(self.witness_status)
-
-    @property
     def agree(self) -> bool | None:
-        wm = self.witness_member
+        """Found or absent matches residual_member; None when inconclusive."""
+        wm = {"found": True, "absent": False}.get(self.witness_status)
         return None if wm is None else wm == self.residual_member
 
 

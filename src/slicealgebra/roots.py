@@ -51,13 +51,9 @@ def is_root(a: Element, tol: float | None = None) -> bool:
     return RootOfMinusOne.measured(a).holds(tol)
 
 
-def negate_root(s: RootOfMinusOne) -> RootOfMinusOne:
-    return RootOfMinusOne(-s.element, s.residual)
-
-
 def sigma_involution(z: complex, s: RootOfMinusOne) -> tuple[complex, RootOfMinusOne]:
     """The slice-domain involution (z, s) -> (conj z, -s)."""
-    return complex(z).conjugate(), negate_root(s)
+    return complex(z).conjugate(), RootOfMinusOne(-s.element, s.residual)
 
 
 # -- seed search -------------------------------------------------------------

@@ -100,10 +100,6 @@ class QuaternionFrame:
         raise FrameNotFoundError("no quaternion frame in this basis")
 
     @property
-    def k(self) -> Element:
-        return self.i * self.j
-
-    @property
     def i_root(self) -> RootOfMinusOne:
         return RootOfMinusOne.measured(self.i)
 

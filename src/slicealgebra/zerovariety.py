@@ -27,7 +27,6 @@ from .numerics import affine_square_root, numerical_rank, svd_rank, vector_norm
 from .roots import (
     RootOfMinusOne,
     find_seed_root,
-    negate_root,
     sample_root,  # noqa: F401 - unused; bench/tests checks the tracer rebinds it here
 )
 from .slicefunctions import StemPolynomial, require_intrinsic
@@ -49,10 +48,6 @@ class ComplexElement:
         return self.re.algebra
 
     @classmethod
-    def zero(cls, algebra: Algebra) -> "ComplexElement":
-        return cls(algebra.zero(), algebra.zero())
-
-    @classmethod
     def from_vector(cls, algebra: Algebra, vec: np.ndarray) -> "ComplexElement":
         v = np.asarray(vec)
         return cls(algebra.element(v.real.astype(float)),
@@ -67,25 +62,9 @@ class ComplexElement:
     def norm(self) -> float:
         return float(np.hypot(self.re.norm(), self.im.norm()))
 
-    def __add__(self, other: "ComplexElement") -> "ComplexElement":
-        return ComplexElement(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexElement") -> "ComplexElement":
-        return ComplexElement(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "ComplexElement":
-        return ComplexElement(-self.re, -self.im)
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexElement):
-            a, b, c, d = self.re, self.im, other.re, other.im
-            return ComplexElement(a * c - b * d, a * d + b * c)
-        z = complex(other)
-        return ComplexElement(z.real * self.re - z.imag * self.im,
-                              z.real * self.im + z.imag * self.re)
-
-    def __rmul__(self, other) -> "ComplexElement":
-        return self * complex(other)
+    def __mul__(self, other: "ComplexElement") -> "ComplexElement":
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return ComplexElement(a * c - b * d, a * d + b * c)
 
     def __repr__(self) -> str:
         return f"ComplexElement(re={self.re!r}, im={self.im!r})"
@@ -93,7 +72,7 @@ class ComplexElement:
 
 def tau_involution(w: ComplexElement, s: RootOfMinusOne):
     """The codomain involution (w, s) -> (conj w, -s)."""
-    return w.conj(), negate_root(s)
+    return w.conj(), RootOfMinusOne(-s.element, s.residual)
 
 
 def pi_eval(z: complex, s: RootOfMinusOne) -> Element:

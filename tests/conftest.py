@@ -1,5 +1,7 @@
+import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +17,22 @@ settings.register_profile("ci", settings.get_profile("default"), print_blob=True
 if "CI" in os.environ:
     settings.load_profile("ci")
 
-from slicealgebra import clifford_algebra
+from slicealgebra import clifford_algebra, dump_algebra
 from slicealgebra.config import resolve_tol, within_tol
 
 
 def elements_close(a, b, tol=None) -> bool:
     """||a - b|| <= tol: an absolute bound on the coefficient difference."""
     return (a - b).norm() <= resolve_tol(tol)
+
+
+def algebra_json(algebra) -> dict:
+    """The JSON object that dump_algebra writes for the algebra, read back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "algebra.json")
+        dump_algebra(algebra, path)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
 
 
 def points_close(p, q, tol=None) -> bool:

@@ -76,3 +76,44 @@ def rescaled_blades(c, labels, k, draw):
     gen = np.ldexp(1.0, k * sigma)
     scales = [np.prod([gen[int(g) - 1] for g in label[1:]]) for label in labels]
     return rebased(c, np.diag(scales))
+
+
+def matrix_basis(n):
+    """The basis 1, E_ij ((i, j) != (0, 0)) of M_n(R), (i, j) in row-major
+    order: an (n^2, n, n) array whose element 0 is the identity."""
+    basis = np.eye(n * n).reshape(n * n, n, n)
+    basis[0] = np.eye(n)
+    return basis
+
+
+def matrix_algebra(n):
+    """The exact tensor of M_n(R) in matrix_basis: c[i, j] holds the
+    coordinates of basis_i @ basis_j, where x = x_00 1 + sum x_ij E_ij
+    less x_00 on the diagonal."""
+    basis = matrix_basis(n)
+    products = np.einsum("iab,jbc->ijac", basis, basis).reshape(n * n, n * n, n * n)
+    products[:, :, n + 1::n + 1] -= products[:, :, :1]
+    return products
+
+
+def direct_sum(c, d):
+    """A + B from tensors with the unit at index 0, in the basis 1 + 1, the
+    other basis elements of A, 1 of B, the others of B: the unit kept as
+    basis element 0."""
+    n, m = c.shape[0], d.shape[0]
+    out = np.zeros((n + m,) * 3)
+    out[:n, :n, :n] = c
+    out[n:, n:, n:] = d
+    basis = np.eye(n + m)
+    basis[n, 0] = 1.0  # column 0 is (1, 1)
+    return rebased(out, basis)
+
+
+def dual_numbers(c):
+    """A[eps] = A (x) R[eps], eps^2 = 0, in the basis e_i, then e_i eps."""
+    n = c.shape[0]
+    out = np.zeros((2 * n,) * 3)
+    out[:n, :n, :n] = c
+    out[:n, n:, n:] = c
+    out[n:, :n, n:] = c
+    return out

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracle_quaternion as oq
-from conftest import elements_close
+from conftest import algebra_json, elements_close
 from slicealgebra import (
     BadUnitError,
     DimensionMismatchError,
@@ -22,7 +22,6 @@ from slicealgebra import (
     TooLargeError,
     ZeroDivisorError,
     algebra_from_dict,
-    algebra_to_dict,
     clifford_algebra,
     dump_algebra,
     inverse,
@@ -175,7 +174,7 @@ def test_inverse_and_zerodivisors(quaternions, cl11, rng):
 
 
 def test_json_round_trip(quaternions):
-    data = algebra_to_dict(quaternions)
+    data = algebra_json(quaternions)
     text = json.dumps(data)
     back = algebra_from_dict(json.loads(text))
     assert back.compatible(quaternions)

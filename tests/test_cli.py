@@ -16,9 +16,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import einsum_reference as ref
+from conftest import algebra_json
 from slicealgebra import algebra as algebra_module
-from slicealgebra import (SuiteNotApplicableError, algebra_to_dict, cli, clifford_algebra,
-                          dump_algebra, make_algebra, twistor)
+from slicealgebra import (SuiteNotApplicableError, cli, clifford_algebra, dump_algebra,
+                          make_algebra, twistor)
 from slicealgebra.cli import SUITES, main, resolve_algebra, run_suite
 from slicealgebra.zerovariety import WitnessSearch
 
@@ -112,7 +113,7 @@ def test_algebra_file_round_trip(tmp_path, quaternions, capsys):
     assert main(["info", "--algebra", str(tmp_path / "missing.json")]) == 2
 
     # valid JSON of the wrong shape: an error naming the keys, not a traceback
-    good = algebra_to_dict(quaternions)
+    good = algebra_json(quaternions)
     for content in ([1, 2, 3], {k: v for k, v in good.items() if k != "labels"},
                     {**good, "labels": 5}, {**good, "unit_index": None}):
         capsys.readouterr()
@@ -139,7 +140,7 @@ def test_mistyped_algebra_fields_are_usage_errors(quaternions, data, key):
     are no integers, "1ijk" and [1, 2, 3, 4] no list of strings, and a
     tensor entry "1", null, true or false no number (numpy would read true
     among numbers as 1)."""
-    content = algebra_to_dict(quaternions)
+    content = algebra_json(quaternions)
     wrong = data.draw(_MISTYPED[key], label=key)
     if key == "structure_constants":
         i, j, k = data.draw(st.tuples(*[st.integers(0, 3)] * 3), label="entry")
@@ -447,6 +448,9 @@ def test_run_suite_direct(quaternions):
     assert report.wall_time >= 0.0
     with pytest.raises(ValueError):
         run_suite("bogus", quaternions, "x", 1, 0, 1e-9)
+    for trials in (0, -1):  # a report of no trials would pass with nothing checked
+        with pytest.raises(ValueError, match="at least 1"):
+            run_suite("traces", quaternions, "H", trials, 0, 1e-9)
 
 
 @pytest.mark.parametrize("p, q", [(0, 2), (1, 1), (2, 2)])
@@ -676,7 +680,7 @@ def test_malformed_coefficient_files_are_usage_errors(tmp_path, capsys, content)
 
 
 def test_tol_reaches_json_algebra_loading(tmp_path, quaternions, capsys):
-    data = algebra_to_dict(quaternions)
+    data = algebra_json(quaternions)
     c = np.array(data["structure_constants"], dtype=float)
     c[1, 2, 3] += 1e-12  # e1 e2 = e12 (1 + 1e-12): associative only to ~1e-12
     data["structure_constants"] = c.tolist()
