@@ -39,7 +39,6 @@ from .roots import (
     component_invariant,
     conjugate_root,
     find_seed_root,
-    is_root,
     j_structure,
     minus_i_eigenspace,
     nijenhuis,

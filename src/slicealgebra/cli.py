@@ -168,10 +168,10 @@ def _suite_nijenhuis(alg, trials, rng, tol):
 
 def _suite_dims(alg, trials, rng, tol):
     for t, s in _sampled_roots(alg, trials, rng, "dims"):
-        expected, rem = divmod(alg.dimension + component_invariant(s), 2)
+        expected = (alg.dimension + component_invariant(s)) // 2  # N + tr T_s is even
         f = alg.left_matrix_vec(s.element.coeffs) + alg.right_matrix_vec(s.element.coeffs)
         kernel = alg.dimension - numerical_rank(np.linalg.svd(f, compute_uv=False))
-        gap = abs(kernel - expected) + rem  # dim ker(L_s + R_s), counted, not built
+        gap = abs(kernel - expected)  # dim ker(L_s + R_s), counted, not built
         yield gap == 0, float(gap), f"trial {t}"
 
 

@@ -22,7 +22,7 @@ from .algebra import Algebra, Element
 from .config import within_tol
 from .errors import DimensionMismatchError, NotFoundError
 from .numerics import newton_schulz, null_space
-from .roots import RootOfMinusOne, TraceReport, is_root
+from .roots import RootOfMinusOne, TraceReport
 from .zerovariety import ComplexElement, ZeroWitness, _solution_witnesses
 
 
@@ -120,7 +120,7 @@ def _g_identities(alg: Algebra, v: np.ndarray, G: InnerProduct,
 def is_in_S0(s: Element, G: InnerProduct, tol: float | None = None) -> bool:
     """Two of {s*s = -1, the G-identities at (alpha^2, beta) = (1, 0)} hold."""
     identities = _g_identities(s.algebra, s.coeffs, G, 1.0, 0.0, tol)
-    return is_root(s, tol) + sum(ok for _, _, ok in identities) >= 2
+    return RootOfMinusOne.measured(s).holds(tol) + sum(ok for _, _, ok in identities) >= 2
 
 
 def antisymmetric_subspace(algebra: Algebra, G: InnerProduct) -> np.ndarray:
@@ -201,8 +201,8 @@ def cone_decompose(x: Element, G: InnerProduct,
                    tol: float | None = None) -> ConeDecomposition | None:
     """Split x = beta + gamma*s when the pair of G-identities holds, beta and
     alpha^2 read off the traces (_g_identities).  None signals x outside the
-    cone: alpha^2 - beta^2 = gamma^2 negative beyond tolerance against
-    alpha^2 + beta^2.
+    cone: exactly when a G-identity fails.  (With y = x - beta, alpha^2 -
+    beta^2 = tr(L_y^T G_hat L_y) / tr G_hat >= 0, so no third test is needed.)
 
     x is real when x = beta*1 passes the tolerance rule, against ||x|| +
     |beta| ||1||.  gamma is sqrt(||(x - beta)^2||), as (gamma s)^2 = -gamma^2:
@@ -214,9 +214,6 @@ def cone_decompose(x: Element, G: InnerProduct,
         return None
     beta, _, ok = next(identities)
     if not ok:
-        return None
-    gamma_sq = alpha_sq - beta ** 2
-    if gamma_sq < 0.0 and not within_tol(-gamma_sq, abs(alpha_sq) + beta ** 2, tol):
         return None
     im = x - beta * x.algebra.unit()
     alpha = float(np.sqrt(max(alpha_sq, 0.0)))

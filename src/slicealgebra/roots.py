@@ -47,10 +47,6 @@ class RootOfMinusOne:
         return bool(within_tol(self.residual, (1.0 + self.element.norm()) ** 2, tol))
 
 
-def is_root(a: Element, tol: float | None = None) -> bool:
-    return RootOfMinusOne.measured(a).holds(tol)
-
-
 def sigma_involution(z: complex, s: RootOfMinusOne) -> tuple[complex, RootOfMinusOne]:
     """The slice-domain involution (z, s) -> (conj z, -s)."""
     return complex(z).conjugate(), RootOfMinusOne(-s.element, s.residual)

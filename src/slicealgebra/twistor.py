@@ -24,7 +24,7 @@ from .errors import (
     FrameNotFoundError,
 )
 from .numerics import numerical_rank, projector_range, vector_norm
-from .roots import RootOfMinusOne, integer_trace, is_root
+from .roots import RootOfMinusOne, integer_trace
 from .slicefunctions import StemPolynomial, require_intrinsic
 
 
@@ -76,7 +76,7 @@ class QuaternionFrame:
         if self.algebra.dimension != 4:
             raise FrameNotFoundError("frame requires a 4-dimensional algebra")
         anti = (self.i * self.j + self.j * self.i).norm()
-        if not (is_root(self.i) and is_root(self.j)
+        if not (RootOfMinusOne.measured(self.i).holds() and RootOfMinusOne.measured(self.j).holds()
                 and within_tol(anti, 2.0 * self.i.norm() * self.j.norm())):
             raise FrameNotFoundError("candidate pair is not a quaternion frame")
         k = self.i * self.j

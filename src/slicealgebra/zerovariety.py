@@ -66,9 +66,6 @@ class ComplexElement:
         a, b, c, d = self.re, self.im, other.re, other.im
         return ComplexElement(a * c - b * d, a * d + b * c)
 
-    def __repr__(self) -> str:
-        return f"ComplexElement(re={self.re!r}, im={self.im!r})"
-
 
 def tau_involution(w: ComplexElement, s: RootOfMinusOne):
     """The codomain involution (w, s) -> (conj w, -s)."""

@@ -17,7 +17,8 @@ settings.register_profile("ci", settings.get_profile("default"), print_blob=True
 if "CI" in os.environ:
     settings.load_profile("ci")
 
-from slicealgebra import clifford_algebra, dump_algebra
+import einsum_reference
+from slicealgebra import RootOfMinusOne, clifford_algebra, dump_algebra, make_algebra
 from slicealgebra.config import resolve_tol, within_tol
 
 
@@ -33,6 +34,18 @@ def algebra_json(algebra) -> dict:
         dump_algebra(algebra, path)
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+
+
+def dense_cl12():
+    """Cl(1,2) in a random orthonormal basis: dense structure constants."""
+    c = clifford_algebra(1, 2).structure_constants
+    return make_algebra(einsum_reference.rotated(
+        c, einsum_reference.rotation(c.shape[0], np.random.default_rng(2))))
+
+
+def root_from(alg, vec):
+    """The root of -1 with coefficients vec, checked at the default tol."""
+    return RootOfMinusOne.from_element(alg.element(vec))
 
 
 def points_close(p, q, tol=None) -> bool:

@@ -109,11 +109,26 @@ def direct_sum(c, d):
     return rebased(out, basis)
 
 
+def restricted(c, keep):
+    """The subalgebra spanned by the basis elements `keep` (the unit's index
+    0 first), which must be closed under the product."""
+    keep = list(keep)
+    dropped = np.delete(c[np.ix_(keep, keep)], keep, axis=2)
+    assert not dropped.any(), "the kept basis elements do not span a subalgebra"
+    return c[np.ix_(keep, keep, keep)]
+
+
+def tensor_product(c, d):
+    """A (x) B from tensors with the unit at index 0, in the basis e_i f_0,
+    then e_i f_1, ...: basis element a n + i is e_i f_a, the unit stays
+    basis element 0.  np.kron of the 3-index tensors."""
+    return np.kron(d, c)
+
+
+DUAL = np.zeros((2, 2, 2))  # R[eps]: 1, eps with eps*eps = 0
+DUAL[0, 0, 0] = DUAL[0, 1, 1] = DUAL[1, 0, 1] = 1.0
+
+
 def dual_numbers(c):
     """A[eps] = A (x) R[eps], eps^2 = 0, in the basis e_i, then e_i eps."""
-    n = c.shape[0]
-    out = np.zeros((2 * n,) * 3)
-    out[:n, :n, :n] = c
-    out[:n, n:, n:] = c
-    out[n:, :n, n:] = c
-    return out
+    return tensor_product(c, DUAL)

@@ -123,10 +123,11 @@ def test_zero_variety_counts_only_checked_trials(monkeypatch):
                           "product only, which holds no orthogonal root here")
 @pytest.mark.parametrize("tensor", [
     pytest.param(ref.matrix_algebra(2), id="M2(R)"),
+    pytest.param(ref.matrix_algebra(4), id="M4(R)"),
     pytest.param(ref.direct_sum(clifford_algebra(0, 1).structure_constants,
                                 clifford_algebra(0, 2).structure_constants), id="C+H"),
 ])
 def test_cone_applies_where_S_is_nonempty(tensor):
-    """S is not empty on M2(R) and on C + H (tests/test_structure_theory.py),
+    """S is not empty on M2(R), M4(R) and C + H (tests/test_structure_theory.py),
     and the cone suite passes every trial there, at 20 trials and seed 0."""
     assert run_suite("cone", make_algebra(tensor), "x", 20, 0, default_tol()).passed

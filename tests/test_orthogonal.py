@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import einsum_reference
 import oracle_quaternion as oq
+from conftest import dense_cl12, root_from
 from slicealgebra import (
     ComplexElement,
     DimensionMismatchError,
@@ -23,7 +24,6 @@ from slicealgebra import (
     cone_decompose,
     find_seed_root,
     is_in_S0,
-    make_algebra,
     orthogonality_characterization,
     sample_S0,
     sample_root,
@@ -31,16 +31,13 @@ from slicealgebra import (
     z0_equivalence_check,
     z0_residual,
 )
+from slicealgebra import orthogonal
 from slicealgebra.config import within_tol
 from slicealgebra.numerics import null_space
 
 
 def _std(alg):
     return InnerProduct.standard(alg)
-
-
-def _root(alg, vec):
-    return RootOfMinusOne.from_element(alg.element(vec))
 
 
 def test_inner_product_validation(quaternions):
@@ -210,14 +207,8 @@ def _per_basis_subspace(alg, G):
     return null_space(cols)
 
 
-def _dense_cl12():
-    c = clifford_algebra(1, 2).structure_constants
-    return make_algebra(einsum_reference.rotated(
-        c, einsum_reference.rotation(c.shape[0], np.random.default_rng(2))))
-
-
 @pytest.mark.parametrize("make", [lambda: clifford_algebra(2, 2), lambda: clifford_algebra(0, 6),
-                                  _dense_cl12], ids=["Cl(2,2)", "Cl(0,6)", "dense Cl(1,2)"])
+                                  dense_cl12], ids=["Cl(2,2)", "Cl(0,6)", "dense Cl(1,2)"])
 def test_antisymmetric_subspace_is_the_per_basis_build(make):
     """A0 from the half system, a block of rows at a time: the per-basis
     subspace to 1e-12 in projector norm under the standard G, and the same
@@ -426,9 +417,9 @@ def test_characterization_report(quaternions, rng):
 
 def test_characterization_split_counterexample(cl11):
     G = _std(cl11)
-    skew = _root(cl11, [0.0, 1.0, np.sqrt(2.0), 0.0])
+    skew = root_from(cl11, [0.0, 1.0, np.sqrt(2.0), 0.0])
     assert not orthogonality_characterization(skew, G).passed
-    good = _root(cl11, [0.0, 0.0, 1.0, 0.0])
+    good = root_from(cl11, [0.0, 0.0, 1.0, 0.0])
     assert orthogonality_characterization(good, G).passed
 
 
@@ -492,6 +483,29 @@ def test_cone_decompose_quaternions(quaternions, rng):
             recon = dec.beta * quaternions.unit() + dec.gamma * dec.root.element
             assert (recon - x).norm() <= 1e-7 * (1 + x.norm())
             assert dec.root.residual <= 1e-7
+
+
+@pytest.mark.parametrize("pq", [(0, 6), (3, 3)], ids=["Cl(0,6)", "Cl(3,3)"])
+def test_cone_verdict_is_the_pair_of_g_identities(pq):
+    """x = 0.7*1 at tol 1e-16 passes both G-identities, so it is in the cone
+    and real; alpha^2 - beta^2 >= 0 in exact arithmetic, and its rounding
+    (here -2.2e-16) is no verdict of its own."""
+    alg = clifford_algebra(*pq)
+    x, G = alg.scalar(0.7), _std(alg)
+    assert all(ok for _, _, ok in orthogonal._g_identities(alg, x.coeffs, G, tol=1e-16))
+    dec = cone_decompose(x, G, tol=1e-16)
+    assert dec is not None and dec.root is None
+    assert abs(dec.beta - 0.7) <= 1e-15
+
+
+def test_cone_rejects_x_that_fails_only_the_second_identity(cl03):
+    """Cl(0,3)'s pseudoscalar w = e123 is central with w*w = 1, so L_w is a
+    symmetric signed permutation: L_w^T L_w = 1 holds, L_w^T + L_w = 2 L_w is
+    no multiple of 1, and w is outside the cone."""
+    w, G = cl03.basis_element(cl03.labels.index("e123")), _std(cl03)
+    first, second = orthogonal._g_identities(cl03, w.coeffs, G)
+    assert first[2] and not second[2]
+    assert cone_decompose(w, G) is None
 
 
 _CONE_ALGEBRAS = {name: clifford_algebra(*pq)

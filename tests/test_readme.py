@@ -57,9 +57,9 @@ def _resolves(scope, dotted: str) -> bool:
 def test_entry_point_names_are_attributes_of_their_modules():
     """Each backticked name in the list, dotted or not, with or without an
     argument list, is an attribute of the module its bullet names.  A name
-    qualified by another module of the package (`roots.is_root`) is looked
-    up in that module, a builtin (`ValueError`) among the builtins; a span
-    that is no name (a lambda, `verify dims`) is skipped."""
+    qualified by another module of the package (`roots.RootOfMinusOne.holds`)
+    is looked up in that module, a builtin (`ValueError`) among the builtins;
+    a span that is no name (a lambda, `verify dims`) is skipped."""
     stale, names = [], 0
     for module, span in _entry_points():
         match = re.fullmatch(r"([A-Za-z_][\w.]*)(\(.*\))?", span, re.S)

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import einsum_reference
 import oracle_quaternion as oq
-from conftest import elements_close
+from conftest import dense_cl12, elements_close
 from slicealgebra import (
     NonIntegerTraceError,
     NotFoundError,
@@ -22,7 +22,6 @@ from slicealgebra import (
     component_invariant,
     conjugate_root,
     find_seed_root,
-    is_root,
     j_structure,
     make_algebra,
     minus_i_eigenspace,
@@ -53,11 +52,11 @@ def _defect(a):
 
 
 def test_is_root_basic(quaternions):
-    assert is_root(quaternions.basis_element(1))
-    assert not is_root(quaternions.unit())
-    assert not is_root(quaternions.zero())
+    assert RootOfMinusOne.measured(quaternions.basis_element(1)).holds()
+    assert not RootOfMinusOne.measured(quaternions.unit()).holds()
+    assert not RootOfMinusOne.measured(quaternions.zero()).holds()
     mix = quaternions.element([0.0, 0.6, 0.8, 0.0])
-    assert is_root(mix)
+    assert RootOfMinusOne.measured(mix).holds()
 
     with pytest.raises(ValueError):
         RootOfMinusOne.from_element(quaternions.unit())
@@ -220,16 +219,9 @@ def test_sampling_needs_no_svd(monkeypatch, p, q):
         assert conjugate_root(alg.random_element(rng), s).holds()
 
 
-def _dense_cl12():
-    """Cl(1,2) in a random orthonormal basis: dense structure constants."""
-    c = clifford_algebra(1, 2).structure_constants
-    return make_algebra(einsum_reference.rotated(
-        c, einsum_reference.rotation(c.shape[0], np.random.default_rng(2))))
-
-
 EXACT_ALGEBRAS = {"H": lambda: clifford_algebra(0, 2), "Cl(2,2)": lambda: clifford_algebra(2, 2),
                   "Cl(0,6)": lambda: clifford_algebra(0, 6),
-                  "Cl(3,3)": lambda: clifford_algebra(3, 3), "dense Cl(1,2)": _dense_cl12}
+                  "Cl(3,3)": lambda: clifford_algebra(3, 3), "dense Cl(1,2)": dense_cl12}
 
 
 def _element_polish(s):
@@ -438,7 +430,7 @@ def test_sigma_involution_is_involutive(quaternions, rng):
     z2, s2 = sigma_involution(*sigma_involution(z, s))
     assert z2 == z
     assert (s2.element - s.element).norm() == 0.0
-    assert is_root(sigma_involution(z, s)[1].element)
+    assert RootOfMinusOne.measured(sigma_involution(z, s)[1].element).holds()
 
 
 def test_tangent_frame_dimension_formula(rng):

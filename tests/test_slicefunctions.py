@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracle_quaternion as oq
-from conftest import elements_close
+from conftest import elements_close, root_from
 from slicealgebra import (
     DimensionMismatchError,
     InvalidTwistError,
@@ -27,10 +27,6 @@ from slicealgebra import (
     sample_root,
     stem_from_slice_poly,
 )
-
-
-def _root(alg, vec):
-    return RootOfMinusOne.from_element(alg.element(vec))
 
 
 def _poly(alg, scalars):
@@ -61,7 +57,7 @@ def test_seam_stem_is_not_intrinsic(quaternions):
     bad = _seam_stem(quaternions)
     assert not is_intrinsic(bad)
     assert intrinsic_defect(bad) > 1.0
-    i = _root(quaternions, oq.I)
+    i = root_from(quaternions, oq.I)
     with pytest.raises(NotIntrinsicError):
         eval_slice(bad, 0.3 + 0.4j, i)
     with pytest.raises(NotIntrinsicError):
@@ -90,7 +86,7 @@ def test_high_degree_seam_is_not_intrinsic(quaternions):
     assert not is_intrinsic(stem)
     assert intrinsic_defect(stem) == pytest.approx(2.0 * np.linalg.norm(p))
     with pytest.raises(NotIntrinsicError):
-        eval_slice(stem, z, _root(quaternions, oq.I))
+        eval_slice(stem, z, root_from(quaternions, oq.I))
 
 
 _nonzero_part = st.one_of(st.just(0.0), st.floats(0.5, 10.0), st.floats(-10.0, -0.5))
@@ -117,7 +113,7 @@ def test_eval_slice_matches_oracle_to_degree_40(quaternions, coeffs, x, y, seed)
     s = oq.random_root(np.random.default_rng(seed))
     q = x * oq.ONE + y * s
     want = oq.slice_poly_eval(list(coeffs), q)
-    got = eval_slice(stem, complex(x, y), _root(quaternions, s))
+    got = eval_slice(stem, complex(x, y), root_from(quaternions, s))
     scale = sum(np.hypot(x, y) ** k for k in range(len(coeffs)))
     assert np.allclose(got.coeffs, want, atol=1e-12 * (1.0 + scale))
 
@@ -137,7 +133,7 @@ def test_evaluate_horner(quaternions, rng):
 
 
 def test_eval_slice_pinned_values(quaternions, rng):
-    i = _root(quaternions, oq.I)
+    i = root_from(quaternions, oq.I)
     square_plus_one = _poly(quaternions, [1.0, 0.0, 1.0])
     for _ in range(5):
         s = sample_root(find_seed_root(quaternions), rng)
@@ -219,7 +215,7 @@ def test_slice_values_separate_roots(quaternions, rng):
 
 
 def test_cauchy_riemann_intrinsic_orders(quaternions, rng):
-    i = _root(quaternions, oq.I)
+    i = root_from(quaternions, oq.I)
     const = _poly(quaternions, [2.5])
     assert cauchy_riemann_residual(const, 0.3 + 0.1j, i) == 0.0
 
@@ -237,7 +233,7 @@ def test_cauchy_riemann_flags_seam(quaternions):
     """A non-intrinsic stem induces no function on the quotient by
     (z, s) ~ (conj z, -s), so the residual refuses it."""
     bad = _seam_stem(quaternions)
-    i = _root(quaternions, oq.I)
+    i = root_from(quaternions, oq.I)
     with pytest.raises(NotIntrinsicError):
         cauchy_riemann_residual(bad, 0.5, i)
 
@@ -268,7 +264,7 @@ def test_twist_conjugation_pinned(quaternions):
     def twist(z, s):
         return left_divide(y, s.element * y)
 
-    i = _root(quaternions, oq.I)
+    i = root_from(quaternions, oq.I)
 
     # oracle: y^{-1} i y = -j
     conj_i = oq.qmul(oq.qinv(y.coeffs), oq.qmul(oq.I, y.coeffs))
@@ -284,11 +280,11 @@ def test_twist_conjugation_pinned(quaternions):
 
 
 def test_twist_callback_and_rejection(quaternions, cl11, rng):
-    j = _root(quaternions, oq.J)
+    j = root_from(quaternions, oq.J)
     swap = lambda z, s: j.element
     stem = stem_from_slice_poly([quaternions.random_element(rng)
                                  for _ in range(3)])
-    i = _root(quaternions, oq.I)
+    i = root_from(quaternions, oq.I)
     z = 0.2 + 0.9j
     assert (eval_generalized(stem, swap, z, i)
             - eval_slice(stem, z, j)).norm() <= 1e-12

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import einsum_reference
 import oracle_quaternion as oq
-from conftest import elements_close, points_close
+from conftest import dense_cl12, elements_close, points_close
 from slicealgebra import (
     BadSectionError,
     BasePointAtInfinityError,
@@ -31,7 +31,6 @@ from slicealgebra import (
     gamma,
     generalized_twistor,
     inverse,
-    is_root,
     is_zerodivisor,
     left_divide,
     make_algebra,
@@ -447,7 +446,7 @@ def test_generalized_twistor_measures_its_base_point(quaternions, cl03, seed, ep
         stem = stem_from_slice_poly([alg.unit(), alg.unit()])
         s = find_seed_root(alg)
         for x in (alg.random_element(rng), (1.0 + eps) * s.element):
-            assert not is_root(x)
+            assert not RootOfMinusOne.measured(x).holds()
             for u in (RootOfMinusOne(x, 0.0), RootOfMinusOne.measured(x)):
                 with pytest.raises(BadSectionError, match="base point"):
                     generalized_twistor(stem, lambda _s: alg.unit(), 0.3 + 0.7j, s, u)
@@ -494,13 +493,6 @@ def test_only_a_zero_or_off_fiber_section_value_is_rejected(cl22, seed):
     assert not within_tol(residual, (1.0 + u.element.norm()) * stem.term_size(z))
 
 
-def _dense_cl12():
-    """Cl(1,2) in a random orthonormal basis: dense structure constants."""
-    c = clifford_algebra(1, 2).structure_constants
-    return make_algebra(einsum_reference.rotated(
-        c, einsum_reference.rotation(c.shape[0], np.random.default_rng(2))))
-
-
 BUNDLE_ALGEBRAS = {"H": (0, 2), "Cl(2,2)": (2, 2), "Cl(0,6)": (0, 6), "Cl(3,3)": (3, 3),
                    "dense Cl(1,2)": None}
 
@@ -510,7 +502,7 @@ def test_bundle_array_path_gives_the_element_bits(name):
     """generalized_twistor, fiber_embed, rho1_general and eval_slice are
     exactly their expansions in Element operators."""
     pq = BUNDLE_ALGEBRAS[name]
-    alg = _dense_cl12() if pq is None else clifford_algebra(*pq)
+    alg = dense_cl12() if pq is None else clifford_algebra(*pq)
     u = find_seed_root(alg)
     ue, n = u.element, alg.dimension
     rng = np.random.default_rng(5)

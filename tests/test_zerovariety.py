@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 import einsum_reference as ref
 import oracle_quaternion as oq
-from conftest import elements_close
+from conftest import elements_close, root_from
 from slicealgebra import (
     ComplexElement,
     PreconditionFailedError,
@@ -23,7 +23,6 @@ from slicealgebra import (
     discrete_zero_scan,
     find_seed_root,
     inverse,
-    is_root,
     is_zerodivisor,
     leaf_membership,
     left_absorption,
@@ -40,14 +39,10 @@ from slicealgebra import zerovariety
 from slicealgebra.cli import run_suite
 
 
-def _root(alg, vec):
-    return RootOfMinusOne.from_element(alg.element(vec))
-
-
 def test_pi_eval_values(quaternions, rng):
-    j = _root(quaternions, oq.J)
+    j = root_from(quaternions, oq.J)
     assert elements_close(pi_eval(1j, j), quaternions.basis_element(2))
-    i = _root(quaternions, oq.I)
+    i = root_from(quaternions, oq.I)
     got = pi_eval(2 + 3j, i)
     assert np.allclose(got.coeffs, [2.0, 3.0, 0.0, 0.0])
     # real z ignores the root
@@ -58,7 +53,7 @@ def test_pi_eval_values(quaternions, rng):
 def test_pi_tensor_eval_against_oracle(quaternions):
     """pi((1, i), s) for s = i and s = j, pinned by Hamilton products."""
     w = ComplexElement(quaternions.unit(), quaternions.element(oq.I))
-    i, j = _root(quaternions, oq.I), _root(quaternions, oq.J)
+    i, j = root_from(quaternions, oq.I), root_from(quaternions, oq.J)
     assert pi_tensor_eval(w, i).norm() <= 1e-12
     expect = oq.ONE + oq.qmul(oq.J, oq.I)  # 1 - k
     assert np.allclose(pi_tensor_eval(w, j).coeffs, expect, atol=1e-12)
@@ -96,7 +91,7 @@ def test_witness_exact_branch(quaternions):
 
 
 def test_witness_constructed_members(quaternions, rng):
-    j = _root(quaternions, oq.J)
+    j = root_from(quaternions, oq.J)
     for _ in range(50):
         q = quaternions.random_element(rng)
         if q.norm() < 1e-6:
@@ -406,6 +401,13 @@ def test_witness_of_a_nonzero_real_part_without_roots():
     assert zero_variety_witness(ComplexElement(alg.unit(), alg.zero())).status == "absent"
 
 
+def test_zero_is_absent_where_S_is_empty():
+    """w = 0 meets every root, so its witness is the seed root; on R, where
+    S is empty, the seed search raises and the verdict is "absent"."""
+    alg = clifford_algebra(0, 0)
+    assert zero_variety_witness(ComplexElement(alg.zero(), alg.zero())).status == "absent"
+
+
 @pytest.mark.parametrize("p, q", [(0, 0), (1, 0), (0, 2), (2, 2), (3, 3)])
 def test_a_nonzero_real_part_is_absent_without_a_seed_search(monkeypatch, p, q):
     """pi((a, 0), s) = a for every s, so w = (a, 0) with a != 0 has no witness:
@@ -502,7 +504,7 @@ def test_left_absorption_without_a_closed_form_searches(quaternions):
     res = left_absorption(base, ComplexElement(z, z))
     assert res.status == "found"
     assert res.witness.w.re.norm() == res.witness.w.im.norm() == 0.0
-    assert is_root(res.witness.root.element)
+    assert RootOfMinusOne.measured(res.witness.root.element).holds()
 
 
 def test_left_absorption_random(quaternions, rng):
@@ -518,7 +520,7 @@ def test_left_absorption_random(quaternions, rng):
         res = left_absorption(base.witness, wp, rng=rng)
         if res.status == "found":
             found += 1
-            assert is_root(res.witness.root.element, 1e-9)
+            assert RootOfMinusOne.measured(res.witness.root.element).holds(1e-9)
             scale = 1 + res.witness.w.norm()
             assert res.witness.residual <= 1e-8 * scale
     assert found >= 99
