@@ -30,11 +30,13 @@ from .algebra import (
 )
 from .config import default_tol, within_tol
 from .errors import (
+    BadSectionError,
     FrameNotFoundError,
     NotFoundError,
     NotTangentError,
     SliceAlgebraError,
     SuiteNotApplicableError,
+    ZeroDivisorError,
 )
 from .numerics import numerical_rank
 from .orthogonal import InnerProduct, cone_decompose, sample_S0
@@ -290,14 +292,16 @@ def _suite_stereographic(alg, trials, rng, tol):
         fiber_res = float(np.linalg.norm(basis + swapped))
         fiber_ok = basis.shape[1] == expected and within_tol(
             fiber_res, np.linalg.norm(basis) + np.linalg.norm(swapped), tol)
-        residual = 0.0
         try:
             point = generalized_twistor(stem, section, z, s, u)
             residual = (rho1_general(point, u) - eval_slice(stem, z, s)).norm()
             size = (1.0 + s.element.norm()) * stem.term_size(z)
             cons_ok = within_tol(residual, size, tol)
-        except SliceAlgebraError:
-            cons_ok = True  # section chart misses s; the fiber check stands
+        except ZeroDivisorError:  # section chart misses s; the fiber check stands
+            cons_ok, residual = True, 0.0
+        except BadSectionError as exc:  # the section value is zero or off the fiber over s
+            yield False, float("inf"), f"trial {t}: {exc}"
+            continue
         yield fiber_ok and cons_ok, max(fiber_res, residual), f"trial {t}"
 
 

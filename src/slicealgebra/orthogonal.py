@@ -23,7 +23,7 @@ from .config import within_tol
 from .errors import DimensionMismatchError, NotFoundError
 from .numerics import newton_schulz, null_space
 from .roots import RootOfMinusOne, TraceReport
-from .zerovariety import ComplexElement, ZeroWitness, _solution_witnesses
+from .zerovariety import ComplexElement, WitnessSearch, _solution_witnesses
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def _g_identities(alg: Algebra, v: np.ndarray, G: InnerProduct,
 def is_in_S0(s: Element, G: InnerProduct, tol: float | None = None) -> bool:
     """Two of {s*s = -1, the G-identities at (alpha^2, beta) = (1, 0)} hold."""
     identities = _g_identities(s.algebra, s.coeffs, G, 1.0, 0.0, tol)
-    return RootOfMinusOne.measured(s).holds(tol) + sum(ok for _, _, ok in identities) >= 2
+    return RootOfMinusOne(s).holds(tol) + sum(ok for _, _, ok in identities) >= 2
 
 
 def antisymmetric_subspace(algebra: Algebra, G: InnerProduct) -> np.ndarray:
@@ -166,9 +166,9 @@ def sample_S0(algebra: Algebra, G: InnerProduct,
     for _ in range(50):
         x = span @ rng.standard_normal(span.shape[1])
         x, defect = newton_schulz(algebra, x / np.linalg.norm(algebra.left_matrix_vec(x)))
-        cand = RootOfMinusOne(Element(algebra, x), defect)
-        if cand.holds(tol) and is_in_S0(cand.element, G, tol):
-            return cand
+        cand = Element(algebra, x)  # the defect is tested as holds tests it
+        if within_tol(defect, (1.0 + cand.norm()) ** 2, tol) and is_in_S0(cand, G, tol):
+            return RootOfMinusOne(cand)
     raise NotFoundError("no orthogonal root found in the antisymmetric subspace")
 
 
@@ -220,7 +220,7 @@ def cone_decompose(x: Element, G: InnerProduct,
     gamma = float(np.sqrt((im * im).norm()))  # (gamma s)^2 = -gamma^2, and ||1|| = 1
     if within_tol(im.norm(), x.norm() + abs(beta), tol):
         return ConeDecomposition(beta, alpha, gamma, None)
-    return ConeDecomposition(beta, alpha, gamma, RootOfMinusOne.measured(im / gamma))
+    return ConeDecomposition(beta, alpha, gamma, RootOfMinusOne(im / gamma))
 
 
 # -- the quadratic equations for the distinguished variety -------------------
@@ -234,17 +234,16 @@ def z0_residual(w: ComplexElement, G: InnerProduct) -> float:
 
 @dataclass(frozen=True)
 class Z0Verdict:
-    """Agreement record between the quadratic equations and a witness in S0."""
+    """Agreement record between the quadratic equations and a witness search in S0."""
 
     residual: float
     residual_member: bool
-    witness_status: str  # found | absent | inconclusive
-    witness: ZeroWitness | None = None
+    search: WitnessSearch
 
     @property
     def agree(self) -> bool | None:
         """Found or absent matches residual_member; None when inconclusive."""
-        wm = {"found": True, "absent": False}.get(self.witness_status)
+        wm = {"found": True, "absent": False}.get(self.search.status)
         return None if wm is None else wm == self.residual_member
 
 
@@ -261,9 +260,9 @@ def z0_equivalence_check(w: ComplexElement, G: InnerProduct,
     _, residual, residual_member = next(_g_identities(w.algebra, w.as_vector(), G, 0.0, tol=tol))
     span = antisymmetric_subspace(w.algebra, G)
     if not span.shape[1]:  # S0 is empty
-        return Z0Verdict(residual, residual_member, "absent")
+        return Z0Verdict(residual, residual_member, WitnessSearch("absent"))
     witnesses, unique = _solution_witnesses(  # None: a misses the range
         w, w.algebra.right_matrix_vec(w.im.coeffs) @ span, span, 8, rng) or ([], True)
     found = next((witness for witness in witnesses if witness.holds(tol)), None)
     status = "found" if found else "absent" if unique else "inconclusive"
-    return Z0Verdict(residual, residual_member, status, found)
+    return Z0Verdict(residual, residual_member, WitnessSearch(status, found))

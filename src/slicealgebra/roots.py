@@ -8,6 +8,7 @@ tangent spaces, and the (-i)-eigenspace of L_s inside the complexification.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,20 +21,18 @@ from .numerics import (affine_square_root, newton_schulz, null_space, projector_
 
 @dataclass(frozen=True)
 class RootOfMinusOne:
-    """An element s with s*s = -1, together with its defect ||s*s + 1||."""
+    """A candidate s for s*s = -1 and its defect ||s*s + 1||, measured on first read."""
 
     element: Element
-    residual: float
 
-    @classmethod
-    def measured(cls, element: Element) -> "RootOfMinusOne":
-        """element with its defect ||element*element + 1||, whether or not it is a root."""
-        alg, v = element.algebra, element.coeffs
-        return cls(element, vector_norm(alg.multiply_vec(v, v) + alg.unit_vector))
+    @cached_property
+    def residual(self) -> float:
+        alg, v = self.algebra, self.element.coeffs
+        return vector_norm(alg.multiply_vec(v, v) + alg.unit_vector)
 
     @classmethod
     def from_element(cls, element: Element, tol: float | None = None) -> "RootOfMinusOne":
-        root = cls.measured(element)
+        root = cls(element)
         if not root.holds(tol):
             raise ValueError(f"not a square root of -1, residual {root.residual:.3e}")
         return root
@@ -49,7 +48,7 @@ class RootOfMinusOne:
 
 def sigma_involution(z: complex, s: RootOfMinusOne) -> tuple[complex, RootOfMinusOne]:
     """The slice-domain involution (z, s) -> (conj z, -s)."""
-    return complex(z).conjugate(), RootOfMinusOne(-s.element, s.residual)
+    return complex(z).conjugate(), RootOfMinusOne(-s.element)
 
 
 # -- seed search -------------------------------------------------------------
@@ -72,14 +71,14 @@ def find_seed_root(algebra: Algebra,
     hits = np.flatnonzero(within_tol(algebra.basis_square_defects, 4.0, tol))
     if hits.size:
         cand = algebra.basis_element(int(hits[0]))
-        return RootOfMinusOne.measured(cand)
+        return RootOfMinusOne(cand)
     if rng is None:
         rng = np.random.default_rng(0)
     central = None
     for _ in range(50):
         x, _ = affine_square_root(algebra, np.zeros(n), np.eye(n),
                                   rng.standard_normal(n))
-        cand = RootOfMinusOne.measured(Element(algebra, x))
+        cand = RootOfMinusOne(Element(algebra, x))
         if cand.holds(tol):
             left, right = algebra.left_matrix_vec(x), algebra.right_matrix_vec(x)
             if not within_tol(np.linalg.norm(left - right),
@@ -92,9 +91,9 @@ def find_seed_root(algebra: Algebra,
 
 
 def conjugate_root(y: Element, s: RootOfMinusOne) -> RootOfMinusOne:
-    """y*s*y^{-1}, measured: right_divide(y*s, y), one LU solve on R_y and
+    """y*s*y^{-1} = right_divide(y*s, y), one LU solve on R_y and
     no SVD.  Raises ZeroDivisorError when LAPACK finds R_y singular."""
-    return RootOfMinusOne.measured(right_divide(y * s.element, y))
+    return RootOfMinusOne(right_divide(y * s.element, y))
 
 
 def sample_root(seed: RootOfMinusOne, rng: np.random.Generator,
@@ -119,7 +118,7 @@ def sample_root(seed: RootOfMinusOne, rng: np.random.Generator,
             continue
         out, residual = newton_schulz(algebra, out)
         if within_tol(residual, (1.0 + vector_norm(out)) ** 2, tol):  # as holds
-            return RootOfMinusOne(Element(algebra, out), residual)
+            return RootOfMinusOne(Element(algebra, out))
     raise NotFoundError("conjugation sampling failed repeatedly")
 
 

@@ -142,7 +142,7 @@ def eval_generalized(F: StemPolynomial, twist, z: complex,
     s -> y^{-1} s y, lambda z, s: left_divide(y, s.element * y).  An output
     that is no root of -1 at tol raises InvalidTwistError."""
     require_intrinsic(F, tol)
-    root = RootOfMinusOne.measured(twist(z, s))
+    root = RootOfMinusOne(twist(z, s))
     if not root.holds(tol):
         raise InvalidTwistError(f"twist output has residual {root.residual:.3e}")
     return eval_slice(F, z, root, tol)

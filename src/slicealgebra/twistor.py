@@ -65,23 +65,23 @@ class ProjectivePoint:
 
 @dataclass(frozen=True)
 class QuaternionFrame:
-    """A basis {1, I, J, K} with I^2 = J^2 = -1, IJ = K = -JI."""
+    """A basis {1, I, J, K} with I^2 = J^2 = -1, IJ = K = -JI, in I's algebra."""
 
-    algebra: Algebra
     i: Element
     j: Element
+    algebra: Algebra = field(init=False, repr=False, compare=False)
     matrix: np.ndarray = field(init=False, repr=False, compare=False)  # columns 1, I, J, K
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "algebra", self.i.algebra)
         if self.algebra.dimension != 4:
             raise FrameNotFoundError("frame requires a 4-dimensional algebra")
         anti = (self.i * self.j + self.j * self.i).norm()
-        if not (RootOfMinusOne.measured(self.i).holds() and RootOfMinusOne.measured(self.j).holds()
+        if not (RootOfMinusOne(self.i).holds() and RootOfMinusOne(self.j).holds()
                 and within_tol(anti, 2.0 * self.i.norm() * self.j.norm())):
             raise FrameNotFoundError("candidate pair is not a quaternion frame")
         k = self.i * self.j
-        mat = np.stack([self.algebra.unit().coeffs, self.i.coeffs,
-                        self.j.coeffs, k.coeffs], axis=1)
+        mat = np.stack([self.algebra.unit().coeffs, self.i.coeffs, self.j.coeffs, k.coeffs], axis=1)
         if numerical_rank(np.linalg.svd(mat, compute_uv=False)) < 4:
             raise FrameNotFoundError("frame vectors are linearly dependent")
         object.__setattr__(self, "matrix", mat)
@@ -94,14 +94,14 @@ class QuaternionFrame:
                 f"dimension {algebra.dimension} algebra has no quaternion frame")
         for a, b in _trace_free_frames(algebra):
             try:
-                return cls(algebra, a, b)
+                return cls(a, b)
             except FrameNotFoundError:
                 continue
         raise FrameNotFoundError("no quaternion frame in this basis")
 
     @property
     def i_root(self) -> RootOfMinusOne:
-        return RootOfMinusOne.measured(self.i)
+        return RootOfMinusOne(self.i)
 
 
 def _trace_free_frames(algebra: Algebra):
@@ -236,7 +236,7 @@ def generalized_twistor(F: StemPolynomial, sigma, z: complex,
                         s: RootOfMinusOne, u: RootOfMinusOne,
                         tol: float | None = None) -> ProjectivePoint:
     """Point of P(E + E) inducing the slice function at (z, s) in the bundle
-    over the root u (on H, frame.i_root), whose defect is measured here.
+    over the root u (on H, frame.i_root).
 
     The first block is the chart image of c = sigma(s); the second is the
     image of T_{F(z)}(c) = c a + u (c b) for F(z) = a + i b.  Taking the
@@ -244,13 +244,12 @@ def generalized_twistor(F: StemPolynomial, sigma, z: complex,
     that quotient, rho1_general, needs c invertible, and it decides.
     """
     require_intrinsic(F, tol)
-    alg, uv, sv = u.algebra, u.element.coeffs, s.element.coeffs
-    left_u = alg.left_matrix_vec(uv)
-    if not RootOfMinusOne(u.element, vector_norm(left_u @ uv + alg.unit_vector)).holds(tol):
+    if not u.holds(tol):
         raise BadSectionError("bundle base point u is not a root of -1")
+    alg, left_u = u.algebra, u.algebra.left_matrix_vec(u.element.coeffs)
     c = sigma(s)
     left_c = alg.left_matrix_vec(c.coeffs)  # for u c - c s and the image
-    defect = vector_norm(left_u @ c.coeffs - left_c @ sv)
+    defect = vector_norm(left_u @ c.coeffs - left_c @ s.element.coeffs)
     if not within_tol(defect, c.norm() * (u.element.norm() + s.element.norm()), tol):
         raise BadSectionError(f"section value misses the fiber (defect {defect:.3e})")
     if c.norm() == 0.0:

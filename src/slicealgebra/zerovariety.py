@@ -14,6 +14,7 @@ eigenvalues of the real matrix polynomial z -> R_{F(z)}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from math import comb
 
@@ -69,7 +70,7 @@ class ComplexElement:
 
 def tau_involution(w: ComplexElement, s: RootOfMinusOne):
     """The codomain involution (w, s) -> (conj w, -s)."""
-    return w.conj(), RootOfMinusOne(-s.element, s.residual)
+    return w.conj(), RootOfMinusOne(-s.element)
 
 
 def pi_eval(z: complex, s: RootOfMinusOne) -> Element:
@@ -88,11 +89,14 @@ def pi_tensor_eval(w: ComplexElement, s: RootOfMinusOne) -> Element:
 
 @dataclass(frozen=True)
 class ZeroWitness:
-    """A pair (w, s) with pi(w, s) = 0 up to the recorded residual."""
+    """A pair (w, s) for pi(w, s) = 0 and its residual ||a + s*b||, measured on first read."""
 
     w: ComplexElement
     root: RootOfMinusOne
-    residual: float
+
+    @cached_property
+    def residual(self) -> float:
+        return pi_tensor_eval(self.w, self.root).norm()
 
     def holds(self, tol: float | None = None) -> bool:
         """Both identities pass the tolerance rule: s*s + 1 against
@@ -112,11 +116,6 @@ class WitnessSearch:
     @property
     def found(self) -> bool:
         return self.status == "found"
-
-
-def _witness(w: ComplexElement, s: Element) -> ZeroWitness:
-    root = RootOfMinusOne.measured(s)
-    return ZeroWitness(w, root, pi_tensor_eval(w, root).norm())
 
 
 def _excluded(witness: ZeroWitness, sigma_min: float, tol: float) -> bool:
@@ -154,7 +153,7 @@ def _verdict(w: ComplexElement, candidates, tol: float | None, otherwise: str = 
             rows *= (1.0 + ns) ** 2 / size
             joint, _ = affine_square_root(alg, s.coeffs, np.eye(alg.dimension),
                                           np.zeros(alg.dimension), rows)
-            witness = _witness(w, alg.element(joint))
+            witness = ZeroWitness(w, RootOfMinusOne(alg.element(joint)))
         if witness.holds(tol):
             return WitnessSearch("found", witness)
     return WitnessSearch(status)
@@ -179,13 +178,13 @@ def zero_variety_witness(w: ComplexElement,
 
     if b.norm() == 0.0 == a.norm():  # w = 0 meets every root; a != 0 misses range(R_0)
         try:
-            return _verdict(w, [_witness(w, find_seed_root(alg, rng=rng, tol=tol).element)], tol)
+            return _verdict(w, [ZeroWitness(w, find_seed_root(alg, rng=rng, tol=tol))], tol)
         except NotFoundError:  # S is empty
             return WitnessSearch("absent")
 
     rb = alg.right_matrix_vec(b.coeffs)
     try:  # s = -a*b^{-1}, by LU on R_b: backward stable
-        lu = [_witness(w, alg.element(np.linalg.solve(rb, -a.coeffs)))]
+        lu = [ZeroWitness(w, RootOfMinusOne(alg.element(np.linalg.solve(rb, -a.coeffs))))]
     except np.linalg.LinAlgError:  # an exact zero pivot: R_b is singular
         lu = []
     if lu and lu[0].holds(tol):  # a witness is its own proof
@@ -212,11 +211,11 @@ def _solution_witnesses(w: ComplexElement, m: np.ndarray, span: np.ndarray | Non
         return None
     base, kernel = (base, vt[rank:].T) if span is None else (span @ base, span @ vt[rank:].T)
     if not kernel.shape[1]:
-        return [_witness(w, alg.element(base))], True
+        return [ZeroWitness(w, RootOfMinusOne(alg.element(base)))], True
     rng = np.random.default_rng(0) if rng is None else rng
     xs = chain([np.zeros(kernel.shape[1])],
                (rng.standard_normal(kernel.shape[1]) for _ in range(starts - 1)))
-    return (_witness(w, alg.element(affine_square_root(alg, base, kernel, x)[0]))
+    return (ZeroWitness(w, RootOfMinusOne(alg.element(affine_square_root(alg, base, kernel, x)[0])))
             for x in xs), False
 
 
@@ -234,14 +233,14 @@ def leaf_membership(w: ComplexElement, a: Element,
 def _require_witness(witness: ZeroWitness, tol: float | None) -> None:
     if not witness.holds(tol):
         raise PreconditionFailedError(
-            f"claimed witness has residual {witness.residual:.3e}")
+            f"witness residual {witness.residual:.3e}, root defect {witness.root.residual:.3e}")
 
 
 def right_absorption(witness: ZeroWitness, wp: ComplexElement,
                      tol: float | None = None) -> ZeroWitness:
     """The product w*wp stays in the zero variety with the same witness root."""
     _require_witness(witness, tol)
-    return _witness(witness.w * wp, witness.root.element)
+    return ZeroWitness(witness.w * wp, witness.root)
 
 
 def left_absorption(witness: ZeroWitness, wp: ComplexElement,
@@ -260,7 +259,7 @@ def left_absorption(witness: ZeroWitness, wp: ComplexElement,
     sp, t = wp.re, wp.im
     product = wp * witness.w
     try:
-        closed_form = [_witness(product, right_divide(sp * a + t, sp - t * a))]
+        closed_form = [ZeroWitness(product, RootOfMinusOne(right_divide(sp * a + t, sp - t * a)))]
     except ZeroDivisorError:  # s' - ta is singular: no closed form
         closed_form = []
     found = _verdict(product, closed_form, tol)

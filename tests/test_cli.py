@@ -250,6 +250,21 @@ def test_the_stereographic_trial_decides_no_rank(monkeypatch, p, q):
     assert report.pass_count == trials
 
 
+def test_a_stereographic_section_off_the_fiber_fails_its_trial(monkeypatch, quaternions, capsys):
+    """Only the chart quotient's ZeroDivisorError leaves a trial to its
+    fiber check: a section whose value 1 misses the fiber over s raises
+    BadSectionError, which fails the trial with no residual and its
+    message as the input, and the run exits 1."""
+    monkeypatch.setattr(cli, "standard_section", lambda u: (lambda s: quaternions.unit()))
+    report = run_suite("stereographic", quaternions, "H", 20, 0, 1e-9)
+    assert report.pass_count == 0
+    assert [f["residual"] for f in report.failures] == [None] * 20
+    assert all(f["input"].startswith(f"trial {t}: section value misses the fiber")
+               for t, f in enumerate(report.failures))
+    assert main(["verify", "stereographic", "--trials", "20"]) == 1
+    assert capsys.readouterr().err.startswith("FAIL suite=stereographic")
+
+
 def test_the_twistor_suite_takes_only_the_frames_svds(monkeypatch):
     """The twistor suite's SVDs are those of QuaternionFrame.detect, none
     per trial."""

@@ -1,13 +1,17 @@
 """The package's modules import one another one way: stems (slicefunctions)
 sit below the zero variety, and no function imports from the package at
-call time except the lazy command-line names of `__init__`."""
+call time except the lazy command-line names of `__init__`.  No module of
+the package or of tools/ keeps an import it does not use."""
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import slicealgebra
 
 PACKAGE = Path(slicealgebra.__file__).parent
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def _package_targets(node: ast.AST) -> list[str]:
@@ -58,3 +62,31 @@ def test_no_function_imports_from_the_package():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 lazy |= {(name, fn.name) for node in ast.walk(fn) if _package_targets(node)}
     assert lazy == {("__init__", "__getattr__")}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that a module imports and never reads, less those on a line
+    marked `# noqa: F401`."""
+    tree, lines = ast.parse(source), source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        future = isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not future:
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[(alias.asname or alias.name).split(".")[0]] = alias.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in read)
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
+                                  if path.name != "__init__.py"]
+                         + sorted(TOOLS.glob("*.py")), ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_a_leftover_import_is_found():
+    assert unused_imports("import os\nimport sys  # noqa: F401\nfrom a import b, c\nc()\n") \
+        == ["b (line 3)", "os (line 1)"]

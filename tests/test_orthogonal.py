@@ -304,7 +304,7 @@ def test_A0_is_built_once_per_inner_product(monkeypatch, first):
     built = len(calls)
     assert built == 1  # N = 16: one block
     for _ in range(3):
-        assert checks["z0_equivalence_check"]().witness_status == "found"
+        assert checks["z0_equivalence_check"]().search.status == "found"
         assert is_in_S0(checks["sample_S0"]().element, G)
     assert len(calls) == built
 
@@ -410,7 +410,7 @@ def test_characterization_report(quaternions, rng):
     assert {"identity", "residual", "pass"} <= set(report.rows[0])
 
     # a claimed root that is not one: the isometry rows must fail
-    bad = RootOfMinusOne(quaternions.element([0.0, 0.9, 1.2, 0.0]), 0.0)
+    bad = RootOfMinusOne(quaternions.element([0.0, 0.9, 1.2, 0.0]))
     bad_report = orthogonality_characterization(bad, G)
     assert not bad_report.passed
 
@@ -611,11 +611,11 @@ def test_z0_equivalence_members(quaternions, rng):
         w = ComplexElement(a, s.element * a)
         verdict = z0_equivalence_check(w, G, rng=rng)
         assert verdict.residual_member
-        assert verdict.witness_status == "found"
+        assert verdict.search.status == "found"
         if verdict.agree:
             agree += 1
-        assert verdict.witness.holds()
-        assert is_in_S0(verdict.witness.root.element, G)
+        assert verdict.search.witness.holds()
+        assert is_in_S0(verdict.search.witness.root.element, G)
     assert agree == 100
 
 
@@ -623,12 +623,12 @@ def test_z0_equivalence_non_members(quaternions, rng):
     G = _std(quaternions)
     z = quaternions.zero()
     zero = z0_equivalence_check(ComplexElement(z, z), G, rng=rng)
-    assert zero.residual_member and zero.witness_status == "found" and zero.agree
+    assert zero.residual_member and zero.search.status == "found" and zero.agree
 
     one = z0_equivalence_check(
         ComplexElement(quaternions.unit(), quaternions.zero()), G, rng=rng)
     assert not one.residual_member
-    assert one.witness_status == "absent"
+    assert one.search.status == "absent"
     assert one.agree
 
     for _ in range(50):
@@ -658,15 +658,15 @@ def test_z0_is_decided_with_a_zerodivisor_im_part(pq, seed, member, right):
     if not member:
         verdict = z0_equivalence_check(ComplexElement(
             alg.random_element(rng) * one_plus_e1, r * one_plus_e1), G, rng=rng)
-        assert verdict.residual_member or (verdict.witness_status == "absent" and verdict.agree)
+        assert verdict.residual_member or (verdict.search.status == "absent" and verdict.agree)
         return
     b = r * one_plus_e1 if right else one_plus_e1 * r
     s = sample_S0(alg, G, rng)
     verdict = z0_equivalence_check(ComplexElement(-(s.element * b), b), G, rng=rng)
     assert verdict.residual_member
-    assert verdict.witness_status == "found"
-    assert verdict.witness.holds()
-    assert is_in_S0(verdict.witness.root.element, G)
+    assert verdict.search.status == "found"
+    assert verdict.search.witness.holds()
+    assert is_in_S0(verdict.search.witness.root.element, G)
 
 
 def test_z0_without_an_antisymmetric_subspace_is_absent():
@@ -675,8 +675,8 @@ def test_z0_without_an_antisymmetric_subspace_is_absent():
     G = _std(alg)
     assert antisymmetric_subspace(alg, G).shape == (2, 0)
     verdict = z0_equivalence_check(ComplexElement(alg.zero(), alg.zero()), G)
-    assert verdict.witness_status == "absent"
-    assert verdict.witness is None
+    assert verdict.search.status == "absent"
+    assert verdict.search.witness is None
 
 
 def test_antisymmetric_subspace_is_the_array_kept_on_G(quaternions):

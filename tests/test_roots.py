@@ -13,6 +13,7 @@ import einsum_reference
 import oracle_quaternion as oq
 from conftest import dense_cl12, elements_close
 from slicealgebra import (
+    ComplexElement,
     NonIntegerTraceError,
     NotFoundError,
     NotTangentError,
@@ -31,6 +32,7 @@ from slicealgebra import (
     sample_root,
     sigma_involution,
     tangent_frame,
+    tau_involution,
     verify_trace_identities,
 )
 from slicealgebra import numerics, orthogonal, roots
@@ -52,14 +54,35 @@ def _defect(a):
 
 
 def test_is_root_basic(quaternions):
-    assert RootOfMinusOne.measured(quaternions.basis_element(1)).holds()
-    assert not RootOfMinusOne.measured(quaternions.unit()).holds()
-    assert not RootOfMinusOne.measured(quaternions.zero()).holds()
+    assert RootOfMinusOne(quaternions.basis_element(1)).holds()
+    assert not RootOfMinusOne(quaternions.unit()).holds()
+    assert not RootOfMinusOne(quaternions.zero()).holds()
     mix = quaternions.element([0.0, 0.6, 0.8, 0.0])
-    assert RootOfMinusOne.measured(mix).holds()
-
+    assert RootOfMinusOne(mix).holds()
     with pytest.raises(ValueError):
         RootOfMinusOne.from_element(quaternions.unit())
+
+
+# table kernels (H, Cl(2,2)) and the dense one
+_KERNEL_ALGEBRAS = {"H": clifford_algebra(0, 2), "Cl(2,2)": clifford_algebra(2, 2),
+                    "dense Cl(1,2)": dense_cl12()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_KERNEL_ALGEBRAS)), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.floats(1e-3, 1e3), z=st.complex_numbers(max_magnitude=10.0))
+def test_a_residual_is_the_defect_of_its_element_bit_for_bit(name, seed, scale, z):
+    """RootOfMinusOne(x).residual is ||x*x + 1|| as Element arithmetic forms
+    it, and sigma_involution and tau_involution, which negate x, keep it:
+    (-x)*(-x) is x*x exactly."""
+    alg = _KERNEL_ALGEBRAS[name]
+    rng = np.random.default_rng(seed)
+    x = scale * alg.random_element(rng)
+    s = RootOfMinusOne(x)
+    assert s.residual == (x * x + alg.unit()).norm()
+    assert sigma_involution(z, s)[1].residual == s.residual
+    w = ComplexElement(alg.random_element(rng), alg.random_element(rng))
+    assert tau_involution(w, s)[1].residual == s.residual
 
 
 def test_seed_roots_exist_per_signature():
@@ -105,13 +128,13 @@ def _seed_from_the_tensor(algebra, rng=None, tol=None):
     defects = np.linalg.norm(squares + algebra.unit_vector, axis=1)
     hits = np.flatnonzero(within_tol(defects, 4.0, tol))
     if hits.size:
-        return RootOfMinusOne.measured(algebra.basis_element(int(hits[0])))
+        return RootOfMinusOne(algebra.basis_element(int(hits[0])))
     if rng is None:
         rng = np.random.default_rng(0)
     for _ in range(50):
         x, _ = numerics.affine_square_root(algebra, np.zeros(n), np.eye(n),
                                            rng.standard_normal(n))
-        cand = RootOfMinusOne.measured(Element(algebra, x))
+        cand = RootOfMinusOne(Element(algebra, x))
         if cand.holds(tol):
             return cand
     raise NotFoundError("no square root of -1 found; the locus may be empty")
@@ -194,10 +217,10 @@ def test_conjugation_and_sampling_stay_in_locus(cl03, rng):
     seed = find_seed_root(cl03)
     for _ in range(50):
         s = sample_root(seed, rng)
-        assert RootOfMinusOne.measured(s.element).residual == _defect(s.element) <= 1e-9
+        assert RootOfMinusOne(s.element).residual == _defect(s.element) <= 1e-9
         y = cl03.random_element(rng)
         conj = conjugate_root(y, s)
-        assert RootOfMinusOne.measured(conj.element).residual <= 1e-8
+        assert RootOfMinusOne(conj.element).residual <= 1e-8
         assert component_invariant(conj) == component_invariant(s)
 
 
@@ -263,14 +286,14 @@ def test_array_root_path_gives_the_element_bits(name):
                 continue
             if conj.element.norm() <= 32.0:
                 polished = numerics.newton_schulz(alg, conj.element.coeffs)[0]
-                want = RootOfMinusOne.measured(Element(alg, polished))
+                want = RootOfMinusOne(Element(alg, polished))
                 if want.holds():
                     break
         assert np.array_equal(s.element.coeffs, want.element.coeffs)
         assert s.residual == want.residual == _defect(want.element)
         assert np.array_equal(conj.element.coeffs, right_divide(y * seed.element, y).coeffs)
         assert np.array_equal(want.element.coeffs, _element_polish(conj.element).coeffs)
-        measured = RootOfMinusOne.measured(s.element).residual
+        measured = RootOfMinusOne(s.element).residual
         assert measured == _defect(s.element) == (s.element * s.element + alg.unit()).norm()
 
         basis = tangent_frame(s)
@@ -366,7 +389,7 @@ def test_conjugate_root_matches_the_oracle_on_h(quaternions, y, log_scale, direc
     y = 10.0 ** log_scale * y / np.linalg.norm(y)
     s = np.concatenate([[0.0], direction / np.linalg.norm(direction)])
     got = conjugate_root(quaternions.element(y),
-                         RootOfMinusOne.measured(quaternions.element(s))).element.coeffs
+                         RootOfMinusOne(quaternions.element(s))).element.coeffs
     want = oq.qmul(oq.qmul(y, s), oq.qinv(y))
     assert np.linalg.norm(got - want) <= 1e-9 * (1.0 + np.linalg.norm(s)) ** 2
 
@@ -386,8 +409,8 @@ def test_polish_root_needs_no_lapack(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", refuse)
     out = Element(alg, numerics.newton_schulz(alg, start.coeffs)[0])
     floor = 4.0 * np.finfo(float).eps * alg.dimension * (1.0 + out.norm()) ** 2
-    assert RootOfMinusOne.measured(start).residual > 1e3 * floor
-    assert RootOfMinusOne.measured(out).residual <= floor
+    assert RootOfMinusOne(start).residual > 1e3 * floor
+    assert RootOfMinusOne(out).residual <= floor
 
 
 def test_every_polish_is_the_one_newton_schulz(monkeypatch):
@@ -430,7 +453,7 @@ def test_sigma_involution_is_involutive(quaternions, rng):
     z2, s2 = sigma_involution(*sigma_involution(z, s))
     assert z2 == z
     assert (s2.element - s.element).norm() == 0.0
-    assert RootOfMinusOne.measured(sigma_involution(z, s)[1].element).holds()
+    assert RootOfMinusOne(sigma_involution(z, s)[1].element).holds()
 
 
 def test_tangent_frame_dimension_formula(rng):
@@ -548,8 +571,6 @@ def test_minus_i_eigenspace_is_an_orthonormal_array(rng):
 
 
 def test_eigenspace_columns_land_in_zero_variety(quaternions, rng):
-    from slicealgebra import ComplexElement
-
     seed = find_seed_root(quaternions)
     s = sample_root(seed, rng)
     for col in minus_i_eigenspace(s).T:
@@ -592,6 +613,6 @@ def test_component_invariant_snap_guard():
     # a fake "algebra" with non-integral T trace cannot arise from a root;
     # feed a near-root through the raw constructor to hit the guard
     alg = clifford_algebra(0, 2)
-    s = RootOfMinusOne(alg.element([0.2, 0.97, 0.0, 0.0]), 1.0)
+    s = RootOfMinusOne(alg.element([0.2, 0.97, 0.0, 0.0]))
     with pytest.raises(NonIntegerTraceError):
         component_invariant(s)

@@ -102,8 +102,14 @@ def test_frame_detection(quaternions, cl11, cl03):
     with pytest.raises(FrameNotFoundError):
         QuaternionFrame.detect(cl03)
     with pytest.raises(FrameNotFoundError):
-        QuaternionFrame(quaternions, quaternions.basis_element(1),
-                        quaternions.basis_element(1))
+        QuaternionFrame(quaternions.basis_element(1), quaternions.basis_element(1))
+
+
+def test_a_frame_reads_its_algebra_from_i(quaternions):
+    i, j = quaternions.basis_element(1), quaternions.basis_element(2)
+    frame = QuaternionFrame(i, j)
+    assert frame.algebra is i.algebra
+    assert np.array_equal(frame.matrix, QuaternionFrame.detect(quaternions).matrix)
 
 
 def test_frame_detection_on_the_standard_basis_is_e1_e2():
@@ -130,7 +136,7 @@ def test_frame_independence_reads_singular_values_only(quaternions, q):
         return svd(m, *args, **kwargs)
 
     with mock.patch.object(np.linalg, "svd", recorded):
-        QuaternionFrame(quaternions, i, j)
+        QuaternionFrame(i, j)
     assert flags == [False]
 
 
@@ -299,7 +305,7 @@ def test_fiber_chart_is_fiber_embed_on_the_real_basis(p, q):
     alg = clifford_algebra(p, q)
     u = find_seed_root(alg)
     rng = np.random.default_rng(p + 7 * q)
-    targets = [u, RootOfMinusOne(-u.element, u.residual)]
+    targets = [u, RootOfMinusOne(-u.element)]
     targets += [sample_root(u, rng) for _ in range(3)]
     for s in targets:
         basis = _fiber_basis(u, s)
@@ -317,7 +323,7 @@ def test_stereographic_fiber_is_an_orthonormal_array_in_its_chart_range(p, q):
     u = find_seed_root(alg)
     rng = np.random.default_rng(p + 7 * q)
     left, n = alg.left_matrix_vec(u.element.coeffs), alg.dimension
-    for s in [u, RootOfMinusOne(-u.element, u.residual)] + [sample_root(u, rng) for _ in range(3)]:
+    for s in [u, RootOfMinusOne(-u.element)] + [sample_root(u, rng) for _ in range(3)]:
         cols = stereographic_fiber(u, s)
         op = alg.right_matrix_vec(s.element.coeffs) @ left
         k = round(n - np.trace(op)) // 4
@@ -438,18 +444,17 @@ def test_generalized_twistor_bad_sections(quaternions, frame):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), eps=st.floats(1e-6, 1.0))
 def test_generalized_twistor_measures_its_base_point(quaternions, cl03, seed, eps):
-    """A u that is no root of -1 raises BadSectionError, whatever residual
-    it carries: a random element and a root scaled by 1 + eps, each wrapped
-    with its measured residual and with a false residual of 0."""
+    """A u that is no root of -1 raises BadSectionError: a random element
+    and a root scaled by 1 + eps."""
     rng = np.random.default_rng(seed)
     for alg in (quaternions, cl03):
         stem = stem_from_slice_poly([alg.unit(), alg.unit()])
         s = find_seed_root(alg)
         for x in (alg.random_element(rng), (1.0 + eps) * s.element):
-            assert not RootOfMinusOne.measured(x).holds()
-            for u in (RootOfMinusOne(x, 0.0), RootOfMinusOne.measured(x)):
-                with pytest.raises(BadSectionError, match="base point"):
-                    generalized_twistor(stem, lambda _s: alg.unit(), 0.3 + 0.7j, s, u)
+            u = RootOfMinusOne(x)
+            assert not u.holds()
+            with pytest.raises(BadSectionError, match="base point"):
+                generalized_twistor(stem, lambda _s: alg.unit(), 0.3 + 0.7j, s, u)
 
 
 @pytest.fixture(scope="module")
@@ -527,16 +532,18 @@ def test_bundle_array_path_gives_the_element_bits(name):
 
 
 def test_a_twistor_point_gathers_L_u_once_and_wraps_only_the_section(monkeypatch):
-    """One generalized_twistor call gathers L_u once (and L_c once) and
-    builds one Element, the section value.  The standard section's own
-    product u*s is a gather of L_u too, so its value is formed before the
-    count starts and the counted section only wraps it."""
+    """A generalized_twistor call gathers L_u once (and L_c once) and
+    builds one Element, the section value, and so does a second call on the
+    same u.  The standard section's own product u*s and the defect of u,
+    measured on its first read, are gathers of L_u too, so both are formed
+    before the count starts and the counted section only wraps its value."""
     alg = clifford_algebra(2, 2)
     u = find_seed_root(alg)
     rng = np.random.default_rng(3)
     s = sample_root(u, rng)
     stem = stem_from_slice_poly([alg.random_element(rng) for _ in range(3)])
     value = standard_section(u)(s).coeffs
+    assert u.residual <= 1e-12  # measured once, here
 
     def section(_):
         return Element(alg, value)
@@ -555,12 +562,15 @@ def test_a_twistor_point_gathers_L_u_once_and_wraps_only_the_section(monkeypatch
 
     monkeypatch.setattr(alg, "left_matrix_vec", counted_gather)
     monkeypatch.setattr(Element, "__post_init__", counted_post_init)
-    point = generalized_twistor(stem, section, 0.3 + 0.7j, s, u)
-    c = elements[0]
-    assert len(elements) == 1
-    assert sum(np.array_equal(a, u.element.coeffs) for a in gathers) == 1
-    assert len(gathers) == 2 and np.array_equal(gathers[1], c.coeffs)
-    assert point.coords.shape == (2 * alg.dimension,)
+    for _ in range(2):
+        gathers.clear()
+        elements.clear()
+        point = generalized_twistor(stem, section, 0.3 + 0.7j, s, u)
+        c = elements[0]
+        assert len(elements) == 1
+        assert sum(np.array_equal(a, u.element.coeffs) for a in gathers) == 1
+        assert len(gathers) == 2 and np.array_equal(gathers[1], c.coeffs)
+        assert point.coords.shape == (2 * alg.dimension,)
 
 
 _unit_imaginary = st.tuples(*[st.floats(-1.0, 1.0) for _ in range(3)])
@@ -577,7 +587,7 @@ def test_bundle_quotient_is_the_slice_function_on_H(quaternions, direction, coef
     the tolerance rule; s stays away from -u, where the section vanishes."""
     v = np.array(direction)
     assume(np.linalg.norm(v) >= 0.1)
-    s = RootOfMinusOne.measured(quaternions.element(np.concatenate([[0.0], v / np.linalg.norm(v)])))
+    s = RootOfMinusOne(quaternions.element(np.concatenate([[0.0], v / np.linalg.norm(v)])))
     u = find_seed_root(quaternions)
     assume((u.element + s.element).norm() >= 0.1)
     stem = stem_from_slice_poly([quaternions.element(a) for a in coefficients])
@@ -611,7 +621,7 @@ def test_the_bundle_at_I_is_the_chart_of_the_GSS_lift(quaternions, coefficients,
     chart = ProjectivePoint(np.concatenate([fiber_embed(i, gamma(w[0], w[1], frame)),
                                             fiber_embed(i, gamma(w[2], w[3], frame))]))
     g = oq.gamma_pair(u0, u1)
-    s_u = RootOfMinusOne.measured(quaternions.element(oq.qmul(oq.qinv(g), oq.qmul(oq.I, g))))
+    s_u = RootOfMinusOne(quaternions.element(oq.qmul(oq.qinv(g), oq.qmul(oq.I, g))))
     sections = [lambda _: quaternions.element(g)]
     if (s_u.element + i.element).norm() >= 0.1:
         sections.append(standard_section(i))

@@ -465,11 +465,26 @@ def test_right_absorption_random(quaternions, cl03, rng):
 
 def test_right_absorption_rejects_bad_witness(quaternions):
     fake = ZeroWitness(ComplexElement(quaternions.unit(), quaternions.zero()),
-                       RootOfMinusOne.from_element(quaternions.basis_element(1)),
-                       1.0)
+                       RootOfMinusOne.from_element(quaternions.basis_element(1)))
     z = quaternions.zero()
     with pytest.raises(PreconditionFailedError):
         right_absorption(fake, ComplexElement(z, z))
+
+
+def test_absorption_measures_the_witness_root(quaternions, rng):
+    """x = 0.9 e1 + 1.2 e2 has x*x + 1 = -1.25: no root, though a + x*b = 0
+    exactly for a = -x*b.  Its witness measures both defects, and both
+    absorptions reject it."""
+    x = quaternions.element([0.0, 0.9, 1.2, 0.0])
+    b = quaternions.random_element(rng)
+    witness = ZeroWitness(ComplexElement(-(x * b), b), RootOfMinusOne(x))
+    assert witness.residual == 0.0
+    assert abs(witness.root.residual - 1.25) <= 1e-12
+    wp = ComplexElement(quaternions.random_element(rng), quaternions.random_element(rng))
+    with pytest.raises(PreconditionFailedError, match="root defect 1.250e"):
+        right_absorption(witness, wp)
+    with pytest.raises(PreconditionFailedError, match="root defect 1.250e"):
+        left_absorption(witness, wp)
 
 
 def test_left_absorption_pinned(quaternions):
@@ -504,7 +519,7 @@ def test_left_absorption_without_a_closed_form_searches(quaternions):
     res = left_absorption(base, ComplexElement(z, z))
     assert res.status == "found"
     assert res.witness.w.re.norm() == res.witness.w.im.norm() == 0.0
-    assert RootOfMinusOne.measured(res.witness.root.element).holds()
+    assert res.witness.root.holds()
 
 
 def test_left_absorption_random(quaternions, rng):
@@ -520,7 +535,7 @@ def test_left_absorption_random(quaternions, rng):
         res = left_absorption(base.witness, wp, rng=rng)
         if res.status == "found":
             found += 1
-            assert RootOfMinusOne.measured(res.witness.root.element).holds(1e-9)
+            assert res.witness.root.holds(1e-9)
             scale = 1 + res.witness.w.norm()
             assert res.witness.residual <= 1e-8 * scale
     assert found >= 99

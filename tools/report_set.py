@@ -50,8 +50,10 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from einsum_reference import rotated, rotation  # noqa: E402
 from slicealgebra import dump_algebra, make_algebra  # noqa: E402
 from slicealgebra.cli import SUITES, main, resolve_algebra  # noqa: E402
 
@@ -90,17 +92,13 @@ def _stems(name: str) -> dict[str, list[list[float]]]:
 
 
 def _write_rotated(name: str) -> str:
-    """Write the algebra `name` in a seeded orthogonal basis f_i = sum_a
-    basis[a, i] e_a that keeps the unit e_0; return the file name."""
+    """Write the algebra `name` in the orthogonal basis of
+    einsum_reference.rotation, seeded, which keeps the unit; return the
+    file name."""
     c = resolve_algebra(ALGEBRAS[name][0])[1].structure_constants
-    n = c.shape[0]
-    q, r = np.linalg.qr(np.random.default_rng(ROTATED.index(name)).standard_normal((n - 1, n - 1)))
-    basis = np.eye(n)
-    basis[1:, 1:] = q * np.sign(np.diag(r))
-    rotated = np.einsum("ai,bj,abm,mk->ijk", basis, basis, c, basis, optimize=True)
-    rotated[0] = rotated[:, 0] = np.eye(n)  # the unit law, exactly
+    basis = rotation(c.shape[0], np.random.default_rng(ROTATED.index(name)))
     path = f"algebra_rot-{name}.json"
-    dump_algebra(make_algebra(rotated), path)
+    dump_algebra(make_algebra(rotated(c, basis)), path)
     return path
 
 

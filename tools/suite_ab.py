@@ -41,6 +41,10 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from einsum_reference import rotated, rotation  # noqa: E402
+
 ALGEBRAS = {"H": ((0, 2), 5), "Cl(0,3)": ((0, 3), 5), "Cl(2,2)": ((2, 2), 5),
             "Cl(0,6)": ((0, 6), 3), "Cl(3,3)": ((3, 3), 3)}
 A0_ALGEBRAS = ("H", "Cl(2,2)", "Cl(0,6)", "Cl(3,3)")
@@ -49,16 +53,10 @@ ROUNDS = 7
 
 
 def _dense_cl23(algebra) -> np.ndarray:
-    """Cl(2,3)'s tensor in a seeded orthonormal basis f_i = sum_a basis[a, i]
-    e_a that keeps the unit, with the unit law reset exactly."""
+    """Cl(2,3)'s tensor in the orthonormal basis of einsum_reference.rotation,
+    seeded, which keeps the unit, with the unit law reset exactly."""
     c = algebra.clifford_algebra(2, 3).structure_constants
-    n = c.shape[0]
-    q, r = np.linalg.qr(np.random.default_rng(23).standard_normal((n - 1, n - 1)))
-    basis = np.eye(n)
-    basis[1:, 1:] = q * np.sign(np.diag(r))
-    dense = np.einsum("ai,bj,abm,mk->ijk", basis, basis, c, basis, optimize=True)
-    dense[0] = dense[:, 0] = np.eye(n)
-    return dense
+    return rotated(c, rotation(c.shape[0], np.random.default_rng(23)))
 
 
 def _ops(checkout: str, name: str, into: str) -> dict:
