@@ -14,6 +14,7 @@ identities are homogeneous in G).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ class InnerProduct:
         object.__setattr__(self, "scaled", scaled)
         object.__setattr__(self, "power", power)
         object.__setattr__(self, "_sizes", (np.linalg.norm(scaled), float(np.trace(scaled))))
-        object.__setattr__(self, "_a0", {})  # algebra -> A0's span, see antisymmetric_subspace
+        object.__setattr__(self, "_a0", weakref.WeakKeyDictionary())  # algebra -> A0's span
 
     @classmethod
     def standard(cls, algebra: Algebra) -> "InnerProduct":
@@ -125,7 +126,7 @@ def is_in_S0(s: Element, G: InnerProduct, tol: float | None = None) -> bool:
 
 def antisymmetric_subspace(algebra: Algebra, G: InnerProduct) -> np.ndarray:
     """Orthonormal basis of A0 = {a : L_a G-antisymmetric}: the read-only
-    (N, m) array built once per algebra and kept on G as long as G lives.
+    (N, m) array built once per algebra and kept on G while both live.
     <a x, y> + <x, a y> = 0, so sum_i a_i B_i is antisymmetric for
     B_i = c[i] G_hat, B_i[j, k] = <e_i e_j, e_k> under G_hat.  One row
     B_i[j, k] + B_i[k, j] per k >= j, off-diagonal rows times sqrt(2) (under
@@ -166,8 +167,9 @@ def sample_S0(algebra: Algebra, G: InnerProduct,
     for _ in range(50):
         x = span @ rng.standard_normal(span.shape[1])
         x, defect = newton_schulz(algebra, x / np.linalg.norm(algebra.left_matrix_vec(x)))
-        cand = Element(algebra, x)  # the defect is tested as holds tests it
-        if within_tol(defect, (1.0 + cand.norm()) ** 2, tol) and is_in_S0(cand, G, tol):
+        cand = Element(algebra, x)  # two of three: s*s = -1 at the polish's defect, a G-identity
+        if within_tol(defect, (1.0 + cand.norm()) ** 2, tol) and any(
+                ok for *_, ok in _g_identities(algebra, x, G, 1.0, 0.0, tol)):
             return RootOfMinusOne(cand)
     raise NotFoundError("no orthogonal root found in the antisymmetric subspace")
 

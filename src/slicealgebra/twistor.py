@@ -11,7 +11,9 @@ a map to P(E + E) whose chart quotient recovers the slice function.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,7 +79,7 @@ class QuaternionFrame:
         if self.algebra.dimension != 4:
             raise FrameNotFoundError("frame requires a 4-dimensional algebra")
         anti = (self.i * self.j + self.j * self.i).norm()
-        if not (RootOfMinusOne(self.i).holds() and RootOfMinusOne(self.j).holds()
+        if not (self.i_root.holds() and RootOfMinusOne(self.j).holds()
                 and within_tol(anti, 2.0 * self.i.norm() * self.j.norm())):
             raise FrameNotFoundError("candidate pair is not a quaternion frame")
         k = self.i * self.j
@@ -99,7 +101,7 @@ class QuaternionFrame:
                 continue
         raise FrameNotFoundError("no quaternion frame in this basis")
 
-    @property
+    @cached_property
     def i_root(self) -> RootOfMinusOne:
         return RootOfMinusOne(self.i)
 
@@ -204,22 +206,49 @@ def fiber_embed(u: RootOfMinusOne, a: Element) -> np.ndarray:
     return a.coeffs - 1j * u.algebra.multiply_vec(u.element.coeffs, a.coeffs)
 
 
-def stereographic_fiber(u: RootOfMinusOne, s: RootOfMinusOne) -> np.ndarray:
-    """The fiber over s of the bundle carried by (A, L_u), embedded C-linearly.
+_BASE_FIBERS = weakref.WeakKeyDictionary()  # algebra -> {u's bytes: (L_u, fiber over u)}
 
-    The real solution space B of u c = c s is L_u-closed, so its chart
-    image B - i (L_u B) is a complex subspace of half the real dimension:
-    the range of (1 - i L_u)/2 (the +i-eigenspace of L_u, which commutes
-    with R_s L_u) times the fiber projector (1 - R_s L_u)/2, onto B, the
-    (-1)-eigenspace of the involution R_s L_u, of rank (N - tr R_s L_u)/2;
-    the range is found by one projector_range.
-    """
-    alg = u.algebra
-    left = alg.left_matrix_vec(u.element.coeffs)
-    op = alg.right_matrix_vec(s.element.coeffs) @ left
-    proj, rank = 0.5 * (np.eye(alg.dimension) - op), (alg.dimension - integer_trace(op)) // 2
+
+def _chart_range(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The fiber over s of the bundle carried by (A, L_u), for left = L_u and
+    right = R_s.  The real solution space B_s of u c = c s is L_u-closed, so
+    its chart image B_s - i (L_u B_s) is a complex subspace of half the real
+    dimension: the range of (1 - i L_u)/2 (the +i-eigenspace of L_u, which
+    commutes with R_s L_u) times the fiber projector (1 - R_s L_u)/2, onto
+    B_s, the (-1)-eigenspace of the involution R_s L_u, of rank (N - tr R_s
+    L_u)/2; the range is found by one projector_range."""
+    n, op = left.shape[0], right @ left
+    proj, rank = 0.5 * (np.eye(n) - op), (n - integer_trace(op)) // 2
     chart = 0.5 * (proj - 1j * (left @ proj))  # (1 - i L_u)/2 times proj
     return projector_range(chart, rank // 2)
+
+
+def stereographic_fiber(u: RootOfMinusOne, s: RootOfMinusOne) -> np.ndarray:
+    """The fiber over s of the bundle carried by (A, L_u), embedded C-linearly
+    (_chart_range): orthonormal, C-contiguous (N, k) columns.  c = 1 - u s is
+    in B_s, so R_c maps B_u, the centralizer of u, into B_s, onto it when c is
+    invertible: the section trivializes the bundle.  So B_u's chart is kept for
+    the last 8 base roots of each algebra, and the fiber over s is one QR of R_c
+    times it, if the trace rank is k and the columns Q pass L_u Q = iQ and Q +
+    R_s L_u Q = 0 by the tolerance rule; else (c a zerodivisor) _chart_range."""
+    alg, coeffs = u.algebra, u.element.coeffs
+    fibers = _BASE_FIBERS.setdefault(alg, {})
+    if (key := coeffs.tobytes()) not in fibers:
+        if len(fibers) == 8:
+            del fibers[next(iter(fibers))]  # the oldest
+        left = alg.left_matrix_vec(coeffs)
+        fibers[key] = left, _chart_range(left, alg.right_matrix_vec(coeffs))
+    left, base = fibers[key]
+    right = alg.right_matrix_vec(s.element.coeffs)
+    if round(np.vdot(right, left.T)) == alg.dimension - 4 * base.shape[1]:  # tr R_s L_u
+        c = alg.unit_vector - left @ s.element.coeffs  # the standard section's value
+        q = np.linalg.qr((alg.right_matrix_vec(c) @ base.view(float)).view(complex))[0]
+        real, lq = q.view(float), left @ q.view(float)  # real views: (N, 2k)
+        swapped = right @ lq
+        residual = vector_norm(lq - (1j * q).view(float)) + vector_norm(real + swapped)
+        if within_tol(residual, vector_norm(lq) + 2 * vector_norm(real) + vector_norm(swapped)):
+            return q
+    return _chart_range(left, right)
 
 
 def standard_section(u: RootOfMinusOne):

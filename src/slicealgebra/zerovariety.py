@@ -64,8 +64,10 @@ class ComplexElement:
         return float(np.hypot(self.re.norm(), self.im.norm()))
 
     def __mul__(self, other: "ComplexElement") -> "ComplexElement":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return ComplexElement(a * c - b * d, a * d + b * c)
+        self.re._require_same(other.re)  # (ac - bd) + i(ad + bc), L_a and L_b gathered once
+        alg, c, d = self.algebra, other.re.coeffs, other.im.coeffs
+        la, lb = alg.left_matrix_vec(self.re.coeffs), alg.left_matrix_vec(self.im.coeffs)
+        return ComplexElement(Element(alg, la @ c - lb @ d), Element(alg, la @ d + lb @ c))
 
 
 def tau_involution(w: ComplexElement, s: RootOfMinusOne):

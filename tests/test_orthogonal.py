@@ -1,8 +1,10 @@
 """Orthogonal complex structures, the quadratic cone and the quadratic
 equations for the distinguished zero variety."""
 
+import gc
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from slicealgebra import (
     z0_equivalence_check,
     z0_residual,
 )
-from slicealgebra import orthogonal
+from slicealgebra import cli, orthogonal
 from slicealgebra.config import within_tol
 from slicealgebra.numerics import null_space
 
@@ -307,6 +309,37 @@ def test_A0_is_built_once_per_inner_product(monkeypatch, first):
         assert checks["z0_equivalence_check"]().search.status == "found"
         assert is_in_S0(checks["sample_S0"]().element, G)
     assert len(calls) == built
+
+
+def test_the_cone_suite_builds_A0_once_per_algebra(monkeypatch):
+    """cli keeps one standard G per algebra, so the first cone run on an
+    algebra builds A0 and every later one reads it, with the same report;
+    the weak keys let a freed algebra go, and its G and A0 with it."""
+    alg = clifford_algebra(2, 2)
+    fresh = cli.run_suite("cone", clifford_algebra(2, 2), "x", 6, 1, 1e-9).to_json()
+    calls = _block_qr_calls(monkeypatch)
+    cli.run_suite("cone", alg, "x", 6, 0, 1e-9)
+    assert len(calls) == 1  # N = 16: one block
+    assert cli.run_suite("cone", alg, "x", 6, 1, 1e-9).to_json() == fresh
+    assert len(calls) == 1
+    freed = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert freed() is None
+
+
+def test_sample_S0_gathers_the_drawn_root_twice(monkeypatch):
+    """The root sample_S0 returns has L_s gathered twice: by the polish, which
+    measures ||s*s + 1||, and by the G-identities; the defect is not measured
+    again for the two-of-three test."""
+    alg = clifford_algebra(2, 2)
+    G = _std(alg)
+    antisymmetric_subspace(alg, G)
+    gathers, gather = [], alg.left_matrix_vec
+    monkeypatch.setattr(alg, "left_matrix_vec", lambda a: gathers.append(np.array(a)) or gather(a))
+    s = sample_S0(alg, G, np.random.default_rng(0))
+    assert sum(np.array_equal(a, s.element.coeffs) for a in gathers) == 2
+    assert is_in_S0(s.element, G)
 
 
 def test_each_inner_product_keeps_its_own_A0(monkeypatch, quaternions):

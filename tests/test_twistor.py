@@ -1,6 +1,9 @@
 """Projective pipeline over the quaternions and the generalized
 stereographic bundle."""
 
+import functools
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 import einsum_reference
 import oracle_quaternion as oq
 from conftest import dense_cl12, elements_close, points_close
+from slicealgebra import twistor
 from slicealgebra import (
     BadSectionError,
     BasePointAtInfinityError,
@@ -371,6 +375,191 @@ def test_fiber_eigenspace_and_quotient_need_no_svd(monkeypatch, p, q):
         assert minus_i_eigenspace(s).shape[1] == n // 2
         want = eval_slice(stem, 0.3 + 0.7j, s)
         assert (rho1_general(point, u) - want).norm() <= 1e-9 * (1 + want.norm())
+
+
+def _qr_calls():
+    """(calls, patch): while patch is active, every np.linalg.qr call appends
+    the shape it factored to calls."""
+    calls, qr = [], np.linalg.qr
+
+    def counted(a, mode="reduced"):
+        calls.append(a.shape)
+        return qr(a, mode=mode)
+
+    return calls, mock.patch.object(np.linalg, "qr", counted)
+
+
+def _chart_range_of(u, s):
+    """The fiber over s from its definition: the range of the chart projector
+    (1 - i L_u)/2 (1 - R_s L_u)/2, of rank (N - tr R_s L_u)/4."""
+    alg, n = u.algebra, u.algebra.dimension
+    left = alg.left_matrix_vec(u.element.coeffs)
+    op = alg.right_matrix_vec(s.element.coeffs) @ left
+    proj = 0.5 * (np.eye(n) - op)
+    return projector_range(0.5 * (proj - 1j * (left @ proj)), (n - integer_trace(op)) // 4)
+
+
+def _same_span(got, want) -> bool:
+    """Orthonormal columns, as many as want has, spanning want's range."""
+    k = want.shape[1]
+    return (got.shape == want.shape
+            and np.linalg.norm(got.conj().T @ got - np.eye(k)) <= 1e-12
+            and np.linalg.norm(got @ got.conj().T - want @ want.conj().T) <= 1e-9)
+
+
+_TRANSLATE_SIGNATURES = {"H": (0, 2), "Cl(0,3)": (0, 3), "Cl(1,1)": (1, 1), "Cl(2,1)": (2, 1),
+                         "Cl(2,2)": (2, 2), "Cl(0,6)": (0, 6)}
+
+
+@functools.cache
+def _translate_algebra(name):
+    """The algebras of the translate test, each built once."""
+    if name == "dense Cl(1,2)":
+        return dense_cl12()
+    if name == "rotated Cl(2,2)":
+        basis = einsum_reference.rotation(16, np.random.default_rng(22))
+        return make_algebra(einsum_reference.rotated(
+            clifford_algebra(2, 2).structure_constants, basis))
+    return clifford_algebra(*_TRANSLATE_SIGNATURES[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_TRANSLATE_SIGNATURES) + ["dense Cl(1,2)", "rotated Cl(2,2)"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_fiber_over_an_orbit_root_is_the_section_translate(name, seed):
+    """For s on u's conjugation orbit, c = 1 - u s is invertible, and the
+    fiber over s is R_c times the fiber over u: once that one is built, a
+    single QR, with no projector fallback, gives orthonormal columns that
+    span the range of the chart projector over s."""
+    alg = _translate_algebra(name)
+    u = find_seed_root(alg)
+    s = sample_root(u, np.random.default_rng(seed))
+    stereographic_fiber(u, u)  # builds the fiber over u
+    calls, patch = _qr_calls()
+    with patch:
+        got = stereographic_fiber(u, s)
+    assert len(calls) == 1
+    assert _same_span(got, _chart_range_of(u, s))
+
+
+def _cl30_central_case():
+    """Cl(3,0) with u = e12 and the central root s = e123: s is off u's
+    conjugation orbit, and c = 1 - u s = 1 + e3 is a zerodivisor, while the
+    trace rank over s equals the one over u."""
+    alg = clifford_algebra(3, 0)
+    return (RootOfMinusOne.from_element(alg.basis_element(alg.labels.index("e12"))),
+            RootOfMinusOne.from_element(alg.basis_element(alg.labels.index("e123"))))
+
+
+def _minus_u_case(p, q):
+    """s = -u, where c = 1 - u s = 1 + u*u is zero."""
+    u = find_seed_root(clifford_algebra(p, q))
+    return u, RootOfMinusOne(-u.element)
+
+
+def _unit_second_case():
+    """Cl(1,1) on the basis (e1, 1, e2, e12), u = e2 and s = -u.  The QR of
+    R_c = 0 returns the first basis vector e1, which lies in the fiber
+    (e2 e1 = -e1 e2) but is real, so it is no column of the chart."""
+    order = [1, 0, 2, 3]
+    c = clifford_algebra(1, 1).structure_constants[np.ix_(order, order, order)]
+    alg = make_algebra(c, unit_index=1)
+    u = RootOfMinusOne.from_element(alg.basis_element(2))
+    return u, RootOfMinusOne(-u.element)
+
+
+_ZERODIVISOR_CASES = {"Cl(3,0) e12 e123": _cl30_central_case,
+                      "Cl(1,1) unit second -u": _unit_second_case,
+                      **{f"Cl({p},{q}) -u": functools.partial(_minus_u_case, p, q)
+                         for p, q in [(0, 2), (0, 3), (2, 2), (2, 1), (0, 6)]}}
+
+
+@pytest.mark.parametrize("case", _ZERODIVISOR_CASES.values(), ids=_ZERODIVISOR_CASES.keys())
+def test_a_zerodivisor_section_falls_back_to_the_projector(case):
+    """Where c = 1 - u s is a zerodivisor, R_c times the fiber over u spans
+    too little; the fiber and chart identities reject that basis, and the
+    fiber over s is the projector range, of rank (N - tr R_s L_u)/4."""
+    u, s = case()
+    stereographic_fiber(u, u)  # builds the fiber over u
+    calls, patch = _qr_calls()
+    with patch:
+        got = stereographic_fiber(u, s)
+    assert len(calls) in (2, 3)  # the projector range, after a rejected translate or none
+    assert _same_span(got, _chart_range_of(u, s))
+
+
+def test_the_central_case_tries_and_rejects_the_translate():
+    """On Cl(3,0) with u = e12 and s = e123 the trace ranks agree, so the
+    translate is formed (one QR) and rejected (two more, the projector)."""
+    u, s = _cl30_central_case()
+    stereographic_fiber(u, u)
+    calls, patch = _qr_calls()
+    with patch:
+        stereographic_fiber(u, s)
+    assert len(calls) == 3
+
+
+def test_the_fiber_over_u_is_built_once_per_algebra_and_root():
+    """The projector range over u (two QRs) is built on the first fiber call
+    with u's coefficients in its algebra; every later fiber over that base,
+    through any root object with those coefficients, is one QR.  Another
+    algebra object builds its own; each algebra keeps at most eight."""
+    alg = clifford_algebra(2, 1)  # a new object: nothing is kept for it yet
+    u = find_seed_root(alg)
+    rng = np.random.default_rng(4)
+    roots = [sample_root(u, rng) for _ in range(4)]
+    calls, patch = _qr_calls()
+    with patch:
+        for s in roots:
+            stereographic_fiber(u, s)
+        stereographic_fiber(RootOfMinusOne(alg.element(u.element.coeffs)), roots[0])
+        assert len(calls) == 2 + 5
+        twin = clifford_algebra(2, 1)
+        stereographic_fiber(find_seed_root(twin), RootOfMinusOne(twin.element(roots[0].element.coeffs)))
+        assert len(calls) == 2 + 5 + 2 + 1
+    for base in roots + [sample_root(u, rng) for _ in range(6)]:
+        stereographic_fiber(base, base)
+    assert len(twistor._BASE_FIBERS[alg]) == 8
+
+
+def test_a_freed_algebra_leaves_no_cached_fiber():
+    """The fibers over u are kept under weak algebra keys: once the algebra
+    and its roots are gone, so is their entry."""
+    gc.collect()
+    before = len(twistor._BASE_FIBERS)
+    alg = clifford_algebra(0, 3)
+    u = find_seed_root(alg)
+    stereographic_fiber(u, sample_root(u, np.random.default_rng(0)))
+    assert alg in twistor._BASE_FIBERS and len(twistor._BASE_FIBERS) == before + 1
+    freed = weakref.ref(alg)
+    del alg, u
+    gc.collect()
+    assert freed() is None
+    assert len(twistor._BASE_FIBERS) == before
+
+
+def test_a_frame_measures_its_i_root_once(monkeypatch):
+    """frame.i_root is one root, whose defect the constructor measured: later
+    reads form no I*I, and each generalized_twistor call on it gathers L_I
+    once, for the image, not again for the defect."""
+    alg = clifford_algebra(0, 2)
+    i_vec = alg.basis_element(1).coeffs
+    squares, gathers = [], []
+    multiply, gather = alg.multiply_vec, alg.left_matrix_vec
+    monkeypatch.setattr(alg, "multiply_vec", lambda x, y: squares.append(
+        np.array_equal(x, i_vec) and np.array_equal(y, i_vec)) or multiply(x, y))
+    frame = QuaternionFrame(alg.basis_element(1), alg.basis_element(2))
+    assert frame.i_root is frame.i_root and all(frame.i_root.holds() for _ in range(3))
+    assert sum(squares) == 1
+    rng = np.random.default_rng(1)
+    stem = stem_from_slice_poly([alg.random_element(rng) for _ in range(3)])
+    s = sample_root(frame.i_root, rng)
+    g = standard_section(frame.i_root)(s)
+    monkeypatch.setattr(alg, "left_matrix_vec", lambda a: gathers.append(
+        np.array_equal(a, i_vec)) or gather(a))
+    for _ in range(3):
+        generalized_twistor(stem, lambda _: g, 0.3 + 0.7j, s, frame.i_root)
+    assert sum(gathers) == 3
 
 
 def test_fiber_embed_is_complex_linear(quaternions, rng):

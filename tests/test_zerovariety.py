@@ -437,6 +437,21 @@ def test_leaf_membership(quaternions, rng):
     assert every.witness.residual <= 1e-12
 
 
+def test_a_complex_product_gathers_each_left_factor_once(monkeypatch):
+    """(a + ib)(c + id) gathers L_a and L_b once each, and its parts are bit
+    for bit the four Element products ac - bd and ad + bc."""
+    alg = clifford_algebra(2, 2)
+    rng = np.random.default_rng(9)
+    a, b, c, d = (alg.random_element(rng) for _ in range(4))
+    gathers, gather = [], alg.left_matrix_vec
+    monkeypatch.setattr(alg, "left_matrix_vec", lambda x: gathers.append(np.array(x)) or gather(x))
+    product = ComplexElement(a, b) * ComplexElement(c, d)
+    assert len(gathers) == 2
+    assert [g.tolist() for g in gathers] == [a.coeffs.tolist(), b.coeffs.tolist()]
+    assert np.array_equal(product.re.coeffs, (a * c - b * d).coeffs)
+    assert np.array_equal(product.im.coeffs, (a * d + b * c).coeffs)
+
+
 def test_right_absorption_pinned(quaternions):
     """w = (1, i), wp = (j, 0): product (j, k) still killed by s = i."""
     w = ComplexElement(quaternions.unit(), quaternions.element(oq.I))

@@ -6,10 +6,12 @@ PARENT and CHANGE are two checkouts of this repository.  Each one's
 src/slicealgebra is copied into a temporary directory under a private
 package name (the package imports itself only relatively), and both are
 imported here, so the two sides share one interpreter and meet the same
-phases of a machine whose speed drifts.  An op is one `run_suite` call:
-every suite on H, Cl(0,3) and Cl(2,2) at 5 trials and on Cl(0,6) and
-Cl(3,3) at 3 trials, at seeds 0-29; a suite that does not apply is left
-out.  The structure-tensor layer adds two kinds of op: `build`, one
+phases of a machine whose speed drifts.  Each side is imported twice, in
+two orders: the parent's first copy before the change's, then the change's
+second copy before the parent's.  An op is one `run_suite` call: every
+suite on H, Cl(0,3) and Cl(2,2) at 5 trials and on Cl(0,6) and Cl(3,3) at 3
+trials, at seeds 0-29; a suite that does not apply is left out.  The
+structure-tensor layer adds two kinds of op: `build`, one
 `clifford_algebra(p, q)` for each of the five algebras (its associativity
 check included), and `dump+load`, `dump_algebra` then `load_algebra` of
 one dense Cl(2,3) (N = 32) in a seeded orthonormal basis that keeps the
@@ -17,11 +19,16 @@ unit, the same tensor on both sides.  The constructions layer adds `A0`,
 `orthogonal.antisymmetric_subspace` under the standard inner product on H,
 Cl(2,2), Cl(0,6) and Cl(3,3), one op per seed (the same call).  An
 InnerProduct keeps the A0 it built, so each `A0` call makes its own G and
-every round, and each tracemalloc peak, times one build.  Each of 7 rounds runs every op on both sides, alternating which
-side goes first from op to op.  An op's time is its fastest round.  The table
-gives, for each (suite, algebra), the median over seeds of the op times of
-each side and the relative change; an `A0` row also gives each side's
-tracemalloc peak of one call, after the rounds.  BLAS runs on one thread.
+every round, and each tracemalloc peak, times one build.  Each of 8 rounds
+runs every op on both sides, on the copies of one import order, the orders
+taking turns from round to round, and alternating which side goes first
+from op to op.  An op's time in an order is its fastest round there.  The
+table gives, for each (suite, algebra), the median over seeds and both
+orders of the op times of each side and the relative change, then that
+change in each order alone (parent imported first, change imported first):
+a gap between the two is the bias of import order.  An `A0` row also gives
+each side's tracemalloc peak of one call, after the rounds.  BLAS runs on
+one thread.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ ALGEBRAS = {"H": ((0, 2), 5), "Cl(0,3)": ((0, 3), 5), "Cl(2,2)": ((2, 2), 5),
             "Cl(0,6)": ((0, 6), 3), "Cl(3,3)": ((3, 3), 3)}
 A0_ALGEBRAS = ("H", "Cl(2,2)", "Cl(0,6)", "Cl(3,3)")
 SEEDS = range(30)
-ROUNDS = 7
+ROUNDS = 8  # 4 in each import order
 
 
 def _dense_cl23(algebra) -> np.ndarray:
@@ -99,26 +106,36 @@ def _ops(checkout: str, name: str, into: str) -> dict:
 def main(parent: str, change: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        sides = [_ops(path, f"slicealgebra_ab{k}", tmp) for k, path in enumerate((parent, change))]
-        if sides[0].keys() != sides[1].keys():
+        # sides[order][side], side 0 the parent: order 0 imports the parent
+        # first, order 1 the change
+        sides = [[None, None], [None, None]]
+        for order, side in ((0, 0), (0, 1), (1, 1), (1, 0)):
+            sides[order][side] = _ops((parent, change)[side], f"slicealgebra_ab{order}{side}", tmp)
+        if any(ops.keys() != sides[0][0].keys() for pair in sides for ops in pair):
             sys.exit("the two checkouts apply different suites")
-        keys = list(sides[0])
-        fastest = np.full((2, len(keys)), np.inf)
+        keys = list(sides[0][0])
+        fastest = np.full((2, 2, len(keys)), np.inf)  # [order, side, op]
         for rnd in range(ROUNDS):
+            order = rnd % 2
             for k, key in enumerate(keys):
-                for side in ((0, 1) if (rnd + k) % 2 == 0 else (1, 0)):
+                for side in ((0, 1) if (rnd // 2 + k) % 2 == 0 else (1, 0)):
                     started = time.perf_counter()
-                    sides[side][key]()
-                    fastest[side, k] = min(fastest[side, k], time.perf_counter() - started)
-        peaks = {key: [_peak_mib(side[key]) for side in sides] for key in keys if key[0] == "A0"}
+                    sides[order][side][key]()
+                    fastest[order, side, k] = min(fastest[order, side, k],
+                                                  time.perf_counter() - started)
+        peaks = {key: [_peak_mib(pair[key]) for pair in sides[0]]
+                 for key in keys if key[0] == "A0"}
     print(f"{'suite':<14}{'algebra':<14}{'parent ms':>10}{'change ms':>10}{'change':>9}"
-          f"{'parent MiB':>12}{'change MiB':>12}")
+          f"{'p first':>9}{'c first':>9}{'parent MiB':>12}{'change MiB':>12}")
     for suite, alg_name in dict.fromkeys(key[:2] for key in keys):
         cols = [k for k, key in enumerate(keys) if key[:2] == (suite, alg_name)]
-        before, after = (1e3 * np.median(fastest[side, cols]) for side in (0, 1))
+        before, after = (1e3 * np.median(fastest[:, side, cols]) for side in (0, 1))
+        by_order = [np.median(fastest[order, 1, cols]) / np.median(fastest[order, 0, cols]) - 1
+                    for order in (0, 1)]
         peak = peaks.get((suite, alg_name, 0))
         print(f"{suite:<14}{alg_name:<14}{before:>10.3f}{after:>10.3f}"
-              f"{after / before - 1:>+9.1%}" + (f"{peak[0]:>12.3f}{peak[1]:>12.3f}" if peak else ""))
+              f"{after / before - 1:>+9.1%}{by_order[0]:>+9.1%}{by_order[1]:>+9.1%}"
+              + (f"{peak[0]:>12.3f}{peak[1]:>12.3f}" if peak else ""))
 
 
 def _peak_mib(op) -> float:
