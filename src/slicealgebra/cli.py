@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
 import time
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +74,6 @@ _ALIASES = {
     "complex": (0, 1), "c": (0, 1),
     "quaternions": (0, 2), "h": (0, 2),
 }
-_STANDARD_G = weakref.WeakKeyDictionary()  # algebra -> its standard G, which keeps its A0
 
 
 def canonical_json(obj) -> str:
@@ -219,7 +216,7 @@ def _suite_absorption(alg, trials, rng, tol):
 
 
 def _suite_cone(alg, trials, rng, tol):
-    G = _STANDARD_G.get(alg) or _STANDARD_G.setdefault(alg, InnerProduct.standard(alg))
+    G = InnerProduct.kept_standard(alg)
     for t in range(trials):
         if t % 2 == 0:
             try:
@@ -356,39 +353,18 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _spectral_candidates(a: Element):
-    """a - x at each real eigenvalue x of L_a, else (a - x)^2 + y^2, each with
-    (a - x)/y or None: singular in any basis unless R[a] is the field C, where
-    (a - x)^2 + y^2 is zero and (a - x)/y squares to -1."""
-    alg = a.algebra
-    for lam in np.linalg.eigvals(alg.left_matrix_vec(a.coeffs)):
-        shift = a - alg.scalar(lam.real)
-        if lam.imag:
-            yield shift * shift + alg.scalar(lam.imag ** 2), shift * alg.scalar(1.0 / lam.imag)
-        else:
-            yield shift, None
-
-
 def _probe_zerodivisors(alg: Algebra, rng) -> dict:
     candidates = [alg.basis_element(k) for k in range(alg.dimension)]
     for k in range(alg.dimension):
         if k != alg.unit_index:
             candidates.append(alg.unit() + alg.basis_element(k))
             candidates.append(alg.unit() - alg.basis_element(k))
-    roots = []  # one (a - x)/y per draw a with a complex eigenvalue
+    # a - x at a real eigenvalue x of L_a, else (a - x)^2 + y^2: singular in any basis
     for a in (alg.random_element(rng) for _ in range(8)):
-        spectral = list(_spectral_candidates(a))
-        candidates.extend(cand for cand, _ in spectral)
-        roots.extend(itertools.islice((u for _, u in spectral if u is not None), 1))
-
-    def anticommuting():
-        # every draw may span a field C (in M2(R), about 0.3 of them do); then
-        # c + u c u anticommutes with u = (a - x)/y and, in M2(R), has a real eigenvalue
-        for u in roots:
-            c = alg.random_element(rng)
-            yield from (cand for cand, _ in _spectral_candidates(c + u * c * u))
-
-    for cand in itertools.chain(candidates, anticommuting()):
+        for lam in np.linalg.eigvals(alg.left_matrix_vec(a.coeffs)):
+            shift = a - alg.scalar(lam.real)
+            candidates.append(shift * shift + alg.scalar(lam.imag ** 2) if lam.imag else shift)
+    for cand in candidates:
         if cand.norm() > 0 and is_zerodivisor(cand):
             return {"found": True,
                     "witness": alg.label_linear_combination(cand.coeffs)}

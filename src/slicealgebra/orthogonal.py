@@ -32,6 +32,7 @@ class InnerProduct:
     """<a, b> = a^T G b with G symmetric positive definite; G = 2^power G_hat (scaled)."""
 
     gram: np.ndarray
+    _kept = weakref.WeakKeyDictionary()  # algebra -> its kept_standard G, not a field
 
     def __post_init__(self) -> None:
         if np.iscomplexobj(self.gram):
@@ -61,6 +62,11 @@ class InnerProduct:
     def standard(cls, algebra: Algebra) -> "InnerProduct":
         """Identity Gram matrix: the chosen basis is declared orthonormal."""
         return cls(np.eye(algebra.dimension))
+
+    @classmethod
+    def kept_standard(cls, algebra: Algebra) -> "InnerProduct":
+        """The standard G kept while the algebra lives, for every caller: one A0."""
+        return cls._kept.get(algebra) or cls._kept.setdefault(algebra, cls.standard(algebra))
 
     @property
     def dimension(self) -> int:

@@ -206,17 +206,15 @@ def fiber_embed(u: RootOfMinusOne, a: Element) -> np.ndarray:
     return a.coeffs - 1j * u.algebra.multiply_vec(u.element.coeffs, a.coeffs)
 
 
-_BASE_FIBERS = weakref.WeakKeyDictionary()  # algebra -> {u's bytes: (L_u, fiber over u)}
+_BASE_FIBERS = weakref.WeakKeyDictionary()  # algebra -> (u's bytes, L_u, fiber over u)
 
 
 def _chart_range(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The fiber over s of the bundle carried by (A, L_u), for left = L_u and
-    right = R_s.  The real solution space B_s of u c = c s is L_u-closed, so
-    its chart image B_s - i (L_u B_s) is a complex subspace of half the real
-    dimension: the range of (1 - i L_u)/2 (the +i-eigenspace of L_u, which
-    commutes with R_s L_u) times the fiber projector (1 - R_s L_u)/2, onto
-    B_s, the (-1)-eigenspace of the involution R_s L_u, of rank (N - tr R_s
-    L_u)/2; the range is found by one projector_range."""
+    """The fiber over s (left = L_u, right = R_s): the chart image B_s - i L_u
+    B_s of the L_u-closed real solution space B_s of u c = c s, found by one
+    projector_range as the range of (1 - i L_u)/2 (the +i-eigenspace of L_u,
+    which commutes with R_s L_u) times (1 - R_s L_u)/2, the projector onto B_s,
+    the (-1)-eigenspace of the involution R_s L_u, of rank (N - tr R_s L_u)/2."""
     n, op = left.shape[0], right @ left
     proj, rank = 0.5 * (np.eye(n) - op), (n - integer_trace(op)) // 2
     chart = 0.5 * (proj - 1j * (left @ proj))  # (1 - i L_u)/2 times proj
@@ -226,27 +224,25 @@ def _chart_range(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 def stereographic_fiber(u: RootOfMinusOne, s: RootOfMinusOne) -> np.ndarray:
     """The fiber over s of the bundle carried by (A, L_u), embedded C-linearly
     (_chart_range): orthonormal, C-contiguous (N, k) columns.  c = 1 - u s is
-    in B_s, so R_c maps B_u, the centralizer of u, into B_s, onto it when c is
-    invertible: the section trivializes the bundle.  So B_u's chart is kept for
-    the last 8 base roots of each algebra, and the fiber over s is one QR of R_c
-    times it, if the trace rank is k and the columns Q pass L_u Q = iQ and Q +
-    R_s L_u Q = 0 by the tolerance rule; else (c a zerodivisor) _chart_range."""
+    in B_s, so R_c maps B_u, the centralizer of u, onto B_s when c is
+    invertible: the section trivializes the bundle.  B_u's chart is kept for
+    each algebra's last base root, and the fiber is one QR of R_c times it if
+    the trace rank is k and its columns Q pass L_u Q = iQ and Q + R_s L_u Q = 0
+    (sized as the suite's fiber check); else (c a zerodivisor) _chart_range."""
     alg, coeffs = u.algebra, u.element.coeffs
-    fibers = _BASE_FIBERS.setdefault(alg, {})
-    if (key := coeffs.tobytes()) not in fibers:
-        if len(fibers) == 8:
-            del fibers[next(iter(fibers))]  # the oldest
+    key, left, base = _BASE_FIBERS.get(alg, (None, None, None))
+    if key != coeffs.tobytes():
         left = alg.left_matrix_vec(coeffs)
-        fibers[key] = left, _chart_range(left, alg.right_matrix_vec(coeffs))
-    left, base = fibers[key]
+        base = _chart_range(left, alg.right_matrix_vec(coeffs))
+        _BASE_FIBERS[alg] = coeffs.tobytes(), left, base
     right = alg.right_matrix_vec(s.element.coeffs)
     if round(np.vdot(right, left.T)) == alg.dimension - 4 * base.shape[1]:  # tr R_s L_u
         c = alg.unit_vector - left @ s.element.coeffs  # the standard section's value
         q = np.linalg.qr((alg.right_matrix_vec(c) @ base.view(float)).view(complex))[0]
         real, lq = q.view(float), left @ q.view(float)  # real views: (N, 2k)
-        swapped = right @ lq
-        residual = vector_norm(lq - (1j * q).view(float)) + vector_norm(real + swapped)
-        if within_tol(residual, vector_norm(lq) + 2 * vector_norm(real) + vector_norm(swapped)):
+        swapped, size = right @ lq, vector_norm(real)
+        if (within_tol(vector_norm(lq - (1j * q).view(float)), vector_norm(lq) + size)
+                and within_tol(vector_norm(real + swapped), size + vector_norm(swapped))):
             return q
     return _chart_range(left, right)
 

@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import einsum_reference
@@ -312,9 +312,10 @@ def test_A0_is_built_once_per_inner_product(monkeypatch, first):
 
 
 def test_the_cone_suite_builds_A0_once_per_algebra(monkeypatch):
-    """cli keeps one standard G per algebra, so the first cone run on an
-    algebra builds A0 and every later one reads it, with the same report;
-    the weak keys let a freed algebra go, and its G and A0 with it."""
+    """The cone suite reads InnerProduct.kept_standard, one standard G per
+    algebra, so the first cone run on an algebra builds A0 and every later one
+    reads it, with the same report; the weak keys let a freed algebra go, and
+    its G and A0 with it."""
     alg = clifford_algebra(2, 2)
     fresh = cli.run_suite("cone", clifford_algebra(2, 2), "x", 6, 1, 1e-9).to_json()
     calls = _block_qr_calls(monkeypatch)
@@ -725,14 +726,30 @@ def test_antisymmetric_subspace_is_the_array_kept_on_G(quaternions):
 _ILL_CONDITIONED = {}  # (p, q) -> (algebra, standard G, seed root), kept across examples
 
 
+def _near_zerodivisor_right(alg, rng):
+    """R_b for b = (1 + e1) r + 1e-3 r', near the zerodivisor (1 + e1) r."""
+    b = (alg.unit() + alg.basis_element(1)) * alg.random_element(rng) + 1e-3 * alg.random_element(rng)
+    return alg.right_matrix_vec(b.coeffs)
+
+
+def test_a_gram_past_one_over_eps_can_be_refused():
+    """Cl(3,3) at seed 22303 draws b with cond(R_b^T R_b) = 1.5e17: the
+    rounded product has a negative eigenvalue, and InnerProduct refuses it."""
+    right = _near_zerodivisor_right(clifford_algebra(3, 3), np.random.default_rng(22303))
+    gram = right.T @ right
+    assert np.linalg.cond(right) ** 2 > 1e17 and np.linalg.eigvalsh(gram)[0] < 0
+    with pytest.raises(ValueError, match="positive definite"):
+        InnerProduct(gram)
+
+
 @settings(max_examples=30, deadline=None)
 @given(pq=st.sampled_from([(1, 1), (2, 2), (3, 3)]), seed=st.integers(0, 2**32 - 1))
 def test_S0_under_an_ill_conditioned_gram(pq, seed):
     """G = R_b^T R_b with b = (1 + e1) r + 1e-3 r', near the zerodivisor
     (1 + e1) r: cond(G) runs from about 1e4 to 1e15, with medians 1e7 to 1e9
-    over the three algebras.  About one draw in a thousand on Cl(3,3) (seed
-    22303: cond 1.5e17) passes 1/eps, where the rounded product is indefinite:
-    InnerProduct refuses it and the draw is discarded.
+    over the three algebras.  A b past cond 1/eps (about one draw in a
+    thousand on Cl(3,3)), whose rounded product can be indefinite, is drawn
+    again: test_a_gram_past_one_over_eps_can_be_refused pins such a b.
     Every L_a commutes with R_b, so S0 under G is
     S0 under the standard G: a standard S0 root s is in S0, beta + gamma s
     decomposes in the cone, (-s y, y) solves the quadratic equations,
@@ -742,15 +759,10 @@ def test_S0_under_an_ill_conditioned_gram(pq, seed):
         _ILL_CONDITIONED[pq] = alg, _std(alg), find_seed_root(alg)
     alg, standard, seed_root = _ILL_CONDITIONED[pq]
     rng = np.random.default_rng(seed)
-    one_plus_e1 = alg.unit() + alg.basis_element(1)
-    b = one_plus_e1 * alg.random_element(rng) + 1e-3 * alg.random_element(rng)
-    right = alg.right_matrix_vec(b.coeffs)
-    gram = right.T @ right
-    if np.linalg.eigvalsh(gram)[0] <= 0:
-        with pytest.raises(ValueError, match="positive definite"):
-            InnerProduct(gram)
-    assume(np.linalg.eigvalsh(gram)[0] > 0)
-    G = InnerProduct(gram)
+    right = _near_zerodivisor_right(alg, rng)
+    while np.linalg.cond(right) ** 2 >= 1 / np.finfo(float).eps:
+        right = _near_zerodivisor_right(alg, rng)
+    G = InnerProduct(right.T @ right)
     s = sample_S0(alg, standard, rng).element
     assert is_in_S0(s, G)
 

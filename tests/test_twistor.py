@@ -503,7 +503,8 @@ def test_the_fiber_over_u_is_built_once_per_algebra_and_root():
     """The projector range over u (two QRs) is built on the first fiber call
     with u's coefficients in its algebra; every later fiber over that base,
     through any root object with those coefficients, is one QR.  Another
-    algebra object builds its own; each algebra keeps at most eight."""
+    algebra object builds its own; each algebra keeps one, its last base's,
+    so a call over another base root replaces it."""
     alg = clifford_algebra(2, 1)  # a new object: nothing is kept for it yet
     u = find_seed_root(alg)
     rng = np.random.default_rng(4)
@@ -517,9 +518,10 @@ def test_the_fiber_over_u_is_built_once_per_algebra_and_root():
         twin = clifford_algebra(2, 1)
         stereographic_fiber(find_seed_root(twin), RootOfMinusOne(twin.element(roots[0].element.coeffs)))
         assert len(calls) == 2 + 5 + 2 + 1
-    for base in roots + [sample_root(u, rng) for _ in range(6)]:
-        stereographic_fiber(base, base)
-    assert len(twistor._BASE_FIBERS[alg]) == 8
+        stereographic_fiber(roots[1], roots[0])
+        stereographic_fiber(u, roots[0])
+        assert len(calls) == 2 + 5 + 2 + 1 + 3 + 3
+    assert twistor._BASE_FIBERS[alg][0] == u.element.coeffs.tobytes()
 
 
 def test_a_freed_algebra_leaves_no_cached_fiber():
