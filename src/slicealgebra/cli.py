@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -153,8 +154,7 @@ def _suite_nijenhuis(alg, trials, rng, tol):
         s = sample_root(seed, rng)
         r = rng.standard_normal((2, alg.dimension))
         if tangent:
-            r += (alg.left_matrix_vec(s.element.coeffs)
-                  @ (alg.right_matrix_vec(s.element.coeffs) @ r.T)).T
+            r += (s.left @ (s.right @ r.T)).T
             r /= np.linalg.norm(r, axis=1, keepdims=True)  # residual at rounding level
         else:  # ker F_s = {0}, as on C: r + T_s r is rounding noise
             r[:] = 0.0
@@ -171,8 +171,7 @@ def _suite_nijenhuis(alg, trials, rng, tol):
 def _suite_dims(alg, trials, rng, tol):
     for t, s in _sampled_roots(alg, trials, rng, "dims"):
         expected = (alg.dimension + component_invariant(s)) // 2  # N + tr T_s is even
-        f = alg.left_matrix_vec(s.element.coeffs) + alg.right_matrix_vec(s.element.coeffs)
-        kernel = alg.dimension - numerical_rank(np.linalg.svd(f, compute_uv=False))
+        kernel = alg.dimension - numerical_rank(np.linalg.svd(s.left + s.right, compute_uv=False))
         gap = abs(kernel - expected)  # dim ker(L_s + R_s), counted, not built
         yield gap == 0, float(gap), f"trial {t}"
 
@@ -216,7 +215,7 @@ def _suite_absorption(alg, trials, rng, tol):
 
 
 def _suite_cone(alg, trials, rng, tol):
-    G = InnerProduct.kept_standard(alg)
+    G = InnerProduct.standard(alg)
     for t in range(trials):
         if t % 2 == 0:
             try:
@@ -284,11 +283,10 @@ def _suite_stereographic(alg, trials, rng, tol):
     stem = stem_from_slice_poly([alg.unit(), alg.zero(), alg.unit()])
     section = standard_section(u)
     z = 0.3 + 0.7j
-    left = alg.left_matrix_vec(u.element.coeffs)
     for t in range(trials):
         s = sample_root(u, rng)
         basis = stereographic_fiber(u, s)  # its rank is a trace: check Q, on its real view
-        swapped = (alg.right_matrix_vec(s.element.coeffs) @ (left @ basis.view(float))).view(complex)
+        swapped = (s.right @ (u.left @ basis.view(float))).view(complex)
         fiber_res = float(np.linalg.norm(basis + swapped))
         fiber_ok = basis.shape[1] == expected and within_tol(
             fiber_res, np.linalg.norm(basis) + np.linalg.norm(swapped), tol)
@@ -360,15 +358,30 @@ def _probe_zerodivisors(alg: Algebra, rng) -> dict:
             candidates.append(alg.unit() + alg.basis_element(k))
             candidates.append(alg.unit() - alg.basis_element(k))
     # a - x at a real eigenvalue x of L_a, else (a - x)^2 + y^2: singular in any basis
+    roots = []  # (a - x)/y, a root of -1 where (a - x)^2 + y^2 vanishes, as on M2(R)
     for a in (alg.random_element(rng) for _ in range(8)):
         for lam in np.linalg.eigvals(alg.left_matrix_vec(a.coeffs)):
             shift = a - alg.scalar(lam.real)
             candidates.append(shift * shift + alg.scalar(lam.imag ** 2) if lam.imag else shift)
-    for cand in candidates:
+            if lam.imag:
+                roots.append(RootOfMinusOne(shift / lam.imag))
+    for cand in chain(candidates, _anticommuting_shifts(alg, roots, rng)):
         if cand.norm() > 0 and is_zerodivisor(cand):
             return {"found": True,
                     "witness": alg.label_linear_combination(cand.coeffs)}
     return {"found": False, "witness": None}
+
+
+def _anticommuting_shifts(alg: Algebra, roots, rng):
+    """For each root u, with a fresh draw c: b = c + u c u anticommutes with
+    u, and b - x is singular at a real eigenvalue x of L_b.  On M2(R) b is a
+    traceless symmetric matrix in a basis where u is a rotation, so it has
+    real eigenvalues; in H b is imaginary, and in C it is 0."""
+    for u in (u for u in roots if u.holds()):
+        c = alg.random_element(rng)
+        b = c + u.element * c * u.element
+        for lam in np.linalg.eigvals(alg.left_matrix_vec(b.coeffs)):
+            yield b - alg.scalar(lam.real)
 
 
 def cmd_algebra_info(args) -> int:

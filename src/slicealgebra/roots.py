@@ -21,14 +21,28 @@ from .numerics import (affine_square_root, newton_schulz, null_space, projector_
 
 @dataclass(frozen=True)
 class RootOfMinusOne:
-    """A candidate s for s*s = -1 and its defect ||s*s + 1||, measured on first read."""
+    """A candidate s for s*s = -1 and its defect ||s*s + 1||; the defect and
+    the operators L_s and R_s are each formed on first read and kept."""
 
     element: Element
 
     @cached_property
+    def left(self) -> np.ndarray:
+        """L_s, the read-only matrix of x -> s*x."""
+        m = self.algebra.left_matrix_vec(self.element.coeffs)
+        m.flags.writeable = False
+        return m
+
+    @cached_property
+    def right(self) -> np.ndarray:
+        """R_s, the read-only matrix of x -> x*s."""
+        m = self.algebra.right_matrix_vec(self.element.coeffs)
+        m.flags.writeable = False
+        return m
+
+    @cached_property
     def residual(self) -> float:
-        alg, v = self.algebra, self.element.coeffs
-        return vector_norm(alg.multiply_vec(v, v) + alg.unit_vector)
+        return vector_norm(self.left @ self.element.coeffs + self.algebra.unit_vector)
 
     @classmethod
     def from_element(cls, element: Element, tol: float | None = None) -> "RootOfMinusOne":
@@ -80,7 +94,7 @@ def find_seed_root(algebra: Algebra,
                                   rng.standard_normal(n))
         cand = RootOfMinusOne(Element(algebra, x))
         if cand.holds(tol):
-            left, right = algebra.left_matrix_vec(x), algebra.right_matrix_vec(x)
+            left, right = cand.left, cand.right
             if not within_tol(np.linalg.norm(left - right),
                               np.linalg.norm(left) + np.linalg.norm(right), tol):
                 return cand
@@ -127,9 +141,7 @@ def sample_root(seed: RootOfMinusOne, rng: np.random.Generator,
 
 def tangent_frame(s: RootOfMinusOne) -> np.ndarray:
     """Kernel of F_s = L_s + R_s by singular value decomposition: orthonormal (N, k)."""
-    alg = s.algebra
-    f = alg.left_matrix_vec(s.element.coeffs) + alg.right_matrix_vec(s.element.coeffs)
-    return null_space(f)
+    return null_space(s.left + s.right)
 
 
 def integer_trace(m: np.ndarray) -> int:
@@ -145,24 +157,21 @@ def integer_trace(m: np.ndarray) -> int:
 
 def component_invariant(s: RootOfMinusOne) -> int:
     """tr(T_s), an integer constant on connected components of S."""
-    alg = s.algebra
-    return integer_trace(alg.left_matrix_vec(s.element.coeffs)
-                         @ alg.right_matrix_vec(s.element.coeffs))
+    return integer_trace(s.left @ s.right)
 
 
-def _require_tangent(s: RootOfMinusOne, left: np.ndarray, h: Element, tol: float | None) -> None:
-    s.element._require_same(h)  # left is L_s: left @ h is s*h
+def _require_tangent(s: RootOfMinusOne, h: Element, tol: float | None) -> None:
+    s.element._require_same(h)
     hc = h.coeffs
-    defect = vector_norm(left @ hc + s.algebra.multiply_vec(hc, s.element.coeffs))
+    defect = vector_norm(s.left @ hc + s.algebra.multiply_vec(hc, s.element.coeffs))
     if not within_tol(defect, 2.0 * s.element.norm() * h.norm(), tol):
         raise NotTangentError(f"anticommutator defect {defect:.3e}")
 
 
 def j_structure(s: RootOfMinusOne, h: Element, tol: float | None = None) -> Element:
     """The complex structure h -> s*h on the tangent space at s."""
-    left = s.algebra.left_matrix_vec(s.element.coeffs)
-    _require_tangent(s, left, h, tol)
-    return Element(s.algebra, left @ h.coeffs)  # s*h
+    _require_tangent(s, h, tol)
+    return Element(s.algebra, s.left @ h.coeffs)  # s*h
 
 
 def nijenhuis(s: RootOfMinusOne, x: Element, y: Element,
@@ -171,12 +180,11 @@ def nijenhuis(s: RootOfMinusOne, x: Element, y: Element,
 
     Bracket expansion of N(X, Y) = [JX, JY] - J[JX, Y] - J[X, JY] for
     constant fields; associativity of the algebra forces it to vanish.
-    L_s is gathered once, for both tangency checks and the tensor.
     """
     alg, xc, yc = s.algebra, x.coeffs, y.coeffs
-    left, mul = alg.left_matrix_vec(s.element.coeffs), alg.multiply_vec
-    _require_tangent(s, left, x, tol)
-    _require_tangent(s, left, y, tol)
+    left, mul = s.left, alg.multiply_vec
+    _require_tangent(s, x, tol)
+    _require_tangent(s, y, tol)
     # left @ v is s*v; the terms are summed left to right, as written above
     return Element(alg, left @ mul(yc, xc) - left @ mul(xc, yc)
                    + mul(left @ xc, yc) - mul(left @ yc, xc))
@@ -192,9 +200,8 @@ def minus_i_eigenspace(s: RootOfMinusOne) -> np.ndarray:
     vectors v + i(s*v); each orthonormal column w returned satisfies
     L_s w = -i w, so its imaginary part is s times its real part.
     """
-    alg = s.algebra
-    proj = 0.5 * (np.eye(alg.dimension) + 1j * alg.left_matrix_vec(s.element.coeffs))
-    return projector_range(proj, alg.dimension // 2)
+    n = s.algebra.dimension
+    return projector_range(0.5 * (np.eye(n) + 1j * s.left), n // 2)
 
 
 # -- trace report ------------------------------------------------------------
@@ -231,10 +238,8 @@ def verify_trace_identities(s: RootOfMinusOne, tol: float | None = None) -> Trac
     for tr(T_s).  A trace of an N x N operator sums N terms of its size:
     ||s|| for L_s and R_s, ||s||^2 for T_s; s_0 = tr(L_s) / N has size ||s||.
     """
-    alg = s.algebra
+    alg, left, right = s.algebra, s.left, s.right
     n, ns = alg.dimension, s.element.norm()
-    left = alg.left_matrix_vec(s.element.coeffs)
-    right = alg.right_matrix_vec(s.element.coeffs)
     rows = []
 
     def add(name: str, residual: float, size: float) -> None:

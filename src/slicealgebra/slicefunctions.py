@@ -109,7 +109,7 @@ def eval_slice(F: StemPolynomial, z: complex, s: RootOfMinusOne,
     if not F.algebra.compatible(s.algebra):
         raise DimensionMismatchError("root and stem from incompatible algebras")
     w = F.evaluate_vector(z)  # pi(F(z), s) on coefficients: a + s*b
-    return Element(F.algebra, w.real + s.algebra.multiply_vec(s.element.coeffs, w.imag.copy()))
+    return Element(F.algebra, w.real + s.left @ w.imag.copy())
 
 
 def alpha_beta(F: StemPolynomial, z: complex,
@@ -128,7 +128,7 @@ def cauchy_riemann_residual(F: StemPolynomial, z: complex, s: RootOfMinusOne,
     require_intrinsic(F, tol)
     if not h > 0:
         raise ValueError("step must be positive")
-    left = F.algebra.left_matrix_vec(s.element.coeffs)
+    left = s.left
     w = np.array([F.evaluate_vector(complex(z) + d) for d in (h, -h, 1j * h, -1j * h)])
     f = w.real + w.imag @ left.T  # eval_slice's coefficients a + s*b, a row each
     fx, fy = (f[0] - f[1]) / (2.0 * h), (f[2] - f[3]) / (2.0 * h)

@@ -78,11 +78,11 @@ class QuaternionFrame:
         object.__setattr__(self, "algebra", self.i.algebra)
         if self.algebra.dimension != 4:
             raise FrameNotFoundError("frame requires a 4-dimensional algebra")
-        anti = (self.i * self.j + self.j * self.i).norm()
+        k = self.i * self.j
+        anti = (k + self.j * self.i).norm()
         if not (self.i_root.holds() and RootOfMinusOne(self.j).holds()
                 and within_tol(anti, 2.0 * self.i.norm() * self.j.norm())):
             raise FrameNotFoundError("candidate pair is not a quaternion frame")
-        k = self.i * self.j
         mat = np.stack([self.algebra.unit().coeffs, self.i.coeffs, self.j.coeffs, k.coeffs], axis=1)
         if numerical_rank(np.linalg.svd(mat, compute_uv=False)) < 4:
             raise FrameNotFoundError("frame vectors are linearly dependent")
@@ -203,10 +203,10 @@ def twistor_lift(F: StemPolynomial, z: complex, u: ProjectivePoint,
 
 def fiber_embed(u: RootOfMinusOne, a: Element) -> np.ndarray:
     """C-linear chart of E = (A, L_u) into C^N: a -> a - i(u a)."""
-    return a.coeffs - 1j * u.algebra.multiply_vec(u.element.coeffs, a.coeffs)
+    return a.coeffs - 1j * (u.left @ a.coeffs)
 
 
-_BASE_FIBERS = weakref.WeakKeyDictionary()  # algebra -> (u's bytes, L_u, fiber over u)
+_BASE_FIBERS = weakref.WeakKeyDictionary()  # algebra -> (u's bytes, fiber over u)
 
 
 def _chart_range(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -229,13 +229,11 @@ def stereographic_fiber(u: RootOfMinusOne, s: RootOfMinusOne) -> np.ndarray:
     each algebra's last base root, and the fiber is one QR of R_c times it if
     the trace rank is k and its columns Q pass L_u Q = iQ and Q + R_s L_u Q = 0
     (sized as the suite's fiber check); else (c a zerodivisor) _chart_range."""
-    alg, coeffs = u.algebra, u.element.coeffs
-    key, left, base = _BASE_FIBERS.get(alg, (None, None, None))
-    if key != coeffs.tobytes():
-        left = alg.left_matrix_vec(coeffs)
-        base = _chart_range(left, alg.right_matrix_vec(coeffs))
-        _BASE_FIBERS[alg] = coeffs.tobytes(), left, base
-    right = alg.right_matrix_vec(s.element.coeffs)
+    alg, left, right = u.algebra, u.left, s.right
+    key, base = _BASE_FIBERS.get(alg, (None, None))
+    if key != u.element.coeffs.tobytes():
+        base = _chart_range(left, u.right)
+        _BASE_FIBERS[alg] = u.element.coeffs.tobytes(), base
     if round(np.vdot(right, left.T)) == alg.dimension - 4 * base.shape[1]:  # tr R_s L_u
         c = alg.unit_vector - left @ s.element.coeffs  # the standard section's value
         q = np.linalg.qr((alg.right_matrix_vec(c) @ base.view(float)).view(complex))[0]
@@ -249,10 +247,8 @@ def stereographic_fiber(u: RootOfMinusOne, s: RootOfMinusOne) -> np.ndarray:
 
 def standard_section(u: RootOfMinusOne):
     """Section s -> 1 - u s of the stereographic bundle, valid away from -u."""
-    alg, uv = u.algebra, u.element.coeffs
-
     def section(s: RootOfMinusOne) -> Element:
-        return Element(alg, alg.unit_vector - alg.multiply_vec(uv, s.element.coeffs))
+        return Element(u.algebra, u.algebra.unit_vector - u.left @ s.element.coeffs)
 
     return section
 
@@ -271,7 +267,7 @@ def generalized_twistor(F: StemPolynomial, sigma, z: complex,
     require_intrinsic(F, tol)
     if not u.holds(tol):
         raise BadSectionError("bundle base point u is not a root of -1")
-    alg, left_u = u.algebra, u.algebra.left_matrix_vec(u.element.coeffs)
+    alg, left_u = u.algebra, u.left
     c = sigma(s)
     left_c = alg.left_matrix_vec(c.coeffs)  # for u c - c s and the image
     defect = vector_norm(left_u @ c.coeffs - left_c @ s.element.coeffs)

@@ -125,15 +125,14 @@ def _excluded(witness: ZeroWitness, sigma_min: float, tol: float) -> bool:
     (sigma_min(R_b) - tol ||b||) r = ||a + s*b|| + tol (||a|| + ||s|| ||b||),
     and ||s'*s' + 1|| >= ||s*s + 1|| - ||L_s + R_s||_F r - mu r^2, as ||x*y|| <=
     mu ||x|| ||y|| for mu the Frobenius norm of the structure constants."""
-    w, s, ns = witness.w, witness.root.element, witness.root.element.norm()
+    w, root, ns = witness.w, witness.root, witness.root.element.norm()
     gap = sigma_min - tol * w.im.norm()
     if gap <= 0.0:  # R_b bounds no distance
         return False
-    mu = s.algebra.structure_norm
+    mu = root.algebra.structure_norm
     r = (witness.residual + tol * (w.re.norm() + ns * w.im.norm())) / gap
-    lip = np.linalg.norm(s.algebra.left_matrix_vec(s.coeffs)
-                         + s.algebra.right_matrix_vec(s.coeffs))
-    return bool(witness.root.residual - lip * r - mu * r * r > tol * (1.0 + ns + r) ** 2)
+    lip = np.linalg.norm(root.left + root.right)
+    return bool(root.residual - lip * r - mu * r * r > tol * (1.0 + ns + r) ** 2)
 
 
 def _verdict(w: ComplexElement, candidates, tol: float | None, otherwise: str = "absent",

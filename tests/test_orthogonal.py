@@ -296,7 +296,7 @@ def test_A0_is_built_once_per_inner_product(monkeypatch, first):
     alg = clifford_algebra(2, 2)
     G = _std(alg)
     rng = np.random.default_rng(5)
-    s = sample_S0(alg, _std(alg), rng)  # another G: its A0 is not G's
+    s = sample_S0(alg, InnerProduct(np.eye(alg.dimension)), rng)  # another G: its A0 is not G's
     b = alg.random_element(rng)
     member = ComplexElement(-(s.element * b), b)
     calls = _block_qr_calls(monkeypatch)
@@ -312,7 +312,7 @@ def test_A0_is_built_once_per_inner_product(monkeypatch, first):
 
 
 def test_the_cone_suite_builds_A0_once_per_algebra(monkeypatch):
-    """The cone suite reads InnerProduct.kept_standard, one standard G per
+    """The cone suite reads InnerProduct.standard, one standard G per
     algebra, so the first cone run on an algebra builds A0 and every later one
     reads it, with the same report; the weak keys let a freed algebra go, and
     its G and A0 with it."""
@@ -347,7 +347,7 @@ def test_each_inner_product_keeps_its_own_A0(monkeypatch, quaternions):
     """A new G on the same algebra builds its own A0: under diag(1, 1, 2, 2)
     only e1 is antisymmetric.  Each is built once, however often it is read."""
     calls = _block_qr_calls(monkeypatch)
-    standard, weighted = _std(quaternions), InnerProduct(np.diag([1.0, 1.0, 2.0, 2.0]))
+    standard, weighted = InnerProduct(np.eye(4)), InnerProduct(np.diag([1.0, 1.0, 2.0, 2.0]))
     for _ in range(3):
         assert antisymmetric_subspace(quaternions, standard).shape[1] == 3
         (e1,) = antisymmetric_subspace(quaternions, weighted).T

@@ -22,6 +22,7 @@ from slicealgebra import (
     clifford_algebra,
     component_invariant,
     conjugate_root,
+    eval_slice,
     find_seed_root,
     j_structure,
     make_algebra,
@@ -31,6 +32,8 @@ from slicealgebra import (
     right_divide,
     sample_root,
     sigma_involution,
+    stem_from_slice_poly,
+    stereographic_fiber,
     tangent_frame,
     tau_involution,
     verify_trace_identities,
@@ -272,7 +275,7 @@ def test_array_root_path_gives_the_element_bits(name):
     """sample_root is exactly the newton_schulz polish of conjugate_root(y,
     seed).element for the first y that a replayed rng accepts; that conjugate
     and polish are exactly their Element expansions, and so are nijenhuis
-    and j_structure, each from one gather of L_s."""
+    and j_structure, which gather no L_s: s keeps the one its defect read."""
     alg = EXACT_ALGEBRAS[name]()
     seed = find_seed_root(alg)
     rng, replay, tangents = (np.random.default_rng(k) for k in (11, 11, 12))
@@ -304,8 +307,42 @@ def test_array_root_path_gives_the_element_bits(name):
                            (lambda: j_structure(s, x), se * x)):
             with mock.patch.object(alg, "left_matrix_vec", wraps=alg.left_matrix_vec) as gather:
                 got = call()
-            assert sum(np.array_equal(c.args[0], se.coeffs) for c in gather.call_args_list) == 1
+            assert sum(np.array_equal(c.args[0], se.coeffs) for c in gather.call_args_list) == 0
             assert np.array_equal(got.coeffs, bits.coeffs)
+
+
+_OWNER_ALGEBRAS = {"H": clifford_algebra(0, 2), "Cl(2,2)": clifford_algebra(2, 2),
+                   "Cl(0,6)": clifford_algebra(0, 6), "dense Cl(1,2)": dense_cl12()}
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(sorted(_OWNER_ALGEBRAS)), seed=st.integers(0, 2**32 - 1))
+def test_a_root_owns_its_operators(name, seed):
+    """s.left and s.right are L_s and R_s bit for bit, read-only, and every
+    construction at s reads them: across tangent_frame, component_invariant,
+    verify_trace_identities, minus_i_eigenspace, nijenhuis, eval_slice and
+    the stereographic fiber over s', L_s and R_s are gathered once each."""
+    alg = _OWNER_ALGEBRAS[name]
+    rng = np.random.default_rng(seed)
+    base = find_seed_root(alg)
+    s, other = sample_root(base, rng), sample_root(base, rng)
+    stem = stem_from_slice_poly([alg.random_element(rng) for _ in range(3)])
+    with mock.patch.object(alg, "left_matrix_vec", wraps=alg.left_matrix_vec) as left, \
+            mock.patch.object(alg, "right_matrix_vec", wraps=alg.right_matrix_vec) as right:
+        basis = tangent_frame(s)
+        x, y = _tangent(alg, basis, rng), _tangent(alg, basis, rng)
+        component_invariant(s)
+        verify_trace_identities(s)
+        minus_i_eigenspace(s)
+        nijenhuis(s, x, y)
+        eval_slice(stem, 0.3 + 0.7j, s)
+        stereographic_fiber(s, other)
+    for gather in (left, right):
+        assert sum(np.array_equal(c.args[0], s.element.coeffs) for c in gather.call_args_list) == 1
+    for owned, gather in ((s.left, alg.left_matrix_vec), (s.right, alg.right_matrix_vec)):
+        assert np.array_equal(owned, gather(s.element.coeffs)) and not owned.flags.writeable
+        with pytest.raises(ValueError):
+            owned[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 2), (0, 6)])

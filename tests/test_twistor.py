@@ -541,27 +541,45 @@ def test_a_freed_algebra_leaves_no_cached_fiber():
 
 
 def test_a_frame_measures_its_i_root_once(monkeypatch):
-    """frame.i_root is one root, whose defect the constructor measured: later
-    reads form no I*I, and each generalized_twistor call on it gathers L_I
-    once, for the image, not again for the defect."""
+    """frame.i_root is one root, whose defect the constructor measured by one
+    gather of L_I, no product I*I; it keeps that L_I, so later reads of the
+    defect, the standard section and generalized_twistor gather no other."""
     alg = clifford_algebra(0, 2)
     i_vec = alg.basis_element(1).coeffs
     squares, gathers = [], []
     multiply, gather = alg.multiply_vec, alg.left_matrix_vec
     monkeypatch.setattr(alg, "multiply_vec", lambda x, y: squares.append(
         np.array_equal(x, i_vec) and np.array_equal(y, i_vec)) or multiply(x, y))
+    monkeypatch.setattr(alg, "left_matrix_vec", lambda a: gathers.append(
+        np.array_equal(a, i_vec)) or gather(a))
     frame = QuaternionFrame(alg.basis_element(1), alg.basis_element(2))
+    assert sum(gathers) == 2  # the defect of I, and K = I*J by multiply_vec
     assert frame.i_root is frame.i_root and all(frame.i_root.holds() for _ in range(3))
-    assert sum(squares) == 1
+    assert sum(squares) == 0
     rng = np.random.default_rng(1)
     stem = stem_from_slice_poly([alg.random_element(rng) for _ in range(3)])
     s = sample_root(frame.i_root, rng)
     g = standard_section(frame.i_root)(s)
-    monkeypatch.setattr(alg, "left_matrix_vec", lambda a: gathers.append(
-        np.array_equal(a, i_vec)) or gather(a))
     for _ in range(3):
         generalized_twistor(stem, lambda _: g, 0.3 + 0.7j, s, frame.i_root)
-    assert sum(gathers) == 3
+    assert sum(gathers) == 2
+
+
+def test_a_frame_forms_I_J_once(monkeypatch):
+    """QuaternionFrame(e1, e2) on H forms two products, K = I*J and J*I for
+    the anticommutator K + J*I, and measures each defect from a gathered
+    L: four gathers, none of them repeated."""
+    alg = clifford_algebra(0, 2)
+    products, gathers = [], []
+    multiply, gather = alg.multiply_vec, alg.left_matrix_vec
+    monkeypatch.setattr(alg, "multiply_vec", lambda x, y: products.append(
+        (np.argmax(x), np.argmax(y))) or multiply(x, y))
+    monkeypatch.setattr(alg, "left_matrix_vec", lambda a: gathers.append(
+        int(np.argmax(a))) or gather(a))
+    frame = QuaternionFrame(alg.basis_element(1), alg.basis_element(2))
+    assert products == [(1, 2), (2, 1)]
+    assert sorted(gathers) == [1, 1, 2, 2]
+    assert np.array_equal(frame.matrix[:, 3], alg.basis_element(3).coeffs)
 
 
 def test_fiber_embed_is_complex_linear(quaternions, rng):
@@ -723,11 +741,10 @@ def test_bundle_array_path_gives_the_element_bits(name):
 
 
 def test_a_twistor_point_gathers_L_u_once_and_wraps_only_the_section(monkeypatch):
-    """A generalized_twistor call gathers L_u once (and L_c once) and
-    builds one Element, the section value, and so does a second call on the
-    same u.  The standard section's own product u*s and the defect of u,
-    measured on its first read, are gathers of L_u too, so both are formed
-    before the count starts and the counted section only wraps its value."""
+    """u gathers L_u once, on its first read (here the defect), and keeps
+    it: a generalized_twistor call gathers only L_c and builds one Element,
+    the section value, and so does a second call on the same u.  The
+    counted section only wraps the standard section's value."""
     alg = clifford_algebra(2, 2)
     u = find_seed_root(alg)
     rng = np.random.default_rng(3)
@@ -759,8 +776,8 @@ def test_a_twistor_point_gathers_L_u_once_and_wraps_only_the_section(monkeypatch
         point = generalized_twistor(stem, section, 0.3 + 0.7j, s, u)
         c = elements[0]
         assert len(elements) == 1
-        assert sum(np.array_equal(a, u.element.coeffs) for a in gathers) == 1
-        assert len(gathers) == 2 and np.array_equal(gathers[1], c.coeffs)
+        assert sum(np.array_equal(a, u.element.coeffs) for a in gathers) == 0
+        assert len(gathers) == 1 and np.array_equal(gathers[0], c.coeffs)
         assert point.coords.shape == (2 * alg.dimension,)
 
 

@@ -16,10 +16,13 @@ structure-tensor layer adds two kinds of op: `build`, one
 check included), and `dump+load`, `dump_algebra` then `load_algebra` of
 one dense Cl(2,3) (N = 32) in a seeded orthonormal basis that keeps the
 unit, the same tensor on both sides.  The constructions layer adds `A0`,
-`orthogonal.antisymmetric_subspace` under the standard inner product on H,
-Cl(2,2), Cl(0,6) and Cl(3,3), one op per seed (the same call).  An
-InnerProduct keeps the A0 it built, so each `A0` call makes its own G and
-every round, and each tracemalloc peak, times one build.  Each of 8 rounds
+`orthogonal.antisymmetric_subspace` under the identity inner product on H,
+Cl(2,2), Cl(0,6) and Cl(3,3).  An InnerProduct keeps the A0 it built, so
+each `A0` call makes its own G, `InnerProduct(np.eye(N))` (not the one
+`InnerProduct.standard` keeps per algebra), and every round, and each
+tracemalloc peak, times one build.  A `build`, `dump+load` or `A0` op is
+the same call at every seed, repeated once per seed so that its median,
+like a suite's, is taken over 30 ops.  Each of 8 rounds
 runs every op on both sides, on the copies of one import order, the orders
 taking turns from round to round, and alternating which side goes first
 from op to op.  An op's time in an order is its fastest round there.  The
@@ -74,7 +77,8 @@ def _ops(checkout: str, name: str, into: str) -> dict:
     algebra = importlib.import_module(f"{name}.algebra")
     ops = {}
     for alg_name, ((p, q), _) in ALGEBRAS.items():
-        ops["build", alg_name, 0] = lambda p=p, q=q: algebra.clifford_algebra(p, q)
+        for seed in SEEDS:  # the same call: 30 repeats
+            ops["build", alg_name, seed] = lambda p=p, q=q: algebra.clifford_algebra(p, q)
     dense = algebra.Algebra(_dense_cl23(algebra), 0, tuple(f"f{k}" for k in range(32)))
     path = str(Path(into) / f"{name}-dense.json")
 
@@ -82,13 +86,14 @@ def _ops(checkout: str, name: str, into: str) -> dict:
         algebra.dump_algebra(dense, path)
         algebra.load_algebra(path)
 
-    ops["dump+load", "dense Cl(2,3)", 0] = round_trip
+    for seed in SEEDS:
+        ops["dump+load", "dense Cl(2,3)", seed] = round_trip
     orthogonal = importlib.import_module(f"{name}.orthogonal")
     for alg_name in A0_ALGEBRAS:
         alg = algebra.clifford_algebra(*ALGEBRAS[alg_name][0])
         for seed in SEEDS:  # the same call: 30 repeats
             ops["A0", alg_name, seed] = lambda a=alg: orthogonal.antisymmetric_subspace(
-                a, orthogonal.InnerProduct.standard(a))  # a new G: G keeps the A0 it built
+                a, orthogonal.InnerProduct(np.eye(a.dimension)))  # a new G: G keeps its A0
     for alg_name, ((p, q), trials) in ALGEBRAS.items():
         alg = cli.clifford_algebra(p, q)
         for suite in cli.SUITES:
