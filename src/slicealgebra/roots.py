@@ -30,14 +30,14 @@ class RootOfMinusOne:
     def left(self) -> np.ndarray:
         """L_s, the read-only matrix of x -> s*x."""
         m = self.algebra.left_matrix_vec(self.element.coeffs)
-        m.flags.writeable = False
+        m.setflags(write=False)
         return m
 
     @cached_property
     def right(self) -> np.ndarray:
         """R_s, the read-only matrix of x -> x*s."""
         m = self.algebra.right_matrix_vec(self.element.coeffs)
-        m.flags.writeable = False
+        m.setflags(write=False)
         return m
 
     @cached_property
