@@ -262,7 +262,7 @@ def _suite_twistor(alg, trials, rng, tol):
         z = complex(rng.standard_normal(), rng.standard_normal())
         u = ProjectivePoint(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         g = gamma(u.coords[0], u.coords[1], frame)
-        s_u = RootOfMinusOne.from_element(left_divide(g, frame.i * g))
+        s_u = RootOfMinusOne.from_element(left_divide(g, Element(alg, i_root.left @ g.coeffs)))
         lift = twistor_lift(stem, z, u, frame)
         residual = (eval_slice(stem, z, s_u) - rho1(lift, frame)).norm()
         # both sides sum the terms of F(z) = a + ib in a + s*b

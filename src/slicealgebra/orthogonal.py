@@ -86,23 +86,22 @@ def _binade(v: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(v, -e), e
 
 
-def _scaled_for(G: InnerProduct, alg: Algebra) -> np.ndarray:
-    if G.dimension != alg.dimension:
+def _scaled_for(G: InnerProduct, dimension: int) -> np.ndarray:
+    if G.dimension != dimension:
         raise DimensionMismatchError(
-            f"inner product on dimension {G.dimension}, algebra {alg.dimension}")
+            f"inner product on dimension {G.dimension}, algebra {dimension}")
     return G.scaled
 
 
-def _g_identities(alg: Algebra, v: np.ndarray, G: InnerProduct,
+def _g_identities(left: np.ndarray, G: InnerProduct,
                   alpha_sq: float | None = None, beta: float | None = None,
                   tol: float | None = None):
-    """Yield (alpha^2, residual, verdict) of the first G-identity on G_hat, then,
-    formed only if asked for, (beta, residual, verdict) of the second; L_{a+ib}
-    = L_a + i L_b.  A coefficient left None is tr(L_v^T G_hat L_v) or tr(G_hat
-    L_v) over tr G_hat; the tolerance rule, terms sized by Frobenius norms."""
-    scaled = _scaled_for(G, alg)
+    """Yield (alpha^2, residual, verdict) of the first G-identity on G_hat for
+    left = L_v (L_a + i L_b for v = a + ib), then, if asked for, (beta, residual,
+    verdict) of the second.  A coefficient left None is tr(L_v^T G_hat L_v) or
+    tr(G_hat L_v) over tr G_hat; the tolerance rule, terms sized by Frobenius norms."""
+    scaled = _scaled_for(G, left.shape[0])
     norm, trace = G._sizes  # ||G_hat||_F, tr G_hat
-    left = alg.left_matrix_vec(v)
     lg = left.T @ scaled
     nlg = np.linalg.norm(lg)
 
@@ -122,8 +121,9 @@ def _g_identities(alg: Algebra, v: np.ndarray, G: InnerProduct,
 
 def is_in_S0(s: Element, G: InnerProduct, tol: float | None = None) -> bool:
     """Two of {s*s = -1, the G-identities at (alpha^2, beta) = (1, 0)} hold."""
-    identities = _g_identities(s.algebra, s.coeffs, G, 1.0, 0.0, tol)
-    return RootOfMinusOne(s).holds(tol) + sum(ok for _, _, ok in identities) >= 2
+    root = RootOfMinusOne(s)  # its L_s serves the root test and both identities
+    identities = _g_identities(root.left, G, 1.0, 0.0, tol)
+    return root.holds(tol) + sum(ok for _, _, ok in identities) >= 2
 
 
 def antisymmetric_subspace(algebra: Algebra, G: InnerProduct) -> np.ndarray:
@@ -139,7 +139,7 @@ def antisymmetric_subspace(algebra: Algebra, G: InnerProduct) -> np.ndarray:
     in O(N^2) memory.  The kernel is null_space(R)."""
     span = G._a0.get(algebra)
     if span is None:
-        gram = _scaled_for(G, algebra)
+        gram = _scaled_for(G, algebra.dimension)
         c, n = algebra.structure_constants, algebra.dimension
         iota = np.arange(n)
         weight = np.where(iota == iota[:, None], 1.0, np.sqrt(2.0))
@@ -171,7 +171,7 @@ def sample_S0(algebra: Algebra, G: InnerProduct,
         x, defect = newton_schulz(algebra, x / np.linalg.norm(algebra.left_matrix_vec(x)))
         cand = Element(algebra, x)  # two of three: s*s = -1 at the polish's defect, a G-identity
         if within_tol(defect, (1.0 + cand.norm()) ** 2, tol) and any(
-                ok for *_, ok in _g_identities(algebra, x, G, 1.0, 0.0, tol)):
+                ok for *_, ok in _g_identities(algebra.left_matrix_vec(x), G, 1.0, 0.0, tol)):
             return RootOfMinusOne(cand)
     raise NotFoundError("no orthogonal root found in the antisymmetric subspace")
 
@@ -181,7 +181,7 @@ def orthogonality_characterization(s: RootOfMinusOne, G: InnerProduct,
     """<sa, sa> = <a, a> and <sa, a> = 0 under G_hat for every a: by
     polarization exactly L_s^T G_hat L_s = G_hat and L_s^T G_hat + G_hat L_s
     = 0, a row each; passes exactly when s is an orthogonal complex structure."""
-    identities = _g_identities(s.algebra, s.element.coeffs, G, 1.0, 0.0, tol)
+    identities = _g_identities(s.left, G, 1.0, 0.0, tol)
     return TraceReport(tuple(
         {"identity": name, "residual": residual, "pass": ok}
         for name, (_, residual, ok) in zip(("<sa,sa> = <a,a>", "<sa,a> = 0"), identities)))
@@ -212,7 +212,7 @@ def cone_decompose(x: Element, G: InnerProduct,
     |beta| ||1||.  gamma is sqrt(||(x - beta)^2||), as (gamma s)^2 = -gamma^2:
     sqrt(alpha^2 - beta^2) would cancel alpha^2 against beta^2, and leave a
     gamma far below |x| with a relative error of about eps |x|^2 / gamma^2."""
-    identities = _g_identities(x.algebra, x.coeffs, G, tol=tol)
+    identities = _g_identities(x.algebra.left_matrix_vec(x.coeffs), G, tol=tol)
     alpha_sq, _, ok = next(identities)
     if not ok:
         return None
@@ -233,7 +233,7 @@ def cone_decompose(x: Element, G: InnerProduct,
 def z0_residual(w: ComplexElement, G: InnerProduct) -> float:
     """||L_w^T G_hat L_w||_F, L_w = L_a + i L_b, the plain transpose: its real and
     imaginary parts are L_a^T G L_a - L_b^T G L_b and L_a^T G L_b + L_b^T G L_a."""
-    return next(_g_identities(w.algebra, w.as_vector(), G, 0.0))[1]
+    return next(_g_identities(w.algebra.left_matrix_vec(w.as_vector()), G, 0.0))[1]
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,8 @@ def z0_equivalence_check(w: ComplexElement, G: InnerProduct,
     (in A0, and a root).  "absent" is exact: A0 is {0}, a misses the range
     of R_b @ span, or the unique solution is no root; "inconclusive": no
     Newton start (0 and 7 random) on a kernel of solutions found a root."""
-    _, residual, residual_member = next(_g_identities(w.algebra, w.as_vector(), G, 0.0, tol=tol))
+    left = w.algebra.left_matrix_vec(w.as_vector())  # L_a + i L_b
+    _, residual, residual_member = next(_g_identities(left, G, 0.0, tol=tol))
     span = antisymmetric_subspace(w.algebra, G)
     if not span.shape[1]:  # S0 is empty
         return Z0Verdict(residual, residual_member, WitnessSearch("absent"))

@@ -163,7 +163,7 @@ def component_invariant(s: RootOfMinusOne) -> int:
 def _require_tangent(s: RootOfMinusOne, h: Element, tol: float | None) -> None:
     s.element._require_same(h)
     hc = h.coeffs
-    defect = vector_norm(s.left @ hc + s.algebra.multiply_vec(hc, s.element.coeffs))
+    defect = vector_norm(s.left @ hc + s.right @ hc)  # s*h + h*s
     if not within_tol(defect, 2.0 * s.element.norm() * h.norm(), tol):
         raise NotTangentError(f"anticommutator defect {defect:.3e}")
 

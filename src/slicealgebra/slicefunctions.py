@@ -29,12 +29,10 @@ class StemPolynomial:
 
     def __post_init__(self) -> None:
         mat = np.array(self.coeff_matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[1] != self.algebra.dimension:
+        if mat.ndim != 2 or not mat.shape[0] or mat.shape[1] != self.algebra.dimension:
             raise ValueError("coefficient matrix must be (degree+1, N)")
         if not np.all(np.isfinite(mat)):
             raise ValueError("stem coefficients must be finite")
-        if mat.shape[0] == 0:
-            mat = np.zeros((1, self.algebra.dimension), dtype=complex)
         mat.setflags(write=False)
         norms = np.array([vector_norm(row) for row in mat.view(float)])
         norms.setflags(write=False)

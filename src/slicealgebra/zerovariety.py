@@ -82,8 +82,9 @@ def pi_eval(z: complex, s: RootOfMinusOne) -> Element:
 
 
 def pi_tensor_eval(w: ComplexElement, s: RootOfMinusOne) -> Element:
-    """pi(1(x)a + i(x)b, s) = a + s*b."""
-    return w.re + s.element * w.im
+    """pi(1(x)a + i(x)b, s) = a + s*b, with s*b read off the root's kept L_s."""
+    s.element._require_same(w.im)
+    return w.re + Element(s.algebra, s.left @ w.im.coeffs)
 
 
 # -- witnesses ---------------------------------------------------------------
@@ -366,8 +367,8 @@ def discrete_zero_scan(stem: StemPolynomial, region, target: Element | None = No
     require_intrinsic(stem, tol)
     alg = stem.algebra
     x0, x1, y0, y1 = (float(v) for v in region)
-    if not (x1 > x0):
-        raise ValueError("empty region: need x1 > x0")
+    if not (x1 > x0) or np.isnan(y0) or np.isnan(y1):  # max() keeps or drops a NaN by place
+        raise ValueError("empty region: need x1 > x0, and no bound may be NaN")
     ymax = max(abs(y0), abs(y1))
     find_seed_root(alg, rng=rng)  # an algebra without roots has no zeros to scan
     tgt = alg.zero().coeffs if target is None else target.coeffs

@@ -1,10 +1,12 @@
-"""The dense einsum formulas for the structure-tensor kernels.
+"""The dense einsum formulas for the structure-tensor kernels, and a corpus
+of exact tensors beyond Clifford.
 
 These are the definitions the package's kernels must reproduce, written
 straight from c[i, j, k] (basis_i * basis_j = sum_k c[i, j, k] basis_k) with
 no tables and no reshapes.  They cost O(N^3) per product and O(N^5) time and
 O(N^3) memory a basis row for the associativity residual, so tests only call
-them.
+them.  CORPUS, built here from integer entries with the unit as basis
+element 0, is read by tests/test_structure_theory.py and tools/report_set.py.
 """
 
 from __future__ import annotations
@@ -132,3 +134,40 @@ DUAL[0, 0, 0] = DUAL[0, 1, 1] = DUAL[1, 0, 1] = 1.0
 def dual_numbers(c):
     """A[eps] = A (x) R[eps], eps^2 = 0, in the basis e_i, then e_i eps."""
     return tensor_product(c, DUAL)
+
+
+def signed_table(table):
+    """The tensor of a basis whose products are signed basis elements:
+    table[i][j] = +-(k + 1) when basis_i * basis_j = +-basis_k."""
+    t = np.array(table)
+    c = np.zeros((len(t),) * 3)
+    i, j = np.indices(t.shape)
+    c[i, j, np.abs(t) - 1] = np.sign(t)
+    return c
+
+
+REAL = np.ones((1, 1, 1))
+COMPLEX = signed_table([[1, 2], [2, -1]])  # 1, i
+QUATERNIONS = signed_table([[1, 2, 3, 4], [2, -1, 4, -3], [3, -4, -1, 2], [4, 3, -2, -1]])  # 1, i, j, k
+
+# name: (tensor, the simple factors of A / rad A as (field, n) for M_n(field))
+CORPUS = {
+    "M2(R)": (matrix_algebra(2), [("R", 2)]),
+    "M3(R)": (matrix_algebra(3), [("R", 3)]),
+    "M4(R)": (matrix_algebra(4), [("R", 4)]),
+    "M3(C)": (tensor_product(matrix_algebra(3), COMPLEX), [("C", 3)]),
+    "R[eps]": (dual_numbers(REAL), [("R", 1)]),
+    "C[eps]": (dual_numbers(COMPLEX), [("C", 1)]),
+    "H[eps]": (dual_numbers(QUATERNIONS), [("H", 1)]),
+    # upper triangular 2 x 2 matrices in the basis 1, E01, E11: rad = R E01
+    "T2(R)": (restricted(matrix_algebra(2), [0, 1, 3]), [("R", 1), ("R", 1)]),
+    "R+C": (direct_sum(REAL, COMPLEX), [("R", 1), ("C", 1)]),
+    "C+H": (direct_sum(COMPLEX, QUATERNIONS), [("C", 1), ("H", 1)]),
+    "M2(R)+M3(R)": (direct_sum(matrix_algebra(2), matrix_algebra(3)), [("R", 2), ("R", 3)]),
+}
+
+
+def s_nonempty(name):
+    """S = {s : s*s = -1} is empty exactly when a simple factor of CORPUS[name]
+    is M_n(R) with n odd (tests/test_structure_theory.py)."""
+    return not any(field == "R" and n % 2 for field, n in CORPUS[name][1])

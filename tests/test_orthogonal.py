@@ -51,8 +51,12 @@ def test_inner_product_validation(quaternions):
     a = quaternions.element([1.0, 1.0, 0.0, 0.0])
     assert G.pairing(a, a) == 3.0
     assert abs(G.norm(a) - np.sqrt(3.0)) <= 1e-15
+    w = ComplexElement(quaternions.unit(), quaternions.element([0.0, 1.0, 0.0, 0.0]))
     for check in (lambda G: is_in_S0(quaternions.unit(), G),
-                  lambda G: antisymmetric_subspace(quaternions, G)):
+                  lambda G: antisymmetric_subspace(quaternions, G),
+                  lambda G: cone_decompose(quaternions.unit(), G),
+                  lambda G: z0_residual(w, G),
+                  lambda G: z0_equivalence_check(w, G)):
         with pytest.raises(DimensionMismatchError):
             check(InnerProduct(np.eye(2)))
 
@@ -526,7 +530,8 @@ def test_cone_verdict_is_the_pair_of_g_identities(pq):
     (here -2.2e-16) is no verdict of its own."""
     alg = clifford_algebra(*pq)
     x, G = alg.scalar(0.7), _std(alg)
-    assert all(ok for _, _, ok in orthogonal._g_identities(alg, x.coeffs, G, tol=1e-16))
+    assert all(ok for _, _, ok in orthogonal._g_identities(
+        alg.left_matrix_vec(x.coeffs), G, tol=1e-16))
     dec = cone_decompose(x, G, tol=1e-16)
     assert dec is not None and dec.root is None
     assert abs(dec.beta - 0.7) <= 1e-15
@@ -537,7 +542,7 @@ def test_cone_rejects_x_that_fails_only_the_second_identity(cl03):
     symmetric signed permutation: L_w^T L_w = 1 holds, L_w^T + L_w = 2 L_w is
     no multiple of 1, and w is outside the cone."""
     w, G = cl03.basis_element(cl03.labels.index("e123")), _std(cl03)
-    first, second = orthogonal._g_identities(cl03, w.coeffs, G)
+    first, second = orthogonal._g_identities(cl03.left_matrix_vec(w.coeffs), G)
     assert first[2] and not second[2]
     assert cone_decompose(w, G) is None
 

@@ -14,20 +14,24 @@ import oracle_quaternion as oq
 from conftest import dense_cl12, elements_close
 from slicealgebra import (
     ComplexElement,
+    InnerProduct,
     NonIntegerTraceError,
     NotFoundError,
     NotTangentError,
     RootOfMinusOne,
     ZeroDivisorError,
+    ZeroWitness,
     clifford_algebra,
     component_invariant,
     conjugate_root,
     eval_slice,
     find_seed_root,
+    is_in_S0,
     j_structure,
     make_algebra,
     minus_i_eigenspace,
     nijenhuis,
+    orthogonality_characterization,
     pi_tensor_eval,
     right_divide,
     sample_root,
@@ -343,6 +347,28 @@ def test_a_root_owns_its_operators(name, seed):
         assert np.array_equal(owned, gather(s.element.coeffs)) and not owned.flags.writeable
         with pytest.raises(ValueError):
             owned[0, 0] = 1.0
+
+
+def test_every_check_at_a_root_reads_its_kept_operators(quaternions):
+    """On H at s = e1: is_in_S0 gathers L_s once for the root test and both
+    G-identities; orthogonality_characterization of a root whose left was
+    read gathers nothing; a witness's holds gathers L_s once for the root's
+    defect and a + s*b; j_structure at a root whose left and right were read
+    gathers nothing, its tangency check reading h*s as R_s h."""
+    alg, e1, e2 = quaternions, quaternions.basis_element(1), quaternions.basis_element(2)
+    G = InnerProduct.standard(alg)
+    kept = RootOfMinusOne(e1)
+    kept.left, kept.right  # read once, so both are kept
+    w = ComplexElement(alg.unit(), e1)  # 1 + e1*e1 = 0
+    checks = {"is_in_S0": (lambda: is_in_S0(e1, G), 1),
+              "orthogonality": (lambda: orthogonality_characterization(kept, G).passed, 0),
+              "witness": (lambda: ZeroWitness(w, RootOfMinusOne(e1)).holds(), 1),
+              "j_structure": (lambda: bool(j_structure(kept, e2)), 0)}
+    for name, (check, gathers) in checks.items():
+        with mock.patch.object(alg, "left_matrix_vec", wraps=alg.left_matrix_vec) as left, \
+                mock.patch.object(alg, "right_matrix_vec", wraps=alg.right_matrix_vec) as right:
+            assert check(), name
+        assert (left.call_count, right.call_count) == (gathers, 0), name
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 2), (0, 6)])

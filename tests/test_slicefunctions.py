@@ -314,3 +314,12 @@ def test_stem_coefficients_round_trip(quaternions, rng):
     assert stem.intrinsic_defect == 0.0
     rebuilt = StemPolynomial(quaternions, back)
     assert np.allclose(rebuilt.coeff_matrix, stem.coeff_matrix)
+
+
+def test_an_empty_stem_is_refused(quaternions):
+    """A stem has at least one coefficient, by either constructor: an empty
+    matrix is no longer made the zero stem of degree 0."""
+    with pytest.raises(ValueError, match=r"\(degree\+1, N\)"):
+        StemPolynomial(quaternions, np.zeros((0, 4)))
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        stem_from_slice_poly([])

@@ -3,7 +3,7 @@
 By Wedderburn-Artin, A / rad A is a sum of simple factors M_n(R), M_n(C)
 and M_m(H), and a root of -1 there lifts through the radical (x^2 + 1 is
 separable), so S is empty exactly when some factor is M_n(R) with n odd.
-Every tensor here is exact, built by einsum_reference from integer
+Every tensor here is exact: einsum_reference.CORPUS, built from integer
 entries with the unit as basis element 0.  None of these algebras is R, C
 or H, so by Frobenius's theorem each has a zerodivisor.
 """
@@ -20,44 +20,23 @@ import einsum_reference as ref
 from slicealgebra import SuiteNotApplicableError, clifford_algebra, dump_algebra, make_algebra
 from slicealgebra.cli import SUITES, main, run_suite
 
-_R = np.ones((1, 1, 1))
-_C = clifford_algebra(0, 1).structure_constants
-_H = clifford_algebra(0, 2).structure_constants
-
-# name: (tensor, the simple factors of A / rad A as (field, n) for M_n(field))
-CORPUS = {
-    "M2(R)": (ref.matrix_algebra(2), [("R", 2)]),
-    "M3(R)": (ref.matrix_algebra(3), [("R", 3)]),
-    "M4(R)": (ref.matrix_algebra(4), [("R", 4)]),
-    "M3(C)": (ref.tensor_product(ref.matrix_algebra(3), _C), [("C", 3)]),
-    "R[eps]": (ref.dual_numbers(_R), [("R", 1)]),
-    "C[eps]": (ref.dual_numbers(_C), [("C", 1)]),
-    "H[eps]": (ref.dual_numbers(_H), [("H", 1)]),
-    # upper triangular 2 x 2 matrices in the basis 1, E01, E11: rad = R E01
-    "T2(R)": (ref.restricted(ref.matrix_algebra(2), [0, 1, 3]), [("R", 1), ("R", 1)]),
-    "R+C": (ref.direct_sum(_R, _C), [("R", 1), ("C", 1)]),
-    "C+H": (ref.direct_sum(_C, _H), [("C", 1), ("H", 1)]),
-    "M2(R)+M3(R)": (ref.direct_sum(ref.matrix_algebra(2), ref.matrix_algebra(3)),
-                    [("R", 2), ("R", 3)]),
-}
-
-
-def _S_nonempty(name):
-    return not any(field == "R" and n % 2 for field, n in CORPUS[name][1])
+def test_the_reference_tensors_of_C_and_H_are_cliffords():
+    assert np.array_equal(ref.COMPLEX, clifford_algebra(0, 1).structure_constants)
+    assert np.array_equal(ref.QUATERNIONS, clifford_algebra(0, 2).structure_constants)
 
 
 # cone on M2(R), M4(R) and C+H is a known defect (tests/test_known_defects.py);
 # twistor needs a quaternion frame, which only H has.  Where S is empty a
 # failed seed search takes 20-230 ms a suite, so one root suite stands for all
-_CASES = [(name, suite) for name in CORPUS
-          for suite in (SUITES if _S_nonempty(name) else ("traces",))
+_CASES = [(name, suite) for name in ref.CORPUS
+          for suite in (SUITES if ref.s_nonempty(name) else ("traces",))
           if not (suite == "cone" and name in ("M2(R)", "M4(R)", "C+H"))]
 
 
 @pytest.mark.parametrize("name, suite", _CASES)
 def test_a_suite_applies_exactly_when_S_is_nonempty_and_then_passes(name, suite):
-    alg = make_algebra(CORPUS[name][0])
-    if suite == "twistor" or not _S_nonempty(name):
+    alg = make_algebra(ref.CORPUS[name][0])
+    if suite == "twistor" or not ref.s_nonempty(name):
         with pytest.raises(SuiteNotApplicableError):
             run_suite(suite, alg, name, 20, 0, 1e-9)
     else:
@@ -65,10 +44,10 @@ def test_a_suite_applies_exactly_when_S_is_nonempty_and_then_passes(name, suite)
         assert report.passed, report.failures
 
 
-@pytest.mark.parametrize("name", CORPUS)
+@pytest.mark.parametrize("name", ref.CORPUS)
 def test_info_finds_a_zerodivisor(tmp_path, capsys, name):
     path = tmp_path / "algebra.json"
-    dump_algebra(make_algebra(CORPUS[name][0]), str(path))
+    dump_algebra(make_algebra(ref.CORPUS[name][0]), str(path))
     assert main(["info", "--algebra", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["zerodivisors"]["found"] is True
 

@@ -15,6 +15,7 @@ import oracle_quaternion as oq
 from conftest import elements_close, root_from
 from slicealgebra import (
     ComplexElement,
+    DimensionMismatchError,
     PreconditionFailedError,
     RootOfMinusOne,
     SliceAlgebraError,
@@ -58,6 +59,17 @@ def test_pi_tensor_eval_against_oracle(quaternions):
     expect = oq.ONE + oq.qmul(oq.J, oq.I)  # 1 - k
     assert np.allclose(pi_tensor_eval(w, j).coeffs, expect, atol=1e-12)
     assert np.allclose(expect, [1.0, 0.0, 0.0, -1.0])
+
+
+def test_a_root_and_a_w_of_different_algebras_are_refused(quaternions, cl11):
+    """Cl(1,1) and H have the same dimension, so L_s @ b would be formed
+    without complaint: the algebras are compared first."""
+    s = find_seed_root(cl11)
+    w = ComplexElement(quaternions.unit(), quaternions.element(oq.I))
+    with pytest.raises(DimensionMismatchError):
+        pi_tensor_eval(w, s)
+    with pytest.raises(DimensionMismatchError):
+        ZeroWitness(w, s).residual
 
 
 def test_pi_tensor_constant_part(quaternions, rng):
@@ -563,6 +575,24 @@ def test_discrete_scan_sphere(quaternions):
     assert [h.classification for h in hits] == ["sphere", "sphere"]
     zs = sorted((h.z for h in hits), key=lambda z: z.imag)
     assert abs(zs[0] + 1j) <= 1e-8 and abs(zs[1] - 1j) <= 1e-8
+
+
+@pytest.mark.parametrize("region", [(-2, 2, np.nan, 2), (-2, 2, -2, np.nan),
+                                    (np.nan, 2, -2, 2), (-2, np.nan, -2, 2)])
+def test_a_nan_region_bound_is_refused(quaternions, region):
+    """max(|y0|, |y1|) would keep a NaN y0 (no zeros found) and drop a NaN
+    y1 (|Im z| <= 2 scanned), so every NaN bound raises, x bounds included."""
+    stem = stem_from_slice_poly([quaternions.unit(), quaternions.zero(), quaternions.unit()])
+    with pytest.raises(ValueError, match="NaN"):
+        discrete_zero_scan(stem, region)
+
+
+def test_a_scan_over_infinite_bounds_finds_the_sphere(quaternions):
+    stem = stem_from_slice_poly([quaternions.unit(), quaternions.zero(), quaternions.unit()])
+    for region in ((-np.inf, np.inf, -np.inf, np.inf), (-2, 2, -np.inf, 2), (-2, 2, 2, np.inf)):
+        hits = discrete_zero_scan(stem, region)
+        assert [h.classification for h in hits] == ["sphere", "sphere"]
+        assert [round(h.z.imag) for h in hits] == [-1, 1]
 
 
 def test_discrete_scan_real_roots(quaternions):

@@ -20,8 +20,13 @@ and with --target=1e308,0,0,0, and for -1e308 + x^2, over the same three
 regions: 9 runs, whose terms overflow unless the scan scales them.  Runs
 every suite on C and H at --tol 1e-6 and at --tol 1e-1, seeds 0 and 1, with
 200 trials: 64 runs, whose verdicts follow the tolerance rule at a tol other
-than the default (at 1e-1 a cone member can be real to the tolerance).  409
-runs in all, on the package in this checkout's src/, from
+than the default (at 1e-1 a cone member can be real to the tolerance).
+Writes each algebra of tests/einsum_reference.py's CORPUS (matrix
+algebras, tensor products, dual numbers, direct sums, T2(R)) to
+OUT_DIR/algebra_<algebra>.json and runs every suite and `info` at seeds 0
+and 7 with 40 trials on the six where S is nonempty, and `traces` and
+`info` at seed 0 on the five where it is empty: 118 runs.  527 runs in
+all, on the package in this checkout's src/, from
 OUT_DIR as the working directory (so a rotated algebra's report names it
 by its file name alone).  Each JSON report
 goes to OUT_DIR/<suite>_<algebra>_seed<S>.json or
@@ -53,7 +58,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from einsum_reference import rotated, rotation  # noqa: E402
+from einsum_reference import CORPUS, rotated, rotation, s_nonempty  # noqa: E402
 from slicealgebra import dump_algebra, make_algebra  # noqa: E402
 from slicealgebra.cli import SUITES, main, resolve_algebra  # noqa: E402
 
@@ -138,6 +143,18 @@ def write_report_set(out_dir: Path) -> tuple[dict[str, int], dict[str, list[str]
                                        "--tol", tol, "--json", str(out_dir / f"{stem}.json")])
     for name, (spec, _) in algebras.items():
         for seed in SEEDS:
+            stem = f"info_{name}_seed{seed}"
+            runs[stem] = _run(["info", "--algebra", spec, "--seed", str(seed),
+                               "--json", str(out_dir / f"{stem}.json")])
+    for name, (tensor, _) in CORPUS.items():
+        spec = f"algebra_{name}.json"
+        dump_algebra(make_algebra(tensor), spec)
+        suites, seeds = (SUITES, SEEDS) if s_nonempty(name) else (("traces",), SEEDS[:1])
+        for seed in seeds:
+            for suite in suites:
+                stem = f"{suite}_{name}_seed{seed}"
+                runs[stem] = _run(["verify", suite, "--algebra", spec, "--seed", str(seed),
+                                   "--trials", "40", "--json", str(out_dir / f"{stem}.json")])
             stem = f"info_{name}_seed{seed}"
             runs[stem] = _run(["info", "--algebra", spec, "--seed", str(seed),
                                "--json", str(out_dir / f"{stem}.json")])
