@@ -179,11 +179,10 @@ def _suite_dims(alg, trials, rng, tol):
 def _suite_zero_variety(alg, trials, rng, tol):
     seed = _seed_or_not_applicable(alg, rng, "zero-variety")
     for t in range(trials):
-        if t % 2 == 0:
-            # constructed member: a = -(s b) so the search must succeed
-            s = sample_root(seed, rng)
-            b = alg.random_element(rng)
-            search = zero_variety_witness(ComplexElement(-(s.element * b), b), tol, rng)
+        if t % 2 == 0:  # constructed member: a = -(s b) so the search must succeed
+            s, b = sample_root(seed, rng), alg.random_element(rng)
+            w = ComplexElement(Element(alg, s.left @ -b.coeffs), b)
+            search = zero_variety_witness(w, tol, rng)
             if not search.found:
                 yield False, float("inf"), f"trial {t}: no witness for member"
                 continue
@@ -200,7 +199,7 @@ def _suite_zero_variety(alg, trials, rng, tol):
 def _suite_absorption(alg, trials, rng, tol):
     for t, s in _sampled_roots(alg, trials, rng, "absorption"):
         b = alg.random_element(rng)
-        base = zero_variety_witness(ComplexElement(-(s.element * b), b), tol, rng)
+        base = zero_variety_witness(ComplexElement(Element(alg, s.left @ -b.coeffs), b), tol, rng)
         if not base.found:
             yield False, float("inf"), f"trial {t}: base witness missing"
             continue
@@ -283,6 +282,7 @@ def _suite_stereographic(alg, trials, rng, tol):
     stem = stem_from_slice_poly([alg.unit(), alg.zero(), alg.unit()])
     section = standard_section(u)
     z = 0.3 + 0.7j
+    terms = stem.term_size(z)  # of F(z) = a + ib, fixed
     for t in range(trials):
         s = sample_root(u, rng)
         basis = stereographic_fiber(u, s)  # its rank is a trace: check Q, on its real view
@@ -293,8 +293,7 @@ def _suite_stereographic(alg, trials, rng, tol):
         try:
             point = generalized_twistor(stem, section, z, s, u)
             residual = (rho1_general(point, u) - eval_slice(stem, z, s)).norm()
-            size = (1.0 + s.element.norm()) * stem.term_size(z)
-            cons_ok = within_tol(residual, size, tol)
+            cons_ok = within_tol(residual, (1.0 + s.element.norm()) * terms, tol)
         except ZeroDivisorError:  # section chart misses s; the fiber check stands
             cons_ok, residual = True, 0.0
         except BadSectionError as exc:  # the section value is zero or off the fiber over s

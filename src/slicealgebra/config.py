@@ -4,11 +4,12 @@ cutoff, size guards.
 The tolerance rule.  An identity that holds exactly (s*s + 1 = 0, a + s*b =
 0, a trace that vanishes) is checked through its residual r, which passes at
 tolerance tol when r <= tol * size, size being the summed size of the terms
-that cancel in r: (1 + ||s||)^2 for s*s + 1, ||a|| + ||s|| ||b|| for a + s*b.
-This is a normwise backward error (Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., 2002, ch. 7): a verdict does not change when
-the inputs are scaled, and the rounding in forming the terms, a small
-multiple of eps times their size, stays far below it.
+that cancel in r: (1 + ||s||)^2 for s*s + 1 in RootOfMinusOne.holds, and
+||a|| + ||s|| ||b|| for a + s*b in ZeroWitness.size, their one owners.  This
+is a normwise backward error (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 2002, ch. 7): a verdict does not change when the
+inputs are scaled, and the rounding in forming the terms, a small multiple
+of eps times their size, stays far below it.
 """
 
 # The tol of every check that is not given one.

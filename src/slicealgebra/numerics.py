@@ -1,14 +1,14 @@
 """The shared numerical steps: the norm of a coefficient vector (neither
 over- nor underflowing), rank decisions by singular values, ranges of
-projectors of known rank, the Newton-Schulz polish of a near-root of -1,
-and the damped Newton for s*s = -1 on an affine set, with optional linear rows.
+projectors of known rank, and the damped Newton for s*s = -1 on an affine
+set, with optional linear rows.
 
 Every rank that is a verdict is decided by the cutoff of `numerical_rank`,
 through `svd_rank` where singular vectors are read, else on a values-only
 SVD; a subspace of integer-trace rank is a `projector_range`.  Every
-Newton-Schulz step toward s*s = -1 is taken by `newton_schulz`, and every
 Newton search for a root of -1 on an affine set runs through
-`affine_square_root`.
+`affine_square_root` (the Newton-Schulz polish of a near-root is
+`roots.newton_schulz`).
 """
 
 from __future__ import annotations
@@ -80,34 +80,6 @@ def projector_range(p: np.ndarray, rank: int) -> np.ndarray:
     pulls the rounding of the first QR back into the range."""
     q = np.linalg.qr(p @ _sketch(p.shape[0], rank))[0]
     return np.linalg.qr(p @ q)[0]
-
-
-def newton_schulz(algebra, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Newton-Schulz steps x <- x (x*x + 3)/2 toward x*x = -1 from x, L_x
-    gathered once a step; returns the x of least defect and ||x*x + 1||.
-
-    On S the inverse is known, x^{-1} = -x, and putting it into the Newton
-    step x - (x*x + 1)(2x)^{-1} gives the Newton-Schulz iteration for the
-    matrix sign function (Higham, Functions of Matrices, 2008, ch. 5 and 8).
-    The defect d = x*x + 1 commutes with x, so a step sends it to
-    d^2 (3 + d) / 4: quadratic convergence without an inverse.  The steps
-    stop one step past the rounding floor eps * N * (1 + ||x||)^2 of x*x,
-    when the defect stops falling, or after NEWTON_ITERATIONS steps.
-    """
-    unit, floor = algebra.unit_vector, np.finfo(float).eps * algebra.dimension
-    best, defect, last = x, np.inf, False
-    for _ in range(NEWTON_ITERATIONS):
-        left = algebra.left_matrix_vec(x)
-        square = left @ x
-        rn = vector_norm(square + unit)
-        if not rn < defect:  # stopped falling (NaN included)
-            break
-        best, defect = x, rn
-        if last:  # one step past the rounding floor
-            break
-        last = rn <= floor * (1.0 + vector_norm(x)) ** 2
-        x = 0.5 * (left @ (square + 3.0 * unit))
-    return best, defect
 
 
 def affine_square_root(algebra, base: np.ndarray, span: np.ndarray,

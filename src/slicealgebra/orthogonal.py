@@ -22,8 +22,8 @@ import numpy as np
 from .algebra import Algebra, Element
 from .config import within_tol
 from .errors import DimensionMismatchError, NotFoundError
-from .numerics import newton_schulz, null_space
-from .roots import RootOfMinusOne, TraceReport
+from .numerics import null_space
+from .roots import RootOfMinusOne, TraceReport, newton_schulz
 from .zerovariety import ComplexElement, WitnessSearch, _solution_witnesses
 
 
@@ -160,19 +160,17 @@ def sample_S0(algebra: Algebra, G: InnerProduct,
               rng: np.random.Generator | None = None,
               tol: float | None = None) -> RootOfMinusOne:
     """Draw a root of -1 in A0 (antisymmetric_subspace(algebra, G), built
-    once per G) in up to 50 draws, as the polar factor of L_a for a random a
-    in A0: numerics.newton_schulz from a / ||L_a||_F."""
+    once per G) in up to 50 draws, the polar factor of L_a for a random a in
+    A0 (newton_schulz from a / ||L_a||_F) that holds and passes a G-identity."""
     rng = np.random.default_rng(0) if rng is None else rng
     span = antisymmetric_subspace(algebra, G)  # (N, m), orthonormal
     if not span.shape[1]:
         raise NotFoundError("antisymmetric subspace is trivial")
     for _ in range(50):
         x = span @ rng.standard_normal(span.shape[1])
-        x, defect = newton_schulz(algebra, x / np.linalg.norm(algebra.left_matrix_vec(x)))
-        cand = Element(algebra, x)  # two of three: s*s = -1 at the polish's defect, a G-identity
-        if within_tol(defect, (1.0 + cand.norm()) ** 2, tol) and any(
-                ok for *_, ok in _g_identities(algebra.left_matrix_vec(x), G, 1.0, 0.0, tol)):
-            return RootOfMinusOne(cand)
+        root = newton_schulz(algebra, x / np.linalg.norm(algebra.left_matrix_vec(x)))
+        if root.holds(tol) and any(ok for *_, ok in _g_identities(root.left, G, 1.0, 0.0, tol)):
+            return root
     raise NotFoundError("no orthogonal root found in the antisymmetric subspace")
 
 

@@ -15,14 +15,14 @@ import numpy as np
 from .algebra import Algebra, Element, right_divide
 from .config import within_tol
 from .errors import NonIntegerTraceError, NotFoundError, NotTangentError
-from .numerics import (affine_square_root, newton_schulz, null_space, projector_range,
+from .numerics import (NEWTON_ITERATIONS, affine_square_root, null_space, projector_range,
                        vector_norm)
 
 
 @dataclass(frozen=True)
 class RootOfMinusOne:
     """A candidate s for s*s = -1 and its defect ||s*s + 1||; the defect and
-    the operators L_s and R_s are each formed on first read and kept."""
+    L_s and R_s are each formed on first read and kept, or kept from the polish."""
 
     element: Element
 
@@ -113,13 +113,12 @@ def conjugate_root(y: Element, s: RootOfMinusOne) -> RootOfMinusOne:
 def sample_root(seed: RootOfMinusOne, rng: np.random.Generator,
                 tol: float | None = None) -> RootOfMinusOne:
     """Conjugate the seed by random standard normal y, as conjugate_root
-    does, on coefficient arrays: only the accepted root is wrapped.
+    does, on coefficient arrays: only the polished root is wrapped.
 
     A draw is rejected when LU finds R_y singular (LAPACK's LinAlgError),
     when the conjugate is not finite or has norm above 32 (a cap, not a
     tolerance: on noncompact components the orbit is unbounded), or when
-    the conjugate, polished by numerics.newton_schulz to the rounding
-    floor, fails the membership test at the defect the polish measured.
+    the root newton_schulz polishes it to fails `holds` at the polish's defect.
     """
     algebra, s = seed.algebra, seed.element.coeffs
     for _ in range(200):
@@ -130,10 +129,42 @@ def sample_root(seed: RootOfMinusOne, rng: np.random.Generator,
             continue
         if not vector_norm(out) <= 32.0:  # NaN fails it too
             continue
-        out, residual = newton_schulz(algebra, out)
-        if within_tol(residual, (1.0 + vector_norm(out)) ** 2, tol):  # as holds
-            return RootOfMinusOne(Element(algebra, out))
+        if (root := newton_schulz(algebra, out)).holds(tol):
+            return root
     raise NotFoundError("conjugation sampling failed repeatedly")
+
+
+def newton_schulz(algebra: Algebra, x: np.ndarray) -> RootOfMinusOne:
+    """Newton-Schulz steps x <- x (x*x + 3)/2 toward x*x = -1 from x, L_x
+    gathered once a step; returns the root at the x of least defect, which
+    keeps that step's L_x and ||x*x + 1|| (nothing, if the first is NaN).
+
+    On S the inverse is known, x^{-1} = -x, and putting it into the Newton
+    step x - (x*x + 1)(2x)^{-1} gives the Newton-Schulz iteration for the
+    matrix sign function (Higham, Functions of Matrices, 2008, ch. 5 and 8).
+    The defect d = x*x + 1 commutes with x, so a step sends it to
+    d^2 (3 + d) / 4: quadratic convergence without an inverse.  The steps
+    stop one step past the rounding floor eps * N * (1 + ||x||)^2 of x*x,
+    when the defect stops falling, or after NEWTON_ITERATIONS steps.
+    """
+    unit, floor = algebra.unit_vector, np.finfo(float).eps * algebra.dimension
+    best, defect, kept, last = x, np.inf, None, False
+    for _ in range(NEWTON_ITERATIONS):
+        left = algebra.left_matrix_vec(x)
+        square = left @ x
+        rn = vector_norm(square + unit)
+        if not rn < defect:  # stopped falling (NaN included)
+            break
+        best, defect, kept = x, rn, left
+        if last:  # one step past the rounding floor
+            break
+        last = rn <= floor * (1.0 + vector_norm(x)) ** 2
+        x = 0.5 * (left @ (square + 3.0 * unit))
+    root = RootOfMinusOne(Element(algebra, best))
+    if kept is not None:  # kept where the cached properties keep theirs: the same bits
+        kept.setflags(write=False)
+        root.__dict__.update(left=kept, residual=defect)
+    return root
 
 
 # -- tangent structure -------------------------------------------------------

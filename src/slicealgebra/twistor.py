@@ -269,11 +269,11 @@ def generalized_twistor(F: StemPolynomial, sigma, z: complex,
         raise BadSectionError("bundle base point u is not a root of -1")
     alg, left_u = u.algebra, u.left
     c = sigma(s)
-    left_c = alg.left_matrix_vec(c.coeffs)  # for u c - c s and the image
+    left_c, nc = alg.left_matrix_vec(c.coeffs), c.norm()  # L_c for u c - c s and the image
     defect = vector_norm(left_u @ c.coeffs - left_c @ s.element.coeffs)
-    if not within_tol(defect, c.norm() * (u.element.norm() + s.element.norm()), tol):
+    if not within_tol(defect, nc * (u.element.norm() + s.element.norm()), tol):
         raise BadSectionError(f"section value misses the fiber (defect {defect:.3e})")
-    if c.norm() == 0.0:
+    if nc == 0.0:
         raise BadSectionError("section value is zero")
     w = F.evaluate_vector(z)
     image = left_c @ w.real.copy() + left_u @ (left_c @ w.imag.copy())

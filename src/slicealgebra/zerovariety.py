@@ -92,7 +92,7 @@ def pi_tensor_eval(w: ComplexElement, s: RootOfMinusOne) -> Element:
 
 @dataclass(frozen=True)
 class ZeroWitness:
-    """A pair (w, s) for pi(w, s) = 0 and its residual ||a + s*b||, measured on first read."""
+    """A pair (w, s) for pi(w, s) = 0, its residual ||a + s*b|| and size, measured on first read."""
 
     w: ComplexElement
     root: RootOfMinusOne
@@ -101,11 +101,15 @@ class ZeroWitness:
     def residual(self) -> float:
         return pi_tensor_eval(self.w, self.root).norm()
 
+    @cached_property
+    def size(self) -> float:
+        """||a|| + ||s|| ||b||, the size of the terms that cancel in a + s*b."""
+        return self.w.re.norm() + self.root.element.norm() * self.w.im.norm()
+
     def holds(self, tol: float | None = None) -> bool:
-        """Both identities pass the tolerance rule: s*s + 1 against
-        (1 + ||s||)^2 and a + s*b against ||a|| + ||s|| ||b||."""
-        size = self.w.re.norm() + self.root.element.norm() * self.w.im.norm()
-        return self.root.holds(tol) and bool(within_tol(self.residual, size, tol))
+        """Both identities pass the tolerance rule: s*s + 1 as the root
+        holds, and a + s*b against the witness's size."""
+        return self.root.holds(tol) and bool(within_tol(self.residual, self.size, tol))
 
 
 @dataclass(frozen=True)
@@ -123,15 +127,15 @@ class WitnessSearch:
 
 def _excluded(witness: ZeroWitness, sigma_min: float, tol: float) -> bool:
     """No witness at tol lies near s: each s' = s + d has ||d|| <= r, where
-    (sigma_min(R_b) - tol ||b||) r = ||a + s*b|| + tol (||a|| + ||s|| ||b||),
+    (sigma_min(R_b) - tol ||b||) r = ||a + s*b|| + tol size (ZeroWitness.size),
     and ||s'*s' + 1|| >= ||s*s + 1|| - ||L_s + R_s||_F r - mu r^2, as ||x*y|| <=
     mu ||x|| ||y|| for mu the Frobenius norm of the structure constants."""
-    w, root, ns = witness.w, witness.root, witness.root.element.norm()
-    gap = sigma_min - tol * w.im.norm()
+    root, ns = witness.root, witness.root.element.norm()
+    gap = sigma_min - tol * witness.w.im.norm()
     if gap <= 0.0:  # R_b bounds no distance
         return False
     mu = root.algebra.structure_norm
-    r = (witness.residual + tol * (w.re.norm() + ns * w.im.norm())) / gap
+    r = (witness.residual + tol * witness.size) / gap
     lip = np.linalg.norm(root.left + root.right)
     return bool(root.residual - lip * r - mu * r * r > tol * (1.0 + ns + r) ** 2)
 
@@ -150,9 +154,9 @@ def _verdict(w: ComplexElement, candidates, tol: float | None, otherwise: str = 
         if not witness.holds(tol) and witness.holds(np.sqrt(tol)):
             if _excluded(witness, sigma_min, tol):
                 return WitnessSearch("absent")
-            status, ns, size = "inconclusive", s.norm(), a.norm() + s.norm() * b.norm()
+            status = "inconclusive"
             rows = np.column_stack([alg.right_matrix_vec(b.coeffs), a.coeffs])
-            rows *= (1.0 + ns) ** 2 / size
+            rows *= (1.0 + s.norm()) ** 2 / witness.size
             joint, _ = affine_square_root(alg, s.coeffs, np.eye(alg.dimension),
                                           np.zeros(alg.dimension), rows)
             witness = ZeroWitness(w, RootOfMinusOne(alg.element(joint)))

@@ -333,17 +333,17 @@ def test_the_cone_suite_builds_A0_once_per_algebra(monkeypatch):
     assert freed() is None
 
 
-def test_sample_S0_gathers_the_drawn_root_twice(monkeypatch):
-    """The root sample_S0 returns has L_s gathered twice: by the polish, which
-    measures ||s*s + 1||, and by the G-identities; the defect is not measured
-    again for the two-of-three test."""
+def test_sample_S0_gathers_the_drawn_root_once(monkeypatch):
+    """The root sample_S0 returns has L_s gathered once, by the polish, which
+    measures ||s*s + 1||; the root keeps both, so the two-of-three test
+    measures no defect again and the G-identities read the kept L_s."""
     alg = clifford_algebra(2, 2)
     G = _std(alg)
     antisymmetric_subspace(alg, G)
     gathers, gather = [], alg.left_matrix_vec
     monkeypatch.setattr(alg, "left_matrix_vec", lambda a: gathers.append(np.array(a)) or gather(a))
     s = sample_S0(alg, G, np.random.default_rng(0))
-    assert sum(np.array_equal(a, s.element.coeffs) for a in gathers) == 2
+    assert sum(np.array_equal(a, s.element.coeffs) for a in gathers) == 1
     assert is_in_S0(s.element, G)
 
 

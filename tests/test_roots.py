@@ -255,7 +255,7 @@ EXACT_ALGEBRAS = {"H": lambda: clifford_algebra(0, 2), "Cl(2,2)": lambda: cliffo
 
 
 def _element_polish(s):
-    """numerics.newton_schulz written in Element operators: steps s <- s*(s*s + 3)/2
+    """roots.newton_schulz written in Element operators: steps s <- s*(s*s + 3)/2
     while ||s*s + 1|| falls, up to one step past ||s*s + 1|| <= eps N
     (1 + ||s||)^2 and at most 100 steps; the s of least defect."""
     one, three = s.algebra.unit(), 3.0 * s.algebra.unit()
@@ -292,8 +292,7 @@ def test_array_root_path_gives_the_element_bits(name):
             except ZeroDivisorError:
                 continue
             if conj.element.norm() <= 32.0:
-                polished = numerics.newton_schulz(alg, conj.element.coeffs)[0]
-                want = RootOfMinusOne(Element(alg, polished))
+                want = RootOfMinusOne(roots.newton_schulz(alg, conj.element.coeffs).element)
                 if want.holds():
                     break
         assert np.array_equal(s.element.coeffs, want.element.coeffs)
@@ -323,16 +322,17 @@ _OWNER_ALGEBRAS = {"H": clifford_algebra(0, 2), "Cl(2,2)": clifford_algebra(2, 2
 @given(name=st.sampled_from(sorted(_OWNER_ALGEBRAS)), seed=st.integers(0, 2**32 - 1))
 def test_a_root_owns_its_operators(name, seed):
     """s.left and s.right are L_s and R_s bit for bit, read-only, and every
-    construction at s reads them: across tangent_frame, component_invariant,
+    construction at s reads them: across the polish in sample_root, whose
+    L_s the root keeps, tangent_frame, component_invariant,
     verify_trace_identities, minus_i_eigenspace, nijenhuis, eval_slice and
     the stereographic fiber over s', L_s and R_s are gathered once each."""
     alg = _OWNER_ALGEBRAS[name]
     rng = np.random.default_rng(seed)
     base = find_seed_root(alg)
-    s, other = sample_root(base, rng), sample_root(base, rng)
-    stem = stem_from_slice_poly([alg.random_element(rng) for _ in range(3)])
     with mock.patch.object(alg, "left_matrix_vec", wraps=alg.left_matrix_vec) as left, \
             mock.patch.object(alg, "right_matrix_vec", wraps=alg.right_matrix_vec) as right:
+        s, other = sample_root(base, rng), sample_root(base, rng)
+        stem = stem_from_slice_poly([alg.random_element(rng) for _ in range(3)])
         basis = tangent_frame(s)
         x, y = _tangent(alg, basis, rng), _tangent(alg, basis, rng)
         component_invariant(s)
@@ -470,22 +470,23 @@ def test_polish_root_needs_no_lapack(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
-    out = Element(alg, numerics.newton_schulz(alg, start.coeffs)[0])
+    out = roots.newton_schulz(alg, start.coeffs).element
     floor = 4.0 * np.finfo(float).eps * alg.dimension * (1.0 + out.norm()) ** 2
     assert RootOfMinusOne(start).residual > 1e3 * floor
     assert RootOfMinusOne(out).residual <= floor
 
 
 def test_every_polish_is_the_one_newton_schulz(monkeypatch):
-    """sample_root and sample_S0 each end in numerics.newton_schulz."""
-    calls = []
+    """sample_root and sample_S0 each end in roots.newton_schulz."""
+    calls, polish = [], roots.newton_schulz
 
     def counted(algebra, x):
         calls.append(x)
-        return numerics.newton_schulz(algebra, x)
+        return polish(algebra, x)
 
+    assert not hasattr(numerics, "newton_schulz")
     for module in (roots, orthogonal):
-        assert module.newton_schulz is numerics.newton_schulz
+        assert module.newton_schulz is polish
         monkeypatch.setattr(module, "newton_schulz", counted)
     alg, rng = clifford_algebra(0, 3), np.random.default_rng(0)
     seed = find_seed_root(alg)
@@ -504,9 +505,46 @@ def test_polish_root_reaches_the_floor_on_h(quaternions, direction, perturbation
     steps reach ||s*s + 1|| <= 4 eps N (1 + ||s||)^2, in oracle arithmetic."""
     assume(np.linalg.norm(direction) > 0.1)
     start = np.concatenate([[0.0], direction / np.linalg.norm(direction)]) + perturbation
-    s = numerics.newton_schulz(quaternions, start)[0]
+    s = roots.newton_schulz(quaternions, start).element.coeffs
     floor = 4.0 * np.finfo(float).eps * 4 * (1.0 + np.linalg.norm(s)) ** 2
     assert np.linalg.norm(oq.qmul(s, s) + oq.ONE) <= floor
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_OWNER_ALGEBRAS)), seed=st.integers(0, 2**32 - 1),
+       noise=st.sampled_from([0.0, 1e-8, 1e-3, 1.0]))
+def test_the_polish_makes_the_root(name, seed, noise):
+    """From a sampled root moved by noise, the root roots.newton_schulz
+    returns keeps, before any read, the L_x and ||x*x + 1|| of its last kept
+    step: read-only, and bit for bit what a fresh RootOfMinusOne at its
+    element forms.  On H, column j of its left is s*e_j in oracle arithmetic."""
+    alg = _OWNER_ALGEBRAS[name]
+    rng = np.random.default_rng(seed)
+    start = sample_root(find_seed_root(alg), rng).element.coeffs
+    root = roots.newton_schulz(alg, start + noise * rng.standard_normal(alg.dimension))
+    assert {"left", "residual"} <= vars(root).keys()
+    fresh = RootOfMinusOne(root.element)
+    assert np.array_equal(root.left, fresh.left) and root.residual == fresh.residual
+    assert not root.left.flags.writeable
+    if name == "H":
+        s = root.element.coeffs
+        oracle = np.column_stack([oq.qmul(s, e) for e in np.eye(4)])
+        assert np.linalg.norm(root.left - oracle) <= 4.0 * np.finfo(float).eps * np.linalg.norm(s)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(_OWNER_ALGEBRAS)), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_a_polish_that_keeps_no_step_keeps_nothing(name, seed, data):
+    """A start with a NaN coefficient has a NaN first defect: no step is
+    kept, so the root keeps no operator or defect, measures itself on read
+    and does not hold."""
+    alg = _OWNER_ALGEBRAS[name]
+    start = np.random.default_rng(seed).standard_normal(alg.dimension)
+    start[data.draw(st.integers(0, alg.dimension - 1))] = np.nan
+    root = roots.newton_schulz(alg, start)
+    assert not {"left", "residual"} & vars(root).keys()
+    assert np.isnan(root.residual) and not root.holds()
 
 
 def test_sigma_involution_is_involutive(quaternions, rng):

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 
 import einsum_reference as ref
 import oracle_quaternion as oq
-from conftest import elements_close, root_from
+from conftest import dense_cl12, elements_close, root_from
 from slicealgebra import (
     ComplexElement,
     DimensionMismatchError,
@@ -488,6 +488,34 @@ def test_right_absorption_random(quaternions, cl03, rng):
             wp = ComplexElement(alg.random_element(rng), alg.random_element(rng))
             out = right_absorption(base.witness, wp)
             assert out.residual <= 1e-8 * (1 + w.norm() * wp.norm())
+
+
+_SIZE_ALGEBRAS = {"H": clifford_algebra(0, 2), "Cl(2,2)": clifford_algebra(2, 2),
+                  "dense Cl(1,2)": dense_cl12()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_SIZE_ALGEBRAS)), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       root_noise=st.sampled_from([0.0, 1e-12, 1e-6]),
+       member_noise=st.sampled_from([0.0, 1e-12, 1e-6, 1e-3]),
+       tol=st.sampled_from([1e-12, 1e-9, 1e-6]))
+def test_a_witness_owns_its_size(name, seed, scale, root_noise, member_noise, tol):
+    """ZeroWitness.size is ||a|| + ||s|| ||b|| bit for bit, and holds at tol
+    and at sqrt(tol), the band's edges, is the tolerance rule written out
+    from that size and the root's own holds, for witnesses of near-members
+    at near-roots."""
+    alg = _SIZE_ALGEBRAS[name]
+    rng = np.random.default_rng(seed)
+    s = sample_root(find_seed_root(alg), rng).element
+    root = RootOfMinusOne(s + root_noise * alg.random_element(rng))
+    b = scale * alg.random_element(rng)
+    a = -(s * b) + member_noise * scale * alg.random_element(rng)
+    witness = ZeroWitness(ComplexElement(a, b), root)
+    size = a.norm() + root.element.norm() * b.norm()
+    assert witness.size == size
+    for t in (tol, np.sqrt(tol)):
+        assert witness.holds(t) == (root.holds(t) and witness.residual <= t * size)
 
 
 def test_right_absorption_rejects_bad_witness(quaternions):

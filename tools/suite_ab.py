@@ -27,11 +27,19 @@ runs every op on both sides, on the copies of one import order, the orders
 taking turns from round to round, and alternating which side goes first
 from op to op.  An op's time in an order is its fastest round there.  The
 table gives, for each (suite, algebra), the median over seeds and both
-orders of the op times of each side and the relative change, then that
-change in each order alone (parent imported first, change imported first):
-a gap between the two is the bias of import order.  An `A0` row also gives
-each side's tracemalloc peak of one call, after the rounds.  BLAS runs on
-one thread.
+orders of the op times of each side, then the change: the median, over
+seeds and both orders, of each op's paired ratio (change over parent, the
+same op in the same order) less 1, and its 95% bootstrap interval, the
+2.5th and 97.5th percentiles of that median over 2000 resamples of the
+seeds (both orders of a seed drawn together; generator seeded 0).  The
+change in each order alone (parent imported first, change imported first)
+is the median of the paired ratios in that order: the headline lies
+between the two, and a gap between them is the bias of import order.  A
+ratio of pooled medians would not: when the orders run at different
+speeds the op times split into two clusters, and a ratio of their
+unpaired medians can fall outside both orders' changes.  An `A0` row also
+gives each side's tracemalloc peak of one call, after the rounds.  BLAS
+runs on one thread.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ ALGEBRAS = {"H": ((0, 2), 5), "Cl(0,3)": ((0, 3), 5), "Cl(2,2)": ((2, 2), 5),
 A0_ALGEBRAS = ("H", "Cl(2,2)", "Cl(0,6)", "Cl(3,3)")
 SEEDS = range(30)
 ROUNDS = 8  # 4 in each import order
+RESAMPLES = 2000  # of the seeds, for the interval of the change
 
 
 def _dense_cl23(algebra) -> np.ndarray:
@@ -131,15 +140,18 @@ def main(parent: str, change: str) -> None:
         peaks = {key: [_peak_mib(pair[key]) for pair in sides[0]]
                  for key in keys if key[0] == "A0"}
     print(f"{'suite':<14}{'algebra':<14}{'parent ms':>10}{'change ms':>10}{'change':>9}"
-          f"{'p first':>9}{'c first':>9}{'parent MiB':>12}{'change MiB':>12}")
+          f"{'95% interval':>18}{'p first':>9}{'c first':>9}{'parent MiB':>12}{'change MiB':>12}")
     for suite, alg_name in dict.fromkeys(key[:2] for key in keys):
         cols = [k for k, key in enumerate(keys) if key[:2] == (suite, alg_name)]
         before, after = (1e3 * np.median(fastest[:, side, cols]) for side in (0, 1))
-        by_order = [np.median(fastest[order, 1, cols]) / np.median(fastest[order, 0, cols]) - 1
-                    for order in (0, 1)]
+        ratios = fastest[:, 1, cols] / fastest[:, 0, cols]  # [order, seed], paired
+        picks = np.random.default_rng(0).integers(0, len(cols), (RESAMPLES, len(cols)))
+        low, high = np.percentile(np.median(ratios[:, picks], axis=(0, 2)), [2.5, 97.5]) - 1
+        by_order = np.median(ratios, axis=1) - 1
         peak = peaks.get((suite, alg_name, 0))
         print(f"{suite:<14}{alg_name:<14}{before:>10.3f}{after:>10.3f}"
-              f"{after / before - 1:>+9.1%}{by_order[0]:>+9.1%}{by_order[1]:>+9.1%}"
+              f"{np.median(ratios) - 1:>+9.1%}{f'[{low:+.1%}, {high:+.1%}]':>18}"
+              f"{by_order[0]:>+9.1%}{by_order[1]:>+9.1%}"
               + (f"{peak[0]:>12.3f}{peak[1]:>12.3f}" if peak else ""))
 
 
