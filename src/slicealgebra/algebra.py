@@ -48,6 +48,17 @@ from .errors import (
 )
 from .numerics import numerical_rank, vector_norm
 
+_FLOAT = np.dtype(float)  # native float64, the dtype of an Element's coefficients
+
+
+class kept_property(cached_property):
+    """cached_property with no lock on a first read (3.8-3.11 take one, 3.12 none)."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return instance.__dict__.setdefault(self.attrname, self.func(instance))
+
 
 @dataclass(eq=False)
 class Algebra:
@@ -91,17 +102,23 @@ class Algebra:
         v[i] = 1.0
         return Element(self, v)
 
-    @cached_property
+    @kept_property
+    def kept(self) -> dict:
+        """The derived facts other modules keep per algebra object (its seed
+        roots, quaternion frame, standard G, base fiber), freed with it by gc."""
+        return {}
+
+    @kept_property
     def unit_vector(self) -> np.ndarray:
         """The unit's coefficients: one read-only vector, built on first use."""
         return self.basis_element(self.unit_index).coeffs
 
-    @cached_property
+    @kept_property
     def structure_norm(self) -> float:
         """mu, the Frobenius norm of the structure constants: ||x*y|| <= mu ||x|| ||y||."""
         return np.linalg.norm(self.structure_constants)
 
-    @cached_property
+    @kept_property
     def _associativity(self) -> tuple[float, float]:
         """_associativity_defects(self), computed once (make_algebra checks it)."""
         return _associativity_defects(self)
@@ -111,7 +128,7 @@ class Algebra:
         """Largest entry of (e_i e_j) e_k - e_i (e_j e_k), from make_algebra's check."""
         return self._associativity[0]
 
-    @cached_property
+    @kept_property
     def basis_square_defects(self) -> np.ndarray:
         """||e_i*e_i + 1|| for each basis element: read-only, built on first use."""
         d = np.linalg.norm(self.structure_constants.diagonal().T + self.unit_vector, axis=1)
@@ -177,14 +194,16 @@ class Element:
 
     algebra: Algebra
     coeffs: np.ndarray
+    _norm = None  # not a field; norm() sets it, not via __dict__, which slows later reads
 
     def __post_init__(self) -> None:
         c = self.coeffs  # checked before the cast, which would drop an imaginary part
-        if c.dtype.kind == "c" if isinstance(c, np.ndarray) else np.iscomplexobj(c):
-            raise ValueError("coefficients must be real")
-        v = np.asarray(c, dtype=float)
-        v.flags.writeable = False
-        object.__setattr__(self, "coeffs", v)
+        if type(c) is not np.ndarray or c.dtype is not _FLOAT:  # else kept as it is
+            if c.dtype.kind == "c" if isinstance(c, np.ndarray) else np.iscomplexobj(c):
+                raise ValueError("coefficients must be real")
+            c = np.asarray(c, dtype=float)
+            object.__setattr__(self, "coeffs", c)
+        c.flags.writeable = False
 
     def _require_same(self, other: "Element") -> None:
         if not self.algebra.compatible(other.algebra):
@@ -215,8 +234,10 @@ class Element:
         return Element(self.algebra, self.coeffs / float(other))
 
     def norm(self) -> float:
-        """np.linalg.norm(coeffs), bit for bit (numerics.vector_norm)."""
-        return vector_norm(self.coeffs)
+        """np.linalg.norm(coeffs), bit for bit (numerics.vector_norm), kept from the first call."""
+        if self._norm is None:
+            object.__setattr__(self, "_norm", vector_norm(self.coeffs))
+        return self._norm
 
     def __repr__(self) -> str:
         return f"<{self.algebra.label_linear_combination(self.coeffs)}>"

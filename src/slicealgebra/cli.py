@@ -506,6 +506,8 @@ def main(argv=None) -> int:
             parser.error("--tol must be finite and > 0")
         if getattr(args, "trials", 1) < 1:
             parser.error("--trials must be at least 1")
+        if args.seed < 0:
+            parser.error("--seed must be a non-negative integer")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -23,6 +23,7 @@ from .config import RANK_RELTOL
 # Step cap of every Newton search; the other stops usually come first.
 NEWTON_ITERATIONS = 100
 _TINY = np.finfo(float).tiny  # the smallest normal float
+_EPS = np.finfo(float).eps  # the rounding unit
 
 
 def vector_norm(v: np.ndarray) -> float:
@@ -99,7 +100,7 @@ def affine_square_root(algebra, base: np.ndarray, span: np.ndarray,
     NEWTON_ITERATIONS steps.  Returns (s, ||r||), s in base + span.
     """
     unit = algebra.unit_vector
-    floor = np.finfo(float).eps * algebra.dimension
+    floor = _EPS * algebra.dimension
 
     def residual(t):
         s = base + span @ t

@@ -32,7 +32,6 @@ class InnerProduct:
     """<a, b> = a^T G b with G symmetric positive definite; G = 2^power G_hat (scaled)."""
 
     gram: np.ndarray
-    _kept = weakref.WeakKeyDictionary()  # algebra -> its standard G, not a field
 
     def __post_init__(self) -> None:
         if np.iscomplexobj(self.gram):
@@ -61,8 +60,9 @@ class InnerProduct:
     @classmethod
     def standard(cls, algebra: Algebra) -> "InnerProduct":
         """Identity Gram matrix, the chosen basis declared orthonormal: one G
-        kept while the algebra lives, for every caller, so one A0."""
-        return cls._kept.get(algebra) or cls._kept.setdefault(algebra, cls(np.eye(algebra.dimension)))
+        kept in algebra.kept, for every caller, so one A0."""
+        kept = algebra.kept
+        return kept.get("standard G") or kept.setdefault("standard G", cls(np.eye(algebra.dimension)))
 
     @property
     def dimension(self) -> int:

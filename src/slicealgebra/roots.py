@@ -8,15 +8,14 @@ tangent spaces, and the (-i)-eigenspace of L_s inside the complexification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .algebra import Algebra, Element, right_divide
+from .algebra import Algebra, Element, kept_property, right_divide
 from .config import within_tol
 from .errors import NonIntegerTraceError, NotFoundError, NotTangentError
-from .numerics import (NEWTON_ITERATIONS, affine_square_root, null_space, projector_range,
-                       vector_norm)
+from .numerics import (_EPS, NEWTON_ITERATIONS, affine_square_root, null_space,
+                       projector_range, vector_norm)
 
 
 @dataclass(frozen=True)
@@ -26,21 +25,21 @@ class RootOfMinusOne:
 
     element: Element
 
-    @cached_property
+    @kept_property
     def left(self) -> np.ndarray:
         """L_s, the read-only matrix of x -> s*x."""
         m = self.algebra.left_matrix_vec(self.element.coeffs)
         m.setflags(write=False)
         return m
 
-    @cached_property
+    @kept_property
     def right(self) -> np.ndarray:
         """R_s, the read-only matrix of x -> x*s."""
         m = self.algebra.right_matrix_vec(self.element.coeffs)
         m.setflags(write=False)
         return m
 
-    @cached_property
+    @kept_property
     def residual(self) -> float:
         return vector_norm(self.left @ self.element.coeffs + self.algebra.unit_vector)
 
@@ -76,16 +75,18 @@ def find_seed_root(algebra: Algebra,
     The first basis element e_i that is a root at tol (its cached
     basis_square_defects entry against (1 + ||e_i||)^2 = 4) is returned; in
     a Clifford algebra every product of basis elements is a signed basis
-    element, so this covers every blade.  Up to 50 damped Newton searches
-    on a*a + 1 = 0 from random starts are the fallback for general algebras.
+    element, so this covers every blade.  That root is kept, per index, in
+    algebra.kept (gc frees the cycle), so its L_s, R_s, defect and norm are
+    formed once.  Up to 50 damped Newton searches on a*a + 1 = 0
+    from random starts, their root not kept, are the fallback.
     A central root (L_s = R_s by the tolerance rule), whose conjugation
     orbit is one point, is only kept as the answer of last resort.
     """
     n = algebra.dimension
     hits = np.flatnonzero(within_tol(algebra.basis_square_defects, 4.0, tol))
     if hits.size:
-        cand = algebra.basis_element(int(hits[0]))
-        return RootOfMinusOne(cand)
+        kept, key = algebra.kept, ("seed root", int(hits[0]))
+        return kept.get(key) or kept.setdefault(key, RootOfMinusOne(algebra.basis_element(key[1])))
     if rng is None:
         rng = np.random.default_rng(0)
     central = None
@@ -147,7 +148,7 @@ def newton_schulz(algebra: Algebra, x: np.ndarray) -> RootOfMinusOne:
     stop one step past the rounding floor eps * N * (1 + ||x||)^2 of x*x,
     when the defect stops falling, or after NEWTON_ITERATIONS steps.
     """
-    unit, floor = algebra.unit_vector, np.finfo(float).eps * algebra.dimension
+    unit, floor, three = algebra.unit_vector, _EPS * algebra.dimension, 3.0 * algebra.unit_vector
     best, defect, kept, last = x, np.inf, None, False
     for _ in range(NEWTON_ITERATIONS):
         left = algebra.left_matrix_vec(x)
@@ -159,7 +160,7 @@ def newton_schulz(algebra: Algebra, x: np.ndarray) -> RootOfMinusOne:
         if last:  # one step past the rounding floor
             break
         last = rn <= floor * (1.0 + vector_norm(x)) ** 2
-        x = 0.5 * (left @ (square + 3.0 * unit))
+        x = 0.5 * (left @ (square + three))
     root = RootOfMinusOne(Element(algebra, best))
     if kept is not None:  # kept where the cached properties keep theirs: the same bits
         kept.setflags(write=False)

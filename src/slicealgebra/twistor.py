@@ -11,13 +11,11 @@ a map to P(E + E) whose chart quotient recovers the slice function.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .algebra import Algebra, Element, left_divide
+from .algebra import Algebra, Element, kept_property, left_divide
 from .config import ROUNDED_ZERO, within_tol
 from .errors import (
     BadSectionError,
@@ -90,18 +88,21 @@ class QuaternionFrame:
 
     @classmethod
     def detect(cls, algebra: Algebra) -> "QuaternionFrame":
-        """The first pair of _trace_free_frames that the constructor accepts."""
+        """The first pair of _trace_free_frames that the constructor accepts,
+        kept in algebra.kept (as find_seed_root keeps its root)."""
+        if (frame := algebra.kept.get("quaternion frame")) is not None:
+            return frame
         if algebra.dimension != 4:
             raise FrameNotFoundError(
                 f"dimension {algebra.dimension} algebra has no quaternion frame")
         for a, b in _trace_free_frames(algebra):
             try:
-                return cls(a, b)
+                return algebra.kept.setdefault("quaternion frame", cls(a, b))
             except FrameNotFoundError:
                 continue
         raise FrameNotFoundError("no quaternion frame in this basis")
 
-    @cached_property
+    @kept_property
     def i_root(self) -> RootOfMinusOne:
         return RootOfMinusOne(self.i)
 
@@ -206,9 +207,6 @@ def fiber_embed(u: RootOfMinusOne, a: Element) -> np.ndarray:
     return a.coeffs - 1j * (u.left @ a.coeffs)
 
 
-_BASE_FIBERS = weakref.WeakKeyDictionary()  # algebra -> (u's bytes, fiber over u)
-
-
 def _chart_range(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """The fiber over s (left = L_u, right = R_s): the chart image B_s - i L_u
     B_s of the L_u-closed real solution space B_s of u c = c s, found by one
@@ -230,10 +228,10 @@ def stereographic_fiber(u: RootOfMinusOne, s: RootOfMinusOne) -> np.ndarray:
     the trace rank is k and its columns Q pass L_u Q = iQ and Q + R_s L_u Q = 0
     (sized as the suite's fiber check); else (c a zerodivisor) _chart_range."""
     alg, left, right = u.algebra, u.left, s.right
-    key, base = _BASE_FIBERS.get(alg, (None, None))
+    key, base = alg.kept.get("base fiber", (None, None))  # (u's bytes, fiber over u)
     if key != u.element.coeffs.tobytes():
         base = _chart_range(left, u.right)
-        _BASE_FIBERS[alg] = u.element.coeffs.tobytes(), base
+        alg.kept["base fiber"] = u.element.coeffs.tobytes(), base
     if round(np.vdot(right, left.T)) == alg.dimension - 4 * base.shape[1]:  # tr R_s L_u
         c = alg.unit_vector - left @ s.element.coeffs  # the standard section's value
         q = np.linalg.qr((alg.right_matrix_vec(c) @ base.view(float)).view(complex))[0]

@@ -14,13 +14,12 @@ eigenvalues of the real matrix polynomial z -> R_{F(z)}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from math import comb
 
 import numpy as np
 
-from .algebra import Algebra, Element, right_divide
+from .algebra import Algebra, Element, kept_property, right_divide
 from .config import RANK_RELTOL, resolve_tol, within_tol
 from .errors import (NotFoundError, PreconditionFailedError, SliceAlgebraError,
                      ZeroDivisorError)
@@ -97,11 +96,11 @@ class ZeroWitness:
     w: ComplexElement
     root: RootOfMinusOne
 
-    @cached_property
+    @kept_property
     def residual(self) -> float:
         return pi_tensor_eval(self.w, self.root).norm()
 
-    @cached_property
+    @kept_property
     def size(self) -> float:
         """||a|| + ||s|| ||b||, the size of the terms that cancel in a + s*b."""
         return self.w.re.norm() + self.root.element.norm() * self.w.im.norm()

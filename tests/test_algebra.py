@@ -273,15 +273,17 @@ def test_element_norm_is_numpy_norm_bit_for_bit(q, stride, data):
     Where the square c.c is no normal float (it overflows, and np.linalg.norm
     says inf, or it underflows, and that says 0 or loses digits) and c is
     finite and nonzero, Element.norm gives the bits of np.linalg.norm at the
-    scale max|c|."""
+    scale max|c|.  The element keeps the norm: a second read gives it again."""
     alg = CLIFFORD_0Q[q]
     c = data.draw(hnp.arrays(float, alg.dimension * stride, elements=_NORM_ENTRIES))[::stride]
     with np.errstate(over="ignore", invalid="ignore"):
-        got, want = Element(alg, c).norm(), float(np.linalg.norm(c))
+        element = Element(alg, c)
+        got, want = element.norm(), float(np.linalg.norm(c))
         square, big = np.ascontiguousarray(c).dot(np.ascontiguousarray(c)), np.abs(c).max()
         if not np.finfo(float).tiny <= square < np.inf and 0.0 < big < np.inf:
             want = float(big * np.linalg.norm(c / big))
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert element.norm() is got
 
 
 @pytest.mark.parametrize("p, q", [(0, 2), (2, 2), (3, 3)])

@@ -21,6 +21,7 @@ from slicealgebra import algebra as algebra_module
 from slicealgebra import (SuiteNotApplicableError, cli, clifford_algebra, dump_algebra,
                           make_algebra, twistor)
 from slicealgebra.cli import SUITES, main, resolve_algebra, run_suite
+from slicealgebra.roots import find_seed_root
 from slicealgebra.zerovariety import WitnessSearch
 
 
@@ -268,7 +269,7 @@ def test_a_stereographic_section_off_the_fiber_fails_its_trial(monkeypatch, quat
 
 def test_the_twistor_suite_takes_only_the_frames_svds(monkeypatch):
     """The twistor suite's SVDs are those of QuaternionFrame.detect, none
-    per trial."""
+    per trial, and the algebra keeps its frame: a run after detect takes none."""
     alg = clifford_algebra(0, 2)
     calls = []
     svd = np.linalg.svd
@@ -282,7 +283,27 @@ def test_the_twistor_suite_takes_only_the_frames_svds(monkeypatch):
     detect_calls, calls[:] = len(calls), []
     assert detect_calls > 0
     assert run_suite("twistor", alg, "H", trials=20, seed=0, tol=1e-9).pass_count == 20
-    assert len(calls) == detect_calls
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("suite", ["nijenhuis", "stereographic"])
+def test_a_second_run_gathers_no_operator_of_the_seed(monkeypatch, suite):
+    """The algebra keeps its seed root with L_s and R_s: the first run on it
+    gathers them, a second run gathers neither again, and its report is the same."""
+    alg = clifford_algebra(0, 3)
+    seed = find_seed_root(alg)
+    gathers = []
+    for side in ("left_matrix_vec", "right_matrix_vec"):
+        gather = getattr(alg, side)
+        monkeypatch.setattr(alg, side, lambda a, gather=gather, side=side: gathers.append(
+            (side, np.array_equal(a, seed.element.coeffs))) or gather(a))
+    first = run_suite(suite, alg, "Cl(0,3)", trials=5, seed=0, tol=1e-9)
+    assert {side for side, of_seed in gathers if of_seed} == {"left_matrix_vec",
+                                                             "right_matrix_vec"}
+    gathers.clear()
+    second = run_suite(suite, alg, "Cl(0,3)", trials=5, seed=0, tol=1e-9)
+    assert gathers and not any(of_seed for _, of_seed in gathers)
+    assert second.to_json() == first.to_json() and second.passed
 
 
 @pytest.mark.parametrize("p, q", [(p, n - p) for n in range(7) for p in range(n + 1)])
@@ -399,6 +420,16 @@ def test_verify_usage_errors(capsys):
     assert main(["verify"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [["info"], ["verify", "traces"], ["roots", "p.json"]])
+def test_a_negative_seed_is_a_usage_error_named_before_the_algebra_is_built(
+        monkeypatch, capsys, argv):
+    """--seed -1 exits 2 with a message that names --seed; no algebra is
+    resolved first (numpy's own message names no option)."""
+    monkeypatch.setattr(cli, "resolve_algebra", lambda *args: pytest.fail("algebra built"))
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert "--seed must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_numerical_crash_exits_3(monkeypatch, capsys):

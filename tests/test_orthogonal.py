@@ -318,8 +318,8 @@ def test_A0_is_built_once_per_inner_product(monkeypatch, first):
 def test_the_cone_suite_builds_A0_once_per_algebra(monkeypatch):
     """The cone suite reads InnerProduct.standard, one standard G per
     algebra, so the first cone run on an algebra builds A0 and every later one
-    reads it, with the same report; the weak keys let a freed algebra go, and
-    its G and A0 with it."""
+    reads it, with the same report; the algebra keeps G (algebra.kept), and G
+    keeps A0 under a weak key, so a freed algebra goes with its G and A0."""
     alg = clifford_algebra(2, 2)
     fresh = cli.run_suite("cone", clifford_algebra(2, 2), "x", 6, 1, 1e-9).to_json()
     calls = _block_qr_calls(monkeypatch)

@@ -110,6 +110,24 @@ def test_seed_is_the_first_basis_root(p, q):
                           alg.basis_element(first).coeffs)
 
 
+def test_an_algebra_keeps_its_basis_seed_root():
+    """The basis seed is one root per algebra and index, so its L_s, R_s and
+    defect are formed once; the Newton fallback's root depends on the rng
+    and is not kept.  Another tol may pick another index, kept beside it."""
+    alg = clifford_algebra(1, 2)  # e1 squares to +1, e2 to -1
+    seed = find_seed_root(alg)
+    assert find_seed_root(alg, np.random.default_rng(5)) is seed
+    assert np.array_equal(seed.element.coeffs, alg.basis_element(2).coeffs)
+    assert find_seed_root(alg, tol=1.0) is not seed  # ||e1 e1 + 1|| = 2 <= 1 * 4
+    assert find_seed_root(alg, tol=1.0) is find_seed_root(alg, tol=1.0)
+    assert find_seed_root(alg) is seed
+    lam = np.array([1.0, 2.0, 2.0, 2.0])  # every basis square is -4: no basis root
+    rescaled = make_algebra(clifford_algebra(0, 2).structure_constants
+                            * lam[:, None, None] * lam[None, :, None] / lam[None, None, :])
+    assert (find_seed_root(rescaled, np.random.default_rng(0))
+            is not find_seed_root(rescaled, np.random.default_rng(0)))
+
+
 def test_seed_rule_in_rescaled_bases(quaternions):
     """H on (1, 2i, j, k): j is the first basis root.  On (1, 2i, 2j, 2k)
     every basis square is -4 and the Newton fallback finds a root."""

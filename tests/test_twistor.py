@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import einsum_reference
 import oracle_quaternion as oq
 from conftest import dense_cl12, elements_close, points_close
-from slicealgebra import twistor
 from slicealgebra import (
     BadSectionError,
     BasePointAtInfinityError,
@@ -521,23 +520,33 @@ def test_the_fiber_over_u_is_built_once_per_algebra_and_root():
         stereographic_fiber(roots[1], roots[0])
         stereographic_fiber(u, roots[0])
         assert len(calls) == 2 + 5 + 2 + 1 + 3 + 3
-    assert twistor._BASE_FIBERS[alg][0] == u.element.coeffs.tobytes()
+    assert alg.kept["base fiber"][0] == u.element.coeffs.tobytes()
 
 
 def test_a_freed_algebra_leaves_no_cached_fiber():
-    """The fibers over u are kept under weak algebra keys: once the algebra
-    and its roots are gone, so is their entry."""
-    gc.collect()
-    before = len(twistor._BASE_FIBERS)
+    """The fiber over u is kept in algebra.kept: once the algebra and its
+    roots are gone, gc frees it with them."""
     alg = clifford_algebra(0, 3)
     u = find_seed_root(alg)
     stereographic_fiber(u, sample_root(u, np.random.default_rng(0)))
-    assert alg in twistor._BASE_FIBERS and len(twistor._BASE_FIBERS) == before + 1
-    freed = weakref.ref(alg)
+    freed, fiber = weakref.ref(alg), weakref.ref(alg.kept["base fiber"][1])
     del alg, u
     gc.collect()
-    assert freed() is None
-    assert len(twistor._BASE_FIBERS) == before
+    assert freed() is None and fiber() is None
+
+
+def test_a_freed_algebra_leaves_no_kept_root_or_frame():
+    """The seed root and the frame an algebra keeps refer to it, but they are
+    kept in algebra.kept, so gc frees the cycle once the algebra is gone.
+    Another algebra object detects its own frame."""
+    alg = clifford_algebra(0, 2)
+    root, frame = find_seed_root(alg), QuaternionFrame.detect(alg)
+    assert find_seed_root(alg) is root and QuaternionFrame.detect(alg) is frame
+    assert QuaternionFrame.detect(clifford_algebra(0, 2)) is not frame
+    freed, root_gone, frame_gone = weakref.ref(alg), weakref.ref(root), weakref.ref(frame)
+    del alg, root, frame
+    gc.collect()
+    assert freed() is None and root_gone() is None and frame_gone() is None
 
 
 def test_a_frame_measures_its_i_root_once(monkeypatch):

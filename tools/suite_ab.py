@@ -22,16 +22,20 @@ each `A0` call makes its own G, `InnerProduct(np.eye(N))` (not the one
 `InnerProduct.standard` keeps per algebra), and every round, and each
 tracemalloc peak, times one build.  A `build`, `dump+load` or `A0` op is
 the same call at every seed, repeated once per seed so that its median,
-like a suite's, is taken over 30 ops.  Each of 8 rounds
+like a suite's, is taken over 30 ops; its row prints no interval, since a
+bootstrap over the seeds resamples repeats of one call and measures no
+spread of the inputs (in an A/A run such rows read intervals that exclude
+0, e.g. +0.9% [+0.1%, +1.4%]).  Each of 8 rounds
 runs every op on both sides, on the copies of one import order, the orders
 taking turns from round to round, and alternating which side goes first
 from op to op.  An op's time in an order is its fastest round there.  The
 table gives, for each (suite, algebra), the median over seeds and both
 orders of the op times of each side, then the change: the median, over
 seeds and both orders, of each op's paired ratio (change over parent, the
-same op in the same order) less 1, and its 95% bootstrap interval, the
-2.5th and 97.5th percentiles of that median over 2000 resamples of the
-seeds (both orders of a seed drawn together; generator seeded 0).  The
+same op in the same order) less 1, and for a suite its 95% bootstrap
+interval, the 2.5th and 97.5th percentiles of that median over 2000
+resamples of the seeds (both orders of a seed drawn together; generator
+seeded 0).  The
 change in each order alone (parent imported first, change imported first)
 is the median of the paired ratios in that order: the headline lies
 between the two, and a gap between them is the bias of import order.  A
@@ -66,6 +70,7 @@ from einsum_reference import rotated, rotation  # noqa: E402
 ALGEBRAS = {"H": ((0, 2), 5), "Cl(0,3)": ((0, 3), 5), "Cl(2,2)": ((2, 2), 5),
             "Cl(0,6)": ((0, 6), 3), "Cl(3,3)": ((3, 3), 3)}
 A0_ALGEBRAS = ("H", "Cl(2,2)", "Cl(0,6)", "Cl(3,3)")
+REPEATED = ("build", "dump+load", "A0")  # one call at every seed: no interval
 SEEDS = range(30)
 ROUNDS = 8  # 4 in each import order
 RESAMPLES = 2000  # of the seeds, for the interval of the change
@@ -145,12 +150,15 @@ def main(parent: str, change: str) -> None:
         cols = [k for k, key in enumerate(keys) if key[:2] == (suite, alg_name)]
         before, after = (1e3 * np.median(fastest[:, side, cols]) for side in (0, 1))
         ratios = fastest[:, 1, cols] / fastest[:, 0, cols]  # [order, seed], paired
-        picks = np.random.default_rng(0).integers(0, len(cols), (RESAMPLES, len(cols)))
-        low, high = np.percentile(np.median(ratios[:, picks], axis=(0, 2)), [2.5, 97.5]) - 1
+        interval = ""
+        if suite not in REPEATED:
+            picks = np.random.default_rng(0).integers(0, len(cols), (RESAMPLES, len(cols)))
+            low, high = np.percentile(np.median(ratios[:, picks], axis=(0, 2)), [2.5, 97.5]) - 1
+            interval = f"[{low:+.1%}, {high:+.1%}]"
         by_order = np.median(ratios, axis=1) - 1
         peak = peaks.get((suite, alg_name, 0))
         print(f"{suite:<14}{alg_name:<14}{before:>10.3f}{after:>10.3f}"
-              f"{np.median(ratios) - 1:>+9.1%}{f'[{low:+.1%}, {high:+.1%}]':>18}"
+              f"{np.median(ratios) - 1:>+9.1%}{interval:>18}"
               f"{by_order[0]:>+9.1%}{by_order[1]:>+9.1%}"
               + (f"{peak[0]:>12.3f}{peak[1]:>12.3f}" if peak else ""))
 
