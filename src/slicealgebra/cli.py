@@ -16,7 +16,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -350,42 +349,34 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _probe_zerodivisors(alg: Algebra, rng) -> dict:
-    candidates = [alg.basis_element(k) for k in range(alg.dimension)]
-    for k in range(alg.dimension):
-        if k != alg.unit_index:
-            candidates.append(alg.unit() + alg.basis_element(k))
-            candidates.append(alg.unit() - alg.basis_element(k))
-    # a - x at a real eigenvalue x of L_a, else (a - x)^2 + y^2: singular in any basis
-    roots = []  # (a - x)/y, a root of -1 where (a - x)^2 + y^2 vanishes, as on M2(R)
-    for a in (alg.random_element(rng) for _ in range(8)):
-        for lam in np.linalg.eigvals(alg.left_matrix_vec(a.coeffs)):
-            shift = a - alg.scalar(lam.real)
-            candidates.append(shift * shift + alg.scalar(lam.imag ** 2) if lam.imag else shift)
-            if lam.imag:
-                roots.append(RootOfMinusOne(shift / lam.imag))
-    for cand in chain(candidates, _anticommuting_shifts(alg, roots, rng)):
-        if cand.norm() > 0 and is_zerodivisor(cand):
+def _probe_zerodivisors(alg: Algebra) -> dict:
+    """No zerodivisor exactly on R, C and H (Frobenius), where the trace form
+    T(x, y) = tr L_{xy} (rad A = ker T, Dickson) is negative definite on the
+    trace-free elements.  Else y, read through the projector onto T's
+    non-negative eigenspace, is no multiple of a root of -1, so y - x, or
+    (y - x)^2 + v^2, at an eigenvalue x + iv of L_y, is a zerodivisor."""
+    c = alg.structure_constants
+    trace = np.einsum("kjj->k", c)  # tr L_{e_k}
+    free = np.linalg.qr(trace[:, None], mode="complete")[0][:, 1:]  # orthonormal, trace-free
+    form = c @ trace  # T_ij = sum_k c_ijk tr L_{e_k}
+    lam, vec = np.linalg.eigh(free.T @ form @ free)
+    negative = numerical_rank(-lam, np.abs(lam).max(initial=0.0))
+    if negative == alg.dimension - 1:
+        return {"found": False, "witness": None}
+    span = free @ vec[:, negative:]
+    projector = span @ span.T
+    y = alg.element(projector[:, np.argmax(projector.diagonal())])
+    for x in np.linalg.eigvals(alg.left_matrix_vec(y.coeffs)):
+        shift = y - alg.scalar(x.real)
+        cand = shift * shift + alg.scalar(x.imag ** 2) if x.imag else shift
+        if is_zerodivisor(cand):
             return {"found": True,
-                    "witness": alg.label_linear_combination(cand.coeffs)}
-    return {"found": False, "witness": None}
-
-
-def _anticommuting_shifts(alg: Algebra, roots, rng):
-    """For each root u, with a fresh draw c: b = c + u c u anticommutes with
-    u, and b - x is singular at a real eigenvalue x of L_b.  On M2(R) b is a
-    traceless symmetric matrix in a basis where u is a rotation, so it has
-    real eigenvalues; in H b is imaginary, and in C it is 0."""
-    for u in (u for u in roots if u.holds()):
-        c = alg.random_element(rng)
-        b = c + u.element * c * u.element
-        for lam in np.linalg.eigvals(alg.left_matrix_vec(b.coeffs)):
-            yield b - alg.scalar(lam.real)
+                    "witness": alg.label_linear_combination(cand.coeffs.round(6))}
+    return {"found": True, "witness": None}
 
 
 def cmd_algebra_info(args) -> int:
     algebra_id, alg = resolve_algebra(args.algebra, args.tol)
-    rng = np.random.default_rng(args.seed)
     report = {
         "algebra": algebra_id,
         "dimension": alg.dimension,
@@ -393,8 +384,7 @@ def cmd_algebra_info(args) -> int:
         "labels": list(alg.labels),
         "signature": list(alg.signature) if alg.signature else None,
         "associativity_residual": alg.associativity_residual,
-        "unit_ok": True,
-        "zerodivisors": _probe_zerodivisors(alg, rng),
+        "zerodivisors": _probe_zerodivisors(alg),
     }
     _emit(canonical_json(report) + "\n", args.json)
     return 0

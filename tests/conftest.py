@@ -18,7 +18,8 @@ if "CI" in os.environ:
     settings.load_profile("ci")
 
 import einsum_reference
-from slicealgebra import RootOfMinusOne, clifford_algebra, dump_algebra, make_algebra
+from slicealgebra import (RootOfMinusOne, cli, clifford_algebra, dump_algebra, is_zerodivisor,
+                          make_algebra)
 from slicealgebra.config import resolve_tol, within_tol
 
 
@@ -34,6 +35,34 @@ def algebra_json(algebra) -> dict:
         dump_algebra(algebra, path)
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
+
+
+def info_zerodivisors(alg, path):
+    """The zerodivisors report of `slicealg info` on alg, dumped to path, and
+    the element its witness prints (None if it prints none), which an
+    is_zerodivisor call of the run confirmed: the printed terms are that
+    element's coefficients to 6 significant digits, less those that round to 0."""
+    dump_algebra(alg, str(path))
+    confirmed = []
+
+    def recording(a):
+        if singular := is_zerodivisor(a):
+            confirmed.append(a)
+        return singular
+
+    out = path.with_suffix(".out")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "is_zerodivisor", recording)
+        assert cli.main(["info", "--algebra", str(path), "--json", str(out)]) == 0
+    report = json.loads(out.read_text())["zerodivisors"]
+    if report["witness"] is None:
+        return report, None
+    witness, printed = confirmed[-1], np.zeros(alg.dimension)
+    for term in report["witness"].split() if report["witness"] != "0" else []:
+        coeff, label = term.split("*", 1)
+        printed[alg.labels.index(label)] = float(coeff)
+    assert np.all(np.abs(printed - witness.coeffs) <= 5e-7 + 5e-6 * np.abs(witness.coeffs))
+    return report, witness
 
 
 def dense_cl12():

@@ -1,9 +1,11 @@
 """Structure-constant validation, Clifford products, multiplication
-operators, inverses, quotients and JSON interchange."""
+operators, inverses, quotients and JSON interchange; the type and message
+of each input check that no other test reaches."""
 
 import io
 import json
 import os
+import re
 import tempfile
 from itertools import combinations
 
@@ -17,18 +19,28 @@ import oracle_quaternion as oq
 from conftest import algebra_json, elements_close
 from slicealgebra import (
     BadUnitError,
+    ComplexElement,
     DimensionMismatchError,
+    FrameNotFoundError,
+    InnerProduct,
     NonAssociativeError,
+    ProjectivePoint,
+    QuaternionFrame,
+    RootOfMinusOne,
     TooLargeError,
     ZeroDivisorError,
     algebra_from_dict,
+    cauchy_riemann_residual,
     clifford_algebra,
     dump_algebra,
     inverse,
     is_zerodivisor,
     left_divide,
     make_algebra,
+    rho1_general,
     right_divide,
+    segre2,
+    stem_from_slice_poly,
 )
 from slicealgebra.algebra import Algebra, Element
 
@@ -374,3 +386,37 @@ def test_divides_by_a_zerodivisor_raise(cl11):
     for divide in (lambda d: left_divide(zd, d), lambda d: right_divide(d, zd)):
         with pytest.raises(ZeroDivisorError):
             divide(cl11.unit())
+
+
+
+_H, _C = clifford_algebra(0, 2), clifford_algebra(0, 1)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Algebra(np.zeros((2, 2, 2)), 0, ("1",)),
+     DimensionMismatchError, "label count must match dimension"),
+    (lambda: _C.element([1.0]), DimensionMismatchError, "expected 2 coefficients, got (1,)"),
+    (lambda: make_algebra(np.zeros((0, 0, 0))),
+     DimensionMismatchError, "dimension must be at least 1"),
+    (lambda: make_algebra(_C.structure_constants, unit_index=2),
+     BadUnitError, "unit index 2 out of range"),
+    (lambda: clifford_algebra(-1, 2), ValueError, "signature parts must be nonnegative"),
+    (lambda: InnerProduct(np.eye(4)[:3]), ValueError, "gram matrix must be square"),
+    (lambda: cauchy_riemann_residual(stem_from_slice_poly([_H.unit()]), 0.5j,
+                                     RootOfMinusOne(_H.basis_element(1)), h=0.0),
+     ValueError, "step must be positive"),
+    (lambda: QuaternionFrame(_C.basis_element(1), _C.basis_element(1)),
+     FrameNotFoundError, "frame requires a 4-dimensional algebra"),
+    (lambda: segre2(ProjectivePoint(np.ones(2)), ProjectivePoint(np.ones(5))),
+     ValueError, "segre2 expects a CP^4 and a CP^1 point"),
+    (lambda: rho1_general(ProjectivePoint(np.ones(4)), RootOfMinusOne(_H.basis_element(1))),
+     ValueError, "point does not match the algebra dimension"),
+    (lambda: ComplexElement(_H.unit(), _C.unit()),
+     ValueError, "components from incompatible algebras"),
+], ids=["Algebra-labels", "element-length", "make_algebra-N0", "make_algebra-unit",
+        "clifford-signature", "gram-square", "cauchy-riemann-h", "frame-on-C", "segre2-shapes",
+        "rho1_general-dimension", "ComplexElement-algebras"])
+def test_input_checks_raise_their_error(call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as raised:
+        call()
+    assert type(raised.value) is error

@@ -16,10 +16,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import einsum_reference as ref
-from conftest import algebra_json
+from conftest import algebra_json, info_zerodivisors
 from slicealgebra import algebra as algebra_module
 from slicealgebra import (SuiteNotApplicableError, cli, clifford_algebra, dump_algebra,
-                          make_algebra, twistor)
+                          is_zerodivisor, make_algebra, twistor)
 from slicealgebra.cli import SUITES, main, resolve_algebra, run_suite
 from slicealgebra.roots import find_seed_root
 from slicealgebra.zerovariety import WitnessSearch
@@ -51,37 +51,62 @@ def test_info_finds_split_zerodivisors(tmp_path, capsys):
     assert "e1" in report["zerodivisors"]["witness"]
 
 
-def _info_zerodivisors(c, path, seed):
-    dump_algebra(make_algebra(c), str(path))
-    out = path.with_suffix(".out")
-    assert main(["info", "--algebra", str(path), "--seed", str(seed), "--json", str(out)]) == 0
-    return json.loads(out.read_text())["zerodivisors"]
+_DIVISION = ((0, 1), (0, 2))  # the signatures of C and H
+
+
+def _found_exactly_off_division(sig, c, basis, path):
+    """info on Cl(sig) in the basis f_i = sum_a basis[a, i] e_a (tensor c)
+    finds a zerodivisor exactly when Cl(sig) is not C or H (Frobenius), and
+    its witness is one in the basis e too."""
+    report, witness = info_zerodivisors(make_algebra(c), path)
+    assert report["found"] is (sig not in _DIVISION)
+    assert (witness is None) is not report["found"]
+    if witness is not None:
+        assert is_zerodivisor(clifford_algebra(*sig).element(basis @ witness.coeffs))
 
 
 @settings(max_examples=30, deadline=None)
 @given(sig=st.sampled_from([(1, 1), (2, 1), (0, 3), (2, 2), (0, 2), (0, 1)]),
-       basis_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**32 - 1))
-@example(sig=(1, 1), basis_seed=262, seed=262)  # every draw's L_a has complex eigenvalues
-def test_info_finds_zerodivisors_in_a_rotated_basis(tmp_path_factory, sig, basis_seed, seed):
+       basis_seed=st.integers(0, 2**32 - 1))
+@example(sig=(1, 1), basis_seed=262)
+def test_info_finds_zerodivisors_in_a_rotated_basis(tmp_path_factory, sig, basis_seed):
     """M2(R), M2(C), H+H and M4(R) in an orthogonally rotated basis with the
     unit kept have zerodivisors, though no basis element nor any 1 +- e_k is
     one; H and C have none."""
     c = clifford_algebra(*sig).structure_constants
-    rotated = ref.rotated(c, ref.rotation(c.shape[0], np.random.default_rng(basis_seed)))
-    found = _info_zerodivisors(rotated, tmp_path_factory.mktemp("info") / "alg.json", seed)
-    assert found["found"] is (sig not in ((0, 2), (0, 1)))
-    assert (found["witness"] is None) is not found["found"]
+    basis = ref.rotation(c.shape[0], np.random.default_rng(basis_seed))
+    _found_exactly_off_division(sig, ref.rotated(c, basis), basis,
+                                tmp_path_factory.mktemp("info") / "alg.json")
 
 
-@pytest.mark.parametrize("sig", [(0, 2), (0, 1)], ids=["H", "C"])
-def test_info_finds_no_zerodivisor_in_a_skewed_division_algebra(tmp_path, sig):
-    """H and C in the non-orthogonal basis 1, 1 + e_1, 1 + e_1 + e_2, ...:
-    every spectral candidate is zero up to rounding and not singular."""
+@pytest.mark.parametrize("sig", [(0, 1), (0, 2), (1, 1), (2, 1), (0, 3), (1, 2), (3, 0), (2, 2)])
+def test_info_finds_zerodivisors_in_skewed_bases(tmp_path, sig):
+    """The same in 50 non-orthogonal bases B = I + 0.3 G each (G standard
+    normal from default_rng(basis_seed), the unit column kept exact)."""
     c = clifford_algebra(*sig).structure_constants
-    skewed = ref.rebased(c, np.triu(np.ones(c.shape[:2])))
-    for seed in (0, 7):
-        assert _info_zerodivisors(skewed, tmp_path / "alg.json", seed) == \
-            {"found": False, "witness": None}
+    n = c.shape[0]
+    for basis_seed in range(50):
+        basis = np.eye(n) + 0.3 * np.random.default_rng(basis_seed).standard_normal((n, n))
+        basis[:, 0] = np.eye(n)[0]
+        _found_exactly_off_division(sig, ref.rebased(c, basis), basis, tmp_path / "alg.json")
+
+
+@pytest.mark.parametrize("sig", _DIVISION, ids=["C", "H"])
+def test_info_finds_no_zerodivisor_in_a_skewed_division_algebra(tmp_path, sig):
+    """H and C in the non-orthogonal basis 1, 1 + e_1, 1 + e_1 + e_2, ..."""
+    c = clifford_algebra(*sig).structure_constants
+    basis = np.triu(np.ones(c.shape[:2]))
+    _found_exactly_off_division(sig, ref.rebased(c, basis), basis, tmp_path / "alg.json")
+
+
+@pytest.mark.parametrize("k", [15, 20])
+@pytest.mark.parametrize("draw", range(5))
+def test_info_finds_no_zerodivisor_in_a_rescaled_C(tmp_path, k, draw):
+    """C with its generator scaled by 2^(+-k) (einsum_reference.rescaled_blades)."""
+    alg = clifford_algebra(0, 1)
+    c = ref.rescaled_blades(alg.structure_constants, alg.labels, k, draw)
+    assert info_zerodivisors(make_algebra(c), tmp_path / "alg.json")[0] == \
+        {"found": False, "witness": None}
 
 
 def test_info_decides_associativity_once(monkeypatch, capsys):

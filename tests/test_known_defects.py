@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import einsum_reference as ref
+from conftest import info_zerodivisors
 from slicealgebra import (
     Element,
     NotFoundError,
@@ -99,6 +100,17 @@ def test_tangent_frames_of_a_rescaled_clifford_are_tangent(draw):
         s = sample_root(seed, rng)
         for column in tangent_frame(s).T:
             j_structure(s, Element(rescaled, column))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 7: the trace form's eigenvalues on the trace-free "
+                          "elements spread over 2^80, and the small ones fall below the "
+                          "rank cutoff")
+def test_info_finds_no_zerodivisor_in_a_rescaled_H(tmp_path):
+    """H at generator scales 2^(+-20), draw 0 (as above), has no zerodivisor."""
+    alg = clifford_algebra(0, 2)
+    c = ref.rescaled_blades(alg.structure_constants, alg.labels, 20, 0)
+    assert info_zerodivisors(make_algebra(c), tmp_path / "alg.json")[0]["found"] is False
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

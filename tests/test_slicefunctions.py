@@ -12,6 +12,8 @@ from slicealgebra import (
     DimensionMismatchError,
     InvalidTwistError,
     NotIntrinsicError,
+    ProjectivePoint,
+    QuaternionFrame,
     RootOfMinusOne,
     StemPolynomial,
     alpha_beta,
@@ -20,12 +22,15 @@ from slicealgebra import (
     eval_generalized,
     eval_slice,
     find_seed_root,
+    generalized_twistor,
     intrinsic_defect,
     is_intrinsic,
     left_divide,
     pi_eval,
     sample_root,
+    standard_section,
     stem_from_slice_poly,
+    twistor_lift,
 )
 
 
@@ -64,6 +69,11 @@ def test_seam_stem_is_not_intrinsic(quaternions):
         alpha_beta(bad, 0.3 + 0.4j)
     with pytest.raises(NotIntrinsicError):
         eval_generalized(bad, lambda z, s: s.element, 0.3 + 0.4j, i)
+    frame = QuaternionFrame.detect(quaternions)
+    with pytest.raises(NotIntrinsicError):
+        twistor_lift(bad, 0.3 + 0.4j, ProjectivePoint(np.array([1.0, 0.5j])), frame)
+    with pytest.raises(NotIntrinsicError):
+        generalized_twistor(bad, standard_section(i), 0.3 + 0.4j, i, i)
 
 
 def test_high_degree_seam_is_not_intrinsic(quaternions):

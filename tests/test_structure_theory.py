@@ -8,8 +8,6 @@ entries with the unit as basis element 0.  None of these algebras is R, C
 or H, so by Frobenius's theorem each has a zerodivisor.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +15,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import einsum_reference as ref
-from slicealgebra import SuiteNotApplicableError, clifford_algebra, dump_algebra, make_algebra
-from slicealgebra.cli import SUITES, main, run_suite
+from conftest import info_zerodivisors
+from slicealgebra import SuiteNotApplicableError, clifford_algebra, make_algebra
+from slicealgebra.cli import SUITES, run_suite
 
 def test_the_reference_tensors_of_C_and_H_are_cliffords():
     assert np.array_equal(ref.COMPLEX, clifford_algebra(0, 1).structure_constants)
@@ -45,11 +44,10 @@ def test_a_suite_applies_exactly_when_S_is_nonempty_and_then_passes(name, suite)
 
 
 @pytest.mark.parametrize("name", ref.CORPUS)
-def test_info_finds_a_zerodivisor(tmp_path, capsys, name):
-    path = tmp_path / "algebra.json"
-    dump_algebra(make_algebra(ref.CORPUS[name][0]), str(path))
-    assert main(["info", "--algebra", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["zerodivisors"]["found"] is True
+def test_info_finds_a_zerodivisor(tmp_path, name):
+    report, witness = info_zerodivisors(make_algebra(ref.CORPUS[name][0]), tmp_path / "alg.json")
+    assert report["found"] is True
+    assert witness is not None and witness.norm() > 0
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,7 @@ Runs `slicealg verify SUITE --algebra A --seed S` for every suite on H,
 Cl(0,3), Cl(1,1), Cl(2,1), Cl(2,2), Cl(3,0), Cl(0,6) and Cl(3,3) at seeds 0
 and 7, with 200 trials (40 at N = 64): 128 runs.  Runs `slicealg info
 --algebra A --seed S` on the same algebras and seeds, whose zerodivisor
-probe pins `is_zerodivisor`'s verdicts: 16 runs.  Writes H, Cl(1,1),
+witness pins `is_zerodivisor`'s verdicts: 16 runs.  Writes H, Cl(1,1),
 Cl(0,3) and Cl(2,2) in a seeded orthogonal basis that keeps the unit to
 OUT_DIR/algebra_rot-<algebra>.json, whose dense tensors take the (N, N^2)
 kernel path, and runs every suite (200 trials) and `info` on each at
@@ -40,7 +40,9 @@ two checkouts lists every report a change moved (max_residual is
 rounding-level and differs between BLAS builds).  Exits 1, naming the runs,
 when any run exits 1 or 3 (a failed check or an internal numerical failure)
 or raises a RuntimeWarning (numpy's over- or underflow, invalid value or
-division by zero, which a run must not meet).
+division by zero, which a run must not meet), and, naming the algebras,
+when an algebra's `info` reports at seeds 0 and 7 differ (`info` ignores
+--seed).
 """
 
 from __future__ import annotations
@@ -177,10 +179,22 @@ def write_report_set(out_dir: Path) -> tuple[dict[str, int], dict[str, list[str]
     return codes, {run: messages for run, (_, messages) in runs.items() if messages}
 
 
+def seed_dependent_info(out_dir: Path) -> list[str]:
+    """The algebras whose `info` reports in out_dir differ between seeds 0 and 7."""
+    differ = []
+    for path in sorted(out_dir.glob("info_*_seed0.json")):
+        other = path.with_name(path.name.replace("_seed0.json", "_seed7.json"))
+        if other.exists() and other.read_bytes() != path.read_bytes():
+            differ.append(path.name[len("info_"):-len("_seed0.json")])
+    return differ
+
+
 if __name__ == "__main__":
     if len(sys.argv) != 2:
         sys.exit(__doc__)
-    codes, warned = write_report_set(Path(sys.argv[1]))
+    out_dir = Path(sys.argv[1]).resolve()
+    codes, warned = write_report_set(out_dir)
+    seeded = seed_dependent_info(out_dir)
     tally = {code: list(codes.values()).count(code) for code in sorted(set(codes.values()))}
     print(f"{len(codes)} runs; exit codes {tally}; {len(warned)} warned")
     failed = sorted(run for run, code in codes.items() if code in (1, 3))
@@ -188,4 +202,6 @@ if __name__ == "__main__":
         print(f"exit {codes[run]}: {run}")
     for run, messages in sorted(warned.items()):
         print(f"warned: {run}: {'; '.join(messages)}")
-    sys.exit(1 if failed or warned else 0)
+    for name in seeded:
+        print(f"info differs between seeds 0 and 7: {name}")
+    sys.exit(1 if failed or warned or seeded else 0)
