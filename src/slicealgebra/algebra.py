@@ -179,8 +179,8 @@ class Algebra:
                 and np.array_equal(self.structure_constants, other.structure_constants))
 
     def label_linear_combination(self, coeffs: np.ndarray) -> str:
-        parts = [f"{round(float(x), 6):+g}*{lab}"
-                 for x, lab in zip(coeffs, self.labels) if x != 0.0]
+        parts = [f"{r:+g}*{lab}"  # terms that round to 0 at 6 decimals are left out
+                 for x, lab in zip(coeffs, self.labels) if (r := round(float(x), 6))]
         return " ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:

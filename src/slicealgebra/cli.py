@@ -371,7 +371,7 @@ def _probe_zerodivisors(alg: Algebra) -> dict:
         cand = shift * shift + alg.scalar(x.imag ** 2) if x.imag else shift
         if is_zerodivisor(cand):
             return {"found": True,
-                    "witness": alg.label_linear_combination(cand.coeffs.round(6))}
+                    "witness": alg.label_linear_combination(cand.coeffs)}
     return {"found": True, "witness": None}
 
 

@@ -24,7 +24,7 @@ from .config import within_tol
 from .errors import DimensionMismatchError, NotFoundError
 from .numerics import null_space
 from .roots import RootOfMinusOne, TraceReport, newton_schulz
-from .zerovariety import ComplexElement, WitnessSearch, _solution_witnesses
+from .zerovariety import ComplexElement, WitnessSearch, _solution_witnesses, _verdict
 
 
 @dataclass(frozen=True)
@@ -253,19 +253,14 @@ def z0_equivalence_check(w: ComplexElement, G: InnerProduct,
                          tol: float | None = None,
                          rng: np.random.Generator | None = None) -> Z0Verdict:
     """Compare quadratic-equation membership (the tolerance rule on
-    z0_residual against ||L_w^T G_hat|| ||L_w||) with a witness in S0,
-    searched inside A0 (antisymmetric_subspace, built once per G): s = span
-    @ t, solving s*b = -a as zero_variety_witness does.  A found s is in S0
-    (in A0, and a root).  "absent" is exact: A0 is {0}, a misses the range
-    of R_b @ span, or the unique solution is no root; "inconclusive": no
-    Newton start (0 and 7 random) on a kernel of solutions found a root."""
+    z0_residual against ||L_w^T G_hat|| ||L_w||) with a witness in S0: the
+    solutions s = span @ t of s*b = -a in A0 (antisymmetric_subspace, built
+    once per G; _solution_witnesses), decided by Z's band rule (_verdict, its
+    joint Newton inside A0, so a found s is in S0) at sigma_min of R_b @ span."""
     left = w.algebra.left_matrix_vec(w.as_vector())  # L_a + i L_b
     _, residual, residual_member = next(_g_identities(left, G, 0.0, tol=tol))
     span = antisymmetric_subspace(w.algebra, G)
-    if not span.shape[1]:  # S0 is empty
-        return Z0Verdict(residual, residual_member, WitnessSearch("absent"))
-    witnesses, unique = _solution_witnesses(  # None: a misses the range
-        w, w.algebra.right_matrix_vec(w.im.coeffs) @ span, span, 8, rng) or ([], True)
-    found = next((witness for witness in witnesses if witness.holds(tol)), None)
-    status = "found" if found else "absent" if unique else "inconclusive"
-    return Z0Verdict(residual, residual_member, WitnessSearch(status, found))
+    solutions = span.shape[1] and _solution_witnesses(
+        w, w.algebra.right_matrix_vec(w.im.coeffs) @ span, span, rng)
+    witnesses, sigma_min = solutions or ((), np.inf)  # S0 is empty, or a misses the range
+    return Z0Verdict(residual, residual_member, _verdict(w, witnesses, sigma_min, tol, span))

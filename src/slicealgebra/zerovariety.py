@@ -139,15 +139,16 @@ def _excluded(witness: ZeroWitness, sigma_min: float, tol: float) -> bool:
     return bool(root.residual - lip * r - mu * r * r > tol * (1.0 + ns + r) ** 2)
 
 
-def _verdict(w: ComplexElement, candidates, tol: float | None, otherwise: str = "absent",
-             sigma_min: float = 0.0) -> WitnessSearch:
-    """A "found" search with the first candidate s whose witness holds at
-    tol.  In the band (it holds at sqrt(tol) only): "absent" if _excluded(s)
-    by `sigma_min` (of R_b for an invertible b; 0 excludes nothing), else a
-    joint Newton from s on rows [R_b | a] weighted onto (1 + ||s||)^2.  No
-    candidate in the band: `otherwise`.  Candidates: witnesses, maybe lazy."""
+def _verdict(w: ComplexElement, candidates, sigma_min: float, tol: float | None,
+             span: np.ndarray | None = None) -> WitnessSearch:
+    """A "found" search with the first candidate s (witnesses, maybe lazy,
+    of s*b = -a in the range of span, None: the identity) that holds at tol.
+    In the band (it holds at sqrt(tol) only): "absent" if _excluded(s) by
+    sigma_min of R_b @ span, else a joint Newton from s inside span on rows
+    [R_b | a] weighted onto (1 + ||s||)^2.  Else "absent" if the candidates are
+    every solution (sigma_min > 0; inf: there is none), else "inconclusive"."""
     alg, a, b, tol = w.algebra, w.re, w.im, resolve_tol(tol)
-    status = otherwise
+    status = "absent" if sigma_min > 0.0 else "inconclusive"
     for witness in candidates:
         s = witness.root.element
         if not witness.holds(tol) and witness.holds(np.sqrt(tol)):
@@ -156,8 +157,8 @@ def _verdict(w: ComplexElement, candidates, tol: float | None, otherwise: str = 
             status = "inconclusive"
             rows = np.column_stack([alg.right_matrix_vec(b.coeffs), a.coeffs])
             rows *= (1.0 + s.norm()) ** 2 / witness.size
-            joint, _ = affine_square_root(alg, s.coeffs, np.eye(alg.dimension),
-                                          np.zeros(alg.dimension), rows)
+            span = np.eye(alg.dimension) if span is None else span
+            joint, _ = affine_square_root(alg, s.coeffs, span, np.zeros(span.shape[1]), rows)
             witness = ZeroWitness(w, RootOfMinusOne(alg.element(joint)))
         if witness.holds(tol):
             return WitnessSearch("found", witness)
@@ -175,15 +176,15 @@ def zero_variety_witness(w: ComplexElement,
     pivot, or a b the cutoff calls singular (maybe only ill-conditioned: LU's
     s stays first), Newton for s*s = -1 runs on the solutions of s*b = -a
     (_solution_witnesses, which z0_equivalence_check runs inside A0), from
-    the particular one and up to 19 random points.  One band rule decides
+    the particular one and 19 random points.  One band rule decides
     (_verdict).  "absent" is exact: the unique s is no root at sqrt(tol), a
     misses range(R_b), or in the band sigma_min(R_b) bars witnesses.
     """
     alg, a, b = w.algebra, w.re, w.im
 
     if b.norm() == 0.0 == a.norm():  # w = 0 meets every root; a != 0 misses range(R_0)
-        try:
-            return _verdict(w, [ZeroWitness(w, find_seed_root(alg, rng=rng, tol=tol))], tol)
+        try:  # the seed root holds at tol, and a + s*b is exactly 0
+            return WitnessSearch("found", ZeroWitness(w, find_seed_root(alg, rng=rng, tol=tol)))
         except NotFoundError:  # S is empty
             return WitnessSearch("absent")
 
@@ -195,20 +196,20 @@ def zero_variety_witness(w: ComplexElement,
     if lu and lu[0].holds(tol):  # a witness is its own proof
         return WitnessSearch("found", lu[0])
     if lu and numerical_rank(sv := np.linalg.svd(rb, compute_uv=False)) == alg.dimension:
-        return _verdict(w, lu, tol, sigma_min=sv[-1])  # b is invertible: s is unique
-    if (solutions := _solution_witnesses(w, rb, None, 20, rng)) is None:
+        return _verdict(w, lu, sv[-1], tol)  # b is invertible: s is unique
+    if (solutions := _solution_witnesses(w, rb, None, rng)) is None:
         return WitnessSearch("absent")  # a lies outside the range of R_b
-    witnesses, unique = solutions
-    return _verdict(w, chain(lu, witnesses), tol, "absent" if unique else "inconclusive")
+    witnesses, sigma_min = solutions
+    return _verdict(w, chain(lu, witnesses), sigma_min, tol)
 
 
 def _solution_witnesses(w: ComplexElement, m: np.ndarray, span: np.ndarray | None,
-                        starts: int, rng: np.random.Generator | None):
+                        rng: np.random.Generator | None):
     """Witnesses of the s = span @ t (span None: the identity) with s*b = -a,
     m = R_b @ span, from a thin SVD of m: None when a misses range(m) by
-    sqrt(RANK_RELTOL) relative, else (witnesses, unique): the particular s if
-    m has no kernel, else affine_square_root on it from 0 and starts - 1
-    random points, lazily."""
+    sqrt(RANK_RELTOL) relative, else (witnesses, sigma_min): the particular s
+    and m's least singular value if m has no kernel, else affine_square_root
+    on it from 0 and 19 random points, lazily, and 0.0."""
     alg, a = w.algebra, w.re.coeffs
     u, sv, vt, rank = svd_rank(m)
     base = vt[:rank].T @ ((u[:, :rank].T @ -a) / sv[:rank])
@@ -216,12 +217,12 @@ def _solution_witnesses(w: ComplexElement, m: np.ndarray, span: np.ndarray | Non
         return None
     base, kernel = (base, vt[rank:].T) if span is None else (span @ base, span @ vt[rank:].T)
     if not kernel.shape[1]:
-        return [ZeroWitness(w, RootOfMinusOne(alg.element(base)))], True
+        return [ZeroWitness(w, RootOfMinusOne(alg.element(base)))], sv[-1]
     rng = np.random.default_rng(0) if rng is None else rng
     xs = chain([np.zeros(kernel.shape[1])],
-               (rng.standard_normal(kernel.shape[1]) for _ in range(starts - 1)))
+               (rng.standard_normal(kernel.shape[1]) for _ in range(19)))
     return (ZeroWitness(w, RootOfMinusOne(alg.element(affine_square_root(alg, base, kernel, x)[0])))
-            for x in xs), False
+            for x in xs), 0.0
 
 
 def leaf_membership(w: ComplexElement, a: Element,
@@ -267,7 +268,7 @@ def left_absorption(witness: ZeroWitness, wp: ComplexElement,
         closed_form = [ZeroWitness(product, RootOfMinusOne(right_divide(sp * a + t, sp - t * a)))]
     except ZeroDivisorError:  # s' - ta is singular: no closed form
         closed_form = []
-    found = _verdict(product, closed_form, tol)
+    found = _verdict(product, closed_form, 0.0, tol)
     return found if found.found else zero_variety_witness(product, tol=tol, rng=rng)
 
 

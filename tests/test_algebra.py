@@ -246,6 +246,16 @@ def test_element_arithmetic(quaternions):
     assert (i - i).norm() == 0.0
 
 
+def test_reprs_print_what_is_left_at_six_decimals(quaternions):
+    """An element's repr leaves out each term that rounds to 0 at 6 decimals,
+    and prints 0 when none is left; a stem and a projective point print their
+    shape and coordinates."""
+    assert repr(quaternions.element([1, 1e-9, -2e-8, 0.5])) == "<+1*1 +0.5*e12>"
+    assert repr(quaternions.element([4e-7, 0, -4e-7, 0])) == "<0>"
+    stem = stem_from_slice_poly([quaternions.unit(), quaternions.zero(), quaternions.unit()])
+    assert repr(stem) == "StemPolynomial(degree=2, algebra_dim=4)"
+    assert repr(ProjectivePoint([1, 0.5j])) == "[1+0j:0+0.5j]"
+
 
 def test_element_copies_the_callers_array(quaternions):
     """Algebra.element keeps the caller's buffer writeable and its own."""

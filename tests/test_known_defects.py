@@ -14,10 +14,13 @@ import pytest
 import einsum_reference as ref
 from conftest import info_zerodivisors
 from slicealgebra import (
+    ComplexElement,
     Element,
     NotFoundError,
     NotTangentError,
+    RootOfMinusOne,
     SuiteNotApplicableError,
+    ZeroWitness,
     cli,
     clifford_algebra,
     find_seed_root,
@@ -26,8 +29,10 @@ from slicealgebra import (
     run_suite,
     sample_root,
     tangent_frame,
+    zero_variety_witness,
 )
 from slicealgebra.config import default_tol
+from slicealgebra.numerics import numerical_rank
 
 
 def _rescaled(p, q, k, suite, draws, raises=AssertionError):
@@ -138,3 +143,28 @@ def test_cone_applies_where_S_is_nonempty(name):
     """S is not empty on M2(R), M4(R) and C + H (tests/test_structure_theory.py),
     and the cone suite passes every trial there, at 20 trials and seed 0."""
     assert run_suite("cone", make_algebra(ref.CORPUS[name][0]), name, 20, 0, default_tol()).passed
+
+
+# Cl(2,1): root 11 (||s|| = 25.7) of the 40 with ||s|| > 15 that
+# sample_root(find_seed_root(alg), default_rng(0)) draws, and b = r (1 + e23)
+# for an r drawn from the same generator afterwards.
+_LARGE_ROOT = [-2.982721115797117e-15, -12.659846222828925, 2.7864037487324427, 12.038684579275849,
+               -13.621604795561803, -3.87812631276794, -12.099687089811763, -3.254239055577219e-15]
+_ZERODIVISOR = [0.27422007476124566, 0.8773915261127647, -0.49467861253408646, -0.49467861253408646,
+                0.6624359690711461, 0.6624359690711461, 0.27422007476124566, 0.8773915261127647]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 21: the Newton starts on the kernel of R_b are "
+                          "standard normal, far inside the orbit of a large root")
+def test_a_large_root_member_with_a_zerodivisor_im_part_is_found():
+    """w = (-s*b, b) on Cl(2,1), with the pinned root s (||s|| = 25.7) and the
+    zerodivisor b = r (1 + e23), whose R_b has a 4-dimensional kernel: s is
+    a witness at tol, and zero_variety_witness (rng default_rng(11)) finds one."""
+    alg = clifford_algebra(2, 1)
+    s, b = RootOfMinusOne(alg.element(_LARGE_ROOT)), alg.element(_ZERODIVISOR)
+    w = ComplexElement(-(s.element * b), b)
+    rank = numerical_rank(np.linalg.svd(alg.right_matrix_vec(b.coeffs), compute_uv=False))
+    if not ZeroWitness(w, s).holds() or rank != 4:  # Failed, not AssertionError: a real failure
+        pytest.fail("the pinned w is no member with a 4-dimensional kernel of R_b")
+    assert zero_variety_witness(w, rng=np.random.default_rng(11)).status == "found"

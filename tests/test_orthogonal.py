@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import einsum_reference
@@ -21,11 +21,13 @@ from slicealgebra import (
     InnerProduct,
     NotFoundError,
     RootOfMinusOne,
+    ZeroWitness,
     antisymmetric_subspace,
     clifford_algebra,
     cone_decompose,
     find_seed_root,
     is_in_S0,
+    make_algebra,
     orthogonality_characterization,
     sample_S0,
     sample_root,
@@ -426,6 +428,18 @@ def test_sample_S0(quaternions, cl03, rng):
         sample_S0(reals, _std(reals), rng)
 
 
+def test_sample_S0_raises_when_no_draw_in_A0_is_a_root():
+    """R + C (basis 1, b1, b2) under G = B^-T B^-1, B with columns (1, -1, 0),
+    (0, 1, 0), (0, 0, 1): A0 is span{b2}, the i of the C factor (b2*b2 =
+    -b1), whose L_{b2} vanishes on the R factor, so no draw is a root."""
+    alg = make_algebra(einsum_reference.CORPUS["R+C"][0])
+    inv = np.linalg.inv(np.column_stack([(1.0, -1.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]))
+    G = InnerProduct(inv.T @ inv)
+    assert np.array_equal(np.abs(antisymmetric_subspace(alg, G)), [[0.0], [0.0], [1.0]])
+    with pytest.raises(NotFoundError, match="no orthogonal root found in the antisymmetric"):
+        sample_S0(alg, G)
+
+
 @pytest.mark.parametrize("p, q", [(0, 6), (3, 3)])
 def test_sample_S0_reaches_the_rounding_floor(p, q, rng):
     """Orthogonal roots at N = 64 come back with ||s*s + 1|| within 4 times
@@ -705,6 +719,32 @@ def test_z0_is_decided_with_a_zerodivisor_im_part(pq, seed, member, right):
     assert verdict.residual_member
     assert verdict.search.status == "found"
     assert verdict.search.witness.holds()
+    assert is_in_S0(verdict.search.witness.root.element, G)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pq=st.sampled_from([(1, 2), (2, 2), (3, 1), (2, 3), (3, 3)]),
+       seed=st.integers(0, 2 ** 32 - 1), log_eps=st.floats(-7.0, -3.0),
+       delta=st.sampled_from([1e-7, 1e-6, 1e-5]))
+def test_z0_finds_a_member_whose_b_is_near_a_zerodivisor(pq, seed, log_eps, delta):
+    """b = (1 + e1) r + eps r', near the zerodivisor (1 + e1) r, and a =
+    -(s + delta d) b, s in S0 and d = span @ v for v the last right singular
+    vector of R_b @ span (span: A0): s*b = -a is solved in A0 by s + delta d,
+    a near-root in the band, and s, kept only where it is a witness at tol,
+    lies within delta of it.  The band rule's joint Newton inside A0
+    finds a witness in S0.  (On Cl(1,1) and Cl(2,0) s is never a witness.)"""
+    alg = _SPLIT_ALGEBRAS[pq]
+    G = _std(alg)
+    rng = np.random.default_rng(seed)
+    s = sample_S0(alg, G, rng)
+    b = ((alg.unit() + alg.basis_element(1)) * alg.random_element(rng)
+         + 10.0 ** log_eps * alg.random_element(rng))
+    span = antisymmetric_subspace(alg, G)
+    d = alg.element(span @ np.linalg.svd(alg.right_matrix_vec(b.coeffs) @ span)[2][-1])
+    w = ComplexElement(-((s.element + delta * d) * b), b)
+    assume(ZeroWitness(w, s).holds())
+    verdict = z0_equivalence_check(w, G, rng=rng)
+    assert verdict.search.status == "found" and verdict.agree
     assert is_in_S0(verdict.search.witness.root.element, G)
 
 

@@ -20,9 +20,19 @@ unit, the same tensor on both sides.  The constructions layer adds `A0`,
 Cl(2,2), Cl(0,6) and Cl(3,3).  An InnerProduct keeps the A0 it built, so
 each `A0` call makes its own G, `InnerProduct(np.eye(N))` (not the one
 `InnerProduct.standard` keeps per algebra), and every round, and each
-tracemalloc peak, times one build.  A `build`, `dump+load` or `A0` op is
-the same call at every seed, repeated once per seed so that its median,
-like a suite's, is taken over 30 ops; its row prints no interval, since a
+tracemalloc peak, times one build.  The solvers layer adds four kinds on
+Cl(2,2) and Cl(3,3), one input a seed, drawn once as arrays (by a copy
+of the parent's package imported for that alone) and given to both sides:
+`witness member` and `witness random`, `zero_variety_witness` on w = (a,
+b) with the zerodivisor b = (1 + e1) r (e1 squares to +1), and a = -s*b
+for s = y e y^-1 (e a basis root, y = 1 + 0.3 r') or a standard normal,
+as bench/workloads.py draws the benchmark's witness ops; and `Z0 member`
+and `Z0 random`, `z0_equivalence_check` under the standard G on a =
+-s*b, b = (1 + e1) r, for s from `sample_S0`, or on a standard normal a
+and b.  Each search gets the rng default_rng(seed).  A `build`,
+`dump+load` or `A0` op is the same call at every seed, repeated once per
+seed so that its median, like a suite's, is taken over 30 ops; its row
+prints no interval, since a
 bootstrap over the seeds resamples repeats of one call and measures no
 spread of the inputs (in an A/A run such rows read intervals that exclude
 0, e.g. +0.9% [+0.1%, +1.4%]).  Each of 8 rounds
@@ -70,6 +80,7 @@ from einsum_reference import rotated, rotation  # noqa: E402
 ALGEBRAS = {"H": ((0, 2), 5), "Cl(0,3)": ((0, 3), 5), "Cl(2,2)": ((2, 2), 5),
             "Cl(0,6)": ((0, 6), 3), "Cl(3,3)": ((3, 3), 3)}
 A0_ALGEBRAS = ("H", "Cl(2,2)", "Cl(0,6)", "Cl(3,3)")
+SEARCH_ALGEBRAS = ("Cl(2,2)", "Cl(3,3)")
 REPEATED = ("build", "dump+load", "A0")  # one call at every seed: no interval
 SEEDS = range(30)
 ROUNDS = 8  # 4 in each import order
@@ -83,10 +94,41 @@ def _dense_cl23(algebra) -> np.ndarray:
     return rotated(c, rotation(c.shape[0], np.random.default_rng(23)))
 
 
-def _ops(checkout: str, name: str, into: str) -> dict:
-    """{(suite, algebra, seed): op} for every op of `checkout`'s package,
-    imported as `name`, that applies; op() runs it."""
+def _search_inputs(pkg) -> dict:
+    """{(kind, algebra, seed): (a, b)}, the witness and Z0 inputs as arrays,
+    drawn with the package `pkg` (see the module docstring)."""
+    inputs = {}
+    for alg_name in SEARCH_ALGEBRAS:
+        alg = pkg.clifford_algebra(*ALGEBRAS[alg_name][0])
+        root, zerodivisor = pkg.find_seed_root(alg).element, alg.unit() + alg.basis_element(1)
+        for seed in SEEDS:
+            rng = np.random.default_rng([seed, 0x5EA2C4])
+            y = alg.unit() + 0.3 * alg.random_element(rng)
+            b = zerodivisor * alg.random_element(rng)
+            inputs["witness member", alg_name, seed] = -(pkg.right_divide(y * root, y) * b), b
+            inputs["witness random", alg_name, seed] = (alg.random_element(rng),
+                                                        zerodivisor * alg.random_element(rng))
+            s = pkg.sample_S0(alg, pkg.InnerProduct.standard(alg), rng).element
+            b = zerodivisor * alg.random_element(rng)
+            inputs["Z0 member", alg_name, seed] = -(s * b), b
+            inputs["Z0 random", alg_name, seed] = alg.random_element(rng), alg.random_element(rng)
+    # grouped by (kind, algebra), seeds in turn, as the suite ops are: which
+    # side runs first alternates over the seeds of a row
+    return {key: (a.coeffs.copy(), b.coeffs.copy())
+            for key, (a, b) in sorted(inputs.items(), key=lambda item: item[0][:2])}
+
+
+def _package(checkout: str, name: str, into: str):
+    """`checkout`'s package, copied into `into` and imported as `name`."""
     shutil.copytree(Path(checkout) / "src" / "slicealgebra", Path(into) / name)
+    return importlib.import_module(name)
+
+
+def _ops(checkout: str, name: str, into: str, inputs: dict) -> dict:
+    """{(suite, algebra, seed): op} for every op of `checkout`'s package,
+    imported as `name`, that applies; op() runs it.  `inputs` holds the
+    witness and Z0 inputs (_search_inputs)."""
+    pkg = _package(checkout, name, into)
     cli = importlib.import_module(f"{name}.cli")
     algebra = importlib.import_module(f"{name}.algebra")
     ops = {}
@@ -108,6 +150,18 @@ def _ops(checkout: str, name: str, into: str) -> dict:
         for seed in SEEDS:  # the same call: 30 repeats
             ops["A0", alg_name, seed] = lambda a=alg: orthogonal.antisymmetric_subspace(
                 a, orthogonal.InnerProduct(np.eye(a.dimension)))  # a new G: G keeps its A0
+    searched = {alg_name: pkg.clifford_algebra(*ALGEBRAS[alg_name][0])
+                for alg_name in SEARCH_ALGEBRAS}
+    for (kind, alg_name, seed), (a, b) in inputs.items():
+        alg = searched[alg_name]
+        w = pkg.ComplexElement(alg.element(a), alg.element(b))
+        if kind.startswith("Z0"):
+            op = (lambda w=w, G=pkg.InnerProduct.standard(alg), k=seed:
+                  pkg.z0_equivalence_check(w, G, rng=np.random.default_rng(k)))
+        else:
+            op = lambda w=w, k=seed: pkg.zero_variety_witness(w, rng=np.random.default_rng(k))
+        op()  # untimed: the first call builds A0 under the standard G
+        ops[kind, alg_name, seed] = op
     for alg_name, ((p, q), trials) in ALGEBRAS.items():
         alg = cli.clifford_algebra(p, q)
         for suite in cli.SUITES:
@@ -128,8 +182,10 @@ def main(parent: str, change: str) -> None:
         # sides[order][side], side 0 the parent: order 0 imports the parent
         # first, order 1 the change
         sides = [[None, None], [None, None]]
+        inputs = _search_inputs(_package(parent, "slicealgebra_ab_inputs", tmp))
         for order, side in ((0, 0), (0, 1), (1, 1), (1, 0)):
-            sides[order][side] = _ops((parent, change)[side], f"slicealgebra_ab{order}{side}", tmp)
+            sides[order][side] = _ops((parent, change)[side], f"slicealgebra_ab{order}{side}",
+                                      tmp, inputs)
         if any(ops.keys() != sides[0][0].keys() for pair in sides for ops in pair):
             sys.exit("the two checkouts apply different suites")
         keys = list(sides[0][0])
@@ -144,7 +200,7 @@ def main(parent: str, change: str) -> None:
                                                   time.perf_counter() - started)
         peaks = {key: [_peak_mib(pair[key]) for pair in sides[0]]
                  for key in keys if key[0] == "A0"}
-    print(f"{'suite':<14}{'algebra':<14}{'parent ms':>10}{'change ms':>10}{'change':>9}"
+    print(f"{'suite':<16}{'algebra':<14}{'parent ms':>10}{'change ms':>10}{'change':>9}"
           f"{'95% interval':>18}{'p first':>9}{'c first':>9}{'parent MiB':>12}{'change MiB':>12}")
     for suite, alg_name in dict.fromkeys(key[:2] for key in keys):
         cols = [k for k, key in enumerate(keys) if key[:2] == (suite, alg_name)]
@@ -157,7 +213,7 @@ def main(parent: str, change: str) -> None:
             interval = f"[{low:+.1%}, {high:+.1%}]"
         by_order = np.median(ratios, axis=1) - 1
         peak = peaks.get((suite, alg_name, 0))
-        print(f"{suite:<14}{alg_name:<14}{before:>10.3f}{after:>10.3f}"
+        print(f"{suite:<16}{alg_name:<14}{before:>10.3f}{after:>10.3f}"
               f"{np.median(ratios) - 1:>+9.1%}{interval:>18}"
               f"{by_order[0]:>+9.1%}{by_order[1]:>+9.1%}"
               + (f"{peak[0]:>12.3f}{peak[1]:>12.3f}" if peak else ""))
